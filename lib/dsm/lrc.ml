@@ -135,16 +135,11 @@ let lookup_diff_anywhere cl ~proc ~interval_id ~page =
     else if cl.Cluster.dead.(p) then scan (p + 1)
     else
       let pn = cl.Cluster.nodes.(p) in
-      let found =
-        List.find_opt
-          (fun wn -> wn.Node.wn_interval.Node.iv_id = interval_id && wn.Node.wn_diff <> None)
-          pn.Node.pages.(page).Node.pg_notices.(proc)
-      in
-      match found with
-      | Some wn -> wn.Node.wn_diff
+      match Node.held_diff pn ~proc ~interval_id ~page with
+      | Some _ as found -> found
       | None -> (
         match Node.backup_diff pn ~proc ~interval_id ~page with
-        | Some d -> Some d
+        | Some _ as found -> found
         | None -> scan (p + 1))
   in
   scan 0

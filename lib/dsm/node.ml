@@ -3,6 +3,7 @@ module Vm = Tmk_mem.Vm
 module Costs = Tmk_mem.Costs
 module Rle = Tmk_util.Rle
 module Bitset = Tmk_util.Bitset
+module Int_map = Map.Make (Int)
 
 type charge = Category.t -> Vtime.t -> unit
 
@@ -23,9 +24,15 @@ and interval = {
   mutable iv_notices : write_notice list;
 }
 
+(* A page's write notices by writer: only processors with notices for the
+   page are present, each with its notices newest-first, and every walk
+   visits them in increasing pid.  An untouched page holds the empty map,
+   so the map costs nothing per processor. *)
+type writers = write_notice list ref Int_map.t
+
 type page_entry = {
   mutable pg_copyset : Bitset.t;
-  pg_notices : write_notice list array;
+  mutable pg_writers : writers;
   mutable pg_twin : Bytes.t option;
   mutable pg_has_copy : bool;
   mutable pg_fetched : bool;
@@ -82,7 +89,7 @@ let create ?emit ?(vm_fast_path = true) ~pid ~nprocs ~pages () =
     Bitset.add copyset 0;
     {
       pg_copyset = copyset;
-      pg_notices = Array.make nprocs [];
+      pg_writers = Int_map.empty;
       pg_twin = None;
       pg_has_copy = pid = 0;
       pg_fetched = false;
@@ -117,6 +124,23 @@ let store_backup t ~proc ~interval_id ~page diff =
 
 let backup_diff t ~proc ~interval_id ~page =
   Hashtbl.find_opt t.backup_store (proc, interval_id, page)
+
+let notices t ~page ~proc =
+  match Int_map.find_opt proc t.pages.(page).pg_writers with Some l -> !l | None -> []
+
+let record_notice t wn =
+  let entry = t.pages.(wn.wn_page) in
+  let proc = wn.wn_interval.iv_proc in
+  match Int_map.find_opt proc entry.pg_writers with
+  | Some l -> l := wn :: !l
+  | None -> entry.pg_writers <- Int_map.add proc (ref [ wn ]) entry.pg_writers
+
+(* The notices of [page] that satisfy [keep]: writers in increasing pid,
+   each writer's newest first. *)
+let filter_notices t page keep =
+  Seq.fold_left
+    (fun acc (_, l) -> List.filter keep !l @ acc)
+    [] (Int_map.to_rev_seq t.pages.(page).pg_writers)
 
 let write_fault_twin t page ~charge =
   let entry = t.pages.(page) in
@@ -186,7 +210,7 @@ let rec close_interval ?(eager_diffs = false) t ~charge =
     let add_notice page =
       let wn = { wn_page = page; wn_interval = iv; wn_diff = None; wn_applied = true } in
       iv.iv_notices <- wn :: iv.iv_notices;
-      t.pages.(page).pg_notices.(t.pid) <- wn :: t.pages.(page).pg_notices.(t.pid);
+      record_notice t wn;
       t.live_records <- t.live_records + 1
     in
     List.iter add_notice dirty;
@@ -214,7 +238,7 @@ and make_diff_now t page ~charge =
   match entry.pg_twin with
   | None -> ()
   | Some twin ->
-    (match entry.pg_notices.(t.pid) with
+    (match notices t ~page ~proc:t.pid with
     | wn :: _ when wn.wn_diff = None -> ()
     | _ -> close_interval t ~charge);
     charge Category.Tmk_mem (Costs.diff_create Vm.page_size);
@@ -224,7 +248,7 @@ and make_diff_now t page ~charge =
     t.stats.Stats.diff_bytes_created <-
       t.stats.Stats.diff_bytes_created + Rle.encoded_size diff;
     t.live_records <- t.live_records + 1;
-    (match entry.pg_notices.(t.pid) with
+    (match notices t ~page ~proc:t.pid with
     | wn :: _ when wn.wn_diff = None ->
       wn.wn_diff <- Some diff;
       if tracing t then
@@ -259,18 +283,18 @@ let invalidate t page ~charge =
   end
 
 let find_notice t ~proc ~interval_id ~page =
-  let rec find = function
-    | [] -> raise Not_found
-    | wn :: rest -> if wn.wn_interval.iv_id = interval_id then wn else find rest
-  in
-  find t.pages.(page).pg_notices.(proc)
+  List.find (fun wn -> wn.wn_interval.iv_id = interval_id) (notices t ~page ~proc)
+
+let held_diff t ~proc ~interval_id ~page =
+  match find_notice t ~proc ~interval_id ~page with
+  | wn -> wn.wn_diff
+  | exception Not_found -> None
 
 let find_diff t ~proc ~interval_id ~page ~charge =
   (if proc = t.pid then
      (* Our own diff may not exist yet: this is the lazy-creation point
         for a diff request from another processor (§3.2). *)
-     let entry = t.pages.(page) in
-     match entry.pg_notices.(t.pid) with
+     match notices t ~page ~proc:t.pid with
      | wn :: _ when wn.wn_diff = None && wn.wn_interval.iv_id = interval_id ->
        ensure_own_diff t page ~charge
      | _ -> ());
@@ -292,19 +316,15 @@ let missing_diffs t page =
   (* Scan the whole notice list: with piggybacked diffs (hybrid update
      protocol) a newer notice can hold its diff while an older one still
      lacks one, so the diff-less notices are not necessarily a prefix. *)
-  let entry = t.pages.(page) in
-  let per_proc q =
-    match List.filter (fun wn -> wn.wn_diff = None) entry.pg_notices.(q) with
-    | [] -> None
-    | l -> Some (q, l) (* newest-first, like the source list *)
-  in
-  List.filter_map per_proc (List.init t.nprocs (fun q -> q))
+  Seq.fold_left
+    (fun acc (q, l) ->
+      match List.filter (fun wn -> wn.wn_diff = None) !l with
+      | [] -> acc
+      | l -> (q, l) :: acc (* newest-first, like the source list *))
+    [] (Int_map.to_rev_seq t.pages.(page).pg_writers)
 
 let unapplied_diffs t page =
-  let entry = t.pages.(page) in
-  List.concat_map
-    (fun q -> List.filter (fun wn -> wn.wn_diff <> None && not wn.wn_applied) entry.pg_notices.(q))
-    (List.init t.nprocs (fun q -> q))
+  filter_notices t page (fun wn -> wn.wn_diff <> None && not wn.wn_applied)
 
 let store_diff t ~proc ~interval_id ~page diff =
   let wn = find_notice t ~proc ~interval_id ~page in
@@ -330,11 +350,7 @@ let apply_missing_diffs t page notices ~charge =
          (fun mvt -> Vector_time.compare_total mvt wn.wn_interval.iv_vt < 0)
          missing_vts
   in
-  let replay =
-    List.concat_map
-      (fun q -> List.filter needs_replay t.pages.(page).pg_notices.(q))
-      (List.init t.nprocs (fun q -> q))
-  in
+  let replay = filter_notices t page needs_replay in
   let ordered =
     (* rev_append, not (@): [notices] can be long on the replay path and
        the sort is insensitive to input order (compare_total totally
@@ -399,8 +415,7 @@ let incorporate t intervals ~charge =
         charge Category.Tmk_consistency Cpu.incorporate_per_notice;
         let wn = { wn_page = page; wn_interval = iv; wn_diff = diff; wn_applied = false } in
         iv.iv_notices <- wn :: iv.iv_notices;
-        t.pages.(page).pg_notices.(mi.mi_proc) <-
-          wn :: t.pages.(page).pg_notices.(mi.mi_proc);
+        record_notice t wn;
         t.live_records <- t.live_records + (if diff = None then 1 else 2);
         t.stats.Stats.write_notices_in <- t.stats.Stats.write_notices_in + 1;
         if tracing t then
@@ -463,7 +478,7 @@ let discard_all_records t ~charge =
   done;
   Array.iter
     (fun entry ->
-      Array.fill entry.pg_notices 0 t.nprocs [];
+      entry.pg_writers <- Int_map.empty;
       entry.pg_twin <- None;
       (* the gather blacklist describes diffs that no longer exist *)
       entry.pg_no_gather <- false)
@@ -480,7 +495,7 @@ let modified_pages t =
   let result = ref [] in
   Array.iteri
     (fun page entry ->
-      if entry.pg_twin <> None || entry.pg_notices.(t.pid) <> [] then
+      if entry.pg_twin <> None || Int_map.mem t.pid entry.pg_writers then
         result := page :: !result)
     t.pages;
   List.rev !result

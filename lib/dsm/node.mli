@@ -1,7 +1,7 @@
 (** Per-processor DSM state and consistency bookkeeping (§3.1–§3.2).
 
     Mirrors the paper's data structures: the {e PageArray} (page state,
-    approximate copyset, per-processor write-notice lists), the
+    approximate copyset, write-notice lists of the page's writers), the
     {e ProcArray} (per-processor interval record lists, newest first),
     interval records carrying vector timestamps, write-notice records
     doubly linked to their intervals, and the diff pool (diffs hang off
@@ -38,10 +38,17 @@ and interval = {
   mutable iv_notices : write_notice list;
 }
 
+(** A page's write notices keyed by writer.  Only processors with notices
+    for the page are present, so the map's size follows the page's
+    writers, not [nprocs].  Read it with {!notices}; every walk over it
+    ({!missing_diffs}, {!unapplied_diffs}, {!apply_missing_diffs}) visits
+    writers in increasing pid. *)
+type writers
+
 (** PageArray entry. *)
 type page_entry = {
   mutable pg_copyset : Tmk_util.Bitset.t;  (** processors believed to cache the page *)
-  pg_notices : write_notice list array;  (** per processor, decreasing interval index *)
+  mutable pg_writers : writers;
   mutable pg_twin : Bytes.t option;
   mutable pg_has_copy : bool;  (** false until a copy has been fetched (or initially held) *)
   mutable pg_fetched : bool;
@@ -187,13 +194,21 @@ val store_backup : t -> proc:int -> interval_id:int -> page:int -> Tmk_util.Rle.
     (recovery path: the creator has crashed). *)
 val backup_diff : t -> proc:int -> interval_id:int -> page:int -> Tmk_util.Rle.t option
 
+(** [notices t ~page ~proc] — [proc]'s write notices for [page], in
+    decreasing interval index ([[]] when [proc] has none). *)
+val notices : t -> page:int -> proc:int -> write_notice list
+
+(** [held_diff t ~proc ~interval_id ~page] — the diff of that write
+    notice if [t] holds both the notice and its diff. *)
+val held_diff : t -> proc:int -> interval_id:int -> page:int -> Tmk_util.Rle.t option
+
 (** [missing_diffs t page] — the write notices for [page] lacking diffs,
-    grouped per processor, each group newest-first. *)
+    grouped per processor in increasing pid, each group newest-first. *)
 val missing_diffs : t -> int -> (int * write_notice list) list
 
 (** [unapplied_diffs t page] — notices whose diffs are present but not
     yet reflected in the local copy (piggybacked arrivals on an invalid or
-    twinned page). *)
+    twinned page), writers in increasing pid, each newest-first. *)
 val unapplied_diffs : t -> int -> write_notice list
 
 (** [store_diff t ~proc ~interval_id ~page diff] — attach a received diff

@@ -4,15 +4,18 @@ type access = Read | Write
 exception Fault_loop of { page : int; kind : access }
 
 type t = {
-  data : Bytes.t;
+  frames : Bytes.t array;
+      (* per-page backing store: [zero_frame] until the page is first
+         written, installed or patched, then a private 4 KB frame *)
   prot : prot array;
   fast : Bytes.t;
       (* per-page "unchecked OK" bitmap: ['\001'] exactly when the page is
-         [Read_write], no access hook is installed, and the fast path is
-         enabled — the accessors may then touch [data] directly, skipping
-         the full [ensure] (range/prot check + hook dispatch).  Kept
-         consistent by [refresh_fast] on every [set_prot] /
-         [set_access_hook] / [set_fast_path]. *)
+         [Read_write] with a private frame, no access hook is installed,
+         and the fast path is enabled — the accessors may then touch the
+         frame directly, skipping the full [ensure] (range/prot check +
+         hook dispatch).  Kept consistent by [refresh_fast] on every
+         [set_prot] / [set_access_hook] / [set_fast_path] and when a page
+         gets its private frame. *)
   npages : int;
   mutable fast_enabled : bool;
   mutable on_fault : access -> int -> unit;
@@ -23,12 +26,16 @@ let page_size = 4096
 let page_shift = 12
 let offset_mask = page_size - 1
 
+(* The frame every never-written page shares.  It is never written: a
+   page gets a private frame ([own_frame]) before its first store. *)
+let zero_frame = Bytes.make page_size '\000'
+
 let create ?(fast_path = true) ~pages () =
   if pages <= 0 then invalid_arg "Vm.create: pages must be positive";
   {
-    data = Bytes.make (pages * page_size) '\000';
+    frames = Array.make pages zero_frame;
     prot = Array.make pages Read_write;
-    fast = Bytes.make pages (if fast_path then '\001' else '\000');
+    fast = Bytes.make pages '\000';
     npages = pages;
     fast_enabled = fast_path;
     on_fault = (fun _ page -> failwith (Printf.sprintf "Vm: unhandled fault on page %d" page));
@@ -40,13 +47,28 @@ let size_bytes t = t.npages * page_size
 
 let refresh_fast t page =
   Bytes.unsafe_set t.fast page
-    (if t.fast_enabled && t.on_access = None && t.prot.(page) = Read_write then '\001'
+    (if
+       t.fast_enabled && t.on_access = None
+       && t.prot.(page) = Read_write
+       && t.frames.(page) != zero_frame
+     then '\001'
      else '\000')
 
 let refresh_fast_all t =
   for page = 0 to t.npages - 1 do
     refresh_fast t page
   done
+
+(* The page's private frame, allocated zero-filled on first need. *)
+let own_frame t page =
+  let frame = t.frames.(page) in
+  if frame != zero_frame then frame
+  else begin
+    let frame = Bytes.make page_size '\000' in
+    t.frames.(page) <- frame;
+    refresh_fast t page;
+    frame
+  end
 
 let set_fault_handler t f = t.on_fault <- f
 
@@ -70,7 +92,7 @@ let page_of_addr addr = addr / page_size
 let addr_of_page page = page * page_size
 
 let check_range t addr width =
-  if addr < 0 || addr + width > Bytes.length t.data then
+  if addr < 0 || addr + width > size_bytes t then
     invalid_arg (Printf.sprintf "Vm: address %d out of range" addr);
   if width > 1 && addr / page_size <> (addr + width - 1) / page_size then
     invalid_arg (Printf.sprintf "Vm: access at %d straddles a page boundary" addr)
@@ -99,6 +121,12 @@ let ensure t addr width kind =
   end;
   match t.on_access with None -> () | Some f -> f kind addr width
 
+(* The checked path of a store: fault-check it, then give the page a
+   private frame to store into. *)
+let ensure_write t addr width =
+  ensure t addr width Write;
+  ignore (own_frame t (addr lsr page_shift))
+
 (* Fast-path admission: the access is entirely inside one page whose fast
    bit is set.  [addr lsr page_shift] maps any negative address to a huge
    positive page (lsr is a logical shift), so the single [page < npages]
@@ -113,45 +141,68 @@ let[@inline] fast_ok t addr width =
   && Bytes.unsafe_get t.fast page <> '\000'
   && addr land offset_mask <= page_size - width
 
+(* The frame holding [addr], once [fast_ok] or [ensure] has proved the
+   address in range. *)
+let[@inline] frame t addr = Array.unsafe_get t.frames (addr lsr page_shift)
+
+(* Unchecked little-endian 8-byte loads and stores, for accesses that
+   [fast_ok] or [ensure] has already kept inside one page: every frame is
+   exactly [page_size] bytes, so the bounds check of
+   [Bytes.get_int64_le] would only repeat that proof.  Each accessor
+   makes its own admission test and inlines these, so no [int64] is boxed
+   across a call boundary on the way to an [int] or [float]. *)
+external unsafe_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external unsafe_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] load64 t addr =
+  let v = unsafe_get64 (frame t addr) (addr land offset_mask) in
+  if Sys.big_endian then swap64 v else v
+
+let[@inline] store64 t addr v =
+  unsafe_set64 (frame t addr) (addr land offset_mask) (if Sys.big_endian then swap64 v else v)
+
 let read_u8 t addr =
   if not (fast_ok t addr 1) then ensure t addr 1 Read;
-  Char.code (Bytes.unsafe_get t.data addr)
+  Char.code (Bytes.unsafe_get (frame t addr) (addr land offset_mask))
 
 let write_u8 t addr v =
-  if not (fast_ok t addr 1) then ensure t addr 1 Write;
-  Bytes.unsafe_set t.data addr (Char.unsafe_chr (v land 0xFF))
+  if not (fast_ok t addr 1) then ensure_write t addr 1;
+  Bytes.unsafe_set (frame t addr) (addr land offset_mask) (Char.unsafe_chr (v land 0xFF))
 
 let read_i64 t addr =
   if not (fast_ok t addr 8) then ensure t addr 8 Read;
-  Bytes.get_int64_le t.data addr
+  load64 t addr
 
 let write_i64 t addr v =
-  if not (fast_ok t addr 8) then ensure t addr 8 Write;
-  Bytes.set_int64_le t.data addr v
+  if not (fast_ok t addr 8) then ensure_write t addr 8;
+  store64 t addr v
 
-let read_int t addr = Int64.to_int (read_i64 t addr)
-let write_int t addr v = write_i64 t addr (Int64.of_int v)
+let read_int t addr =
+  if not (fast_ok t addr 8) then ensure t addr 8 Read;
+  Int64.to_int (load64 t addr)
 
-let read_f64 t addr = Int64.float_of_bits (read_i64 t addr)
-let write_f64 t addr v = write_i64 t addr (Int64.bits_of_float v)
+let write_int t addr v =
+  if not (fast_ok t addr 8) then ensure_write t addr 8;
+  store64 t addr (Int64.of_int v)
 
-let page_snapshot t page =
-  Bytes.sub t.data (addr_of_page page) page_size
+let read_f64 t addr =
+  if not (fast_ok t addr 8) then ensure t addr 8 Read;
+  Int64.float_of_bits (load64 t addr)
+
+let write_f64 t addr v =
+  if not (fast_ok t addr 8) then ensure_write t addr 8;
+  store64 t addr (Int64.bits_of_float v)
+
+let page_snapshot t page = Bytes.copy t.frames.(page)
 
 let install_page t page bytes =
   if Bytes.length bytes <> page_size then
     invalid_arg "Vm.install_page: wrong page size";
-  Bytes.blit bytes 0 t.data (addr_of_page page) page_size
+  Bytes.blit bytes 0 (own_frame t page) 0 page_size
 
-let patch t page rle =
-  let base = addr_of_page page in
-  let apply_run { Tmk_util.Rle.offset; bytes } =
-    let len = Bytes.length bytes in
-    if offset < 0 || offset + len > page_size then
-      invalid_arg "Vm.patch: run out of page bounds";
-    Bytes.blit bytes 0 t.data (base + offset) len
-  in
-  List.iter apply_run (Tmk_util.Rle.runs rle)
+let patch t page rle = Tmk_util.Rle.apply rle (own_frame t page)
 
-let diff_against t page ~twin =
-  Tmk_util.Rle.encode ~old_:twin (page_snapshot t page)
+(* The twin is compared with the live frame in place: [Rle.encode] copies
+   out only the changed runs. *)
+let diff_against t page ~twin = Tmk_util.Rle.encode ~old_:twin t.frames.(page)

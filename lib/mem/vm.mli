@@ -1,9 +1,12 @@
 (** Software MMU: a paged address space with per-page protection.
 
     Substitutes for the [mmap]/[mprotect]/SIGSEGV machinery the real
-    TreadMarks uses (§3.7).  Shared memory is a flat byte buffer split into
-    4096-byte pages, each in one of three states mirroring the hardware
-    protections.  Every typed accessor checks the page's protection and, on
+    TreadMarks uses (§3.7).  Shared memory is split into 4096-byte pages,
+    each in one of three states mirroring the hardware protections.  A page
+    is backed by one shared, never-written zero frame until it is first
+    written, installed or patched, and by a private frame from then on, so
+    an address space costs memory only for the pages its node has touched.
+    Every typed accessor checks the page's protection and, on
     a violation, invokes the registered fault handler — the analogue of the
     SIGSEGV handler — then retries the access.  The fault handler runs in
     the faulting process's context and may block (e.g. to fetch diffs from
@@ -61,13 +64,14 @@ val set_prot : t -> int -> prot -> unit
 (** {2 Fast path}
 
     The typed accessors keep a per-page "unchecked OK" bitmap: a page's
-    bit is set exactly when it is [Read_write], no access hook is
-    installed, and the fast path is enabled.  An access wholly inside such
-    a page cannot fault and has no observer, so it reads or writes the
-    backing buffer directly, skipping the protection check and hook
-    dispatch.  All other accesses — including out-of-range and straddling
-    ones — take the checked path and behave exactly as before.  The bitmap
-    is maintained by [set_prot], [set_access_hook], and [set_fast_path];
+    bit is set exactly when it is [Read_write], has its private frame, no
+    access hook is installed, and the fast path is enabled.  An access
+    wholly inside such a page cannot fault and has no observer, so it
+    reads or writes the frame directly, skipping the protection check and
+    hook dispatch.  All other accesses — including out-of-range and
+    straddling ones, and the first store to a page, which gives it its
+    private frame — take the checked path.  The bitmap is maintained by
+    [set_prot], [set_access_hook], [set_fast_path] and frame allocation;
     results are bit-identical with the fast path on or off. *)
 
 (** [fast_path t] — whether the fast path is enabled. *)
@@ -93,7 +97,8 @@ val write_u8 : t -> int -> int -> unit
 val read_i64 : t -> int -> int64
 val write_i64 : t -> int -> int64 -> unit
 
-(** [read_int]/[write_int] store an OCaml [int] in 8 bytes. *)
+(** [read_int]/[write_int] store an OCaml [int] in 8 bytes.  Once the
+    page's fast-path bit is set they allocate nothing. *)
 val read_int : t -> int -> int
 
 val write_int : t -> int -> int -> unit

@@ -126,6 +126,97 @@ let identical_page_empty_diff () =
   let twin = Vm.page_snapshot vm 0 in
   check Alcotest.bool "empty" true (Tmk_util.Rle.is_empty (Vm.diff_against vm 0 ~twin))
 
+(* Reference model: the per-page frames must behave exactly like one flat
+   zero-filled buffer.  A seeded random walk over a 4-page address space
+   changes protections, stores and loads through the typed accessors,
+   installs and patches pages, and takes snapshots and diffs, checking
+   every load, snapshot and diff against a flat [Bytes] model.  The fault
+   handler grants what the access needs, as the DSM would, so every access
+   lands.  Loads of never-written pages read the shared zero frame, and
+   scribbling on a snapshot must not reach the page it was taken from. *)
+let flat_model_walk ~fast_path seed =
+  let pages = 4 in
+  let rng = Random.State.make [| seed |] in
+  let vm = Vm.create ~fast_path ~pages () in
+  let model = Bytes.make (pages * Vm.page_size) '\000' in
+  Vm.set_fault_handler vm (fun kind page ->
+      Vm.set_prot vm page (if kind = Vm.Write then Vm.Read_write else Vm.Read_only));
+  let model_page page = Bytes.sub model (Vm.addr_of_page page) Vm.page_size in
+  let random_page_bytes () =
+    Bytes.init Vm.page_size (fun _ -> Char.chr (Random.State.int rng 4))
+  in
+  (* earlier snapshots serve as twins; all start as the zero page *)
+  let twins = Array.init pages model_page in
+  let what step op = Printf.sprintf "seed %d, fast %b, step %d: %s" seed fast_path step op in
+  for step = 1 to 3000 do
+    let page = Random.State.int rng pages in
+    let slot = Random.State.int rng (Vm.page_size / 8) in
+    let addr = Vm.addr_of_page page + (slot * 8) in
+    match Random.State.int rng 9 with
+    | 0 ->
+      Vm.set_prot vm page
+        (match Random.State.int rng 3 with
+        | 0 -> Vm.No_access
+        | 1 -> Vm.Read_only
+        | _ -> Vm.Read_write)
+    | 1 ->
+      let v = Random.State.full_int rng max_int - (max_int / 2) in
+      if Random.State.bool rng then Vm.write_int vm addr v
+      else Vm.write_i64 vm addr (Int64.of_int v);
+      Bytes.set_int64_le model addr (Int64.of_int v)
+    | 2 ->
+      check Alcotest.int (what step "read_int")
+        (Int64.to_int (Bytes.get_int64_le model addr))
+        (Vm.read_int vm addr)
+    | 3 ->
+      let addr = addr + Random.State.int rng 8 in
+      let v = Random.State.int rng 256 in
+      Vm.write_u8 vm addr v;
+      Bytes.set_uint8 model addr v;
+      check Alcotest.int (what step "read_u8") (Bytes.get_uint8 model addr)
+        (Vm.read_u8 vm addr)
+    | 4 ->
+      let v = Random.State.float rng 1e6 -. 5e5 in
+      Vm.write_f64 vm addr v;
+      Bytes.set_int64_le model addr (Int64.bits_of_float v);
+      check Alcotest.int64 (what step "read_i64")
+        (Bytes.get_int64_le model addr) (Vm.read_i64 vm addr);
+      check (Alcotest.float 0.0) (what step "read_f64") v (Vm.read_f64 vm addr)
+    | 5 ->
+      let bytes = random_page_bytes () in
+      Vm.install_page vm page bytes;
+      Bytes.blit bytes 0 model (Vm.addr_of_page page) Vm.page_size
+    | 6 ->
+      let diff = Tmk_util.Rle.encode ~old_:(random_page_bytes ()) (random_page_bytes ()) in
+      Vm.patch vm page diff;
+      List.iter
+        (fun { Tmk_util.Rle.offset; bytes } ->
+          Bytes.blit bytes 0 model (Vm.addr_of_page page + offset) (Bytes.length bytes))
+        (Tmk_util.Rle.runs diff)
+    | 7 ->
+      let snap = Vm.page_snapshot vm page in
+      check Alcotest.bool (what step "page_snapshot") true
+        (Bytes.equal snap (model_page page));
+      Bytes.set snap (Random.State.int rng Vm.page_size) 'x';
+      twins.(page) <- snap
+    | _ ->
+      let twin = twins.(page) in
+      check Alcotest.bool (what step "diff_against") true
+        (Tmk_util.Rle.runs (Vm.diff_against vm page ~twin)
+        = Tmk_util.Rle.runs (Tmk_util.Rle.encode ~old_:twin (model_page page)))
+  done;
+  for page = 0 to pages - 1 do
+    check Alcotest.bool (what 3000 "final contents") true
+      (Bytes.equal (Vm.page_snapshot vm page) (model_page page))
+  done
+
+let frames_match_flat_model () =
+  List.iter
+    (fun seed ->
+      flat_model_walk ~fast_path:true seed;
+      flat_model_walk ~fast_path:false seed)
+    [ 1; 2; 3; 4 ]
+
 let costs_sane () =
   check Alcotest.bool "mprotect>0" true (Costs.mprotect > 0);
   check Alcotest.bool "sigsegv>0" true (Costs.sigsegv > 0);
@@ -151,6 +242,7 @@ let suite =
     Alcotest.test_case "diff/patch roundtrip" `Quick diff_patch_roundtrip;
     diff_patch_random;
     Alcotest.test_case "identical page empty diff" `Quick identical_page_empty_diff;
+    Alcotest.test_case "frames match a flat model" `Quick frames_match_flat_model;
     Alcotest.test_case "costs sane" `Quick costs_sane;
     Alcotest.test_case "page addr conversions" `Quick page_addr_conversions;
   ]

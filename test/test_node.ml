@@ -52,7 +52,7 @@ let close_eager_diffs () =
   check Alcotest.bool "twin kept" true (n2.Node.pages.(0).Node.pg_twin <> None)
 
 let msg_interval ?(diffs = []) ~proc ~id ~vt ~pages () =
-  let v = Vector_time.create 4 in
+  let v = Vector_time.create (List.length vt) in
   List.iteri (fun q x -> Vector_time.set v q x) vt;
   let diff_for p = List.assoc_opt p diffs in
   { Node.mi_proc = proc; mi_id = id; mi_vt = v; mi_pages = List.map (fun p -> (p, diff_for p)) pages }
@@ -64,14 +64,14 @@ let incorporate_invalidates () =
     ~charge:no_charge;
   check Alcotest.bool "page invalidated" true (Vm.prot n.Node.vm 2 = Vm.No_access);
   check Alcotest.int "vt tracks" 1 (Vector_time.get n.Node.vt 1);
-  check Alcotest.int "notice recorded" 1 (List.length n.Node.pages.(2).Node.pg_notices.(1))
+  check Alcotest.int "notice recorded" 1 (List.length (Node.notices n ~page:2 ~proc:1))
 
 let incorporate_skips_duplicates () =
   let n = make_node ~pid:0 () in
   let mi = msg_interval ~proc:1 ~id:1 ~vt:[ 0; 1; 0; 0 ] ~pages:[ 2 ] () in
   Node.incorporate n [ mi ] ~charge:no_charge;
   Node.incorporate n [ mi ] ~charge:no_charge;
-  check Alcotest.int "one record only" 1 (List.length n.Node.pages.(2).Node.pg_notices.(1));
+  check Alcotest.int "one record only" 1 (List.length (Node.notices n ~page:2 ~proc:1));
   check Alcotest.int "one interval only" 1 (List.length n.Node.intervals.(1))
 
 let incorporate_saves_local_twin () =
@@ -173,13 +173,13 @@ let apply_replays_newer_diffs () =
      applied; then the older one arrives *)
   Node.store_diff n ~proc:2 ~interval_id:1 ~page:0 (diff_of 222);
   let newer =
-    match n.Node.pages.(0).Node.pg_notices.(2) with [ wn ] -> wn | _ -> assert false
+    match Node.notices n ~page:0 ~proc:2 with [ wn ] -> wn | _ -> assert false
   in
   Node.apply_missing_diffs n 0 [ newer ] ~charge:no_charge;
   check Alcotest.int "newer applied" 222 (Vm.read_int n.Node.vm 0);
   Node.store_diff n ~proc:1 ~interval_id:1 ~page:0 (diff_of 111);
   let older =
-    match n.Node.pages.(0).Node.pg_notices.(1) with [ wn ] -> wn | _ -> assert false
+    match Node.notices n ~page:0 ~proc:1 with [ wn ] -> wn | _ -> assert false
   in
   Node.apply_missing_diffs n 0 [ older ] ~charge:no_charge;
   (* without replay this would regress to 111 *)
@@ -199,6 +199,53 @@ let discard_sweeps_everything () =
     (Array.for_all (fun e -> e.Node.pg_twin = None) n.Node.pages);
   check Alcotest.bool "intervals gone" true
     (Array.for_all (fun l -> l = []) n.Node.intervals)
+
+(* The writer map keeps only the page's writers, but every walk still
+   visits them in increasing pid, whatever order their notices came in. *)
+let writers_walk_in_pid_order () =
+  let n = make_node ~pid:0 ~nprocs:6 () in
+  let diff = Tmk_util.Rle.of_runs [] in
+  let vt_of q id = List.init 6 (fun p -> if p = q then id else 0) in
+  (* writers 5, 3, 1, 2 and 4 arrive in that order; 3 and 2 piggyback
+     their diffs, and 5 has a second, newer notice *)
+  let arrival =
+    [ (5, 1, false); (3, 1, true); (1, 1, false); (2, 1, true); (4, 1, false); (5, 2, false) ]
+  in
+  List.iter
+    (fun (q, id, with_diff) ->
+      Node.incorporate n
+        [
+          msg_interval
+            ~diffs:(if with_diff then [ (1, diff) ] else [])
+            ~proc:q ~id ~vt:(vt_of q id) ~pages:[ 1 ] ();
+        ]
+        ~charge:no_charge)
+    arrival;
+  let ids wns =
+    List.map (fun wn -> (wn.Node.wn_interval.Node.iv_proc, wn.Node.wn_interval.Node.iv_id)) wns
+  in
+  check Alcotest.(list (pair int (list (pair int int))))
+    "missing diffs by increasing writer, each newest first"
+    [ (1, [ (1, 1) ]); (4, [ (4, 1) ]); (5, [ (5, 2); (5, 1) ]) ]
+    (List.map (fun (q, wns) -> (q, ids wns)) (Node.missing_diffs n 1));
+  check Alcotest.(list (pair int int))
+    "unapplied diffs by increasing writer" [ (2, 1); (3, 1) ]
+    (ids (Node.unapplied_diffs n 1));
+  check Alcotest.(list (pair int int)) "one writer's notices" [ (5, 2); (5, 1) ]
+    (ids (Node.notices n ~page:1 ~proc:5));
+  check Alcotest.(list (pair int int)) "a page nobody wrote" []
+    (ids (Node.notices n ~page:2 ~proc:5));
+  check Alcotest.bool "held diff" true
+    (Node.held_diff n ~proc:3 ~interval_id:1 ~page:1 <> None);
+  check Alcotest.bool "notice without its diff" true
+    (Node.held_diff n ~proc:4 ~interval_id:1 ~page:1 = None);
+  ignore (Node.discard_all_records n ~charge:no_charge);
+  check Alcotest.int "no missing diffs after GC" 0 (List.length (Node.missing_diffs n 1));
+  check Alcotest.int "no unapplied diffs after GC" 0 (List.length (Node.unapplied_diffs n 1));
+  check Alcotest.bool "no notices after GC" true
+    (List.for_all (fun q -> Node.notices n ~page:1 ~proc:q = []) [ 0; 1; 2; 3; 4; 5 ]);
+  check Alcotest.bool "no held diff after GC" true
+    (Node.held_diff n ~proc:3 ~interval_id:1 ~page:1 = None)
 
 let modified_pages_tracks () =
   let n = make_node ~pid:0 () in
@@ -229,6 +276,7 @@ let suite =
     Alcotest.test_case "missing diffs prefix" `Quick missing_diffs_prefix;
     Alcotest.test_case "apply replays newer diffs" `Quick apply_replays_newer_diffs;
     Alcotest.test_case "discard sweeps everything" `Quick discard_sweeps_everything;
+    Alcotest.test_case "writers walk in pid order" `Quick writers_walk_in_pid_order;
     Alcotest.test_case "modified pages tracks" `Quick modified_pages_tracks;
     Alcotest.test_case "notice counts" `Quick notice_counts_sizes;
   ]

@@ -1,16 +1,22 @@
 (* Digest equivalence for the simulator's hot-path machinery.
 
-   The fast paths this PR adds (software-MMU unchecked-access bitmap,
-   word-granular RLE, domain-parallel sweeps) are pure simulator-speed
-   changes: every simulated quantity — application answer, Stats counters,
-   message/byte counts, simulated time — must be bit-identical with them
-   on or off.  These tests enforce that end-to-end:
+   The fast paths (software-MMU unchecked-access bitmap, word-granular
+   RLE, domain-parallel sweeps) and the sparse per-node layout (page
+   frames allocated on first touch, write notices keyed by writer) are
+   pure simulator-speed changes: every simulated quantity — application
+   answer, Stats counters, message/byte counts, simulated time — must be
+   bit-identical with them on or off.  These tests enforce that
+   end-to-end:
 
    - all five applications at 8 and 32 processors: same digest and same
      run accounting with [Config.vm_fast_path] true vs false;
    - the same with the race detector attached (its [on_access] hook must
      still observe every shared access — the checker's findings and the
      digest both have to match, and a Vm-level test counts hook calls);
+   - the benchmark's four workloads and a GC-heavy Water run match
+     fingerprints pinned from the dense layout;
+   - set-up memory follows the pages a node touches, and fast-path typed
+     accesses allocate nothing;
    - a sweep mapped with [Harness.parallel_map ~jobs:4] equals the
      sequential map, element for element.
 
@@ -141,6 +147,184 @@ let fast_path_still_raises () =
   check Alcotest.int "last byte still accessible" 9 (Vm.read_u8 vm 4095)
 
 (* ------------------------------------------------------------------ *)
+(* Pinned simulation.  The cases above compare a fast path on and off
+   within one build, so they cannot see a change of memory layout that
+   has no off switch.  These literals were recorded with the dense
+   per-node layout (a flat address space per node and one write-notice
+   slot per processor per page), before sparse page frames and writer
+   maps replaced it: the repository benchmark's four workloads at seed 0,
+   each as a checked run, and Water with a record threshold low enough
+   to run the GC sweep.                                                 *)
+
+type pinned = {
+  p_digest : string;
+  p_time : int;
+  p_messages : int;
+  p_bytes : int;
+  p_hot : int;  (** the largest [Api.proc_msgs] entry *)
+  p_stats : string;  (** MD5 of the marshalled summed [Stats.t] *)
+}
+
+let md5 v = Digest.to_hex (Digest.string (Marshal.to_string v []))
+
+let pin_of digest (r : Api.run_result) =
+  {
+    p_digest = digest;
+    p_time = r.Api.total_time;
+    p_messages = r.Api.messages;
+    p_bytes = r.Api.bytes;
+    p_hot = Array.fold_left max 0 r.Api.proc_msgs;
+    p_stats = md5 r.Api.total_stats;
+  }
+
+let benchmark_run ~app ~nprocs ~protocol ~scaled () =
+  let cfg =
+    {
+      (Harness.config ~app ~nprocs ~protocol ~net:Tmk_net.Params.atm_aal34) with
+      Config.sharding = scaled;
+      barrier_tree = scaled;
+    }
+  in
+  let m, digest = Harness.run_checked ~app cfg in
+  pin_of digest m.Harness.m_raw
+
+(* The configuration of [Test_apps.water_with_gc]. *)
+let water_gc_run () =
+  let module Water = Tmk_apps.Water in
+  let p = { Water.default with Water.nmol = 27; steps = 3 } in
+  let cfg =
+    {
+      Config.default with
+      Config.nprocs = 4;
+      pages = Water.pages_needed p;
+      gc_threshold = 50;
+      seed = 3L;
+    }
+  in
+  let out = ref None in
+  let r =
+    Api.run cfg (fun ctx ->
+        match Water.parallel ctx p with Some x -> out := Some x | None -> ())
+  in
+  let x = Option.get !out in
+  pin_of (md5 (x.Water.energy, x.Water.positions)) r
+
+let pinned_runs =
+  [
+    ( "tsp-8",
+      benchmark_run ~app:Harness.Tsp ~nprocs:8 ~protocol:Config.Lrc ~scaled:false,
+      {
+        p_digest = "3d826e62141c5e93901328c36938ffd5";
+        p_time = 6707087712;
+        p_messages = 3065;
+        p_bytes = 309495;
+        p_hot = 895;
+        p_stats = "6d4ee2d60ffbf918f48a758eb731c644";
+      } );
+    ( "water-16",
+      benchmark_run ~app:Harness.Water ~nprocs:16 ~protocol:Config.Lrc ~scaled:false,
+      {
+        p_digest = "c7f75ef5b495806f2415bc74c79a0354";
+        p_time = 1867410464;
+        p_messages = 12926;
+        p_bytes = 4418753;
+        p_hot = 1177;
+        p_stats = "ae2532486e957988770e09c9125145e1";
+      } );
+    ( "jacobi-256-sharded",
+      benchmark_run ~app:Harness.Jacobi ~nprocs:256 ~protocol:Config.Lrc ~scaled:true,
+      {
+        p_digest = "bbaeb195790d70dceca49ee7011091ab";
+        p_time = 15068444268;
+        p_messages = 18922;
+        p_bytes = 680946431;
+        p_hot = 1474;
+        p_stats = "565ead3349929bfa76e80f1696b0ebd4";
+      } );
+    ( "quicksort-8-tardis",
+      benchmark_run ~app:Harness.Quicksort ~nprocs:8 ~protocol:Config.Tardis ~scaled:false,
+      {
+        p_digest = "a2d0b03ff32450c2bf75a292c27441eb";
+        p_time = 33383607640;
+        p_messages = 137374;
+        p_bytes = 129607169;
+        p_hot = 19540;
+        p_stats = "932f68b0d7f62041738890b8048ba5f4";
+      } );
+    ( "water-4 with gc",
+      water_gc_run,
+      {
+        p_digest = "5204a6a9860b5cf871595167e0341241";
+        p_time = 231635380;
+        p_messages = 1327;
+        p_bytes = 140044;
+        p_hot = 370;
+        p_stats = "90b10657cdbd08858afc5da2ac0e1d81";
+      } );
+  ]
+
+let pinned_simulation () =
+  let got = Harness.parallel_map ~jobs:2 (fun (_, run, _) -> run ()) pinned_runs in
+  List.iter2
+    (fun (what, _, want) got ->
+      check Alcotest.string (what ^ ": digest") want.p_digest got.p_digest;
+      check Alcotest.int (what ^ ": simulated time") want.p_time got.p_time;
+      check Alcotest.int (what ^ ": messages") want.p_messages got.p_messages;
+      check Alcotest.int (what ^ ": bytes") want.p_bytes got.p_bytes;
+      check Alcotest.int (what ^ ": busiest processor's frames") want.p_hot got.p_hot;
+      check Alcotest.string (what ^ ": stats") want.p_stats got.p_stats)
+    pinned_runs got
+
+(* ------------------------------------------------------------------ *)
+(* Host memory.  Words allocated are the minor words, read with
+   [Gc.minor_words] (on OCaml 5.1 the minor count of [Gc.counters] omits
+   the current minor heap), plus the major words less the promoted ones,
+   read with [Gc.counters] ([Gc.quick_stat] reports direct major
+   allocations only after a major slice), less what the measurement
+   itself allocates.                                                    *)
+
+let allocated f =
+  let measure f =
+    let minor0 = Gc.minor_words () in
+    let _, promoted0, major0 = Gc.counters () in
+    ignore (Sys.opaque_identity (f ()));
+    let _, promoted1, major1 = Gc.counters () in
+    let minor1 = Gc.minor_words () in
+    minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+  in
+  measure f -. measure (fun () -> ())
+
+let under what words limit =
+  check Alcotest.bool (Printf.sprintf "%s: %.0f words, under %.0f" what words limit) true
+    (words < limit)
+
+(* An address space and a node's metadata grow with the pages touched and
+   the writers seen, not with [pages * page_size] or [nprocs * pages]. *)
+let setup_memory_is_sparse () =
+  under "Vm.create ~pages:1024" (allocated (fun () -> Vm.create ~pages:1024 ())) 16_000.;
+  under "Node.create ~pid:1 ~nprocs:1024 ~pages:258"
+    (allocated (fun () -> Node.create ~pid:1 ~nprocs:1024 ~pages:258 ()))
+    32_000.
+
+let typed_accesses_allocate_nothing () =
+  let vm = Vm.create ~pages:4 () in
+  (* the first store gives each page its frame and sets its fast-path bit *)
+  for page = 0 to 3 do
+    Vm.write_int vm (Vm.addr_of_page page) 0
+  done;
+  let mask = Vm.size_bytes vm - 1 in
+  let pairs () =
+    for i = 0 to 9_999 do
+      let addr = (i * 8) land mask in
+      Vm.write_int vm addr i;
+      ignore (Vm.read_int vm addr)
+    done
+  in
+  check (Alcotest.float 0.0) "words allocated by 10 000 read_int/write_int pairs" 0.0
+    (allocated pairs);
+  check Alcotest.int "last store read back" 9_999 (Vm.read_int vm ((9_999 * 8) land mask))
+
+(* ------------------------------------------------------------------ *)
 (* Domain-parallel sweeps: mapping the arms on 4 domains must be
    indistinguishable from the sequential map.                           *)
 
@@ -209,6 +393,10 @@ let suite =
         race_detector_equivalence;
       Alcotest.test_case "access hook observes every access" `Quick hook_sees_every_access;
       Alcotest.test_case "fast path keeps checked-path errors" `Quick fast_path_still_raises;
+      Alcotest.test_case "simulation matches the pinned fingerprints" `Slow pinned_simulation;
+      Alcotest.test_case "set-up memory is sparse" `Quick setup_memory_is_sparse;
+      Alcotest.test_case "typed accesses allocate nothing" `Quick
+        typed_accesses_allocate_nothing;
       Alcotest.test_case "parallel_map jobs:4 equals sequential" `Slow
         parallel_map_equivalence;
       Alcotest.test_case "lint findings byte-identical across jobs" `Slow
