@@ -135,13 +135,6 @@ let record_notice t wn =
   | Some l -> l := wn :: !l
   | None -> entry.pg_writers <- Int_map.add proc (ref [ wn ]) entry.pg_writers
 
-(* The notices of [page] that satisfy [keep]: writers in increasing pid,
-   each writer's newest first. *)
-let filter_notices t page keep =
-  Seq.fold_left
-    (fun acc (_, l) -> List.filter keep !l @ acc)
-    [] (Int_map.to_rev_seq t.pages.(page).pg_writers)
-
 let write_fault_twin t page ~charge =
   let entry = t.pages.(page) in
   assert (entry.pg_twin = None);
@@ -324,7 +317,10 @@ let missing_diffs t page =
     [] (Int_map.to_rev_seq t.pages.(page).pg_writers)
 
 let unapplied_diffs t page =
-  filter_notices t page (fun wn -> wn.wn_diff <> None && not wn.wn_applied)
+  let unapplied wn = wn.wn_diff <> None && not wn.wn_applied in
+  Seq.fold_left
+    (fun acc (_, l) -> List.filter unapplied !l @ acc)
+    [] (Int_map.to_rev_seq t.pages.(page).pg_writers)
 
 let store_diff t ~proc ~interval_id ~page diff =
   let wn = find_notice t ~proc ~interval_id ~page in
@@ -332,6 +328,45 @@ let store_diff t ~proc ~interval_id ~page diff =
     wn.wn_diff <- Some diff;
     t.live_records <- t.live_records + 1
   end
+
+(* The [notices] argument of [apply_missing_diffs] as a set, by physical
+   identity like [List.memq].  The hash packs (interval, pid); pids fit in
+   10 bits. *)
+module Notice_set = Hashtbl.Make (struct
+  type t = write_notice
+
+  let equal = ( == )
+  let hash wn = Hashtbl.hash ((wn.wn_interval.iv_id lsl 10) lxor wn.wn_interval.iv_proc)
+end)
+
+(* The held diffs of [page] newer than some notice of [notices], not in
+   [notices] themselves: writers in increasing pid, each newest first.  In
+   a total order a notice is newer than some of [notices] exactly when it
+   is newer than the oldest of them.  A writer's later intervals dominate
+   its earlier ones, so its newest-first list decreases in
+   [compare_total] and the newer notices are a prefix of it. *)
+let replay_set t page notices =
+  match notices with
+  | [] -> []
+  | first :: rest ->
+    let oldest =
+      List.fold_left
+        (fun vt wn ->
+          if Vector_time.compare_total wn.wn_interval.iv_vt vt < 0 then wn.wn_interval.iv_vt
+          else vt)
+        first.wn_interval.iv_vt rest
+    in
+    let members = Notice_set.create (List.length notices) in
+    List.iter (fun wn -> Notice_set.replace members wn ()) notices;
+    let rec newer acc = function
+      | wn :: rest when Vector_time.compare_total oldest wn.wn_interval.iv_vt < 0 ->
+        if wn.wn_diff <> None && not (Notice_set.mem members wn) then wn :: newer acc rest
+        else newer acc rest
+      | _ -> acc
+    in
+    Seq.fold_left
+      (fun acc (_, l) -> newer acc !l)
+      [] (Int_map.to_rev_seq t.pages.(page).pg_writers)
 
 let apply_missing_diffs t page notices ~charge =
   (* The local (out-of-date) copy already reflects every previously held
@@ -342,15 +377,7 @@ let apply_missing_diffs t page notices ~charge =
      suffix instead: apply, in increasing vector-timestamp order, the
      missing diffs together with every held diff that is not ordered
      strictly before all of them. *)
-  let missing_vts = List.map (fun wn -> wn.wn_interval.iv_vt) notices in
-  let needs_replay wn =
-    wn.wn_diff <> None
-    && (not (List.memq wn notices))
-    && List.exists
-         (fun mvt -> Vector_time.compare_total mvt wn.wn_interval.iv_vt < 0)
-         missing_vts
-  in
-  let replay = filter_notices t page needs_replay in
+  let replay = replay_set t page notices in
   let ordered =
     (* rev_append, not (@): [notices] can be long on the replay path and
        the sort is insensitive to input order (compare_total totally

@@ -23,13 +23,27 @@ let leq a b =
   go 0
 
 let dominates a b = leq b a
-let equal a b = a = b
+
+(* [equal] and [compare_total] are monomorphic loops: they call neither
+   [caml_equal] nor [caml_compare] and allocate nothing.  [compare_total]
+   orders every diff replay. *)
+let rec equal_from (a : t) (b : t) q =
+  q >= Array.length a || (a.(q) = b.(q) && equal_from a b (q + 1))
+
+let equal a b = Array.length a = Array.length b && equal_from a b 0
+
+(* Lexicographic order.  It extends the pointwise order: if [leq a b] and
+   [a <> b], the first entry where they differ has [a.(q) < b.(q)]. *)
+let rec compare_from (a : t) (b : t) q =
+  if q >= Array.length a then 0
+  else if a.(q) < b.(q) then -1
+  else if a.(q) > b.(q) then 1
+  else compare_from a b (q + 1)
 
 let compare_total a b =
-  if equal a b then 0
-  else if leq a b then -1
-  else if leq b a then 1
-  else compare a b
+  if Array.length a <> Array.length b then
+    invalid_arg "Vector_time.compare_total: size mismatch";
+  compare_from a b 0
 
 let bytes n = 4 * n
 

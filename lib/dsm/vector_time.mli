@@ -36,12 +36,13 @@ val dominates : t -> t -> bool
 (** [equal a b] — pointwise equality. *)
 val equal : t -> t -> bool
 
-(** [compare_total a b] is a total order extending the partial order: if
-    [leq a b] and not [equal a b] then [compare_total a b < 0].
-    Incomparable timestamps are ordered by their entry vectors
-    lexicographically.  Used to apply concurrent diffs deterministically
-    (their runs are disjoint for properly-labeled programs, so any
-    deterministic order merges correctly). *)
+(** [compare_total a b] is [-1], [0] or [1] in the lexicographic order of
+    the entry vectors.  That total order extends the partial order: if
+    [leq a b] and not [equal a b] then [compare_total a b < 0].  Used to
+    apply concurrent diffs deterministically (their runs are disjoint for
+    properly-labeled programs, so any deterministic order merges
+    correctly).
+    @raise Invalid_argument when the sizes differ. *)
 val compare_total : t -> t -> int
 
 (** [bytes n] is the wire size of a timestamp over [n] processors (32-bit

@@ -51,6 +51,52 @@ let vt_compare_total_extends =
       else if Vector_time.leq y x then Vector_time.compare_total x y > 0
       else Vector_time.compare_total x y = -Vector_time.compare_total y x)
 
+(* The order [compare_total] had when it was defined by cases over the
+   partial order, with polymorphic [compare] breaking the remaining ties;
+   [equal] was structural equality.  [Test_node] replays diffs with it. *)
+let reference_compare_total x y =
+  let entries v = Array.init (Vector_time.size v) (Vector_time.get v) in
+  let a = entries x and b = entries y in
+  if a = b then 0
+  else if Vector_time.leq x y then -1
+  else if Vector_time.leq y x then 1
+  else compare a b
+
+(* Pairs of 1 to 64 small entries: the second is the first, the first
+   raised or lowered in a few entries, or independent, so equal,
+   dominating and incomparable pairs are all common. *)
+let vt_pair_gen =
+  let open QCheck.Gen in
+  let nudge d a =
+    map
+      (fun qs ->
+        let b = Array.copy a in
+        List.iter (fun q -> b.(q) <- max 0 (b.(q) + d)) qs;
+        b)
+      (list_size (int_range 1 3) (int_bound (Array.length a - 1)))
+  in
+  int_range 1 64 >>= fun n ->
+  array_size (return n) (int_range 0 3) >>= fun a ->
+  oneof
+    [
+      return (a, Array.copy a);
+      map (fun b -> (a, b)) (nudge 1 a);
+      map (fun b -> (a, b)) (nudge (-1) a);
+      map (fun b -> (a, b)) (array_size (return n) (int_range 0 3));
+    ]
+
+let vt_compare_total_matches_reference =
+  let print (a, b) =
+    let show a = String.concat "," (List.map string_of_int (Array.to_list a)) in
+    Printf.sprintf "<%s> <%s>" (show a) (show b)
+  in
+  qtest ~count:2000 "vt compare_total and equal match their reference definitions"
+    (QCheck.make ~print vt_pair_gen) (fun (a, b) ->
+      let x = vt_of_array a and y = vt_of_array b in
+      Vector_time.compare_total x y = reference_compare_total x y
+      && Vector_time.compare_total y x = reference_compare_total y x
+      && Vector_time.equal x y = (a = b))
+
 let wire_sizes () =
   check Alcotest.int "notice" 2 Wire.write_notice_bytes;
   check Alcotest.int "vt" 32 (Vector_time.bytes 8);
@@ -475,4 +521,5 @@ let suite =
     Alcotest.test_case "malloc page align" `Quick malloc_page_align;
     Alcotest.test_case "out of memory detected" `Quick out_of_memory_detected;
     Alcotest.test_case "read sharing no diffs" `Quick read_sharing_no_diffs;
+    vt_compare_total_matches_reference;
   ]

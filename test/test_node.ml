@@ -247,6 +247,208 @@ let writers_walk_in_pid_order () =
   check Alcotest.bool "no held diff after GC" true
     (Node.held_diff n ~proc:3 ~interval_id:1 ~page:1 = None)
 
+(* ------------------------------------------------------------------ *)
+(* Replay-set equivalence.  [reference_apply] is the replay the node ran
+   before it walked writer prefixes: every held diff is tested against
+   every notice in the call, under the order defined by cases over the
+   partial order. *)
+
+let vt_of wn = wn.Node.wn_interval.Node.iv_vt
+
+let reference_apply node ~emit page notices =
+  let needs_replay wn =
+    wn.Node.wn_diff <> None
+    && (not (List.memq wn notices))
+    && List.exists (fun m -> Test_dsm.reference_compare_total (vt_of m) (vt_of wn) < 0) notices
+  in
+  let replay =
+    List.concat_map
+      (fun q -> List.filter needs_replay (Node.notices node ~page ~proc:q))
+      (List.init node.Node.nprocs Fun.id)
+  in
+  let ordered =
+    List.sort
+      (fun a b -> Test_dsm.reference_compare_total (vt_of a) (vt_of b))
+      (List.rev_append notices replay)
+  in
+  List.iter
+    (fun wn ->
+      let diff = Option.get wn.Node.wn_diff in
+      Vm.patch node.Node.vm page diff;
+      wn.Node.wn_applied <- true;
+      node.Node.stats.Stats.diffs_applied <- node.Node.stats.Stats.diffs_applied + 1;
+      let iv = wn.Node.wn_interval in
+      emit
+        (Tmk_trace.Event.Diff_apply
+           {
+             page;
+             bytes = Tmk_util.Rle.payload_size diff;
+             proc = iv.Node.iv_proc;
+             interval = iv.Node.iv_id;
+           }))
+    ordered;
+  Vm.set_prot node.Node.vm page Vm.Read_only
+
+(* A writer's notices come newest first, strictly decreasing in
+   [compare_total]; the replay walk stops at the first one not newer than
+   the oldest missing notice, so it relies on this order. *)
+let check_writer_order what node =
+  for page = 0 to Array.length node.Node.pages - 1 do
+    for q = 0 to node.Node.nprocs - 1 do
+      let rec decreasing = function
+        | a :: (b :: _ as rest) ->
+          Vector_time.compare_total (vt_of a) (vt_of b) > 0 && decreasing rest
+        | _ -> true
+      in
+      if not (decreasing (Node.notices node ~page ~proc:q)) then
+        Alcotest.failf "%s: writer %d's notices for page %d are not decreasing" what q page
+    done
+  done
+
+(* One random causal history played into two identical nodes, one
+   replaying with [Node.apply_missing_diffs], the other with
+   [reference_apply].  Writers close intervals whose timestamps dominate
+   their earlier ones and sometimes merge another writer's clock first;
+   the node receives them in per-writer order, some with piggybacked
+   diffs; then it fetches missing diffs (all of a page's, or some) and
+   applies them with the pending ones, or applies only the pending
+   ones. *)
+let replay_matches_reference_seed seed =
+  let rng = Random.State.make [| seed |] in
+  let int n = Random.State.int rng n in
+  let nprocs = 3 + int 6 and pages = 1 + int 2 in
+  let pid = nprocs - 1 and writers = nprocs - 1 in
+  let events = Array.make 2 [] in
+  let emits =
+    Array.init 2 (fun i -> function
+      | Tmk_trace.Event.Diff_apply _ as ev -> events.(i) <- ev :: events.(i)
+      | _ -> ())
+  in
+  let nodes = Array.map (fun emit -> Node.create ~emit ~pid ~nprocs ~pages ()) emits in
+  let clocks = Array.init writers (fun _ -> Array.make nprocs 0) in
+  let diffs = Hashtbl.create 64 in
+  let undelivered = Array.make writers [] in
+  let new_interval q =
+    if int 2 = 0 then begin
+      let r = int writers in
+      Array.iteri (fun i x -> clocks.(q).(i) <- max clocks.(q).(i) x) clocks.(r)
+    end;
+    clocks.(q).(q) <- clocks.(q).(q) + 1;
+    let id = clocks.(q).(q) in
+    let written = List.filter (fun _ -> int 3 > 0) (List.init pages Fun.id) in
+    let written = if written = [] then [ int pages ] else written in
+    List.iter
+      (fun page ->
+        let base = Bytes.make Vm.page_size '\000' in
+        let cur = Bytes.copy base in
+        for _ = 0 to int 3 do
+          Bytes.set_int64_le cur (8 * int 8) (Int64.of_int (1 + int 1000))
+        done;
+        Hashtbl.replace diffs (q, id, page) (Tmk_util.Rle.encode ~old_:base cur))
+      written;
+    undelivered.(q) <- (id, Array.copy clocks.(q), written) :: undelivered.(q)
+  in
+  let deliver () =
+    let mis =
+      List.concat
+        (List.init writers (fun q ->
+             List.rev_map
+               (fun (id, vt, written) ->
+                 let piggyback page =
+                   if int 3 = 0 then Some (Hashtbl.find diffs (q, id, page)) else None
+                 in
+                 let v = Vector_time.create nprocs in
+                 Array.iteri (Vector_time.set v) vt;
+                 {
+                   Node.mi_proc = q;
+                   mi_id = id;
+                   mi_vt = v;
+                   mi_pages = List.map (fun page -> (page, piggyback page)) written;
+                 })
+               undelivered.(q)))
+    in
+    Array.fill undelivered 0 writers [];
+    Array.iter (fun n -> Node.incorporate n mis ~charge:no_charge) nodes
+  in
+  let key wn = (wn.Node.wn_interval.Node.iv_proc, wn.Node.wn_interval.Node.iv_id) in
+  let find n page (q, id) =
+    List.find (fun wn -> wn.Node.wn_interval.Node.iv_id = id) (Node.notices n ~page ~proc:q)
+  in
+  let shuffle l =
+    let a = Array.of_list l in
+    for i = Array.length a - 1 downto 1 do
+      let j = int (i + 1) in
+      let x = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- x
+    done;
+    Array.to_list a
+  in
+  let calls = ref 0 and replayed = ref 0 in
+  let apply page keys =
+    incr calls;
+    let what = Printf.sprintf "seed %d, call %d" seed !calls in
+    Array.fill events 0 2 [];
+    let args i = List.map (find nodes.(i) page) keys in
+    Node.apply_missing_diffs nodes.(0) page (args 0) ~charge:no_charge;
+    reference_apply nodes.(1) ~emit:emits.(1) page (args 1);
+    if events.(0) <> events.(1) then Alcotest.failf "%s: different Diff_apply sequences" what;
+    replayed := !replayed + List.length events.(0) - List.length keys;
+    for p = 0 to pages - 1 do
+      if Vm.page_snapshot nodes.(0).Node.vm p <> Vm.page_snapshot nodes.(1).Node.vm p then
+        Alcotest.failf "%s: page %d differs" what p
+    done;
+    let applied n =
+      List.concat_map
+        (fun q -> List.map (fun wn -> wn.Node.wn_applied) (Node.notices n ~page ~proc:q))
+        (List.init nprocs Fun.id)
+    in
+    if applied nodes.(0) <> applied nodes.(1) then
+      Alcotest.failf "%s: applied flags differ" what;
+    (* invalidate again, so incorporation never applies diffs in place *)
+    Array.iter (fun n -> Vm.set_prot n.Node.vm page Vm.No_access) nodes
+  in
+  for _ = 1 to 80 do
+    match int 10 with
+    | 0 | 1 | 2 | 3 -> new_interval (int writers)
+    | 4 | 5 -> deliver ()
+    | 6 | 7 | 8 ->
+      let page = int pages in
+      let missing = List.concat_map snd (Node.missing_diffs nodes.(0) page) in
+      let fetched = if int 3 = 0 then List.filter (fun _ -> int 2 = 0) missing else missing in
+      let fetched = List.map key fetched in
+      List.iter
+        (fun (q, id) ->
+          let diff = Hashtbl.find diffs (q, id, page) in
+          Array.iter (fun n -> Node.store_diff n ~proc:q ~interval_id:id ~page diff) nodes)
+        fetched;
+      let pending =
+        List.filter
+          (fun k -> not (List.mem k fetched))
+          (List.map key (Node.unapplied_diffs nodes.(0) page))
+      in
+      if fetched <> [] || pending <> [] then
+        apply page (shuffle (List.rev_append fetched pending))
+    | _ ->
+      (* only the piggybacked diffs that arrived while the page was invalid *)
+      let page = int pages in
+      let pending = List.map key (Node.unapplied_diffs nodes.(0) page) in
+      if pending <> [] then apply page (shuffle pending)
+  done;
+  check_writer_order (Printf.sprintf "seed %d" seed) nodes.(0);
+  (!calls, !replayed)
+
+let replay_matches_reference () =
+  let calls = ref 0 and replayed = ref 0 in
+  for seed = 1 to 300 do
+    let c, r = replay_matches_reference_seed seed in
+    calls := !calls + c;
+    replayed := !replayed + r
+  done;
+  check Alcotest.bool (Printf.sprintf "%d replay calls compared" !calls) true (!calls > 1000);
+  check Alcotest.bool (Printf.sprintf "%d held diffs replayed" !replayed) true
+    (!replayed > 1000)
+
 let modified_pages_tracks () =
   let n = make_node ~pid:0 () in
   write n 0 ~offset:0 1;
@@ -277,6 +479,8 @@ let suite =
     Alcotest.test_case "apply replays newer diffs" `Quick apply_replays_newer_diffs;
     Alcotest.test_case "discard sweeps everything" `Quick discard_sweeps_everything;
     Alcotest.test_case "writers walk in pid order" `Quick writers_walk_in_pid_order;
+    Alcotest.test_case "replay matches the quadratic reference" `Quick
+      replay_matches_reference;
     Alcotest.test_case "modified pages tracks" `Quick modified_pages_tracks;
     Alcotest.test_case "notice counts" `Quick notice_counts_sizes;
   ]

@@ -13,10 +13,11 @@
    - the same with the race detector attached (its [on_access] hook must
      still observe every shared access — the checker's findings and the
      digest both have to match, and a Vm-level test counts hook calls);
-   - the benchmark's four workloads and a GC-heavy Water run match
-     fingerprints pinned from the dense layout;
-   - set-up memory follows the pages a node touches, and fast-path typed
-     accesses allocate nothing;
+   - the benchmark's four workloads, Water at 32 processors and a
+     GC-heavy Water run match pinned fingerprints;
+   - set-up memory follows the pages a node touches, fast-path typed
+     accesses allocate nothing, and a diff replay allocates in proportion
+     to the diffs it applies, not to held x missing notices;
    - a sweep mapped with [Harness.parallel_map ~jobs:4] equals the
      sequential map, element for element.
 
@@ -154,7 +155,8 @@ let fast_path_still_raises () =
    slot per processor per page), before sparse page frames and writer
    maps replaced it: the repository benchmark's four workloads at seed 0,
    each as a checked run, and Water with a record threshold low enough
-   to run the GC sweep.                                                 *)
+   to run the GC sweep.  Water at 32 processors was recorded with the
+   quadratic diff replay, before the replay walked writer prefixes.     *)
 
 type pinned = {
   p_digest : string;
@@ -230,6 +232,18 @@ let pinned_runs =
         p_bytes = 4418753;
         p_hot = 1177;
         p_stats = "ae2532486e957988770e09c9125145e1";
+      } );
+    (* The many-records regime: with GC off, held write notices only
+       grow, and a diff fetch here replays hundreds of them. *)
+    ( "water-32",
+      benchmark_run ~app:Harness.Water ~nprocs:32 ~protocol:Config.Lrc ~scaled:false,
+      {
+        p_digest = "c7f75ef5b495806f2415bc74c79a0354";
+        p_time = 3091474644;
+        p_messages = 21027;
+        p_bytes = 17481644;
+        p_hot = 1409;
+        p_stats = "dd384af223afe02160d4bd6f7259617d";
       } );
     ( "jacobi-256-sharded",
       benchmark_run ~app:Harness.Jacobi ~nprocs:256 ~protocol:Config.Lrc ~scaled:true,
@@ -324,6 +338,47 @@ let typed_accesses_allocate_nothing () =
     (allocated pairs);
   check Alcotest.int "last store read back" 9_999 (Vm.read_int vm ((9_999 * 8) land mask))
 
+(* A diff fetch's replay costs comparisons in the writers and the notices
+   replayed, not in held x missing notices.  One page of a 64-processor
+   node holds 16 applied one-word diffs from each of 63 writers (writer
+   [q]'s interval [i] has entry [q] = [i], zeros elsewhere); then each
+   writer's interval 17 arrives and is applied in one call.  Writer 63's
+   interval is the oldest, so the other 62 writers' 992 held diffs are
+   replayed with the 63 new ones. *)
+let replay_allocates_little () =
+  let nprocs = 64 and no_charge _ _ = () in
+  let node = Node.create ~pid:0 ~nprocs ~pages:1 () in
+  let writers = List.init (nprocs - 1) succ in
+  let arrive i =
+    let one_word q =
+      let base = Bytes.make Vm.page_size '\000' in
+      let cur = Bytes.copy base in
+      Bytes.set_int64_le cur (8 * q) (Int64.of_int i);
+      Tmk_util.Rle.encode ~old_:base cur
+    in
+    let interval q =
+      let vt = Vector_time.create nprocs in
+      Vector_time.set vt q i;
+      { Node.mi_proc = q; mi_id = i; mi_vt = vt; mi_pages = [ (0, None) ] }
+    in
+    Node.incorporate node (List.map interval writers) ~charge:no_charge;
+    List.iter
+      (fun q -> Node.store_diff node ~proc:q ~interval_id:i ~page:0 (one_word q))
+      writers;
+    List.map (fun q -> List.hd (Node.notices node ~page:0 ~proc:q)) writers
+  in
+  for i = 1 to 16 do
+    Node.apply_missing_diffs node 0 (arrive i) ~charge:no_charge
+  done;
+  let fetched = arrive 17 in
+  let applied0 = node.Node.stats.Stats.diffs_applied in
+  under "one replay over 1 008 held notices"
+    (allocated (fun () -> Node.apply_missing_diffs node 0 fetched ~charge:no_charge))
+    200_000.;
+  check Alcotest.int "diffs applied: 63 fetched, 992 replayed" (63 + 992)
+    (node.Node.stats.Stats.diffs_applied - applied0);
+  check Alcotest.int "writer 63's newest word" 17 (Vm.read_int node.Node.vm (8 * 63))
+
 (* ------------------------------------------------------------------ *)
 (* Domain-parallel sweeps: mapping the arms on 4 domains must be
    indistinguishable from the sequential map.                           *)
@@ -397,6 +452,7 @@ let suite =
       Alcotest.test_case "set-up memory is sparse" `Quick setup_memory_is_sparse;
       Alcotest.test_case "typed accesses allocate nothing" `Quick
         typed_accesses_allocate_nothing;
+      Alcotest.test_case "diff replay allocates little" `Quick replay_allocates_little;
       Alcotest.test_case "parallel_map jobs:4 equals sequential" `Slow
         parallel_map_equivalence;
       Alcotest.test_case "lint findings byte-identical across jobs" `Slow
