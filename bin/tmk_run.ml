@@ -318,10 +318,12 @@ let cmd =
   let barrier_tree =
     Arg.(value & flag
          & info [ "barrier-tree" ]
-             ~doc:"Combine barrier arrivals up an arity-$(b,--tree-arity) reduction tree \
-                   and fan releases back down it, instead of every processor messaging \
-                   the central manager; caps any single processor's barrier traffic at \
-                   the tree arity.  Incompatible with $(b,--crash).")
+             ~doc:"Narrow the barrier tree to arity $(b,--tree-arity).  Barrier arrivals \
+                   and the GC exchange combine up a tree rooted at processor 0 and fan \
+                   back down it; without this flag every processor is a direct child \
+                   of the root, the paper's central manager.  Caps any single \
+                   processor's barrier traffic at the tree arity.  Incompatible with \
+                   $(b,--crash).")
   in
   let tree_arity =
     Arg.(value & opt int 4

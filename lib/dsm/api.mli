@@ -43,9 +43,10 @@ type run_result = {
   messages : int;  (** frames handed to the medium *)
   proc_msgs : int array;
       (** frames {e delivered at} each processor — the receive-side load;
-          [proc_msgs.(0)] is the hot-spot metric for centralized
-          barriers (the flat manager absorbs [nprocs - 1] arrivals per
-          barrier, a combining tree at most [Config.tree_arity]) *)
+          [proc_msgs.(0)] is the hot-spot metric for barriers (the
+          centralized manager, the default-width tree, absorbs
+          [nprocs - 1] arrivals per barrier, a tree narrowed by
+          [Config.barrier_tree] at most [Config.tree_arity]) *)
   bytes : int;  (** on-wire bytes including headers *)
   retransmissions : int;
   frames_coalesced : int;

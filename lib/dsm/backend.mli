@@ -49,9 +49,10 @@ type payload = {
     ([v_bytes]/[v_parts]/[v_absorb_mgr], the latter run in the manager's
     receive handler) and how the manager later builds this client's
     release ([v_release], run at the manager inside one atomic section
-    per client).  The manager is the central barrier manager in the flat
-    protocol and the client's tree parent under [Config.barrier_tree];
-    the arrival is built against that manager's estimated knowledge. *)
+    per client).  The manager is the client's parent in the barrier
+    tree: the central barrier manager at the default width, an interior
+    node under a narrower [Config.barrier_tree].  The arrival is built
+    against that manager's estimated knowledge. *)
 type arrival = {
   v_bytes : int;
   v_parts : int;
@@ -87,8 +88,9 @@ type t = {
   b_make_arrival : pid:int -> mgr:int -> relay:bool -> arrival;
       (** build the arrival (app context) addressed to manager [mgr].
           [relay = false]: a first-hop arrival carrying only this
-          processor's own consistency records (the flat protocol, and
-          tree leaves).  [relay = true]: an interior tree node forwarding
+          processor's own consistency records (a tree leaf, which every
+          client is at the default width).  [relay = true]: an interior
+          tree node forwarding
           everything it knows that [mgr] may lack — it has already
           absorbed its children's arrivals, and their records must
           travel on to the root *)

@@ -20,7 +20,6 @@ type t = {
   crashes_planned : bool;
   dead : bool array;
   live_pids : Bitset.t;
-  mutable nlive : int;
   ring : Ring.t option;
   mutable epoch : int;
   mutable pending_ops : pending_op Tmk_util.Vec.t;
@@ -41,16 +40,13 @@ let () =
     | _ -> None)
 
 let live t pid = not t.dead.(pid)
-let live_count t = t.nlive
 
-(* Deaths funnel through here so the incremental liveness structures
-   (count, bitset) and the membership epoch can never drift from the
-   [dead] flags. *)
+(* Deaths funnel through here so the live bitset and the membership
+   epoch can never drift from the [dead] flags. *)
 let mark_dead t pid =
   if not t.dead.(pid) then begin
     t.dead.(pid) <- true;
     Bitset.remove t.live_pids pid;
-    t.nlive <- t.nlive - 1;
     t.epoch <- t.epoch + 1
   end
 
@@ -232,7 +228,6 @@ let create cfg =
     crashes_planned = Tmk_net.Fault_plan.crashes cfg.Config.faults <> [];
     dead = Array.make cfg.Config.nprocs false;
     live_pids;
-    nlive = cfg.Config.nprocs;
     ring =
       (if cfg.Config.sharding then
          Some (Ring.create ~nprocs:cfg.Config.nprocs ~seed:cfg.Config.seed ())

@@ -30,7 +30,6 @@ type t = {
   crashes_planned : bool;  (** gates the pending-op registry *)
   dead : bool array;  (** deaths detected so far (protocol view) *)
   live_pids : Tmk_util.Bitset.t;  (** the complement of [dead], kept incrementally *)
-  mutable nlive : int;  (** cardinal of [live_pids], kept incrementally *)
   ring : Ring.t option;  (** ownership ring, present iff [Config.sharding] *)
   mutable epoch : int;  (** membership epoch, bumped per detected death *)
   mutable pending_ops : pending_op Tmk_util.Vec.t;  (** registration order *)
@@ -42,7 +41,7 @@ type t = {
     be validated. *)
 val create : Config.t -> t
 
-(** The centralized barrier (and GC) manager. *)
+(** The barrier manager: the root of the barrier and GC tree. *)
 val barrier_manager : int
 
 (** Raised when a page fetch finds no live processor in the page's
@@ -51,12 +50,8 @@ exception Empty_copyset of { pid : int; page : int }
 
 val live : t -> int -> bool
 
-(** O(1): maintained incrementally by {!mark_dead}, never recomputed by
-    scanning the [dead] array. *)
-val live_count : t -> int
-
 (** [mark_dead t pid] — record a detected death: flips [dead], updates
-    the live bitset and count, bumps the membership epoch.  Idempotent.
+    the live bitset, bumps the membership epoch.  Idempotent.
     The single mutation point for the membership view. *)
 val mark_dead : t -> int -> unit
 

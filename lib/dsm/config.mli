@@ -81,12 +81,16 @@ type t = {
           only which processor plays manager for each object changes.
           [false] (the default): the flat TreadMarks layout *)
   barrier_tree : bool;
-      (** [true]: barriers run as an arity-[tree_arity] combining tree
-          over live pids — arrivals combine upward, releases flow
-          downward — instead of every processor talking to the single
-          central manager.  Incompatible with crash schedules.  [false]
-          (the default): the flat centralized barrier of §3.5 *)
-  tree_arity : int;  (** fan-in of each tree-barrier node (>= 2) *)
+      (** Barriers and the GC exchange always run over one combining
+          tree rooted at processor 0: arrivals combine upward, releases
+          flow downward.  [true]: the tree has arity [tree_arity].
+          Incompatible with crash schedules, since an interior node's
+          death would orphan its subtree.  [false] (the default): arity
+          [nprocs - 1], every other processor a direct child of
+          processor 0 — the centralized barrier of §3.4 *)
+  tree_arity : int;
+      (** fan-in of each tree node under [barrier_tree] (>= 2); ignored
+          otherwise *)
   trace : Tmk_trace.Sink.t option;
       (** typed protocol-event sink; [None] (the default) disables
           tracing entirely — no events are recorded and no run behaviour

@@ -1,6 +1,7 @@
 (* The backend-agnostic protocol core: locks (distributed queue with
-   static managers and forwarding, §3.3), centralized barriers (§3.4),
-   garbage collection orchestration (§3.6), and crash detection /
+   static managers and forwarding, §3.3), barriers (§3.4) and garbage
+   collection orchestration (§3.6) over one combining tree whose default
+   width makes it the paper's centralized manager, and crash detection /
    metadata failover.  Everything coherence-specific — fault handling,
    what synchronization messages carry and what absorbing them does —
    lives behind the {!Backend} hook table selected from
@@ -49,33 +50,23 @@ type barrier_client = {
   bc_mb : barrier_release Transport.mailbox;
 }
 
-type barrier_state = {
-  mutable bs_clients : barrier_client Tmk_util.Vec.t;
-  mutable bs_manager_here : bool;
-  mutable bs_all_in : unit Engine.Ivar.t;
-  mutable bs_gc : bool;
+(* One direct child's GC message: the flattened (pid, keep bitmap)
+   contributions of its whole subtree, plus the mailbox its keepers
+   reply goes down through. *)
+type gc_client = {
+  gc_pid : int;
+  gc_contribs : (int * Bitset.t) list;
+  gc_mb : Bitset.t array Transport.mailbox;
 }
 
-type gc_client = { gc_pid : int; gc_keep : Bitset.t; gc_mb : Bitset.t array Transport.mailbox }
-
-type gc_state = {
-  mutable gs_clients : gc_client Tmk_util.Vec.t;
-  mutable gs_manager_here : bool;
-  mutable gs_all_in : unit Engine.Ivar.t;
-}
-
-(* One direct child's GC message in tree mode: the flattened (pid, keep
-   bitmap) contributions of its whole subtree, plus the mailbox its
-   keepers reply goes down through. *)
-type gc_tree_client = {
-  gt_pid : int;
-  gt_contribs : (int * Bitset.t) list;
-  gt_mb : Bitset.t array Transport.mailbox;
-}
-
-type gc_tree_state = {
-  gt_children : gc_tree_client Tmk_util.Vec.t;
-  gt_all_in : unit Engine.Ivar.t;
+(* One node's state in one round of a barrier or of the GC exchange:
+   the children heard from so far, and the ivar the node waits on until
+   every live child is in.  Only barriers use [wants_gc]: whether some
+   child's subtree asked for garbage collection. *)
+type 'a round = {
+  heard : 'a Tmk_util.Vec.t;
+  all_in : unit Engine.Ivar.t;
+  mutable wants_gc : bool;
 }
 
 type t = {
@@ -83,11 +74,9 @@ type t = {
   backend : Backend.t;
   lock_states : (int, lock_state) Hashtbl.t array;  (* per node *)
   lock_mgrs : (int, mgr_state) Hashtbl.t array;  (* per node, manager role *)
-  barrier_states : (int, barrier_state) Hashtbl.t;  (* at the central manager *)
-  tree_states : (int * int, barrier_state) Hashtbl.t;
-      (* (node pid, barrier id) -> combining state, [Config.barrier_tree] *)
-  gc_tree : (int, gc_tree_state) Hashtbl.t;  (* node pid -> tree-GC state *)
-  mutable gc : gc_state;
+  barrier_rounds : (int * int, barrier_client round) Hashtbl.t;
+      (* (node pid, barrier id) -> that node's current round *)
+  gc_rounds : (int, gc_client round) Hashtbl.t;  (* node pid -> its GC round *)
   waiting_acquires : (int, lock_request) Hashtbl.t array;
       (* per pid: lock -> the outstanding remote acquire, if any *)
   grant_target : (int, lock_request) Hashtbl.t;
@@ -116,7 +105,6 @@ let live t pid = Cluster.live t.cl pid
 let epoch t = t.cl.Cluster.epoch
 let fatality t = t.cl.Cluster.fatal
 let recoveries t = List.rev t.recoveries
-let live_count t = Cluster.live_count t.cl
 let dead t pid = t.cl.Cluster.dead.(pid)
 
 (* Lock managership migrates deterministically to the next live
@@ -205,34 +193,6 @@ let mgr_state_of t pid lock =
     Hashtbl.add t.lock_mgrs.(pid) lock st;
     st
 
-let fresh_barrier_state () =
-  {
-    bs_clients = Vec.create ();
-    bs_manager_here = false;
-    bs_all_in = Engine.Ivar.create ();
-    bs_gc = false;
-  }
-
-let barrier_state_of t id =
-  match Hashtbl.find_opt t.barrier_states id with
-  | Some bs -> bs
-  | None ->
-    let bs = fresh_barrier_state () in
-    Hashtbl.add t.barrier_states id bs;
-    bs
-
-(* Per-(node, id) combining state for tree barriers.  Completion is
-   static — every direct child must arrive — so [bs_manager_here] is
-   unused here, and the whole entry is dropped (not reset in place) once
-   its occurrence completes. *)
-let tree_state_of t ~pid ~id =
-  match Hashtbl.find_opt t.tree_states (pid, id) with
-  | Some bs -> bs
-  | None ->
-    let bs = fresh_barrier_state () in
-    Hashtbl.add t.tree_states (pid, id) bs;
-    bs
-
 (* ------------------------------------------------------------------ *)
 (* Locks (§3.3)                                                        *)
 
@@ -251,18 +211,26 @@ let grant_from_handler t granter req h =
   Transport.hsend_value ~label:"lock-grant" ~parts:payload.Backend.p_parts (transport t) h
     ~dst:req.lr_requester ~bytes:payload.Backend.p_bytes req.lr_mb payload
 
-(* Grant from application context (at release time). *)
+(* Grant from application context (at release time).  The event is
+   emitted inside the atomic section: each charge replayed after it is a
+   scheduling point, and a handler running there can raise the granter's
+   knowledge past what the grant carries, while the invariant oracle
+   snapshots knowledge at the event. *)
 let grant_from_app t granter req =
-  let payload = atomically (fun charge -> req.lr_acq.Backend.a_grant ~granter ~charge) in
-  if Engine.tracing (engine t) then
-    emit t ~pid:granter
-      (Tmk_trace.Event.Lock_grant
-         {
-           lock = req.lr_lock;
-           requester = req.lr_requester;
-           intervals = payload.Backend.p_parts - 1;
-           bytes = payload.Backend.p_bytes;
-         });
+  let payload =
+    atomically (fun charge ->
+        let payload = req.lr_acq.Backend.a_grant ~granter ~charge in
+        if Engine.tracing (engine t) then
+          emit t ~pid:granter
+            (Tmk_trace.Event.Lock_grant
+               {
+                 lock = req.lr_lock;
+                 requester = req.lr_requester;
+                 intervals = payload.Backend.p_parts - 1;
+                 bytes = payload.Backend.p_bytes;
+               });
+        payload)
+  in
   Transport.send_value ~label:"lock-grant" ~parts:payload.Backend.p_parts (transport t)
     ~src:granter ~dst:req.lr_requester ~bytes:payload.Backend.p_bytes req.lr_mb payload
 
@@ -429,104 +397,89 @@ let release t ~pid ~lock =
     Queue.clear st.pending
 
 (* ------------------------------------------------------------------ *)
+(* The barrier tree
+
+   Barriers (§3.4) and the GC exchange (§3.6) run over one arity-k tree
+   rooted at the barrier manager: processor [i]'s children are
+   [k*i+1 .. k*i+k] and its parent is [(i-1)/k].  The paper's
+   centralized manager is the width-(nprocs-1) tree, in which every
+   other processor is a direct child of processor 0; [Config.barrier_tree]
+   narrows it to [Config.tree_arity]. *)
+
+let tree_arity t =
+  let cfg = config t in
+  if cfg.Config.barrier_tree then cfg.Config.tree_arity else cfg.Config.nprocs - 1
+
+let tree_parent t pid = (pid - 1) / tree_arity t
+let first_child t pid = (tree_arity t * pid) + 1
+
+let tree_nchildren t pid =
+  let first = first_child t pid and n = (config t).Config.nprocs in
+  if first >= n then 0 else min (tree_arity t) (n - first)
+
+let round_of tbl key =
+  match Hashtbl.find_opt tbl key with
+  | Some r -> r
+  | None ->
+    let r = { heard = Vec.create (); all_in = Engine.Ivar.create (); wants_gc = false } in
+    Hashtbl.add tbl key r;
+    r
+
+(* [pid]'s round completes once every live child has been heard from.
+   A child heard from that has since died stays in [heard] but is not
+   counted.  Nobody dies without a crash schedule, so the scans run only
+   when one is armed (barriers are hot). *)
+let all_children_in t pid r pid_of =
+  let n = tree_nchildren t pid in
+  if not t.cl.Cluster.crashes_planned then Vec.length r.heard >= n
+  else begin
+    let first = first_child t pid in
+    let live_children = ref 0 in
+    for c = first to first + n - 1 do
+      if not (dead t c) then incr live_children
+    done;
+    Vec.fold_left (fun acc x -> if dead t (pid_of x) then acc else acc + 1) 0 r.heard
+    >= !live_children
+  end
+
+let wake_when_in t pid r pid_of ~at =
+  if all_children_in t pid r pid_of && not (Engine.Ivar.is_filled r.all_in) then
+    Engine.fill (engine t) r.all_in ~at ()
+
+(* ------------------------------------------------------------------ *)
 (* Garbage collection (§3.6)                                           *)
 
-let fresh_gc_state () =
-  { gs_clients = Vec.create (); gs_manager_here = false; gs_all_in = Engine.Ivar.create () }
+let gc_child_pid c = c.gc_pid
 
-let gc_maybe_complete t =
-  let gs = t.gc in
-  let live_clients =
-    (* No crash schedule ⇒ nothing in the vector is dead; skip the scan. *)
-    if t.cl.Cluster.crashes_planned then
-      Vec.fold_left (fun acc c -> if dead t c.gc_pid then acc else acc + 1) 0 gs.gs_clients
-    else Vec.length gs.gs_clients
-  in
-  if
-    gs.gs_manager_here
-    && live_clients >= live_count t - 1
-    && not (Engine.Ivar.is_filled gs.gs_all_in)
-  then Engine.fill (engine t) gs.gs_all_in ~at:(Engine.now (engine t)) ()
-
-(* The flat exchange: every processor sends its keep-bitmap straight to
-   the barrier manager and awaits the aggregated keepers array. *)
-let gc_exchange_flat t pid ~npages ~keep =
-  if pid = barrier_manager then begin
-    t.gc.gs_manager_here <- true;
-    gc_maybe_complete t;
-    Engine.await t.gc.gs_all_in;
-    let clients = Vec.to_list t.gc.gs_clients in
-    t.gc <- fresh_gc_state ();
-    (* Aggregate: keepers per page, one bitset of processors per page. *)
-    let keepers = Array.init npages (fun _ -> Bitset.create (config t).Config.nprocs) in
-    let note_keeps who bitmap =
-      Bitset.iter (fun page -> Bitset.add keepers.(page) who) bitmap
-    in
-    note_keeps pid keep;
-    List.iter (fun c -> if not (dead t c.gc_pid) then note_keeps c.gc_pid c.gc_keep) clients;
-    let reply_bytes = (config t).Config.nprocs * Wire.gc_keep_bitmap_bytes ~npages in
+(* The keep-bitmap exchange: each node waits for its live children's
+   messages — carrying the flattened (pid, keep bitmap) contributions of
+   their whole subtrees — prepends its own, and forwards upward.  The
+   root aggregates the live contributions and the keepers array flows
+   back down edge by edge, so no processor ever receives more than
+   [tree_arity] GC messages.  Dead children get no reply. *)
+let gc_exchange t pid ~npages ~keep =
+  let r = round_of t.gc_rounds pid in
+  if not (all_children_in t pid r gc_child_pid) then Engine.await r.all_in;
+  let children = Vec.to_list r.heard in
+  (* Drop the entry before any reply goes out: a child cannot start its
+     next GC until it gets this round's keepers through us. *)
+  Hashtbl.remove t.gc_rounds pid;
+  let contribs = (pid, keep) :: List.concat_map (fun c -> c.gc_contribs) children in
+  let reply_bytes = (config t).Config.nprocs * Wire.gc_keep_bitmap_bytes ~npages in
+  let reply_down keepers =
     List.iter
       (fun c ->
         if not (dead t c.gc_pid) then
           Transport.send_value ~label:"gc-copysets" (transport t) ~src:pid ~dst:c.gc_pid
             ~bytes:reply_bytes c.gc_mb keepers)
-      clients;
-    keepers
-  end
-  else begin
-    let mb = Transport.mailbox () in
-    Transport.send ~label:"gc-bitmap" (transport t) ~src:pid ~dst:barrier_manager
-      ~bytes:(Wire.gc_keep_bitmap_bytes ~npages)
-      ~deliver:(fun _h ->
-        Vec.push t.gc.gs_clients { gc_pid = pid; gc_keep = keep; gc_mb = mb };
-        gc_maybe_complete t);
-    Transport.await_value (transport t) mb
-  end
-
-let gc_tree_state_of t pid =
-  match Hashtbl.find_opt t.gc_tree pid with
-  | Some gs -> gs
-  | None ->
-    let gs = { gt_children = Vec.create (); gt_all_in = Engine.Ivar.create () } in
-    Hashtbl.add t.gc_tree pid gs;
-    gs
-
-let tree_arity t = (config t).Config.tree_arity
-let tree_parent t pid = (pid - 1) / tree_arity t
-
-let tree_children t pid =
-  let k = tree_arity t in
-  let n = (config t).Config.nprocs in
-  let first = (k * pid) + 1 in
-  if first >= n then [] else List.init (min k (n - first)) (fun i -> first + i)
-
-(* The tree exchange ([Config.barrier_tree], crash-free by Config
-   validation): each node waits for its direct children's messages —
-   carrying the flattened (pid, keep-bitmap) contributions of their
-   whole subtrees — prepends its own, and forwards upward.  The root
-   aggregates and the keepers array flows back down edge by edge, so no
-   processor ever receives more than [tree_arity] GC messages. *)
-let gc_exchange_tree t pid ~npages ~keep =
-  let nchildren = List.length (tree_children t pid) in
-  let gs = gc_tree_state_of t pid in
-  if Vec.length gs.gt_children < nchildren then Engine.await gs.gt_all_in;
-  let child_entries = Vec.to_list gs.gt_children in
-  (* Drop the entry before any reply goes out: a child cannot start its
-     next GC until it gets this round's keepers through us. *)
-  Hashtbl.remove t.gc_tree pid;
-  let contribs = (pid, keep) :: List.concat_map (fun c -> c.gt_contribs) child_entries in
-  let reply_bytes = (config t).Config.nprocs * Wire.gc_keep_bitmap_bytes ~npages in
-  let reply_down keepers =
-    List.iter
-      (fun c ->
-        Transport.send_value ~label:"gc-copysets" (transport t) ~src:pid ~dst:c.gt_pid
-          ~bytes:reply_bytes c.gt_mb keepers)
-      child_entries
+      children
   in
   if pid = barrier_manager then begin
     let keepers = Array.init npages (fun _ -> Bitset.create (config t).Config.nprocs) in
     List.iter
-      (fun (who, bitmap) -> Bitset.iter (fun page -> Bitset.add keepers.(page) who) bitmap)
+      (fun (who, bitmap) ->
+        if not (dead t who) then
+          Bitset.iter (fun page -> Bitset.add keepers.(page) who) bitmap)
       contribs;
     reply_down keepers;
     keepers
@@ -537,13 +490,12 @@ let gc_exchange_tree t pid ~npages ~keep =
     let count = List.length contribs in
     Transport.send ~label:"gc-bitmap" ~parts:count (transport t) ~src:pid ~dst:parent
       ~bytes:(count * Wire.gc_keep_bitmap_bytes ~npages)
-      ~deliver:(fun h ->
-        let pgs = gc_tree_state_of t parent in
-        Vec.push pgs.gt_children { gt_pid = pid; gt_contribs = contribs; gt_mb = mb };
-        if
-          Vec.length pgs.gt_children >= List.length (tree_children t parent)
-          && not (Engine.Ivar.is_filled pgs.gt_all_in)
-        then Engine.fill (engine t) pgs.gt_all_in ~at:(Engine.hnow h) ());
+      ~deliver:(fun _h ->
+        let pr = round_of t.gc_rounds parent in
+        Vec.push pr.heard { gc_pid = pid; gc_contribs = contribs; gc_mb = mb };
+        (* Wake the parent at the handler's start, not after its
+           charges: this keeps the timings of the centralized exchange. *)
+        wake_when_in t parent pr gc_child_pid ~at:(Engine.now (engine t)));
     let keepers = Transport.await_value (transport t) mb in
     reply_down keepers;
     keepers
@@ -565,10 +517,7 @@ let gc_phase t pid =
   for page = 0 to npages - 1 do
     if Vm.prot node.Node.vm page <> Vm.No_access then Bitset.add keep page
   done;
-  let keepers =
-    if (config t).Config.barrier_tree then gc_exchange_tree t pid ~npages ~keep
-    else gc_exchange_flat t pid ~npages ~keep
-  in
+  let keepers = gc_exchange t pid ~npages ~keep in
   (* 3. Adopt the new copysets and discard every consistency record. *)
   Array.iteri
     (fun page entry ->
@@ -582,23 +531,7 @@ let gc_phase t pid =
 (* ------------------------------------------------------------------ *)
 (* Barriers (§3.4)                                                     *)
 
-(* Completion counts live clients against the live membership: a dead
-   processor never arrives, and a client that arrived and then died is
-   kept (its payload is already incorporated) but not counted or
-   released. *)
-let barrier_maybe_complete t bs ~at =
-  let live_clients =
-    (* No crash schedule ⇒ no dead entries; the recount only runs when a
-       fault plan is armed (it is O(clients) and barriers are hot). *)
-    if t.cl.Cluster.crashes_planned then
-      Vec.fold_left (fun acc bc -> if dead t bc.bc_pid then acc else acc + 1) 0 bs.bs_clients
-    else Vec.length bs.bs_clients
-  in
-  if
-    bs.bs_manager_here
-    && live_clients >= live_count t - 1
-    && not (Engine.Ivar.is_filled bs.bs_all_in)
-  then Engine.fill (engine t) bs.bs_all_in ~at ()
+let client_pid bc = bc.bc_pid
 
 (* The backend builds each client's release payload in an atomic
    section: payload selection (interval deltas, timestamp snapshots,
@@ -621,26 +554,25 @@ let barrier_release_clients t ~pid ~run_gc clients =
        (fun a b -> compare a.bc_pid b.bc_pid)
        (List.filter (fun bc -> not (dead t bc.bc_pid)) clients))
 
-(* Tree-combining barrier ([Config.barrier_tree], crash-free by Config
-   validation): processor [pid]'s children in the arity-k tree are
-   [k*pid+1 .. k*pid+k], its parent [(pid-1)/k], the root the barrier
-   manager.  Arrivals are absorbed edge by edge on the way up — an
-   interior node forwards with [relay], carrying everything its parent
-   may lack, not just its own records — and releases flow back down the
-   same edges, each parent rebuilding per-child payloads after absorbing
-   its own release.  Over-approximation along the way is safe because
-   incorporation is idempotent (VT-covered intervals are skipped); the
-   point is that no processor touches more than [tree_arity] messages
-   per barrier where the flat manager touched [nprocs - 1]. *)
-let barrier_tree t ~pid ~id ~epoch ~want_gc =
-  let nchildren = List.length (tree_children t pid) in
-  let bs = tree_state_of t ~pid ~id in
-  if Vec.length bs.bs_clients < nchildren then Engine.await bs.bs_all_in;
-  let clients = Vec.to_list bs.bs_clients in
-  let subtree_gc = want_gc || bs.bs_gc in
+(* One crossing at [pid], over the barrier tree.  Arrivals are absorbed
+   edge by edge on the way up — an interior node forwards with [relay],
+   carrying everything its parent may lack, not just its own records —
+   and releases flow back down the same edges, each parent rebuilding
+   per-child payloads after absorbing its own release.
+   Over-approximation along the way is safe because incorporation is
+   idempotent (VT-covered intervals are skipped).  At the default width
+   every client is a leaf whose arrival goes straight to the manager:
+   the centralized barrier.  A narrower tree has no processor touch more
+   than [tree_arity] messages per barrier where the manager touches
+   [nprocs - 1]. *)
+let barrier_round t ~pid ~id ~epoch ~want_gc =
+  let r = round_of t.barrier_rounds (pid, id) in
+  if not (all_children_in t pid r client_pid) then Engine.await r.all_in;
+  let clients = Vec.to_list r.heard in
+  let subtree_gc = want_gc || r.wants_gc in
   (* Drop the occurrence's state before any release goes out: a child
      cannot re-arrive at this id until released through this node. *)
-  Hashtbl.remove t.tree_states (pid, id);
+  Hashtbl.remove t.barrier_rounds (pid, id);
   if pid = barrier_manager then begin
     barrier_release_clients t ~pid ~run_gc:subtree_gc clients;
     if Engine.tracing (engine t) then
@@ -652,19 +584,17 @@ let barrier_tree t ~pid ~id ~epoch ~want_gc =
   else begin
     let parent = tree_parent t pid in
     let mb = Transport.mailbox () in
-    let arr = t.backend.Backend.b_make_arrival ~pid ~mgr:parent ~relay:(nchildren > 0) in
+    let arr =
+      t.backend.Backend.b_make_arrival ~pid ~mgr:parent ~relay:(tree_nchildren t pid > 0)
+    in
     Transport.send ~label:"barrier-arrival" ~parts:arr.Backend.v_parts (transport t)
       ~src:pid ~dst:parent ~bytes:arr.Backend.v_bytes
       ~deliver:(fun h ->
-        let pbs = tree_state_of t ~pid:parent ~id in
+        let pr = round_of t.barrier_rounds (parent, id) in
         arr.Backend.v_absorb_mgr ~charge:(h_charge h);
-        Vec.push pbs.bs_clients
-          { bc_pid = pid; bc_release = arr.Backend.v_release; bc_mb = mb };
-        pbs.bs_gc <- pbs.bs_gc || subtree_gc;
-        if
-          Vec.length pbs.bs_clients >= List.length (tree_children t parent)
-          && not (Engine.Ivar.is_filled pbs.bs_all_in)
-        then Engine.fill (engine t) pbs.bs_all_in ~at:(Engine.hnow h) ());
+        Vec.push pr.heard { bc_pid = pid; bc_release = arr.Backend.v_release; bc_mb = mb };
+        pr.wants_gc <- pr.wants_gc || subtree_gc;
+        wake_when_in t parent pr client_pid ~at:(Engine.hnow h));
     let rel = Transport.await_value (transport t) mb in
     atomically (fun charge -> rel.br_payload.Backend.p_absorb ~charge);
     if Engine.tracing (engine t) then
@@ -695,46 +625,7 @@ let barrier t ~pid ~id =
       emit t ~pid (Tmk_trace.Event.Barrier_release { id; epoch });
     race_barrier_depart t ~pid ~id
   end
-  else if (config t).Config.barrier_tree then barrier_tree t ~pid ~id ~epoch ~want_gc
-  else if pid = barrier_manager then begin
-    let bs = barrier_state_of t id in
-    bs.bs_manager_here <- true;
-    bs.bs_gc <- bs.bs_gc || want_gc;
-    barrier_maybe_complete t bs ~at:(Engine.now (engine t));
-    Engine.await bs.bs_all_in;
-    let clients = Vec.to_list bs.bs_clients in
-    let run_gc = bs.bs_gc in
-    (* Reset before releasing so the next use of this id starts clean. *)
-    bs.bs_clients <- Vec.create ();
-    bs.bs_manager_here <- false;
-    bs.bs_all_in <- Engine.Ivar.create ();
-    bs.bs_gc <- false;
-    barrier_release_clients t ~pid ~run_gc clients;
-    if Engine.tracing (engine t) then
-      emit t ~pid (Tmk_trace.Event.Barrier_release { id; epoch });
-    race_barrier_depart t ~pid ~id;
-    t.backend.Backend.b_barrier_depart ~pid;
-    if run_gc then gc_phase t pid
-  end
-  else begin
-    let mb = Transport.mailbox () in
-    let arr = t.backend.Backend.b_make_arrival ~pid ~mgr:barrier_manager ~relay:false in
-    Transport.send ~label:"barrier-arrival" ~parts:arr.Backend.v_parts (transport t)
-      ~src:pid ~dst:barrier_manager ~bytes:arr.Backend.v_bytes
-      ~deliver:(fun h ->
-        let bs = barrier_state_of t id in
-        arr.Backend.v_absorb_mgr ~charge:(h_charge h);
-        Vec.push bs.bs_clients
-          { bc_pid = pid; bc_release = arr.Backend.v_release; bc_mb = mb };
-        bs.bs_gc <- bs.bs_gc || want_gc;
-        barrier_maybe_complete t bs ~at:(Engine.hnow h));
-    let rel = Transport.await_value (transport t) mb in
-    atomically (fun charge -> rel.br_payload.Backend.p_absorb ~charge);
-    if Engine.tracing (engine t) then
-      emit t ~pid (Tmk_trace.Event.Barrier_release { id; epoch });
-    race_barrier_depart t ~pid ~id;
-    if rel.br_gc then gc_phase t pid
-  end
+  else barrier_round t ~pid ~id ~epoch ~want_gc
 
 let charge_compute _t ~pid:_ ns = app_charge Category.Computation (Vtime.ns ns)
 
@@ -901,11 +792,12 @@ let note_death t dead_pid =
       t.backend.Backend.b_on_death dead_pid;
       let locks = recover_locks t in
       let retries = retry_pending_ops t dead_pid in
-      (* Barriers and GC whose completion was gated on the dead client. *)
+      (* Barrier and GC rounds whose completion waited on the dead child. *)
+      let now = Engine.now (engine t) in
       Hashtbl.iter
-        (fun _id bs -> barrier_maybe_complete t bs ~at:(Engine.now (engine t)))
-        t.barrier_states;
-      gc_maybe_complete t;
+        (fun (pid, _id) r -> wake_when_in t pid r client_pid ~at:now)
+        t.barrier_rounds;
+      Hashtbl.iter (fun pid r -> wake_when_in t pid r gc_child_pid ~at:now) t.gc_rounds;
       t.deaths <- { d_pid = dead_pid; d_crash_at = crash_at; d_detected_at = detected_at } :: t.deaths;
       (* A zero-recovery backend rode out the crash by construction:
          record a recovery only when something was actually rebuilt. *)
@@ -1115,10 +1007,8 @@ let create cfg =
       backend;
       lock_states = Array.init cfg.Config.nprocs (fun _ -> Hashtbl.create 16);
       lock_mgrs = Array.init cfg.Config.nprocs (fun _ -> Hashtbl.create 16);
-      barrier_states = Hashtbl.create 4;
-      tree_states = Hashtbl.create 16;
-      gc_tree = Hashtbl.create 16;
-      gc = fresh_gc_state ();
+      barrier_rounds = Hashtbl.create 16;
+      gc_rounds = Hashtbl.create 16;
       waiting_acquires = Array.init cfg.Config.nprocs (fun _ -> Hashtbl.create 4);
       grant_target = Hashtbl.create 16;
       deaths = [];

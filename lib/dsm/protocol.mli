@@ -18,11 +18,14 @@
     - {b locks} (§3.3): token caching, static managers with cyclic
       failover, request forwarding to the last requester, queued waiters
       drained at release;
-    - {b barriers} (§3.4): centralized manager (processor 0), arrival
-      collection, per-client release fan-out;
+    - {b barriers} (§3.4): arrivals combine up one tree rooted at the
+      barrier manager (processor 0) and releases fan back down it; at the
+      default width of [nprocs - 1] this is the paper's centralized
+      manager, and [Config.barrier_tree] narrows it to
+      [Config.tree_arity];
     - {b garbage collection} (§3.6): triggered when the backend's
-      [b_want_gc] says so, keep-bitmap exchange, copyset adoption,
-      record discard;
+      [b_want_gc] says so, keep-bitmap exchange over the same tree,
+      copyset adoption, record discard;
     - {b crash handling}: suspicion-driven death detection, membership
       epochs, deterministic metadata failover, heartbeat probing and the
       post-recovery grace window.

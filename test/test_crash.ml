@@ -121,6 +121,99 @@ let barrier_manager_crash_degrades () =
     check Alcotest.int "processor 0 named" 0 pid
 
 (* ------------------------------------------------------------------ *)
+(* GC failover                                                         *)
+
+let gc_victim = 3
+let gc_rounds = 6
+
+(* Every round each processor computes for 5 ms, writes a word of its own
+   page and meets a barrier; a record threshold of 4 makes several
+   barriers collect.  The survivors never read the victim's page, so
+   processor 0 must end up seeing every survivor's last value whether or
+   not the victim dies.  The compute lets the manager finish discarding
+   before anyone arrives at the next barrier: GC still drops intervals
+   that the manager absorbs between replying to a child and discarding,
+   and a run without it trips the barrier-release timestamp assertion. *)
+let run_gc_scenario ?trace ~crash_at () =
+  let seen = Array.make 4 (-1) in
+  let r =
+    Api.run ?trace
+      {
+        (cfg
+           ~faults:(Fault_plan.with_crash Fault_plan.none ~pid:gc_victim ~at:crash_at)
+           ~nprocs:4 ~pages:8 ())
+        with
+        Config.gc_threshold = 4;
+      }
+      (fun ctx ->
+        let pid = Api.pid ctx in
+        let words = Tmk_mem.Vm.page_size / 8 in
+        let slots = Api.ialloc ~align:Tmk_mem.Vm.page_size ctx (4 * words) in
+        for round = 1 to gc_rounds do
+          Api.compute_ns ctx 5_000_000;
+          Api.iset ctx slots (pid * words) ((100 * pid) + round);
+          Api.barrier ctx round
+        done;
+        if pid = 0 then
+          for q = 0 to 3 do
+            if q <> gc_victim then seen.(q) <- Api.iget ctx slots (q * words)
+          done)
+  in
+  (r, seen)
+
+let crash_inside_gc_exchange () =
+  (* A crash planned far past the end arms the heartbeat, so this run
+     keeps the crash run's timing up to the crash instant; it tells when
+     the victim enters its first collection. *)
+  let sink = Tmk_trace.Sink.create () in
+  ignore (run_gc_scenario ~trace:sink ~crash_at:(Vtime.s 1000) ());
+  let gc_begin = ref None in
+  Tmk_trace.Sink.iter
+    (fun rec_ ->
+      match rec_.Tmk_trace.Sink.r_ev with
+      | Tmk_trace.Event.Gc_begin _ when rec_.r_pid = gc_victim && !gc_begin = None ->
+        gc_begin := Some rec_.r_time
+      | _ -> ())
+    sink;
+  let gc_begin =
+    match !gc_begin with Some t -> t | None -> Alcotest.fail "the victim never collected"
+  in
+  (* The victim dies just after entering the collection, before its keep
+     bitmap goes out: the survivors' exchange completes only once the
+     death is detected and the round re-counted without it. *)
+  let crash_at = Vtime.add gc_begin (Vtime.us 1) in
+  let fingerprint () =
+    let sink = Tmk_trace.Sink.create () in
+    let r, seen = run_gc_scenario ~trace:sink ~crash_at () in
+    let root_gc_end =
+      List.find_map
+        (fun rec_ ->
+          match rec_.Tmk_trace.Sink.r_ev with
+          | Tmk_trace.Event.Gc_end _ when rec_.r_pid = 0 && rec_.r_time > crash_at ->
+            Some rec_.r_time
+          | _ -> None)
+        (Tmk_trace.Sink.to_list sink)
+    in
+    (r.Api.total_time, r.Api.messages, r.Api.bytes, r.Api.recoveries, seen, root_gc_end)
+  in
+  let ((_, _, _, recoveries, seen, root_gc_end) as a) = fingerprint () in
+  Array.iteri
+    (fun q v ->
+      if q <> gc_victim then
+        check Alcotest.int
+          (Printf.sprintf "processor %d's last value" q)
+          ((100 * q) + gc_rounds) v)
+    seen;
+  (match (recoveries, root_gc_end) with
+  | [ rc ], Some gc_end ->
+    check Alcotest.int "the victim died" gc_victim rc.Protocol.rc_pid;
+    check Alcotest.bool "the manager's collection waited for the detection" true
+      (gc_end >= rc.Protocol.rc_detected_at)
+  | [ _ ], None -> Alcotest.fail "the manager never finished the interrupted collection"
+  | other, _ -> Alcotest.failf "expected one recovery, got %d" (List.length other));
+  check Alcotest.bool "byte-identical re-run" true (a = fingerprint ())
+
+(* ------------------------------------------------------------------ *)
 (* Diff availability                                                   *)
 
 (* Processor 2 writes shared data under a lock, releases, meets a
@@ -252,4 +345,5 @@ let suite =
     Alcotest.test_case "recovery is deterministic" `Quick recovery_is_deterministic;
     Alcotest.test_case "page fetches spread over the copyset" `Quick
       page_fetches_spread_over_copyset;
+    Alcotest.test_case "crash inside the GC exchange" `Quick crash_inside_gc_exchange;
   ]

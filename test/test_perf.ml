@@ -13,8 +13,9 @@
    - the same with the race detector attached (its [on_access] hook must
      still observe every shared access — the checker's findings and the
      digest both have to match, and a Vm-level test counts hook calls);
-   - the benchmark's four workloads, Water at 32 processors and a
-     GC-heavy Water run match pinned fingerprints;
+   - the benchmark's four workloads, Water at 32 processors, a GC-heavy
+     Water run and a Jacobi run collecting over a narrow barrier tree
+     match pinned fingerprints;
    - set-up memory follows the pages a node touches, fast-path typed
      accesses allocate nothing, and a diff replay allocates in proportion
      to the diffs it applies, not to held x missing notices;
@@ -211,6 +212,20 @@ let water_gc_run () =
   let x = Option.get !out in
   pin_of (md5 (x.Water.energy, x.Water.positions)) r
 
+let narrow_tree_gc_run () =
+  let cfg =
+    {
+      (Harness.config ~app:Harness.Jacobi ~nprocs:16 ~protocol:Config.Lrc
+         ~net:Tmk_net.Params.atm_aal34)
+      with
+      Config.barrier_tree = true;
+      tree_arity = 3;
+      gc_threshold = 40;
+    }
+  in
+  let m, digest = Harness.run_checked ~app:Harness.Jacobi cfg in
+  pin_of digest m.Harness.m_raw
+
 let pinned_runs =
   [
     ( "tsp-8",
@@ -274,6 +289,23 @@ let pinned_runs =
         p_bytes = 140044;
         p_hot = 370;
         p_stats = "90b10657cdbd08858afc5da2ac0e1d81";
+      } );
+    (* GC over a narrow barrier tree, recorded once the centralized
+       barrier became the width-(nprocs-1) tree.  Only the simulated time
+       moved, because a GC message now wakes its parent at the handler's
+       start: this run took 5467661132 ns before, and `tmk_run --app
+       jacobi --nprocs 16 --barrier-tree --tree-arity 3 --gc-threshold 40`
+       printed 4.816 s before and 4.809 s after.  Messages, bytes, the
+       busiest processor's frames and the stats did not change. *)
+    ( "jacobi-16 narrow tree with gc",
+      narrow_tree_gc_run,
+      {
+        p_digest = "bbaeb195790d70dceca49ee7011091ab";
+        p_time = 5461109132;
+        p_messages = 2684;
+        p_bytes = 4425771;
+        p_hot = 610;
+        p_stats = "682f314eadd7fe13b3889c024beca9a2";
       } );
   ]
 
