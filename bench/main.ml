@@ -28,7 +28,7 @@ let run_micro () =
   let open Bechamel in
   let open Toolkit in
   (* Hot paths: diff creation (page compare + RLE), diff application,
-     vector timestamp ops, event queue churn. *)
+     vector timestamp ops. *)
   let page = Bytes.make 4096 'a' in
   let twin = Bytes.copy page in
   let () =
@@ -56,14 +56,6 @@ let run_micro () =
       Test.make ~name:"vector-time-max" (Staged.stage (fun () ->
           let dst = Tmk_dsm.Vector_time.copy vt_a in
           Tmk_dsm.Vector_time.max_into ~src:vt_b ~dst));
-      Test.make ~name:"heap-push-pop-64" (Staged.stage (fun () ->
-          let h = Tmk_util.Heap.create ~compare in
-          for i = 63 downto 0 do
-            Tmk_util.Heap.push h i
-          done;
-          while not (Tmk_util.Heap.is_empty h) do
-            ignore (Tmk_util.Heap.pop h)
-          done));
       Test.make ~name:"prng-draw" (Staged.stage (
           let rng = Tmk_util.Prng.create 1L in
           fun () -> ignore (Tmk_util.Prng.bits64 rng)));

@@ -68,9 +68,9 @@ type t = {
           {!Api.Degraded}).  Only meaningful for backends whose
           [Backend.caps.c_diff_backup] is set (Lrc). *)
   vm_fast_path : bool;
-      (** [true] (the default): typed accessors on writable, unobserved
-          pages skip the software-MMU protection check (see
-          {!Tmk_mem.Vm.set_fast_path}).  Purely a simulator-speed knob —
+      (** [true] (the default): loads from readable and stores to
+          writable, unobserved pages skip the software-MMU protection
+          check (see {!Tmk_mem.Vm.create}).  Purely a simulator-speed knob —
           results, traffic and simulated time are bit-identical either
           way; [false] forces every access through the checked path *)
   sharding : bool;

@@ -9,24 +9,28 @@ let size = Array.length
 let get t q = t.(q)
 let set t q i = t.(q) <- i
 
-let max_into ~src ~dst =
+(* Every comparison below is typed over [t], so it compiles to inline int
+   compares: none calls [caml_compare], [caml_equal], [caml_lessequal] or
+   [caml_greaterthan], and none allocates.  [leq] and [max_into] run on
+   every diff-fetch plan and every acquire; [compare_total] orders every
+   diff replay. *)
+let max_into ~(src : t) ~(dst : t) =
   if Array.length src <> Array.length dst then
     invalid_arg "Vector_time.max_into: size mismatch";
   for q = 0 to Array.length dst - 1 do
     if src.(q) > dst.(q) then dst.(q) <- src.(q)
   done
 
+let rec leq_from (a : t) (b : t) q =
+  q >= Array.length a || (a.(q) <= b.(q) && leq_from a b (q + 1))
+
 let leq a b =
   if Array.length a <> Array.length b then
     invalid_arg "Vector_time.leq: size mismatch";
-  let rec go q = q >= Array.length a || (a.(q) <= b.(q) && go (q + 1)) in
-  go 0
+  leq_from a b 0
 
 let dominates a b = leq b a
 
-(* [equal] and [compare_total] are monomorphic loops: they call neither
-   [caml_equal] nor [caml_compare] and allocate nothing.  [compare_total]
-   orders every diff replay. *)
 let rec equal_from (a : t) (b : t) q =
   q >= Array.length a || (a.(q) = b.(q) && equal_from a b (q + 1))
 

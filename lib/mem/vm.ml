@@ -9,15 +9,17 @@ type t = {
          written, installed or patched, then a private 4 KB frame *)
   prot : prot array;
   fast : Bytes.t;
-      (* per-page "unchecked OK" bitmap: ['\001'] exactly when the page is
-         [Read_write] with a private frame, no access hook is installed,
-         and the fast path is enabled — the accessors may then touch the
+      (* per-page "unchecked OK" level, when the fast path is enabled and
+         no access hook is installed: [readable] when the page is
+         [Read_only], or [Read_write] on the zero frame; [writable] when
+         it is [Read_write] with a private frame; [checked] otherwise.
+         Loads at [readable] or above and stores at [writable] touch the
          frame directly, skipping the full [ensure] (range/prot check +
          hook dispatch).  Kept consistent by [refresh_fast] on every
-         [set_prot] / [set_access_hook] / [set_fast_path] and when a page
-         gets its private frame. *)
+         [set_prot] / [set_access_hook] and when a page gets its private
+         frame. *)
   npages : int;
-  mutable fast_enabled : bool;
+  fast_enabled : bool;
   mutable on_fault : access -> int -> unit;
   mutable on_access : (access -> int -> int -> unit) option;
 }
@@ -30,12 +32,17 @@ let offset_mask = page_size - 1
    page gets a private frame ([own_frame]) before its first store. *)
 let zero_frame = Bytes.make page_size '\000'
 
+(* Fast-path levels, in increasing order. *)
+let checked = '\000'
+let readable = '\001'
+let writable = '\002'
+
 let create ?(fast_path = true) ~pages () =
   if pages <= 0 then invalid_arg "Vm.create: pages must be positive";
   {
     frames = Array.make pages zero_frame;
     prot = Array.make pages Read_write;
-    fast = Bytes.make pages '\000';
+    fast = Bytes.make pages (if fast_path then readable else checked);
     npages = pages;
     fast_enabled = fast_path;
     on_fault = (fun _ page -> failwith (Printf.sprintf "Vm: unhandled fault on page %d" page));
@@ -47,12 +54,12 @@ let size_bytes t = t.npages * page_size
 
 let refresh_fast t page =
   Bytes.unsafe_set t.fast page
-    (if
-       t.fast_enabled && t.on_access = None
-       && t.prot.(page) = Read_write
-       && t.frames.(page) != zero_frame
-     then '\001'
-     else '\000')
+    (if not t.fast_enabled || t.on_access <> None then checked
+     else
+       match t.prot.(page) with
+       | No_access -> checked
+       | Read_only -> readable
+       | Read_write -> if t.frames.(page) == zero_frame then readable else writable)
 
 let refresh_fast_all t =
   for page = 0 to t.npages - 1 do
@@ -77,10 +84,6 @@ let set_access_hook t f =
   refresh_fast_all t
 
 let fast_path t = t.fast_enabled
-
-let set_fast_path t enabled =
-  t.fast_enabled <- enabled;
-  refresh_fast_all t
 
 let prot t page = t.prot.(page)
 
@@ -127,18 +130,20 @@ let ensure_write t addr width =
   ensure t addr width Write;
   ignore (own_frame t (addr lsr page_shift))
 
-(* Fast-path admission: the access is entirely inside one page whose fast
-   bit is set.  [addr lsr page_shift] maps any negative address to a huge
-   positive page (lsr is a logical shift), so the single [page < npages]
-   compare also rejects addr < 0; the offset mask check rejects accesses
-   that would straddle the page boundary (so an in-bounds fast access can
-   never leave the page, and [page < npages] alone proves the whole access
-   is in range).  Everything else falls through to [ensure], which raises
-   the exact errors the checked path always raised. *)
-let[@inline] fast_ok t addr width =
+(* Fast-path admission: the access is entirely inside one page whose
+   fast-path level is at least [level] ([readable] for a load, [writable]
+   for a store).  [addr lsr page_shift] maps any negative address to a
+   huge positive page (lsr is a logical shift), so the single
+   [page < npages] compare also rejects addr < 0; the offset mask check
+   rejects accesses that would straddle the page boundary (so an in-bounds
+   fast access can never leave the page, and [page < npages] alone proves
+   the whole access is in range).  Everything else falls through to
+   [ensure], which raises the exact errors the checked path always
+   raised. *)
+let[@inline] fast_ok t addr width level =
   let page = addr lsr page_shift in
   page < t.npages
-  && Bytes.unsafe_get t.fast page <> '\000'
+  && Bytes.unsafe_get t.fast page >= level
   && addr land offset_mask <= page_size - width
 
 (* The frame holding [addr], once [fast_ok] or [ensure] has proved the
@@ -163,35 +168,35 @@ let[@inline] store64 t addr v =
   unsafe_set64 (frame t addr) (addr land offset_mask) (if Sys.big_endian then swap64 v else v)
 
 let read_u8 t addr =
-  if not (fast_ok t addr 1) then ensure t addr 1 Read;
+  if not (fast_ok t addr 1 readable) then ensure t addr 1 Read;
   Char.code (Bytes.unsafe_get (frame t addr) (addr land offset_mask))
 
 let write_u8 t addr v =
-  if not (fast_ok t addr 1) then ensure_write t addr 1;
+  if not (fast_ok t addr 1 writable) then ensure_write t addr 1;
   Bytes.unsafe_set (frame t addr) (addr land offset_mask) (Char.unsafe_chr (v land 0xFF))
 
 let read_i64 t addr =
-  if not (fast_ok t addr 8) then ensure t addr 8 Read;
+  if not (fast_ok t addr 8 readable) then ensure t addr 8 Read;
   load64 t addr
 
 let write_i64 t addr v =
-  if not (fast_ok t addr 8) then ensure_write t addr 8;
+  if not (fast_ok t addr 8 writable) then ensure_write t addr 8;
   store64 t addr v
 
 let read_int t addr =
-  if not (fast_ok t addr 8) then ensure t addr 8 Read;
+  if not (fast_ok t addr 8 readable) then ensure t addr 8 Read;
   Int64.to_int (load64 t addr)
 
 let write_int t addr v =
-  if not (fast_ok t addr 8) then ensure_write t addr 8;
+  if not (fast_ok t addr 8 writable) then ensure_write t addr 8;
   store64 t addr (Int64.of_int v)
 
 let read_f64 t addr =
-  if not (fast_ok t addr 8) then ensure t addr 8 Read;
+  if not (fast_ok t addr 8 readable) then ensure t addr 8 Read;
   Int64.float_of_bits (load64 t addr)
 
 let write_f64 t addr v =
-  if not (fast_ok t addr 8) then ensure_write t addr 8;
+  if not (fast_ok t addr 8 writable) then ensure_write t addr 8;
   store64 t addr (Int64.bits_of_float v)
 
 let page_snapshot t page = Bytes.copy t.frames.(page)

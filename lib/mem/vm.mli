@@ -31,7 +31,7 @@ val page_size : int
     all [Read_write] (the DSM sets initial protections itself), with a
     fault handler that raises.  [fast_path] (default [true]) lets the
     typed accessors skip the protection check on pages where it cannot
-    fault — see {!set_fast_path}; pass [false] to force every access
+    fault (see {!section-fast_path}); pass [false] to force every access
     through the checked path. *)
 val create : ?fast_path:bool -> pages:int -> unit -> t
 
@@ -61,25 +61,24 @@ val prot : t -> int -> prot
 
 val set_prot : t -> int -> prot -> unit
 
-(** {2 Fast path}
+(** {2:fast_path Fast path}
 
-    The typed accessors keep a per-page "unchecked OK" bitmap: a page's
-    bit is set exactly when it is [Read_write], has its private frame, no
-    access hook is installed, and the fast path is enabled.  An access
-    wholly inside such a page cannot fault and has no observer, so it
-    reads or writes the frame directly, skipping the protection check and
-    hook dispatch.  All other accesses — including out-of-range and
-    straddling ones, and the first store to a page, which gives it its
-    private frame — take the checked path.  The bitmap is maintained by
-    [set_prot], [set_access_hook], [set_fast_path] and frame allocation;
-    results are bit-identical with the fast path on or off. *)
+    The typed accessors keep a per-page "unchecked OK" level.  With the
+    fast path enabled and no access hook installed, a page is
+    {e readable} when it is [Read_only], or [Read_write] and never
+    written, installed or patched (still on the zero frame), and
+    {e writable} when it is [Read_write] with its private frame.  A load
+    wholly inside a readable or writable page, and a store wholly inside a
+    writable one, cannot fault and has no observer, so it reads or writes
+    the frame directly, skipping the protection check and hook dispatch.
+    All other accesses — including out-of-range and straddling ones, and
+    the first store to a page, which gives it its private frame — take the
+    checked path.  The levels are maintained by [set_prot],
+    [set_access_hook] and frame allocation; results are bit-identical with
+    the fast path on or off. *)
 
 (** [fast_path t] — whether the fast path is enabled. *)
 val fast_path : t -> bool
-
-(** [set_fast_path t enabled] — enable or disable the fast path (e.g. to
-    measure its effect); contents and semantics are unaffected. *)
-val set_fast_path : t -> bool -> unit
 
 (** [page_of_addr addr] is [addr / page_size]. *)
 val page_of_addr : int -> int

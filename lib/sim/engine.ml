@@ -19,16 +19,23 @@ module Ivar = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Processors                                                         *)
+(* Processors and events                                              *)
 
 type proc = {
   id : pid;
+  running : pid option;  (* [Some id], preallocated for [running_pid] *)
   busy : Vtime.t array;  (* indexed by Category.index *)
   mutable handler_busy_until : Vtime.t;
   mutable handler_running : bool;
   handler_queue : (hctx -> unit) Queue.t;
   mutable in_chunk : bool;
   mutable stolen : Vtime.t;  (* handler CPU stolen from the current chunk *)
+  mutable chunk_end : event;
+      (* the end of the current computation chunk, set once by [create].
+         A processor never has two chunks pending, so this one event is
+         pushed again for every chunk and every stolen-time extension. *)
+  mutable chunk_k : (unit, unit) Effect.Deep.continuation option;
+      (* the process suspended in that chunk *)
   mutable spawned : bool;
   mutable finished_at : Vtime.t option;
   mutable had_handler : bool;
@@ -43,11 +50,22 @@ and hctx = {
   hfresh : bool;
 }
 
-and event = { time : Vtime.t; mutable live : bool; thunk : unit -> unit }
+(* Events fire in [(time, seq)] order, and [seq] is the push order, so
+   events at equal times fire FIFO. *)
+and event = {
+  mutable time : Vtime.t;
+  mutable seq : int;
+  mutable live : bool;
+  kind : kind;
+}
+
+and kind = Thunk of (unit -> unit) | Chunk_end of proc
 
 and t = {
   procs : proc array;
-  events : event Tmk_util.Heap.t;
+  mutable queue : event array;  (* binary min-heap in [0, size) *)
+  mutable size : int;
+  mutable next_seq : int;
   mutable clock : Vtime.t;
   mutable last_event_time : Vtime.t;
   mutable running_pid : pid option;  (* process currently executing, if any *)
@@ -57,26 +75,39 @@ and t = {
   mutable stop_reason : string option;
 }
 
+(* Fills the queue's unused slots, so a fired thunk can be collected, and
+   each [chunk_end] until [create] sets it. *)
+let vacant = { time = Vtime.zero; seq = 0; live = false; kind = Thunk ignore }
+
 let create ~nprocs =
   if nprocs <= 0 then invalid_arg "Engine.create: nprocs must be positive";
   let make_proc id =
-    {
-      id;
-      busy = Array.make Category.count Vtime.zero;
-      handler_busy_until = Vtime.zero;
-      handler_running = false;
-      handler_queue = Queue.create ();
-      in_chunk = false;
-      stolen = Vtime.zero;
-      spawned = false;
-      finished_at = None;
-      had_handler = false;
-      crashed_at = None;
-    }
+    let proc =
+      {
+        id;
+        running = Some id;
+        busy = Array.make Category.count Vtime.zero;
+        handler_busy_until = Vtime.zero;
+        handler_running = false;
+        handler_queue = Queue.create ();
+        in_chunk = false;
+        stolen = Vtime.zero;
+        chunk_end = vacant;
+        chunk_k = None;
+        spawned = false;
+        finished_at = None;
+        had_handler = false;
+        crashed_at = None;
+      }
+    in
+    proc.chunk_end <- { time = Vtime.zero; seq = 0; live = true; kind = Chunk_end proc };
+    proc
   in
   {
     procs = Array.init nprocs make_proc;
-    events = Tmk_util.Heap.create ~compare:(fun a b -> compare a.time b.time);
+    queue = [||];
+    size = 0;
+    next_seq = 0;
     clock = Vtime.zero;
     last_event_time = Vtime.zero;
     running_pid = None;
@@ -137,25 +168,72 @@ let trace t msg =
     let pid = match t.running_pid with Some p -> p | None -> -1 in
     emit t ~pid (Tmk_trace.Event.Mark msg)
 
-let schedule t ~at f =
+(* ------------------------------------------------------------------ *)
+(* Event queue: a binary min-heap ordered by [(time, seq)]             *)
+
+let[@inline] before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+
+(* Sift [ev] up from the hole at [i]. *)
+let rec sift_up queue ev i =
+  let parent = (i - 1) / 2 in
+  if i > 0 && before ev queue.(parent) then begin
+    queue.(i) <- queue.(parent);
+    sift_up queue ev parent
+  end
+  else queue.(i) <- ev
+
+(* Sift [ev] down from the hole at [i] in a heap of [size] events. *)
+let rec sift_down queue size ev i =
+  let l = (2 * i) + 1 in
+  if l >= size then queue.(i) <- ev
+  else
+    let c = if l + 1 < size && before queue.(l + 1) queue.(l) then l + 1 else l in
+    if before queue.(c) ev then begin
+      queue.(i) <- queue.(c);
+      sift_down queue size ev c
+    end
+    else queue.(i) <- ev
+
+let push t ev =
+  ev.seq <- t.next_seq;
+  t.next_seq <- t.next_seq + 1;
+  if t.size = Array.length t.queue then begin
+    let queue = Array.make (if t.size = 0 then 16 else 2 * t.size) vacant in
+    Array.blit t.queue 0 queue 0 t.size;
+    t.queue <- queue
+  end;
+  t.size <- t.size + 1;
+  sift_up t.queue ev (t.size - 1)
+
+(* Only called on a non-empty queue. *)
+let pop t =
+  let queue = t.queue in
+  let top = queue.(0) in
+  let size = t.size - 1 in
+  t.size <- size;
+  let last = queue.(size) in
+  queue.(size) <- vacant;
+  if size > 0 then sift_down queue size last 0;
+  top
+
+let enqueue t ~at f =
   if at < t.clock then
     invalid_arg
       (Printf.sprintf "Engine.schedule: time %d is before now %d" at t.clock);
-  Tmk_util.Heap.push t.events { time = at; live = true; thunk = f }
+  let ev = { time = at; seq = 0; live = true; kind = Thunk f } in
+  push t ev;
+  ev
+
+let schedule t ~at f = ignore (enqueue t ~at f)
 
 (* A cancelled event is skipped by the main loop without advancing the
    clock or the makespan: a retransmission timer whose ack already landed
    must not stretch the run's end time past the last real event. *)
 let schedule_cancellable t ~at f =
-  if at < t.clock then
-    invalid_arg
-      (Printf.sprintf "Engine.schedule: time %d is before now %d" at t.clock);
-  let ev = { time = at; live = true; thunk = f } in
-  Tmk_util.Heap.push t.events ev;
+  let ev = enqueue t ~at f in
   fun () -> ev.live <- false
 
-let pending_events t =
-  Tmk_util.Heap.length t.events
+let pending_events t = t.size
 
 (* ------------------------------------------------------------------ *)
 (* Effects: the process-context operations                            *)
@@ -172,20 +250,25 @@ let charge proc cat dt =
   proc.busy.(Category.index cat) <- Vtime.add proc.busy.(Category.index cat) dt
 
 (* A computation chunk ends at its nominal time plus whatever handler CPU
-   was stolen meanwhile; stolen time can itself be extended, so re-check
-   until no new theft occurred. *)
-let rec finish_chunk t proc resume at =
-  schedule t ~at (fun () ->
-    if proc.crashed_at <> None then ()
-    else if proc.stolen > Vtime.zero then begin
-      let extra = proc.stolen in
-      proc.stolen <- Vtime.zero;
-      finish_chunk t proc resume (Vtime.add at extra)
-    end
-    else begin
+   was stolen meanwhile; stolen time can itself be extended, so the chunk
+   end is pushed again until no new theft occurred. *)
+let end_chunk t proc =
+  if proc.crashed_at <> None then proc.chunk_k <- None
+  else if proc.stolen > Vtime.zero then begin
+    let ev = proc.chunk_end in
+    ev.time <- Vtime.add ev.time proc.stolen;
+    proc.stolen <- Vtime.zero;
+    push t ev
+  end
+  else
+    match proc.chunk_k with
+    | None -> assert false
+    | Some k ->
+      proc.chunk_k <- None;
       proc.in_chunk <- false;
-      resume ()
-    end)
+      t.running_pid <- proc.running;
+      Effect.Deep.continue k ();
+      t.running_pid <- None
 
 let fill (_ : t) iv ~at v =
   match iv.Ivar.state with
@@ -199,6 +282,16 @@ let spawn t pid main =
   if proc.spawned then invalid_arg "Engine.spawn: processor already has a process";
   proc.spawned <- true;
   let open Effect.Deep in
+  (* Every Advance of this process is handled by this one closure; [effc]
+     has already charged the advance and set the chunk end's time. *)
+  let on_advance =
+    Some
+      (fun k ->
+        proc.chunk_k <- Some k;
+        proc.in_chunk <- true;
+        proc.stolen <- Vtime.zero;
+        push t proc.chunk_end)
+  in
   let body () =
     match_with main ()
       {
@@ -208,20 +301,12 @@ let spawn t pid main =
             emit t ~pid Tmk_trace.Event.Proc_finish);
         exnc = raise;
         effc =
-          (fun (type a) (eff : a Effect.t) ->
+          (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
             match eff with
             | Advance (cat, dt) ->
-              Some
-                (fun (k : (a, _) continuation) ->
-                  charge proc cat dt;
-                  proc.in_chunk <- true;
-                  proc.stolen <- Vtime.zero;
-                  let resume () =
-                    t.running_pid <- Some pid;
-                    continue k ();
-                    t.running_pid <- None
-                  in
-                  finish_chunk t proc resume (Vtime.add t.clock dt))
+              charge proc cat dt;
+              proc.chunk_end.time <- Vtime.add t.clock dt;
+              on_advance
             | Await iv ->
               Some
                 (fun (k : (a, _) continuation) ->
@@ -243,7 +328,7 @@ let spawn t pid main =
                             if proc.crashed_at = None then begin
                               t.blocked.(pid) <- false;
                               t.blocked_count <- t.blocked_count - 1;
-                              t.running_pid <- Some pid;
+                              t.running_pid <- proc.running;
                               continue k v;
                               t.running_pid <- None
                             end)
@@ -254,7 +339,7 @@ let spawn t pid main =
   in
   schedule t ~at:Vtime.zero (fun () ->
       if proc.crashed_at = None then begin
-        t.running_pid <- Some pid;
+        t.running_pid <- proc.running;
         body ();
         t.running_pid <- None
       end)
@@ -316,30 +401,27 @@ let post_handler t ~pid ~at f =
 (* Main loop                                                          *)
 
 let run t =
-  let rec loop () =
-    if t.stop_reason <> None then ()
-    else
-    match Tmk_util.Heap.pop_opt t.events with
-    | None ->
-      if t.blocked_count > 0 then begin
-        (* Report the processes actually suspended on an ivar, not every
-           unfinished one: a deadlock under fault injection typically
-           strands one waiter while its peers sit in handler loops. *)
-        let stuck =
-          Array.to_list t.procs
-          |> List.filter (fun p -> t.blocked.(p.id))
-          |> List.map (fun p -> p.id)
-        in
-        raise (Deadlock stuck)
-      end
-    | Some ev when not ev.live -> loop ()
-    | Some ev ->
+  while t.stop_reason = None && t.size > 0 do
+    let ev = pop t in
+    if ev.live then begin
       t.clock <- ev.time;
       t.last_event_time <- ev.time;
-      ev.thunk ();
-      loop ()
-  in
-  loop ()
+      match ev.kind with
+      | Thunk f -> f ()
+      | Chunk_end proc -> end_chunk t proc
+    end
+  done;
+  if t.stop_reason = None && t.blocked_count > 0 then begin
+    (* Report the processes actually suspended on an ivar, not every
+       unfinished one: a deadlock under fault injection typically
+       strands one waiter while its peers sit in handler loops. *)
+    let stuck =
+      Array.to_list t.procs
+      |> List.filter (fun p -> t.blocked.(p.id))
+      |> List.map (fun p -> p.id)
+    in
+    raise (Deadlock stuck)
+  end
 
 let finished t pid = t.procs.(pid).finished_at <> None
 

@@ -14,8 +14,8 @@ let to_s t = float_of_int t /. 1_000_000_000.0
 
 let add = ( + )
 let sub = ( - )
-let max = Stdlib.max
-let min = Stdlib.min
+let max (a : t) b = if a >= b then a else b
+let min (a : t) b = if a <= b then a else b
 let scale t k = t * k
 
 let pp ppf t =

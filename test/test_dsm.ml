@@ -85,6 +85,16 @@ let vt_pair_gen =
       map (fun b -> (a, b)) (array_size (return n) (int_range 0 3));
     ]
 
+(* [leq] and [max_into] against their definitions entry by entry, over
+   polymorphic comparisons: the pointwise order, and [max_into] folding
+   in the pointwise maximum. *)
+let reference_leq a b = Array.for_all2 (fun v w -> v <= w) a b
+
+let max_into_matches_reference a b =
+  let m = Vector_time.copy (vt_of_array a) in
+  Vector_time.max_into ~src:(vt_of_array b) ~dst:m;
+  Array.init (Vector_time.size m) (Vector_time.get m) = Array.map2 max a b
+
 let vt_compare_total_matches_reference =
   let print (a, b) =
     let show a = String.concat "," (List.map string_of_int (Array.to_list a)) in
@@ -95,7 +105,10 @@ let vt_compare_total_matches_reference =
       let x = vt_of_array a and y = vt_of_array b in
       Vector_time.compare_total x y = reference_compare_total x y
       && Vector_time.compare_total y x = reference_compare_total y x
-      && Vector_time.equal x y = (a = b))
+      && Vector_time.equal x y = (a = b)
+      && Vector_time.leq x y = reference_leq a b
+      && Vector_time.leq y x = reference_leq b a
+      && max_into_matches_reference a b && max_into_matches_reference b a)
 
 let wire_sizes () =
   check Alcotest.int "notice" 2 Wire.write_notice_bytes;

@@ -17,8 +17,9 @@
      Water run and a Jacobi run collecting over a narrow barrier tree
      match pinned fingerprints;
    - set-up memory follows the pages a node touches, fast-path typed
-     accesses allocate nothing, and a diff replay allocates in proportion
-     to the diffs it applies, not to held x missing notices;
+     accesses allocate nothing, a diff replay allocates in proportion
+     to the diffs it applies, not to held x missing notices, and an
+     engine advance allocates only what its effect round trip needs;
    - a sweep mapped with [Harness.parallel_map ~jobs:4] equals the
      sequential map, element for element.
 
@@ -353,12 +354,13 @@ let setup_memory_is_sparse () =
     32_000.
 
 let typed_accesses_allocate_nothing () =
-  let vm = Vm.create ~pages:4 () in
-  (* the first store gives each page its frame and sets its fast-path bit *)
+  let vm = Vm.create ~pages:5 () in
+  (* the first store gives pages 0-3 their frames and makes them writable;
+     page 4 stays on the zero frame *)
   for page = 0 to 3 do
     Vm.write_int vm (Vm.addr_of_page page) 0
   done;
-  let mask = Vm.size_bytes vm - 1 in
+  let mask = (4 * Vm.page_size) - 1 in
   let pairs () =
     for i = 0 to 9_999 do
       let addr = (i * 8) land mask in
@@ -368,7 +370,18 @@ let typed_accesses_allocate_nothing () =
   in
   check (Alcotest.float 0.0) "words allocated by 10 000 read_int/write_int pairs" 0.0
     (allocated pairs);
-  check Alcotest.int "last store read back" 9_999 (Vm.read_int vm ((9_999 * 8) land mask))
+  check Alcotest.int "last store read back" 9_999 (Vm.read_int vm ((9_999 * 8) land mask));
+  (* Loads from a Read_only page and from a never-written page. *)
+  Vm.set_prot vm 3 Vm.Read_only;
+  let loads page () =
+    for i = 0 to 9_999 do
+      ignore (Vm.read_int vm (Vm.addr_of_page page + ((i * 8) land (Vm.page_size - 1))))
+    done
+  in
+  check (Alcotest.float 0.0) "words allocated by 10 000 read_int of a Read_only page" 0.0
+    (allocated (loads 3));
+  check (Alcotest.float 0.0) "words allocated by 10 000 read_int of a never-written page"
+    0.0 (allocated (loads 4))
 
 (* A diff fetch's replay costs comparisons in the writers and the notices
    replayed, not in held x missing notices.  One page of a 64-processor
@@ -410,6 +423,26 @@ let replay_allocates_little () =
   check Alcotest.int "diffs applied: 63 fetched, 992 replayed" (63 + 992)
     (node.Node.stats.Stats.diffs_applied - applied0);
   check Alcotest.int "writer 63's newest word" 17 (Vm.read_int node.Node.vm (8 * 63))
+
+(* The advance path allocates only what the effect round trip needs:
+   8 processes make 10 000 advances of 8 us each, TSP's charge per search
+   node.  Creating and spawning stay outside the measurement. *)
+let advance_allocates_little () =
+  let open Tmk_sim in
+  let nprocs = 8 and advances = 10_000 in
+  let engine = Engine.create ~nprocs in
+  for p = 0 to nprocs - 1 do
+    Engine.spawn engine p (fun () ->
+        for _ = 1 to advances do
+          Engine.advance Category.Computation (Vtime.us 8)
+        done)
+  done;
+  let per_advance = allocated (fun () -> Engine.run engine) /. float (nprocs * advances) in
+  check Alcotest.bool
+    (Printf.sprintf "%.1f words per advance, under 12" per_advance)
+    true (per_advance < 12.);
+  check Alcotest.int "last process finishes" (Vtime.us (8 * advances))
+    (Engine.finish_time engine (nprocs - 1))
 
 (* ------------------------------------------------------------------ *)
 (* Domain-parallel sweeps: mapping the arms on 4 domains must be
@@ -485,6 +518,7 @@ let suite =
       Alcotest.test_case "typed accesses allocate nothing" `Quick
         typed_accesses_allocate_nothing;
       Alcotest.test_case "diff replay allocates little" `Quick replay_allocates_little;
+      Alcotest.test_case "advance allocates little" `Quick advance_allocates_little;
       Alcotest.test_case "parallel_map jobs:4 equals sequential" `Slow
         parallel_map_equivalence;
       Alcotest.test_case "lint findings byte-identical across jobs" `Slow

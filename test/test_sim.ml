@@ -303,9 +303,54 @@ let random_schedule_accounting =
          done;
          !ok))
 
+(* Property: events fire in time order, FIFO among equal times, and a
+   cancelled event never fires.  Times collide often; some events schedule
+   or cancel further events while they fire.  The reference is the
+   schedule log (in call order), stably sorted by time. *)
+let event_queue_order =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 0 40)
+        (triple (int_range 0 5) (int_range 0 2)
+           (list_size (int_range 0 3) (pair (int_range 0 3) (int_range 0 2)))))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"event queue fires in time order, FIFO on ties"
+       (QCheck.make
+          ~print:(fun evs -> Printf.sprintf "%d top-level events" (List.length evs))
+          gen)
+       (fun events ->
+         let e = Engine.create ~nprocs:1 in
+         let log = ref [] and fired = ref [] and next_id = ref 0 in
+         (* kind 0: [schedule]; 1: [schedule_cancellable]; 2: the same,
+            cancelled at once *)
+         let rec add at kind nested =
+           let id = !next_id in
+           incr next_id;
+           log := (at, id, kind = 2) :: !log;
+           let fire () =
+             fired := (id, Engine.now e) :: !fired;
+             List.iter (fun (dt, kind) -> add (Engine.now e + us dt) kind []) nested
+           in
+           match kind with
+           | 0 -> Engine.schedule e ~at fire
+           | 1 -> ignore (Engine.schedule_cancellable e ~at fire : unit -> unit)
+           | _ -> Engine.schedule_cancellable e ~at fire ()
+         in
+         List.iter (fun (at, kind, nested) -> add (us at) kind nested) events;
+         Engine.run e;
+         let expected =
+           List.rev !log
+           |> List.filter (fun (_, _, cancelled) -> not cancelled)
+           |> List.stable_sort (fun (a, _, _) (b, _, _) -> compare a b)
+           |> List.map (fun (at, id, _) -> (id, at))
+         in
+         List.rev !fired = expected && Engine.pending_events e = 0))
+
 let suite =
   [
     random_schedule_accounting;
+    event_queue_order;
     Alcotest.test_case "single advance" `Quick single_advance;
     Alcotest.test_case "sequential advances" `Quick sequential_advances;
     Alcotest.test_case "parallel processes" `Quick parallel_processes;

@@ -1,4 +1,4 @@
-(* Unit and property tests for Tmk_util: PRNG, heap, RLE, bitset, summary
+(* Unit and property tests for Tmk_util: PRNG, RLE, bitset, summary
    statistics, table rendering. *)
 
 open Tmk_util
@@ -93,54 +93,6 @@ let prng_shuffle_permutation =
       let arr = Array.of_list xs in
       Prng.shuffle (Prng.create seed) arr;
       List.sort compare (Array.to_list arr) = List.sort compare xs)
-
-(* ------------------------------------------------------------------ *)
-(* Heap *)
-
-let heap_sorts =
-  qtest "heap drains sorted"
-    QCheck.(list small_int)
-    (fun xs ->
-      let h = Heap.create ~compare in
-      List.iter (Heap.push h) xs;
-      Heap.to_sorted_list h = List.sort compare xs)
-
-let heap_fifo_on_ties () =
-  (* Equal priorities must pop in insertion order: the engine's
-     determinism depends on it. *)
-  let h = Heap.create ~compare:(fun (a, _) (b, _) -> compare a b) in
-  List.iter (Heap.push h) [ (1, "a"); (0, "x"); (1, "b"); (1, "c"); (0, "y") ];
-  let order = List.map snd (Heap.to_sorted_list h) in
-  check Alcotest.(list string) "fifo ties" [ "x"; "y"; "a"; "b"; "c" ] order
-
-let heap_interleaved () =
-  let h = Heap.create ~compare in
-  Heap.push h 5;
-  Heap.push h 1;
-  check Alcotest.int "pop 1" 1 (Heap.pop h);
-  Heap.push h 0;
-  Heap.push h 7;
-  check Alcotest.int "pop 0" 0 (Heap.pop h);
-  check Alcotest.int "pop 5" 5 (Heap.pop h);
-  check Alcotest.int "pop 7" 7 (Heap.pop h);
-  check Alcotest.bool "empty" true (Heap.is_empty h)
-
-let heap_empty_pop () =
-  let h = Heap.create ~compare in
-  check Alcotest.bool "pop_opt none" true (Heap.pop_opt h = None);
-  check Alcotest.bool "peek none" true (Heap.peek_opt h = None);
-  Alcotest.check_raises "pop raises" Not_found (fun () -> ignore (Heap.pop h))
-
-let heap_length () =
-  let h = Heap.create ~compare in
-  for i = 1 to 100 do
-    Heap.push h i
-  done;
-  check Alcotest.int "length" 100 (Heap.length h);
-  ignore (Heap.pop h);
-  check Alcotest.int "length after pop" 99 (Heap.length h);
-  Heap.clear h;
-  check Alcotest.int "cleared" 0 (Heap.length h)
 
 (* ------------------------------------------------------------------ *)
 (* Rle *)
@@ -347,11 +299,6 @@ let suite =
     prng_float_bounds;
     Alcotest.test_case "prng uniformity" `Quick prng_uniformity;
     prng_shuffle_permutation;
-    heap_sorts;
-    Alcotest.test_case "heap fifo on ties" `Quick heap_fifo_on_ties;
-    Alcotest.test_case "heap interleaved" `Quick heap_interleaved;
-    Alcotest.test_case "heap empty pop" `Quick heap_empty_pop;
-    Alcotest.test_case "heap length" `Quick heap_length;
     rle_roundtrip;
     rle_empty_when_equal;
     rle_runs_sorted_disjoint;
