@@ -115,13 +115,9 @@ let emit t ~pid ev = Engine.emit t.engine ~pid ev
    so charging time in the middle of a mutation sequence would let a
    handler observe (and mutate) half-updated consistency structures.  The
    real implementation masks signals around these sections; we run the
-   mutations instantaneously and charge the accumulated CPU afterwards. *)
-let atomically f =
-  let charges = Tmk_util.Vec.create () in
-  let charge cat dt = Tmk_util.Vec.push charges (cat, dt) in
-  let result = f charge in
-  Tmk_util.Vec.iter (fun (cat, dt) -> Engine.advance cat dt) charges;
-  result
+   mutations instantaneously and charge the accumulated CPU afterwards,
+   one chunk per charge, with one suspension of the process. *)
+let atomically t f = Engine.section t.engine f
 
 (* Pick a live processor believed to cache the page (never ourselves).
    The choice hashes (page, faulting pid) over the members so concurrent
@@ -183,7 +179,7 @@ let rc_fault t pid kind page ~miss =
     emit t ~pid (Tmk_trace.Event.Page_fault { page; kind = ekind });
   (match (Vm.prot node.Node.vm page, kind) with
   | Vm.Read_only, Vm.Write ->
-    atomically (fun charge -> Node.write_fault_twin node page ~charge)
+    atomically t (fun charge -> Node.write_fault_twin node page ~charge)
   | Vm.No_access, Vm.Read -> miss ()
   | Vm.No_access, Vm.Write ->
     miss ();
@@ -191,7 +187,7 @@ let rc_fault t pid kind page ~miss =
        the Vm fault dispatcher retries and we fall into the miss path
        once more. *)
     if Vm.prot node.Node.vm page = Vm.Read_only then
-      atomically (fun charge -> Node.write_fault_twin node page ~charge)
+      atomically t (fun charge -> Node.write_fault_twin node page ~charge)
   | (Vm.Read_only | Vm.Read_write), _ -> assert false);
   if Engine.tracing t.engine then
     emit t ~pid (Tmk_trace.Event.Page_fault_done { page; kind = ekind })

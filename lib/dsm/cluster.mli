@@ -89,11 +89,14 @@ val degrade_app : t -> pid:int -> string -> 'a
 val app_charge : Category.t -> Vtime.t -> unit
 val h_charge : Engine.hctx -> Category.t -> Vtime.t -> unit
 
-(** [atomically f] — run protocol bookkeeping without scheduling points:
-    [f] receives a charge collector, mutations run instantaneously, and
-    the accumulated CPU is charged afterwards (the real implementation
-    masks signals around these sections). *)
-val atomically : (Node.charge -> 'a) -> 'a
+(** [atomically t f] — run protocol bookkeeping without scheduling
+    points, in application context: [f] receives a charge collector,
+    mutations run instantaneously, and the collected charges are then
+    made in order, each a chunk that request handlers can stretch, with
+    one suspension of the process ({!Tmk_sim.Engine.section}; the real
+    implementation masks signals around these sections).
+    @raise Invalid_argument when sections nest. *)
+val atomically : t -> (Node.charge -> 'a) -> 'a
 
 val emit : t -> pid:int -> Tmk_trace.Event.t -> unit
 

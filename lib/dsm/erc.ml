@@ -66,7 +66,7 @@ let fetch_base t pid page =
   let bytes = Transport.await_value cl.Cluster.transport mb in
   if Engine.tracing cl.Cluster.engine then
     Cluster.emit cl ~pid (Tmk_trace.Event.Page_fetch { page; from_ = provider });
-  atomically (fun charge ->
+  atomically cl (fun charge ->
       Node.validate_page node page bytes ~charge;
       (match Hashtbl.find_opt t.pending.(pid) page with
       | None -> ()
@@ -115,7 +115,7 @@ let flush t pid =
           | None -> None
           | Some twin ->
             let diff =
-              atomically (fun charge ->
+              atomically cl (fun charge ->
                   charge Category.Tmk_other Cpu.erc_flush_per_page;
                   charge Category.Tmk_mem (Costs.diff_create Vm.page_size);
                   let diff = Vm.diff_against node.Node.vm page ~twin in

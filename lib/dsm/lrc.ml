@@ -79,7 +79,7 @@ let fetch_base cl pid page =
     let bytes, copyset = Transport.await_value cl.Cluster.transport mb in
     if Engine.tracing cl.Cluster.engine then
       Cluster.emit cl ~pid (Tmk_trace.Event.Page_fetch { page; from_ = provider });
-    atomically (fun charge ->
+    atomically cl (fun charge ->
         Node.validate_page node page bytes ~charge;
         Bitset.union_into ~src:copyset ~dst:entry.Node.pg_copyset;
         Bitset.add entry.Node.pg_copyset pid)
@@ -388,7 +388,7 @@ let fetch_and_apply_diffs cl pid page missing =
       entries
   in
   List.iter receive promises;
-  atomically (fun charge ->
+  atomically cl (fun charge ->
       (* the fetched diffs, plus any piggybacked ones not yet reflected;
          rev_append (not @): apply_missing_diffs sorts by timestamp *)
       let fetched =
@@ -407,7 +407,7 @@ let settle cl pid page =
   let rec loop () =
     match Node.missing_diffs node page with
     | [] ->
-      atomically (fun charge ->
+      atomically cl (fun charge ->
           (match Node.unapplied_diffs node page with
           | [] -> ()
           | pending ->
@@ -516,7 +516,7 @@ let make_arrival cl ~pid ~mgr ~relay =
     | [] -> Vector_time.create nprocs
   in
   let own =
-    atomically (fun charge ->
+    atomically cl (fun charge ->
         let attach = attach_for cl node ~receiver:mgr ~charge in
         if relay then Node.intervals_since ?attach node mgr_known_vt
         else Node.own_intervals_since ?attach node mgr_known_vt)
@@ -555,7 +555,7 @@ let make_arrival cl ~pid ~mgr ~relay =
 let gc_validate cl ~pid =
   let node = cl.Cluster.nodes.(pid) in
   let validate page =
-    atomically (fun charge -> Node.ensure_own_diff node page ~charge);
+    atomically cl (fun charge -> Node.ensure_own_diff node page ~charge);
     settle cl pid page
   in
   List.iter validate (Node.modified_pages node)
@@ -604,7 +604,7 @@ let make cl =
     b_pre_barrier = Backend.noop_pid;
     b_barrier_begin =
       (fun ~pid ->
-        atomically (fun charge ->
+        atomically cl (fun charge ->
             Node.close_interval ~eager_diffs:(eager_diffs cl) cl.Cluster.nodes.(pid) ~charge));
     b_make_arrival = (fun ~pid ~mgr ~relay -> make_arrival cl ~pid ~mgr ~relay);
     b_barrier_depart = Backend.noop_pid;

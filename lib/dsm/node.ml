@@ -22,6 +22,16 @@ and interval = {
   iv_id : int;
   iv_vt : Vector_time.t;
   mutable iv_notices : write_notice list;
+  mutable iv_msg : msg_interval option;
+      (* the wire form without piggybacked diffs, built at the first send *)
+}
+
+and msg_interval = {
+  mi_proc : int;
+  mi_id : int;
+  mi_vt : Vector_time.t;
+  mi_pages : (int * Rle.t option) list;
+      (* page and, under the hybrid update protocol, its piggybacked diff *)
 }
 
 (* A page's write notices by writer: only processors with notices for the
@@ -37,14 +47,6 @@ type page_entry = {
   mutable pg_has_copy : bool;
   mutable pg_fetched : bool;
   mutable pg_no_gather : bool;
-}
-
-type msg_interval = {
-  mi_proc : int;
-  mi_id : int;
-  mi_vt : Vector_time.t;
-  mi_pages : (int * Rle.t option) list;
-      (* page and, under the hybrid update protocol, its piggybacked diff *)
 }
 
 type t = {
@@ -146,37 +148,50 @@ let write_fault_twin t page ~charge =
   t.stats.Stats.twins_created <- t.stats.Stats.twins_created + 1;
   if tracing t then emit t (Tmk_trace.Event.Twin_create { page })
 
-(* [attach] decides the piggybacked diff for one write notice (hybrid
-   update protocol); the plain invalidate protocol attaches nothing. *)
-let to_msg ?(attach = fun _ -> None) iv =
+let build_msg iv page_entry =
   {
     mi_proc = iv.iv_proc;
     mi_id = iv.iv_id;
     mi_vt = iv.iv_vt;
-    mi_pages = List.map (fun wn -> (wn.wn_page, attach wn)) iv.iv_notices;
+    mi_pages = List.map page_entry iv.iv_notices;
   }
 
-(* Intervals of processor [q] newer than [vt]'s entry for [q], oldest
-   first.  Stored lists are newest-first and contiguous, so this is a
-   reversed prefix. *)
-let proc_intervals_since ?attach t q vt =
+(* The wire form of [iv], its notices in [iv_notices] order, so page order
+   reverses at each relay.  [attach] decides the piggybacked diff of each
+   write notice (hybrid update protocol), so each receiver gets a form of
+   its own.  Without it the form depends on the record alone, whose
+   notices are complete once it is published, so it is built once. *)
+let to_msg ?attach iv =
+  match (attach, iv.iv_msg) with
+  | Some attach, _ -> build_msg iv (fun wn -> (wn.wn_page, attach wn))
+  | None, Some mi -> mi
+  | None, None ->
+    let mi = build_msg iv (fun wn -> (wn.wn_page, None)) in
+    iv.iv_msg <- Some mi;
+    mi
+
+(* [acc] preceded by the intervals of processor [q] newer than [vt]'s
+   entry for [q], oldest first.  Stored lists are newest-first and
+   contiguous, so this is a reversed prefix. *)
+let proc_intervals_since ?attach t q vt acc =
   let bound = Vector_time.get vt q in
   let rec take acc = function
     | iv :: rest when iv.iv_id > bound -> take (to_msg ?attach iv :: acc) rest
     | _ -> acc
   in
-  take [] t.intervals.(q)
+  take acc t.intervals.(q)
 
+(* Built from the last processor back, so each prefix is consed on once.
+   [attach] can have side effects, but only on this node's own notices
+   (it creates their pending diffs), all within one processor's walk. *)
 let intervals_since ?attach t vt =
-  (* Flatten once into a push-in-order buffer instead of concatenating
-     per-processor lists (the concat re-walked every earlier prefix). *)
-  let out = Tmk_util.Vec.create () in
-  for q = 0 to t.nprocs - 1 do
-    List.iter (Tmk_util.Vec.push out) (proc_intervals_since ?attach t q vt)
+  let acc = ref [] in
+  for q = t.nprocs - 1 downto 0 do
+    acc := proc_intervals_since ?attach t q vt !acc
   done;
-  Tmk_util.Vec.to_list out
+  !acc
 
-let own_intervals_since ?attach t vt = proc_intervals_since ?attach t t.pid vt
+let own_intervals_since ?attach t vt = proc_intervals_since ?attach t t.pid vt []
 
 let notice_counts intervals = List.map (fun mi -> List.length mi.mi_pages) intervals
 
@@ -196,7 +211,10 @@ let rec close_interval ?(eager_diffs = false) t ~charge =
     let id = t.next_interval in
     t.next_interval <- id + 1;
     Vector_time.set t.vt t.pid id;
-    let iv = { iv_proc = t.pid; iv_id = id; iv_vt = Vector_time.copy t.vt; iv_notices = [] } in
+    let iv =
+      { iv_proc = t.pid; iv_id = id; iv_vt = Vector_time.copy t.vt; iv_notices = [];
+        iv_msg = None }
+    in
     charge Category.Tmk_consistency
       (Vtime.add Cpu.interval_close_base
          (Vtime.scale Cpu.interval_close_per_page (List.length dirty)));
@@ -436,7 +454,8 @@ let incorporate t intervals ~charge =
     if mi.mi_id > Vector_time.get t.vt mi.mi_proc then begin
       charge Category.Tmk_consistency Cpu.incorporate_per_interval;
       let iv =
-        { iv_proc = mi.mi_proc; iv_id = mi.mi_id; iv_vt = mi.mi_vt; iv_notices = [] }
+        { iv_proc = mi.mi_proc; iv_id = mi.mi_id; iv_vt = mi.mi_vt; iv_notices = [];
+          iv_msg = None }
       in
       let add_notice (page, diff) =
         charge Category.Tmk_consistency Cpu.incorporate_per_notice;

@@ -36,6 +36,21 @@ and interval = {
   iv_id : int;
   iv_vt : Vector_time.t;
   mutable iv_notices : write_notice list;
+  mutable iv_msg : msg_interval option;
+      (** the interval's wire form without piggybacked diffs, built at its
+          first send and shared by every later one *)
+}
+
+(** Interval data as carried by synchronization messages.  Under the
+    hybrid update protocol ([Config.lrc_updates]) each write notice can
+    carry its diff. *)
+and msg_interval = {
+  mi_proc : int;
+  mi_id : int;
+  mi_vt : Vector_time.t;
+  mi_pages : (int * Tmk_util.Rle.t option) list;
+      (** in the sender's [iv_notices] order, so page order reverses at
+          each relay *)
 }
 
 (** A page's write notices keyed by writer.  Only processors with notices
@@ -60,16 +75,6 @@ type page_entry = {
       (** set when a responder declined to serve this page's gathered
           entries (diffs too large to ride a reply); blocks further
           speculative gathering of the page *)
-}
-
-(** Interval data as carried by synchronization messages.  Under the
-    hybrid update protocol ([Config.lrc_updates]) each write notice can
-    carry its diff. *)
-type msg_interval = {
-  mi_proc : int;
-  mi_id : int;
-  mi_vt : Vector_time.t;
-  mi_pages : (int * Tmk_util.Rle.t option) list;
 }
 
 type t = {
@@ -127,8 +132,9 @@ val close_interval : ?eager_diffs:bool -> t -> charge:charge -> unit
 (** [intervals_since t vt] — every interval record known to [t] that [vt]
     does not cover, as message intervals ordered oldest-first per
     processor (the piggyback payload of §3.3/§3.4).  [attach] selects a
-    piggybacked diff per write notice (hybrid update protocol); the
-    default attaches none. *)
+    piggybacked diff per write notice (hybrid update protocol), and each
+    call builds fresh forms; without it nothing is attached, and every
+    call returns each interval's one cached form ([iv_msg]). *)
 val intervals_since :
   ?attach:(write_notice -> Tmk_util.Rle.t option) -> t -> Vector_time.t -> msg_interval list
 

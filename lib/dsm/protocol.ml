@@ -127,7 +127,7 @@ module Log = Cluster.Log
 
 let app_charge = Cluster.app_charge
 let h_charge = Cluster.h_charge
-let atomically = Cluster.atomically
+let atomically t f = Cluster.atomically t.cl f
 let emit t ~pid ev = Cluster.emit t.cl ~pid ev
 
 (* The race detector, when one rides along in [Config.check].  Sync
@@ -212,13 +212,13 @@ let grant_from_handler t granter req h =
     ~dst:req.lr_requester ~bytes:payload.Backend.p_bytes req.lr_mb payload
 
 (* Grant from application context (at release time).  The event is
-   emitted inside the atomic section: each charge replayed after it is a
-   scheduling point, and a handler running there can raise the granter's
-   knowledge past what the grant carries, while the invariant oracle
-   snapshots knowledge at the event. *)
+   emitted inside the atomic section: each chunk the section charges
+   after it ends at a scheduling point, and a handler running there can
+   raise the granter's knowledge past what the grant carries, while the
+   invariant oracle snapshots knowledge at the event. *)
 let grant_from_app t granter req =
   let payload =
-    atomically (fun charge ->
+    atomically t (fun charge ->
         let payload = req.lr_acq.Backend.a_grant ~granter ~charge in
         if Engine.tracing (engine t) then
           emit t ~pid:granter
@@ -338,7 +338,7 @@ let acquire t ~pid ~lock =
     Log.debug (fun m ->
         m "[t=%d] lock %d granted to %d (%d parts)" (Engine.now (engine t)) lock pid
           payload.Backend.p_parts);
-    atomically (fun charge -> payload.Backend.p_absorb ~charge);
+    atomically t (fun charge -> payload.Backend.p_absorb ~charge);
     st.held <- true;
     st.cached <- true;
     (* Deregister only after the token flags are set: recovery must never
@@ -542,7 +542,7 @@ let client_pid bc = bc.bc_pid
    carry. *)
 let barrier_release_clients t ~pid ~run_gc clients =
   let release_one bc =
-    let payload = atomically (fun charge -> bc.bc_release ~charge) in
+    let payload = atomically t (fun charge -> bc.bc_release ~charge) in
     app_charge Category.Tmk_other Cpu.barrier_release_per_client;
     Transport.send_value ~label:"barrier-release" ~parts:payload.Backend.p_parts
       (transport t) ~src:pid ~dst:bc.bc_pid ~bytes:payload.Backend.p_bytes bc.bc_mb
@@ -596,7 +596,7 @@ let barrier_round t ~pid ~id ~epoch ~want_gc =
         pr.wants_gc <- pr.wants_gc || subtree_gc;
         wake_when_in t parent pr client_pid ~at:(Engine.hnow h));
     let rel = Transport.await_value (transport t) mb in
-    atomically (fun charge -> rel.br_payload.Backend.p_absorb ~charge);
+    atomically t (fun charge -> rel.br_payload.Backend.p_absorb ~charge);
     if Engine.tracing (engine t) then
       emit t ~pid (Tmk_trace.Event.Barrier_release { id; epoch });
     race_barrier_depart t ~pid ~id;

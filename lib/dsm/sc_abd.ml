@@ -166,7 +166,7 @@ let quorum_read t pid page =
   let my = t.wordts.(pid) in
   let merged = Vm.page_snapshot node.Node.vm page in
   let disagree =
-    atomically (fun charge ->
+    atomically cl (fun charge ->
         List.iter
           (fun (snap, row) ->
             for w = 0 to words - 1 do
@@ -236,7 +236,7 @@ let flush t pid =
         | None -> None
         | Some twin ->
           let diff =
-            atomically (fun charge ->
+            atomically cl (fun charge ->
                 charge Category.Tmk_other Cpu.erc_flush_per_page;
                 charge Category.Tmk_mem (Costs.diff_create Vm.page_size);
                 let diff = Vm.diff_against node.Node.vm page ~twin in
@@ -308,7 +308,7 @@ let flush t pid =
     let n = nprocs t in
     let ts = (((max_seen / n) + 1) * n) + pid in
     (* Stamp the local replica: it is one of the majority. *)
-    atomically (fun charge ->
+    atomically cl (fun charge ->
         charge Category.Tmk_consistency Cpu.incorporate_base;
         List.iter
           (fun (page, diff) ->
@@ -389,7 +389,7 @@ let make cl =
     b_pre_acquire =
       (fun ~pid ->
         flush t pid;
-        atomically (fun charge -> invalidate_all t pid ~charge));
+        atomically cl (fun charge -> invalidate_all t pid ~charge));
     b_make_acquire =
       (fun ~pid:_ ->
         {
@@ -424,7 +424,7 @@ let make cl =
               });
         });
     b_barrier_depart =
-      (fun ~pid -> atomically (fun charge -> invalidate_all t pid ~charge));
+      (fun ~pid -> atomically cl (fun charge -> invalidate_all t pid ~charge));
     b_want_gc = (fun ~pid:_ -> false);
     b_gc_validate = Backend.noop_pid;
     b_on_death = (fun _ -> ());

@@ -339,7 +339,7 @@ let make cl =
       (* the manager merged every arrival into its own clock; sweep it
          (clients sweep inside their release payload's absorb) *)
       (fun ~pid ->
-        Cluster.atomically (fun charge ->
+        Cluster.atomically cl (fun charge ->
             sweep t pid ~charge;
             if Engine.tracing cl.Cluster.engine then
               Cluster.emit cl ~pid (Tmk_trace.Event.Ts_sync { ts = t.pts.(pid) })));

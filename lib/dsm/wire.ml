@@ -17,11 +17,6 @@ let barrier_arrival_bytes ~nprocs counts =
 
 let barrier_release_bytes ~nprocs counts = (2 * id_bytes) + intervals_bytes ~nprocs counts
 
-let diff_request_bytes n_entries = id_bytes + (n_entries * (2 * id_bytes))
-
-let diff_reply_bytes encoded_sizes =
-  List.fold_left (fun acc sz -> acc + (3 * id_bytes) + sz) 0 encoded_sizes
-
 let gathered_diff_request_bytes n_entries = id_bytes + (n_entries * (3 * id_bytes))
 
 let gathered_diff_reply_bytes encoded_sizes =

@@ -32,23 +32,13 @@ val barrier_arrival_bytes : nprocs:int -> int list -> int
     manager's merged intervals. *)
 val barrier_release_bytes : nprocs:int -> int list -> int
 
-(** [diff_request_bytes n_entries] — page id plus [n_entries] requested
-    (processor, interval index) pairs. *)
-val diff_request_bytes : int -> int
-
-(** [diff_reply_bytes encoded_sizes] — per-diff header (page, proc,
-    interval index) plus each diff's runlength encoding. *)
-val diff_reply_bytes : int list -> int
-
-(** [gathered_diff_request_bytes n_entries] — the multi-page batched
-    request: an entry count plus [n_entries] (page, processor, interval
-    index) triples.  Two bytes per entry wider than {!diff_request_bytes}
-    because each entry names its page explicitly instead of sharing one
-    page header. *)
+(** [gathered_diff_request_bytes n_entries] — a diff request, which can
+    gather entries for several pages: an entry count plus [n_entries]
+    (page, processor, interval index) triples. *)
 val gathered_diff_request_bytes : int -> int
 
-(** [gathered_diff_reply_bytes encoded_sizes] — the multi-page batched
-    reply: per-diff header (page, proc, interval index, encoded length)
+(** [gathered_diff_reply_bytes encoded_sizes] — the reply to a diff
+    request: per-diff header (page, proc, interval index, encoded length)
     plus each diff's runlength encoding. *)
 val gathered_diff_reply_bytes : int list -> int
 

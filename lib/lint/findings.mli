@@ -50,7 +50,6 @@ val to_jsonl : t list -> string
 
 exception Parse_error of string
 
-val of_jsonl_line : string -> t
 val of_jsonl : string -> t list
 
 (** [to_sarif ?uri fs] — a SARIF 2.1.0 document (driver "tmk-lint") for

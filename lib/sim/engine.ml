@@ -36,6 +36,15 @@ type proc = {
          pushed again for every chunk and every stolen-time extension. *)
   mutable chunk_k : (unit, unit) Effect.Deep.continuation option;
       (* the process suspended in that chunk *)
+  mutable in_section : bool;  (* the process is running a [section] body *)
+  mutable sec_cats : Category.t array;
+  mutable sec_dts : Vtime.t array;
+      (* the section's charges, [sec_len] of them in call order; made one
+         chunk each, from [sec_next] on *)
+  mutable sec_len : int;
+  mutable sec_next : int;
+  mutable sec_charge : Category.t -> Vtime.t -> unit;
+      (* appends to the buffer; built once by [create] *)
   mutable spawned : bool;
   mutable finished_at : Vtime.t option;
   mutable had_handler : bool;
@@ -79,6 +88,23 @@ and t = {
    each [chunk_end] until [create] sets it. *)
 let vacant = { time = Vtime.zero; seq = 0; live = false; kind = Thunk ignore }
 
+let add_section_charge proc cat dt =
+  if not proc.in_section then invalid_arg "Engine.section: charge outside its section";
+  if dt < 0 then invalid_arg "Engine: negative time charge";
+  let n = proc.sec_len in
+  if n = Array.length proc.sec_dts then begin
+    let cap = if n = 0 then 8 else 2 * n in
+    let cats = Array.make cap Category.Computation in
+    let dts = Array.make cap Vtime.zero in
+    Array.blit proc.sec_cats 0 cats 0 n;
+    Array.blit proc.sec_dts 0 dts 0 n;
+    proc.sec_cats <- cats;
+    proc.sec_dts <- dts
+  end;
+  proc.sec_cats.(n) <- cat;
+  proc.sec_dts.(n) <- dt;
+  proc.sec_len <- n + 1
+
 let create ~nprocs =
   if nprocs <= 0 then invalid_arg "Engine.create: nprocs must be positive";
   let make_proc id =
@@ -94,6 +120,12 @@ let create ~nprocs =
         stolen = Vtime.zero;
         chunk_end = vacant;
         chunk_k = None;
+        in_section = false;
+        sec_cats = [||];
+        sec_dts = [||];
+        sec_len = 0;
+        sec_next = 0;
+        sec_charge = (fun _ _ -> ());
         spawned = false;
         finished_at = None;
         had_handler = false;
@@ -101,6 +133,7 @@ let create ~nprocs =
       }
     in
     proc.chunk_end <- { time = Vtime.zero; seq = 0; live = true; kind = Chunk_end proc };
+    proc.sec_charge <- (fun cat dt -> add_section_charge proc cat dt);
     proc
   in
   {
@@ -240,18 +273,64 @@ let pending_events t = t.size
 
 type _ Effect.t +=
   | Advance : Category.t * Vtime.t -> unit Effect.t
+  | Section : unit Effect.t
   | Await : 'a Ivar.t -> 'a Effect.t
 
 let advance cat dt = Effect.perform (Advance (cat, dt))
 let await iv = Effect.perform (Await iv)
 
+let section t f =
+  match t.running_pid with
+  | None -> invalid_arg "Engine.section: not in process context"
+  | Some pid -> (
+    let proc = t.procs.(pid) in
+    if proc.in_section then invalid_arg "Engine.section: nested section";
+    proc.in_section <- true;
+    proc.sec_len <- 0;
+    proc.sec_next <- 0;
+    match f proc.sec_charge with
+    | exception e ->
+      proc.in_section <- false;
+      raise e
+    | result ->
+      proc.in_section <- false;
+      if proc.sec_len > 0 then Effect.perform Section;
+      result)
+
 let charge proc cat dt =
   if dt < 0 then invalid_arg "Engine: negative time charge";
   proc.busy.(Category.index cat) <- Vtime.add proc.busy.(Category.index cat) dt
 
+(* Start the chunk of the section's next charge at [t.clock], as the
+   process would if resumed to [advance] it; the caller pushes the chunk
+   end.  A chunk end strictly earlier than every queued event is the main
+   loop's next pop, unless a stop was requested, and no handler can run
+   inside its chunk, so its push and pop are skipped: its time becomes the
+   clock, and it takes the seq its push would have taken.  The last
+   charge's chunk end is always pushed, so the process resumes from the
+   main loop. *)
+let rec section_charge t proc =
+  let i = proc.sec_next in
+  let dt = proc.sec_dts.(i) in
+  charge proc proc.sec_cats.(i) dt;
+  proc.sec_next <- i + 1;
+  let ev = proc.chunk_end in
+  ev.time <- Vtime.add t.clock dt;
+  if
+    proc.sec_next < proc.sec_len
+    && t.stop_reason = None
+    && (t.size = 0 || ev.time < t.queue.(0).time)
+  then begin
+    t.next_seq <- t.next_seq + 1;
+    t.clock <- ev.time;
+    t.last_event_time <- ev.time;
+    section_charge t proc
+  end
+
 (* A computation chunk ends at its nominal time plus whatever handler CPU
    was stolen meanwhile; stolen time can itself be extended, so the chunk
-   end is pushed again until no new theft occurred. *)
+   end is pushed again until no new theft occurred.  Then a section with
+   charges left starts the next one instead of resuming the process. *)
 let end_chunk t proc =
   if proc.crashed_at <> None then proc.chunk_k <- None
   else if proc.stolen > Vtime.zero then begin
@@ -259,6 +338,10 @@ let end_chunk t proc =
     ev.time <- Vtime.add ev.time proc.stolen;
     proc.stolen <- Vtime.zero;
     push t ev
+  end
+  else if proc.sec_next < proc.sec_len then begin
+    section_charge t proc;
+    push t proc.chunk_end
   end
   else
     match proc.chunk_k with
@@ -282,8 +365,9 @@ let spawn t pid main =
   if proc.spawned then invalid_arg "Engine.spawn: processor already has a process";
   proc.spawned <- true;
   let open Effect.Deep in
-  (* Every Advance of this process is handled by this one closure; [effc]
-     has already charged the advance and set the chunk end's time. *)
+  (* Every Advance and Section of this process is handled by this one
+     closure; [effc] has already made the (first) charge and set the chunk
+     end's time. *)
   let on_advance =
     Some
       (fun k ->
@@ -291,6 +375,11 @@ let spawn t pid main =
         proc.in_chunk <- true;
         proc.stolen <- Vtime.zero;
         push t proc.chunk_end)
+  in
+  let in_section_error () =
+    Some
+      (fun k ->
+        discontinue k (Invalid_argument "Engine.section: advance or await inside a section"))
   in
   let body () =
     match_with main ()
@@ -303,10 +392,15 @@ let spawn t pid main =
         effc =
           (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
             match eff with
+            | Advance _ when proc.in_section -> in_section_error ()
             | Advance (cat, dt) ->
               charge proc cat dt;
               proc.chunk_end.time <- Vtime.add t.clock dt;
               on_advance
+            | Section ->
+              section_charge t proc;
+              on_advance
+            | Await _ when proc.in_section -> in_section_error ()
             | Await iv ->
               Some
                 (fun (k : (a, _) continuation) ->

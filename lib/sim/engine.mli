@@ -78,6 +78,18 @@ val spawn : t -> pid -> (unit -> unit) -> unit
     CPU. *)
 val advance : Category.t -> Vtime.t -> unit
 
+(** Process context: [section t f] runs [f charge] with no scheduling
+    point, then advances the calling process by every [charge cat dt] that
+    [f] made, in order: each charge is one chunk, which request handlers
+    can stretch, exactly as the same sequence of {!advance} calls.  The
+    process suspends once for the whole sequence: [charge] only appends to
+    a buffer the engine keeps per processor, and the engine starts each
+    next chunk itself when the previous one ends.  A section with no
+    charges does not suspend.
+    @raise Invalid_argument outside process context, when sections nest,
+    or when [f] calls {!advance} or {!await}. *)
+val section : t -> ((Category.t -> Vtime.t -> unit) -> 'a) -> 'a
+
 (** Process context: [await iv] suspends until [iv] is filled and returns
     its value.  Returns immediately if already filled. *)
 val await : 'a Ivar.t -> 'a

@@ -11,9 +11,6 @@
     equality test on event streams (the determinism tests rely on
     this). *)
 
-(** [record_to_string r] — one line, without the trailing newline. *)
-val record_to_string : Sink.record -> string
-
 (** [to_string sink] — the whole stream, one record per line, each line
     newline-terminated. *)
 val to_string : Sink.t -> string
@@ -33,9 +30,7 @@ exception Parse_error of string
     @raise Parse_error on malformed input. *)
 val parse_line : string -> Sink.record
 
-(** [read_channel ic] / [read_file path] — decode a whole stream into a
-    fresh sink, skipping blank lines.
+(** [read_file path] — decode a whole stream into a fresh sink, skipping
+    blank lines.
     @raise Parse_error with a line number on malformed input. *)
-val read_channel : in_channel -> Sink.t
-
 val read_file : string -> Sink.t

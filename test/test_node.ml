@@ -119,6 +119,33 @@ let own_intervals_only () =
   check Alcotest.int "own only" 1 (List.length (Node.own_intervals_since n zero));
   check Alcotest.int "own id" 0 (List.hd (Node.own_intervals_since n zero)).Node.mi_proc
 
+(* Without [attach], an interval's wire form is built once and shared by
+   every later send.  A relay lists an interval's pages in the reverse of
+   the order it received them, as a fresh build does.  With [attach],
+   each call builds fresh forms. *)
+let wire_forms_are_cached () =
+  let writer = make_node ~pid:1 () and relay = make_node ~pid:0 () in
+  List.iter (fun page -> write writer page ~offset:0 (page + 1)) [ 0; 1; 2 ];
+  Node.close_interval writer ~charge:no_charge;
+  let zero = Vector_time.create 4 in
+  let sent = Node.intervals_since writer zero in
+  Node.incorporate relay sent ~charge:no_charge;
+  let pages = List.map (fun mi -> List.map fst mi.Node.mi_pages) in
+  let first = Node.intervals_since relay zero in
+  let second = Node.intervals_since relay zero in
+  check Alcotest.int "one interval relayed" 1 (List.length first);
+  check Alcotest.bool "physically equal forms" true (List.for_all2 ( == ) first second);
+  check Alcotest.bool "own_intervals_since shares them" true
+    (List.for_all2 ( == ) sent (Node.own_intervals_since writer zero));
+  let no_diff _ = None in
+  let fresh = Node.intervals_since ~attach:no_diff relay zero in
+  check Alcotest.(list (list int)) "page order of a fresh build" (pages fresh) (pages first);
+  check Alcotest.(list (list int)) "reversed at the relay" [ [ 2; 1; 0 ] ] (pages first);
+  check Alcotest.(list (list int)) "as the writer sent them" [ [ 0; 1; 2 ] ] (pages sent);
+  check Alcotest.bool "attach builds fresh forms" true
+    (List.for_all2 ( != ) fresh first
+    && List.for_all2 ( != ) fresh (Node.intervals_since ~attach:no_diff relay zero))
+
 let lazy_diff_on_request () =
   let n = make_node ~pid:0 () in
   write n 1 ~offset:24 9;
@@ -474,6 +501,7 @@ let suite =
     Alcotest.test_case "incorporate saves local twin" `Quick incorporate_saves_local_twin;
     Alcotest.test_case "intervals_since delta" `Quick intervals_since_delta;
     Alcotest.test_case "own intervals only" `Quick own_intervals_only;
+    Alcotest.test_case "wire forms are cached" `Quick wire_forms_are_cached;
     Alcotest.test_case "lazy diff on request" `Quick lazy_diff_on_request;
     Alcotest.test_case "missing diffs prefix" `Quick missing_diffs_prefix;
     Alcotest.test_case "apply replays newer diffs" `Quick apply_replays_newer_diffs;

@@ -13,13 +13,14 @@
    - the same with the race detector attached (its [on_access] hook must
      still observe every shared access — the checker's findings and the
      digest both have to match, and a Vm-level test counts hook calls);
-   - the benchmark's four workloads, Water at 32 processors, a GC-heavy
-     Water run and a Jacobi run collecting over a narrow barrier tree
-     match pinned fingerprints;
+   - the benchmark's four workloads, Water at 32 and 64 processors, a
+     GC-heavy Water run and a Jacobi run collecting over a narrow barrier
+     tree match pinned fingerprints;
    - set-up memory follows the pages a node touches, fast-path typed
      accesses allocate nothing, a diff replay allocates in proportion
-     to the diffs it applies, not to held x missing notices, and an
-     engine advance allocates only what its effect round trip needs;
+     to the diffs it applies, not to held x missing notices, an engine
+     advance allocates only what its effect round trip needs, and a
+     protocol section allocates nothing per charge;
    - a sweep mapped with [Harness.parallel_map ~jobs:4] equals the
      sequential map, element for element.
 
@@ -158,7 +159,8 @@ let fast_path_still_raises () =
    maps replaced it: the repository benchmark's four workloads at seed 0,
    each as a checked run, and Water with a record threshold low enough
    to run the GC sweep.  Water at 32 processors was recorded with the
-   quadratic diff replay, before the replay walked writer prefixes.     *)
+   quadratic diff replay, before the replay walked writer prefixes, and
+   Water at 64 with one wire form built per receiver.                   *)
 
 type pinned = {
   p_digest : string;
@@ -260,6 +262,19 @@ let pinned_runs =
         p_bytes = 17481644;
         p_hot = 1409;
         p_stats = "dd384af223afe02160d4bd6f7259617d";
+      } );
+    (* The many-relays case: the barrier manager's 63 children each get
+       every other child's intervals.  Recorded before the manager shared
+       one wire form per interval among its releases. *)
+    ( "water-64",
+      benchmark_run ~app:Harness.Water ~nprocs:64 ~protocol:Config.Lrc ~scaled:false,
+      {
+        p_digest = "c7f75ef5b495806f2415bc74c79a0354";
+        p_time = 10527187064;
+        p_messages = 33104;
+        p_bytes = 86287254;
+        p_hot = 2102;
+        p_stats = "69254813c347d8d8c6fcaee9020af119";
       } );
     ( "jacobi-256-sharded",
       benchmark_run ~app:Harness.Jacobi ~nprocs:256 ~protocol:Config.Lrc ~scaled:true,
@@ -444,6 +459,34 @@ let advance_allocates_little () =
   check Alcotest.int "last process finishes" (Vtime.us (8 * advances))
     (Engine.finish_time engine (nprocs - 1))
 
+(* A protocol section suspends its process once, and each charge it makes
+   is pushed or skipped without allocating: 8 processes run 100 sections
+   of 100 charges each (a barrier manager absorbing a few hundred
+   interval records charges one per record and one per write notice). *)
+let section_allocates_nothing_per_charge () =
+  let open Tmk_sim in
+  let nprocs = 8 and sections = 100 and charges = 100 in
+  let engine = Engine.create ~nprocs in
+  let make charge =
+    for _ = 1 to charges do
+      charge Category.Tmk_consistency (Vtime.us 8)
+    done
+  in
+  for p = 0 to nprocs - 1 do
+    Engine.spawn engine p (fun () ->
+        for _ = 1 to sections do
+          Engine.section engine make
+        done)
+  done;
+  let per_charge =
+    allocated (fun () -> Engine.run engine) /. float (nprocs * sections * charges)
+  in
+  check Alcotest.bool
+    (Printf.sprintf "%.3f words per charge, under 0.25" per_charge)
+    true (per_charge < 0.25);
+  check Alcotest.int "last process finishes" (Vtime.us (8 * sections * charges))
+    (Engine.finish_time engine (nprocs - 1))
+
 (* ------------------------------------------------------------------ *)
 (* Domain-parallel sweeps: mapping the arms on 4 domains must be
    indistinguishable from the sequential map.                           *)
@@ -519,6 +562,8 @@ let suite =
         typed_accesses_allocate_nothing;
       Alcotest.test_case "diff replay allocates little" `Quick replay_allocates_little;
       Alcotest.test_case "advance allocates little" `Quick advance_allocates_little;
+      Alcotest.test_case "a protocol section allocates nothing per charge" `Quick
+        section_allocates_nothing_per_charge;
       Alcotest.test_case "parallel_map jobs:4 equals sequential" `Slow
         parallel_map_equivalence;
       Alcotest.test_case "lint findings byte-identical across jobs" `Slow

@@ -347,10 +347,117 @@ let event_queue_order =
          in
          List.rev !fired = expected && Engine.pending_events e = 0))
 
+(* Property: a section equals its charges advanced one at a time.  Each
+   script runs twice, once making every [Sec] with [Engine.section] and
+   once with a loop of [Engine.advance], and both runs must log the same
+   firings and end with the same busy times, finish times, end time and
+   queue.  Durations are drawn from a small set that includes 0, and
+   thunks and handler posts from a small window, so chunk ends often tie
+   with queued events.  Each firing records every processor's busy time,
+   so a chunk end that fired out of order would show.  Handlers steal CPU
+   from chunks, and a process may request a stop just before an op.   *)
+type sec_op = Adv of (int * int) | Sec of (int * int) list
+
+let sections_equal_advances =
+  let open QCheck.Gen in
+  let dur = oneofl [ 0; 1; 2; 3; 5 ] in
+  let charge = pair (int_range 0 (Category.count - 1)) dur in
+  let op =
+    frequency
+      [
+        (1, map (fun c -> Adv c) charge);
+        (2, map (fun cs -> Sec cs) (list_size (int_range 0 8) charge));
+      ]
+  in
+  let gen =
+    int_range 1 6 >>= fun nprocs ->
+    array_repeat nprocs (list_size (int_range 0 5) op) >>= fun scripts ->
+    list_size (int_range 0 6) (triple (int_range 0 (nprocs - 1)) (int_range 0 30) dur)
+    >>= fun posts ->
+    list_size (int_range 0 6) (int_range 0 30) >>= fun thunks ->
+    opt ~ratio:0.3 (pair (int_range 0 (nprocs - 1)) (int_range 0 4)) >>= fun stop ->
+    return (scripts, posts, thunks, stop)
+  in
+  let print (scripts, posts, thunks, stop) =
+    let list sep f l = String.concat sep (List.map f l) in
+    let charges = list ";" (fun (c, d) -> Printf.sprintf "%d:%d" c d) in
+    let op = function Adv c -> "adv " ^ charges [ c ] | Sec cs -> "sec [" ^ charges cs ^ "]" in
+    Printf.sprintf "scripts=[%s] posts=[%s] thunks=[%s] stop=%s"
+      (list " | " (list ", " op) (Array.to_list scripts))
+      (list ";" (fun (p, at, d) -> Printf.sprintf "p%d@%d+%d" p at d) posts)
+      (list ";" string_of_int thunks)
+      (match stop with None -> "none" | Some (p, j) -> Printf.sprintf "p%d before op %d" p j)
+  in
+  let run ~sections (scripts, posts, thunks, stop) =
+    let nprocs = Array.length scripts in
+    let e = Engine.create ~nprocs in
+    let cat c = List.nth Category.all c in
+    let log = ref [] in
+    let note what time = log := (what, time, List.init nprocs (Engine.busy_total e)) :: !log in
+    List.iteri
+      (fun i at -> Engine.schedule e ~at:(us at) (fun () -> note (`Thunk i) (Engine.now e)))
+      thunks;
+    List.iteri
+      (fun i (pid, at, dt) ->
+        Engine.post_handler e ~pid ~at:(us at) (fun h ->
+            note (`Handler i) (Engine.hnow h);
+            Engine.hcharge h Category.Unix_comm (us dt)))
+      posts;
+    Array.iteri
+      (fun pid script ->
+        Engine.spawn e pid (fun () ->
+            List.iteri
+              (fun j op ->
+                if stop = Some (pid, j) then Engine.request_stop e "stop";
+                (match op with
+                | Adv (c, dt) -> Engine.advance (cat c) (us dt)
+                | Sec cs ->
+                  let make charge = List.iter (fun (c, dt) -> charge (cat c) (us dt)) cs in
+                  if sections then Engine.section e make else make Engine.advance);
+                note (`Proc (pid, j)) (Engine.now e))
+              script))
+      scripts;
+    Engine.run e;
+    let finish p = if Engine.finished e p then Some (Engine.finish_time e p) else None in
+    ( List.rev !log,
+      List.init nprocs (fun p -> List.map (Engine.busy e p) Category.all),
+      List.init nprocs finish,
+      Engine.end_time e,
+      Engine.pending_events e )
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"a section equals its charges advanced one at a time"
+       (QCheck.make ~print gen)
+       (fun script -> run ~sections:true script = run ~sections:false script))
+
+(* Sections do not nest, and their body is instantaneous: it may not
+   advance or await.  A section outside process context is an error too. *)
+let section_misuse_raises () =
+  let e = Engine.create ~nprocs:1 in
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  check Alcotest.bool "outside process context" true
+    (raises (fun () -> Engine.section e (fun _ -> ())));
+  let nested = ref false and advanced = ref false in
+  Engine.spawn e 0 (fun () ->
+      nested := raises (fun () -> Engine.section e (fun _ -> Engine.section e (fun _ -> ())));
+      advanced :=
+        raises (fun () ->
+            Engine.section e (fun _ -> Engine.advance Category.Computation (us 1)));
+      Engine.section e (fun charge ->
+          charge Category.Tmk_other (us 3);
+          charge Category.Tmk_mem (us 4)));
+  Engine.run e;
+  check Alcotest.bool "nested section" true !nested;
+  check Alcotest.bool "advance inside a section" true !advanced;
+  check Alcotest.int "a later section still charges" (us 7) (Engine.finish_time e 0);
+  check Alcotest.int "tmk-other" (us 3) (Engine.busy e 0 Category.Tmk_other)
+
 let suite =
   [
     random_schedule_accounting;
     event_queue_order;
+    sections_equal_advances;
+    Alcotest.test_case "section misuse raises" `Quick section_misuse_raises;
     Alcotest.test_case "single advance" `Quick single_advance;
     Alcotest.test_case "sequential advances" `Quick sequential_advances;
     Alcotest.test_case "parallel processes" `Quick parallel_processes;

@@ -1,5 +1,5 @@
-(* Unit and property tests for Tmk_util: PRNG, RLE, bitset, summary
-   statistics, table rendering. *)
+(* Unit and property tests for Tmk_util: PRNG, RLE, bitset, table
+   rendering. *)
 
 open Tmk_util
 
@@ -222,40 +222,6 @@ let bitset_empty () =
   check Alcotest.bool "cleared" true (Bitset.is_empty a)
 
 (* ------------------------------------------------------------------ *)
-(* Summary *)
-
-let summary_basic () =
-  let s = Summary.create () in
-  List.iter (Summary.add s) [ 2.0; 4.0; 6.0 ];
-  check (Alcotest.float 1e-9) "mean" 4.0 (Summary.mean s);
-  check (Alcotest.float 1e-9) "min" 2.0 (Summary.min_value s);
-  check (Alcotest.float 1e-9) "max" 6.0 (Summary.max_value s);
-  check (Alcotest.float 1e-9) "variance" 4.0 (Summary.variance s);
-  check (Alcotest.float 1e-9) "total" 12.0 (Summary.total s);
-  check Alcotest.int "count" 3 (Summary.count s)
-
-let summary_merge_equals_combined =
-  qtest "merge equals single stream"
-    QCheck.(pair (list (float_range (-100.0) 100.0)) (list (float_range (-100.0) 100.0)))
-    (fun (xs, ys) ->
-      let a = Summary.create () and b = Summary.create () and c = Summary.create () in
-      List.iter (Summary.add a) xs;
-      List.iter (Summary.add b) ys;
-      List.iter (Summary.add c) (xs @ ys);
-      let m = Summary.merge a b in
-      let close x y =
-        (Float.is_nan x && Float.is_nan y) || Float.abs (x -. y) < 1e-6 *. (1.0 +. Float.abs y)
-      in
-      Summary.count m = Summary.count c
-      && close (Summary.mean m) (Summary.mean c)
-      && close (Summary.variance m) (Summary.variance c))
-
-let summary_empty () =
-  let s = Summary.create () in
-  check Alcotest.bool "mean nan" true (Float.is_nan (Summary.mean s));
-  check Alcotest.bool "variance nan" true (Float.is_nan (Summary.variance s))
-
-(* ------------------------------------------------------------------ *)
 (* Tablefmt *)
 
 let tablefmt_render () =
@@ -311,9 +277,6 @@ let suite =
     Alcotest.test_case "bitset copy" `Quick bitset_copy_independent;
     Alcotest.test_case "bitset bounds" `Quick bitset_bounds;
     Alcotest.test_case "bitset empty" `Quick bitset_empty;
-    Alcotest.test_case "summary basic" `Quick summary_basic;
-    summary_merge_equals_combined;
-    Alcotest.test_case "summary empty" `Quick summary_empty;
     Alcotest.test_case "tablefmt render" `Quick tablefmt_render;
     Alcotest.test_case "tablefmt row mismatch" `Quick tablefmt_row_mismatch;
     Alcotest.test_case "tablefmt charts" `Quick tablefmt_charts_do_not_crash;
