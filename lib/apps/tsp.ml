@@ -141,6 +141,7 @@ let parallel ctx p =
     Array.init n (fun i -> Array.init n (fun j -> Api.iget ctx sh_dist ((i * n) + j)))
   in
   let task_arr = Array.of_list tasks in
+  let bound_now () = Api.iget ctx sh_bound 0 in
   let my_nodes = ref 0 in
   let rec work () =
     let idx =
@@ -156,7 +157,7 @@ let parallel ctx p =
             (* ordinary, unsynchronized read: the §5.2 behaviour — a stale
                bound only costs extra search, so the race is the
                algorithm's design and is annotated as such *)
-            Api.unsynchronized ctx (fun () -> Api.iget ctx sh_bound 0))
+            Api.unsynchronized ctx bound_now)
           ~try_update:(fun tour ->
             Api.with_lock ctx lock_bound (fun () ->
                 if tour < Api.iget ctx sh_bound 0 then Api.iset ctx sh_bound 0 tour))

@@ -82,24 +82,24 @@ let ialloc ?align ctx len = { i_base = malloc ?align ctx ~bytes:(8 * len); i_len
 let flen a = a.f_len
 let ilen a = a.i_len
 
-let read_f64 (ctx : ctx) addr = Vm.read_f64 ctx.node.Node.vm addr
-let write_f64 (ctx : ctx) addr v = Vm.write_f64 ctx.node.Node.vm addr v
-let read_int (ctx : ctx) addr = Vm.read_int ctx.node.Node.vm addr
-let write_int (ctx : ctx) addr v = Vm.write_int ctx.node.Node.vm addr v
+let[@inline] read_f64 (ctx : ctx) addr = Vm.read_f64 ctx.node.Node.vm addr
+let[@inline] write_f64 (ctx : ctx) addr v = Vm.write_f64 ctx.node.Node.vm addr v
+let[@inline] read_int (ctx : ctx) addr = Vm.read_int ctx.node.Node.vm addr
+let[@inline] write_int (ctx : ctx) addr v = Vm.write_int ctx.node.Node.vm addr v
 
-let fget ctx a i =
+let[@inline] fget ctx a i =
   if i < 0 || i >= a.f_len then invalid_arg "Api.fget: index out of bounds";
   read_f64 ctx (a.f_base + (8 * i))
 
-let fset ctx a i v =
+let[@inline] fset ctx a i v =
   if i < 0 || i >= a.f_len then invalid_arg "Api.fset: index out of bounds";
   write_f64 ctx (a.f_base + (8 * i)) v
 
-let iget ctx a i =
+let[@inline] iget ctx a i =
   if i < 0 || i >= a.i_len then invalid_arg "Api.iget: index out of bounds";
   read_int ctx (a.i_base + (8 * i))
 
-let iset ctx a i v =
+let[@inline] iset ctx a i v =
   if i < 0 || i >= a.i_len then invalid_arg "Api.iset: index out of bounds";
   write_int ctx (a.i_base + (8 * i)) v
 

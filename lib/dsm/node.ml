@@ -133,9 +133,9 @@ let notices t ~page ~proc =
 let record_notice t wn =
   let entry = t.pages.(wn.wn_page) in
   let proc = wn.wn_interval.iv_proc in
-  match Int_map.find_opt proc entry.pg_writers with
-  | Some l -> l := wn :: !l
-  | None -> entry.pg_writers <- Int_map.add proc (ref [ wn ]) entry.pg_writers
+  match Int_map.find proc entry.pg_writers with
+  | l -> l := wn :: !l
+  | exception Not_found -> entry.pg_writers <- Int_map.add proc (ref [ wn ]) entry.pg_writers
 
 let write_fault_twin t page ~charge =
   let entry = t.pages.(page) in
@@ -170,16 +170,17 @@ let to_msg ?attach iv =
     iv.iv_msg <- Some mi;
     mi
 
+(* [acc] preceded by the wire forms of a stored interval list's records
+   with ids above [bound], oldest first.  Stored lists are newest-first
+   and contiguous, so this is a reversed prefix. *)
+let rec take_since ?attach bound acc = function
+  | iv :: rest when iv.iv_id > bound -> take_since ?attach bound (to_msg ?attach iv :: acc) rest
+  | _ -> acc
+
 (* [acc] preceded by the intervals of processor [q] newer than [vt]'s
-   entry for [q], oldest first.  Stored lists are newest-first and
-   contiguous, so this is a reversed prefix. *)
+   entry for [q], oldest first. *)
 let proc_intervals_since ?attach t q vt acc =
-  let bound = Vector_time.get vt q in
-  let rec take acc = function
-    | iv :: rest when iv.iv_id > bound -> take (to_msg ?attach iv :: acc) rest
-    | _ -> acc
-  in
-  take acc t.intervals.(q)
+  take_since ?attach (Vector_time.get vt q) acc t.intervals.(q)
 
 (* Built from the last processor back, so each prefix is consed on once.
    [attach] can have side effects, but only on this node's own notices
@@ -425,30 +426,44 @@ let apply_missing_diffs t page notices ~charge =
   charge Category.Unix_mem Costs.mprotect;
   Vm.set_prot t.vm page Vm.Read_only
 
-let incorporate t intervals ~charge =
-  charge Category.Tmk_consistency Cpu.incorporate_base;
-  (* Save local modifications of the named pages FIRST, before the vector
-     timestamp advances: a twinned page without an open notice forces an
-     interval close inside make_diff_now, and that interval's timestamp
-     must not claim coverage of the incoming intervals (it would break the
-     §3.5 invariant that a processor whose interval covers another's holds
-     its diffs). *)
-  List.iter
-    (fun mi ->
-      (* only intervals that will actually be incorporated below; a
-         duplicate's pages must not be touched (the settle pass would
-         never fix their protection up) *)
-      if mi.mi_id > Vector_time.get t.vt mi.mi_proc then
-        List.iter
-          (fun (page, _) ->
-            if t.pages.(page).pg_twin <> None then make_diff_now t page ~charge)
-          mi.mi_pages)
-    intervals;
-  (* Under the hybrid update protocol some notices arrive with their diff
-     attached; a valid page whose fresh notices all carried diffs is
-     updated in place instead of invalidated. *)
-  let fresh_by_page : (int, write_notice list) Hashtbl.t = Hashtbl.create 8 in
-  let add_one mi =
+(* Save local modifications of [pages] before the vector timestamp
+   advances; see [incorporate]. *)
+let rec save_twins t pages ~charge =
+  match pages with
+  | [] -> ()
+  | (page, _) :: rest ->
+    if t.pages.(page).pg_twin <> None then make_diff_now t page ~charge;
+    save_twins t rest ~charge
+
+(* [fresh] maps a page to the notices of this incorporation that name it,
+   newest first.  A page enters [fresh] at its first notice, through
+   [Hashtbl.add], which inserts as [Hashtbl.replace] does for a new key.
+   [Hashtbl.iter] settles pages in an order set by those insertions and
+   the table's size, and that order fixes the order of the section's
+   charges and of [Page_invalidate] records, so the table is neither
+   pre-sized nor rebuilt. *)
+let rec add_notices t fresh iv pages ~charge =
+  match pages with
+  | [] -> ()
+  | (page, diff) :: rest ->
+    charge Category.Tmk_consistency Cpu.incorporate_per_notice;
+    let wn = { wn_page = page; wn_interval = iv; wn_diff = diff; wn_applied = false } in
+    iv.iv_notices <- wn :: iv.iv_notices;
+    record_notice t wn;
+    t.live_records <- t.live_records + (if diff = None then 1 else 2);
+    t.stats.Stats.write_notices_in <- t.stats.Stats.write_notices_in + 1;
+    if tracing t then
+      emit t
+        (Tmk_trace.Event.Write_notice_recv { page; proc = iv.iv_proc; interval = iv.iv_id });
+    (match Hashtbl.find fresh page with
+    | l -> l := wn :: !l
+    | exception Not_found -> Hashtbl.add fresh page (ref [ wn ]));
+    add_notices t fresh iv rest ~charge
+
+let rec add_intervals t fresh intervals ~charge =
+  match intervals with
+  | [] -> ()
+  | mi :: rest ->
     (* Skip intervals we already cover (possible at the barrier manager
        when two clients both forward a third party's interval). *)
     if mi.mi_id > Vector_time.get t.vt mi.mi_proc then begin
@@ -456,20 +471,6 @@ let incorporate t intervals ~charge =
       let iv =
         { iv_proc = mi.mi_proc; iv_id = mi.mi_id; iv_vt = mi.mi_vt; iv_notices = [];
           iv_msg = None }
-      in
-      let add_notice (page, diff) =
-        charge Category.Tmk_consistency Cpu.incorporate_per_notice;
-        let wn = { wn_page = page; wn_interval = iv; wn_diff = diff; wn_applied = false } in
-        iv.iv_notices <- wn :: iv.iv_notices;
-        record_notice t wn;
-        t.live_records <- t.live_records + (if diff = None then 1 else 2);
-        t.stats.Stats.write_notices_in <- t.stats.Stats.write_notices_in + 1;
-        if tracing t then
-          emit t
-            (Tmk_trace.Event.Write_notice_recv
-               { page; proc = mi.mi_proc; interval = mi.mi_id });
-        let prev = Option.value ~default:[] (Hashtbl.find_opt fresh_by_page page) in
-        Hashtbl.replace fresh_by_page page (wn :: prev)
       in
       if tracing t then
         emit t
@@ -480,7 +481,7 @@ let incorporate t intervals ~charge =
                notices = List.length mi.mi_pages;
                vt = vt_array t mi.mi_vt;
              });
-      List.iter add_notice mi.mi_pages;
+      add_notices t fresh iv mi.mi_pages ~charge;
       t.intervals.(mi.mi_proc) <- iv :: t.intervals.(mi.mi_proc);
       t.live_records <- t.live_records + 1;
       t.stats.Stats.intervals_in <- t.stats.Stats.intervals_in + 1;
@@ -491,10 +492,33 @@ let incorporate t intervals ~charge =
          skip above would then drop them forever.  The timestamp must
          track record coverage exactly. *)
       Vector_time.set t.vt mi.mi_proc mi.mi_id
-    end
+    end;
+    add_intervals t fresh rest ~charge
+
+let incorporate t intervals ~charge =
+  charge Category.Tmk_consistency Cpu.incorporate_base;
+  (* Save local modifications of the named pages FIRST, before the vector
+     timestamp advances: a twinned page without an open notice forces an
+     interval close inside make_diff_now, and that interval's timestamp
+     must not claim coverage of the incoming intervals (it would break the
+     §3.5 invariant that a processor whose interval covers another's holds
+     its diffs).  Only intervals that will actually be incorporated below
+     count; a duplicate's pages must not be touched (the settle pass would
+     never fix their protection up). *)
+  let rec save_all = function
+    | [] -> ()
+    | mi :: rest ->
+      if mi.mi_id > Vector_time.get t.vt mi.mi_proc then save_twins t mi.mi_pages ~charge;
+      save_all rest
   in
-  List.iter add_one intervals;
-  let settle page fresh =
+  save_all intervals;
+  (* Under the hybrid update protocol some notices arrive with their diff
+     attached; a valid page whose fresh notices all carried diffs is
+     updated in place instead of invalidated. *)
+  let fresh : (int, write_notice list ref) Hashtbl.t = Hashtbl.create 8 in
+  add_intervals t fresh intervals ~charge;
+  let settle page notices =
+    let fresh = !notices in
     let updatable =
       (* update in place only for a currently valid page with no local
          twin (a twinned page would need its twin patched too; the plain
@@ -508,7 +532,7 @@ let incorporate t intervals ~charge =
     if updatable then apply_missing_diffs t page fresh ~charge
     else invalidate t page ~charge
   in
-  Hashtbl.iter settle fresh_by_page
+  Hashtbl.iter settle fresh
 
 let validate_page t page bytes ~charge =
   charge Category.Tmk_mem Costs.page_copy;

@@ -167,35 +167,35 @@ let[@inline] load64 t addr =
 let[@inline] store64 t addr v =
   unsafe_set64 (frame t addr) (addr land offset_mask) (if Sys.big_endian then swap64 v else v)
 
-let read_u8 t addr =
+let[@inline] read_u8 t addr =
   if not (fast_ok t addr 1 readable) then ensure t addr 1 Read;
   Char.code (Bytes.unsafe_get (frame t addr) (addr land offset_mask))
 
-let write_u8 t addr v =
+let[@inline] write_u8 t addr v =
   if not (fast_ok t addr 1 writable) then ensure_write t addr 1;
   Bytes.unsafe_set (frame t addr) (addr land offset_mask) (Char.unsafe_chr (v land 0xFF))
 
-let read_i64 t addr =
+let[@inline] read_i64 t addr =
   if not (fast_ok t addr 8 readable) then ensure t addr 8 Read;
   load64 t addr
 
-let write_i64 t addr v =
+let[@inline] write_i64 t addr v =
   if not (fast_ok t addr 8 writable) then ensure_write t addr 8;
   store64 t addr v
 
-let read_int t addr =
+let[@inline] read_int t addr =
   if not (fast_ok t addr 8 readable) then ensure t addr 8 Read;
   Int64.to_int (load64 t addr)
 
-let write_int t addr v =
+let[@inline] write_int t addr v =
   if not (fast_ok t addr 8 writable) then ensure_write t addr 8;
   store64 t addr (Int64.of_int v)
 
-let read_f64 t addr =
+let[@inline] read_f64 t addr =
   if not (fast_ok t addr 8 readable) then ensure t addr 8 Read;
   Int64.float_of_bits (load64 t addr)
 
-let write_f64 t addr v =
+let[@inline] write_f64 t addr v =
   if not (fast_ok t addr 8 writable) then ensure_write t addr 8;
   store64 t addr (Int64.bits_of_float v)
 

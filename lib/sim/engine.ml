@@ -34,8 +34,8 @@ type proc = {
       (* the end of the current computation chunk, set once by [create].
          A processor never has two chunks pending, so this one event is
          pushed again for every chunk and every stolen-time extension. *)
-  mutable chunk_k : (unit, unit) Effect.Deep.continuation option;
-      (* the process suspended in that chunk *)
+  mutable chunk_k : (unit, unit) Effect.Deep.continuation;
+      (* the process suspended in that chunk, or [no_k] *)
   mutable in_section : bool;  (* the process is running a [section] body *)
   mutable sec_cats : Category.t array;
   mutable sec_dts : Vtime.t array;
@@ -88,6 +88,25 @@ and t = {
    each [chunk_end] until [create] sets it. *)
 let vacant = { time = Vtime.zero; seq = 0; live = false; kind = Thunk ignore }
 
+(* The [chunk_k] of a processor with no process suspended in a chunk: a
+   continuation captured once, here, and never resumed.  A sentinel
+   instead of an option saves the [Some] each advance would allocate. *)
+type _ Effect.t += No_k : unit Effect.t
+
+let no_k : (unit, unit) Effect.Deep.continuation =
+  let captured : (unit, unit) Effect.Deep.continuation option ref = ref None in
+  Effect.Deep.match_with Effect.perform No_k
+    {
+      retc = (fun () -> ());
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) : ((a, unit) Effect.Deep.continuation -> unit) option ->
+          match eff with
+          | No_k -> Some (fun k -> captured := Some k)
+          | _ -> None);
+    };
+  Option.get !captured
+
 let add_section_charge proc cat dt =
   if not proc.in_section then invalid_arg "Engine.section: charge outside its section";
   if dt < 0 then invalid_arg "Engine: negative time charge";
@@ -119,7 +138,7 @@ let create ~nprocs =
         in_chunk = false;
         stolen = Vtime.zero;
         chunk_end = vacant;
-        chunk_k = None;
+        chunk_k = no_k;
         in_section = false;
         sec_cats = [||];
         sec_dts = [||];
@@ -332,7 +351,7 @@ let rec section_charge t proc =
    end is pushed again until no new theft occurred.  Then a section with
    charges left starts the next one instead of resuming the process. *)
 let end_chunk t proc =
-  if proc.crashed_at <> None then proc.chunk_k <- None
+  if proc.crashed_at <> None then proc.chunk_k <- no_k
   else if proc.stolen > Vtime.zero then begin
     let ev = proc.chunk_end in
     ev.time <- Vtime.add ev.time proc.stolen;
@@ -343,15 +362,15 @@ let end_chunk t proc =
     section_charge t proc;
     push t proc.chunk_end
   end
-  else
-    match proc.chunk_k with
-    | None -> assert false
-    | Some k ->
-      proc.chunk_k <- None;
-      proc.in_chunk <- false;
-      t.running_pid <- proc.running;
-      Effect.Deep.continue k ();
-      t.running_pid <- None
+  else begin
+    let k = proc.chunk_k in
+    assert (k != no_k);
+    proc.chunk_k <- no_k;
+    proc.in_chunk <- false;
+    t.running_pid <- proc.running;
+    Effect.Deep.continue k ();
+    t.running_pid <- None
+  end
 
 let fill (_ : t) iv ~at v =
   match iv.Ivar.state with
@@ -371,7 +390,7 @@ let spawn t pid main =
   let on_advance =
     Some
       (fun k ->
-        proc.chunk_k <- Some k;
+        proc.chunk_k <- k;
         proc.in_chunk <- true;
         proc.stolen <- Vtime.zero;
         push t proc.chunk_end)

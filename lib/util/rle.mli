@@ -7,10 +7,11 @@
     layers page identity on top.
 
     The comparison runs 8 bytes at a time over the flat buffers (dropping
-    to byte granularity only inside a differing word), and the run count
-    and payload size are computed once at encode time — both sit on the
-    per-diff stats path.  The runs produced are byte-for-byte identical to
-    a naive per-byte scan. *)
+    to byte granularity only inside a differing word) in one pass, and the
+    run count and payload size are counted along the way — both sit on the
+    per-diff stats path.  An encode allocates only the runs it returns and
+    the list holding them.  The runs produced are byte-for-byte identical
+    to a naive per-byte scan. *)
 
 (** One modified run: [bytes] replaces the region starting at [offset]. *)
 type run = { offset : int; bytes : Bytes.t }

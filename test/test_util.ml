@@ -133,6 +133,89 @@ let rle_runs_sorted_disjoint =
       in
       ok (Rle.runs diff))
 
+(* The byte-at-a-time reference: maximal differing spans, merged while
+   fewer than [join_gap] equal bytes separate them. *)
+let byte_wise_runs ~join_gap ~old_ current =
+  let n = Bytes.length old_ in
+  let differs i = Bytes.get old_ i <> Bytes.get current i in
+  let rec span_end i = if i < n && differs i then span_end (i + 1) else i in
+  let rec spans acc i =
+    if i >= n then List.rev acc
+    else if not (differs i) then spans acc (i + 1)
+    else
+      let stop = span_end (i + 1) in
+      match acc with
+      | (s0, e0) :: rest when i - e0 < join_gap -> spans ((s0, stop) :: rest) stop
+      | _ -> spans ((i, stop) :: acc) stop
+  in
+  List.map (fun (s, e) -> (s, Bytes.sub_string current s (e - s))) (spans [] 0)
+
+(* A buffer of 1 to 4096 random bytes, a join gap from 1 to 8, and one of
+   three edits: every 8-byte float changed (one in eight only in sign and
+   exponent, which leaves 6 equal bytes), sparse single bytes, or runs of
+   changed bytes separated by [join_gap - 1], [join_gap] or
+   [join_gap + 1] equal bytes. *)
+let encode_case =
+  let open QCheck.Gen in
+  let flip b i k = Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor k)) in
+  let every_float base =
+    list_repeat (Bytes.length base / 8) (pair (int_range 0 7) (float_range (-1e6) 1e6))
+    >|= fun words ->
+    let base = Bytes.copy base in
+    let cur = Bytes.copy base in
+    List.iteri
+      (fun w (k, x) ->
+        let y = if k = 0 then -2. *. x else -.(x +. (1. /. 3.)) in
+        Bytes.set_int64_le base (8 * w) (Int64.bits_of_float x);
+        Bytes.set_int64_le cur (8 * w) (Int64.bits_of_float y))
+      words;
+    (base, cur)
+  in
+  let sparse base =
+    let n = Bytes.length base in
+    list_size (int_range 1 20) (pair (int_range 0 (n - 1)) (int_range 1 255)) >|= fun edits ->
+    let cur = Bytes.copy base in
+    List.iter (fun (i, k) -> flip cur i k) edits;
+    (base, cur)
+  in
+  let gaps join_gap base =
+    let n = Bytes.length base in
+    let rec runs i =
+      if i >= n then return []
+      else
+        pair (int_range 1 12) (int_range (join_gap - 1) (join_gap + 1)) >>= fun (len, gap) ->
+        runs (i + len + gap) >|= fun rest -> (i, len) :: rest
+    in
+    int_range 0 (min 16 (n - 1)) >>= runs >|= fun runs ->
+    let cur = Bytes.copy base in
+    List.iter (fun (i, len) -> for j = i to min (n - 1) (i + len - 1) do flip cur j 0x5a done) runs;
+    (base, cur)
+  in
+  let gen =
+    int_range 1 8 >>= fun join_gap ->
+    int_range 1 4096 >>= fun n ->
+    string_size (return n) >>= fun s ->
+    let base = Bytes.of_string s in
+    oneof [ every_float base; sparse base; gaps join_gap base ] >|= fun (base, cur) ->
+    (join_gap, base, cur)
+  in
+  let print (join_gap, base, cur) =
+    let spans = byte_wise_runs ~join_gap:1 ~old_:base cur in
+    Printf.sprintf "join_gap %d, %d bytes, differing spans [%s]" join_gap (Bytes.length base)
+      (String.concat "; "
+         (List.map (fun (i, b) -> Printf.sprintf "%d+%d" i (String.length b)) spans))
+  in
+  QCheck.make ~print gen
+
+let rle_encode_equals_byte_wise =
+  qtest ~count:500 "rle encode equals the byte-wise scan" encode_case
+    (fun (join_gap, base, cur) ->
+      let diff = Rle.encode ~join_gap ~old_:base cur in
+      let want = byte_wise_runs ~join_gap ~old_:base cur in
+      List.map (fun r -> (r.Rle.offset, Bytes.to_string r.Rle.bytes)) (Rle.runs diff) = want
+      && Rle.run_count diff = List.length want
+      && Rle.payload_size diff = List.fold_left (fun acc (_, b) -> acc + String.length b) 0 want)
+
 let rle_join_gap () =
   (* Two 1-byte changes 2 bytes apart must join into one run with the
      default gap of 4. *)
@@ -268,6 +351,7 @@ let suite =
     rle_roundtrip;
     rle_empty_when_equal;
     rle_runs_sorted_disjoint;
+    rle_encode_equals_byte_wise;
     Alcotest.test_case "rle join gap" `Quick rle_join_gap;
     Alcotest.test_case "rle sizes" `Quick rle_sizes;
     Alcotest.test_case "rle length mismatch" `Quick rle_length_mismatch;
