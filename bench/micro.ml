@@ -10,6 +10,7 @@
 
 open Tmk_sim
 open Tmk_dsm
+module Json = Tmk_util.Json
 
 (* ------------------------------------------------------------------ *)
 (* Baseline: the pre-word-granular RLE encoder, byte-at-a-time.        *)
@@ -256,6 +257,62 @@ let bench_events () =
   in
   { b_name = "engine_events_per_sec"; b_unit = "events/s"; b_baseline = None; b_current = current }
 
+(* Vector-timestamp operations and PRNG draws on the 8-entry fixtures the
+   consistency layer sees at 8 processors.  No baselines: they track
+   regression across future changes. *)
+let vt_pair () =
+  let a = Vector_time.create 8 and b = Vector_time.create 8 in
+  for q = 0 to 7 do
+    Vector_time.set a q (q * 3);
+    Vector_time.set b q (24 - (q * 3))
+  done;
+  (a, b)
+
+let bench_vt_leq () =
+  let a, b = vt_pair () in
+  let current =
+    rate_of (fun n ->
+        for _ = 1 to n do
+          ignore (Sys.opaque_identity (Vector_time.leq a b))
+        done)
+  in
+  {
+    b_name = "vector_time_leq_per_sec";
+    b_unit = "ops/s";
+    b_baseline = None;
+    b_current = current;
+  }
+
+let bench_vt_max_into () =
+  let a, b = vt_pair () in
+  let current =
+    rate_of (fun n ->
+        for _ = 1 to n do
+          Vector_time.max_into ~src:b ~dst:(Vector_time.copy a)
+        done)
+  in
+  {
+    b_name = "vector_time_copy_max_into_per_sec";
+    b_unit = "ops/s";
+    b_baseline = None;
+    b_current = current;
+  }
+
+let bench_prng () =
+  let rng = Tmk_util.Prng.create 1L in
+  let current =
+    rate_of (fun n ->
+        for _ = 1 to n do
+          ignore (Sys.opaque_identity (Tmk_util.Prng.bits64 rng))
+        done)
+  in
+  {
+    b_name = "prng_bits64_per_sec";
+    b_unit = "draws/s";
+    b_baseline = None;
+    b_current = current;
+  }
+
 let bench_e2e () =
   (* End-to-end: the five applications at 8 processors (one batched arm of
      the E11 sweep each), fast path off vs on.  Simulated results are
@@ -289,21 +346,15 @@ let bench_e2e () =
 (* Reporting                                                           *)
 
 let json_of benches =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"benchmarks\": [\n";
-  List.iteri
-    (fun i bench ->
-      if i > 0 then Buffer.add_string b ",\n";
-      let opt = function None -> "null" | Some v -> Printf.sprintf "%.1f" v in
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"name\": %S, \"unit\": %S, \"baseline\": %s, \"current\": %.1f, \
-            \"speedup\": %s}"
-           bench.b_name bench.b_unit (opt bench.b_baseline) bench.b_current
-           (match speedup bench with None -> "null" | Some s -> Printf.sprintf "%.2f" s)))
-    benches;
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+  let opt decimals = function None -> Json.Null | Some v -> Json.Float (v, decimals) in
+  let bench b =
+    Json.(
+      Obj
+        [ ("name", String b.b_name); ("unit", String b.b_unit);
+          ("baseline", opt 1 b.b_baseline); ("current", Float (b.b_current, 1));
+          ("speedup", opt 2 (speedup b)) ])
+  in
+  Json.(Obj [ ("benchmarks", List (List.map bench benches)) ])
 
 let () =
   let out = if Array.length Sys.argv > 1 then Sys.argv.(1) else "BENCH_6.json" in
@@ -311,7 +362,8 @@ let () =
   let benches =
     [
       bench_encode (); bench_apply (); bench_diffs (); bench_vm_access ();
-      bench_vm_faults (); bench_events (); bench_e2e ();
+      bench_vm_faults (); bench_events (); bench_vt_leq (); bench_vt_max_into ();
+      bench_prng (); bench_e2e ();
     ]
   in
   Printf.printf "%-36s %14s %14s %9s\n" "benchmark" "baseline" "current" "speedup";
@@ -323,7 +375,5 @@ let () =
         (match speedup bench with None -> "-" | Some s -> Printf.sprintf "%.2fx" s)
         bench.b_unit)
     benches;
-  let oc = open_out out in
-  output_string oc (json_of benches);
-  close_out oc;
+  Json.to_file out (json_of benches);
   Printf.printf "\n[raw measurements written to %s]\n" out

@@ -16,12 +16,3 @@ type t = {
   h_suppress : pid:int -> bool -> unit;
 }
 
-let nop =
-  {
-    h_access = (fun ~pid:_ _ ~addr:_ ~width:_ -> ());
-    h_lock_acquired = (fun ~pid:_ ~lock:_ -> ());
-    h_lock_release = (fun ~pid:_ ~lock:_ -> ());
-    h_barrier_arrive = (fun ~pid:_ ~id:_ -> ());
-    h_barrier_depart = (fun ~pid:_ ~id:_ -> ());
-    h_suppress = (fun ~pid:_ _ -> ());
-  }

@@ -25,6 +25,3 @@ type t = {
   h_suppress : pid:int -> bool -> unit;
 }
 
-(** [nop] ignores everything; build a hook by overriding the fields you
-    observe. *)
-val nop : t

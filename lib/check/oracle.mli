@@ -41,9 +41,6 @@ val nprocs : t -> int
     (I4) and diff conservation (I5) stay on for every backend. *)
 val set_vt_checked : t -> bool -> unit
 
-(** [feed t r] — consume one record in stream order. *)
-val feed : t -> Tmk_trace.Sink.record -> unit
-
 (** [attach t sink] — register [feed] as a listener for a live run. *)
 val attach : t -> Tmk_trace.Sink.t -> unit
 

@@ -48,6 +48,3 @@ val lock_acquired : t -> pid:int -> lock:int -> unit
 val barrier_arrive : t -> pid:int -> id:int -> unit
 val barrier_depart : t -> pid:int -> id:int -> unit
 
-(** [barrier_name id] renders a barrier id, mapping the Api collectives'
-    reserved range (ids at and above 2{^30}) to "collective n". *)
-val barrier_name : int -> string

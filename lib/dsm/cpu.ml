@@ -28,10 +28,8 @@ open Tmk_sim
    three times the TreadMarks overhead for every application (Figure 5)
    and TreadMarks overhead is dominated by memory management, not
    synchronization handling (Figure 7). *)
-let lock_request_build = Vtime.us 100
 let lock_request_build_kernel = Vtime.us 70
 let lock_request_build_dsm = Vtime.us 30
-let lock_grant = Vtime.us 97
 let lock_grant_kernel = Vtime.us 60
 let lock_grant_dsm = Vtime.us 37
 let lock_forward = Vtime.us 5
@@ -44,7 +42,6 @@ let incorporate_per_notice = Vtime.us 2
 let interval_close_base = Vtime.us 12
 let interval_close_per_page = Vtime.us 3
 
-let barrier_arrival_build = Vtime.us 40
 let barrier_arrival_build_kernel = Vtime.us 25
 let barrier_arrival_build_dsm = Vtime.us 15
 let barrier_release_per_client = Vtime.us 10

@@ -11,19 +11,16 @@
 
 open Tmk_sim
 
-(** [lock_request_build] — assembling an acquire request (requester);
-    split into its kernel part (signal masking, socket bookkeeping,
-    [Unix_comm]) and its DSM part (marshalling, [Tmk_other]). *)
-val lock_request_build : Vtime.t
-
+(** [lock_request_build_kernel] / [_dsm] — assembling an acquire request
+    (requester), split into its kernel part (signal masking, socket
+    bookkeeping, [Unix_comm]) and its DSM part (marshalling,
+    [Tmk_other]). *)
 val lock_request_build_kernel : Vtime.t
 val lock_request_build_dsm : Vtime.t
 
-(** [lock_grant] — release-side processing of a grant: deciding the
-    interval delta and marshalling it (excludes per-interval costs);
-    split like {!lock_request_build}. *)
-val lock_grant : Vtime.t
-
+(** [lock_grant_kernel] / [_dsm] — release-side processing of a grant:
+    deciding the interval delta and marshalling it (excludes per-interval
+    costs); split like {!lock_request_build_kernel}. *)
 val lock_grant_kernel : Vtime.t
 val lock_grant_dsm : Vtime.t
 
@@ -50,10 +47,8 @@ val interval_close_base : Vtime.t
 
 val interval_close_per_page : Vtime.t
 
-(** [barrier_arrival_build] — client-side arrival processing; split like
-    {!lock_request_build}. *)
-val barrier_arrival_build : Vtime.t
-
+(** [barrier_arrival_build_kernel] / [_dsm] — client-side arrival
+    processing; split like {!lock_request_build_kernel}. *)
 val barrier_arrival_build_kernel : Vtime.t
 val barrier_arrival_build_dsm : Vtime.t
 

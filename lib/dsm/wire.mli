@@ -71,7 +71,6 @@ val diff_backup_bytes : int -> int
 (** {2 Tardis} — synchronization carries one 64-bit scalar timestamp
     instead of a vector; page traffic carries (wts, rts) counter pairs. *)
 
-val ts_bytes : int
 val tardis_lock_request_bytes : int
 val tardis_lock_grant_bytes : int
 val tardis_barrier_arrival_bytes : int
@@ -88,10 +87,6 @@ val tardis_page_reply_bytes : with_page:bool -> int
 (** {2 SC-ABD} — quorum-replicated word-granularity LWW stores. *)
 
 val abd_words_per_page : int
-
-(** [abd_wordts_bytes] — one compressed (32-bit) timestamp per 8-byte
-    word of a page. *)
-val abd_wordts_bytes : int
 
 val abd_read_request_bytes : int
 

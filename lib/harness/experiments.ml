@@ -1,5 +1,6 @@
 open Tmk_sim
 open Tmk_dsm
+module Json = Tmk_util.Json
 module Tablefmt = Tmk_util.Tablefmt
 module Params = Tmk_net.Params
 
@@ -544,44 +545,40 @@ let e11_per_acquire (m : Harness.metrics) =
   ( float_of_int m.Harness.m_raw.Api.messages /. acq,
     float_of_int m.Harness.m_raw.Api.bytes /. 1024.0 /. acq )
 
-let e11_json ~file data =
-  let b = Buffer.create 8192 in
+let e11_json data =
   let mode_json (m : Harness.metrics) base_time =
     let mpa, kpa = e11_per_acquire m in
-    let s = m.Harness.m_raw.Api.total_stats in
-    Printf.sprintf
-      "{\"time_s\":%.6f,\"speedup\":%.4f,\"messages\":%d,\"bytes\":%d,\"acquires\":%d,\
-       \"msgs_per_acquire\":%.4f,\"kb_per_acquire\":%.4f,\"frames_coalesced\":%d,\
-       \"diff_cache_hits\":%d,\"diff_cache_misses\":%d}"
-      m.Harness.m_time_s
-      (base_time /. m.Harness.m_time_s)
-      m.Harness.m_raw.Api.messages m.Harness.m_raw.Api.bytes (e11_acquires m) mpa kpa
-      m.Harness.m_raw.Api.frames_coalesced s.Stats.diff_cache_hits s.Stats.diff_cache_misses
+    let raw = m.Harness.m_raw in
+    let s = raw.Api.total_stats in
+    Json.(
+      Obj
+        [ ("time_s", Float (m.Harness.m_time_s, 6));
+          ("speedup", Float (base_time /. m.Harness.m_time_s, 4));
+          ("messages", Int raw.Api.messages); ("bytes", Int raw.Api.bytes);
+          ("acquires", Int (e11_acquires m)); ("msgs_per_acquire", Float (mpa, 4));
+          ("kb_per_acquire", Float (kpa, 4));
+          ("frames_coalesced", Int raw.Api.frames_coalesced);
+          ("diff_cache_hits", Int s.Stats.diff_cache_hits);
+          ("diff_cache_misses", Int s.Stats.diff_cache_misses) ])
   in
-  Buffer.add_string b
-    "{\"experiment\":\"E11\",\"protocol\":\"lrc\",\"network\":\"atm-aal34\",\"apps\":[";
-  List.iteri
-    (fun i (app, (base : Harness.metrics), points) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"app\":%S,\"workload\":%S,\"baseline_time_s\":%.6f,\"points\":["
-           (Harness.app_name app)
-           (Harness.workload_description app)
-           base.Harness.m_time_s);
-      List.iteri
-        (fun j (n, batched, unbatched) ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b
-            (Printf.sprintf "{\"nprocs\":%d,\"batched\":%s,\"unbatched\":%s}" n
-               (mode_json batched base.Harness.m_time_s)
-               (mode_json unbatched base.Harness.m_time_s)))
-        points;
-      Buffer.add_string b "]}")
-    data;
-  Buffer.add_string b "]}\n";
-  let oc = open_out file in
-  Buffer.output_buffer oc b;
-  close_out oc
+  let point base_time (n, batched, unbatched) =
+    Json.(
+      Obj
+        [ ("nprocs", Int n); ("batched", mode_json batched base_time);
+          ("unbatched", mode_json unbatched base_time) ])
+  in
+  let app_json (app, (base : Harness.metrics), points) =
+    Json.(
+      Obj
+        [ ("app", String (Harness.app_name app));
+          ("workload", String (Harness.workload_description app));
+          ("baseline_time_s", Float (base.Harness.m_time_s, 6));
+          ("points", List (List.map (point base.Harness.m_time_s) points)) ])
+  in
+  Json.(
+    Obj
+      [ ("experiment", String "E11"); ("protocol", String "lrc");
+        ("network", String "atm-aal34"); ("apps", List (List.map app_json data)) ])
 
 let e11 () =
   (* Every arm of the sweep is an independent run, so fan the flattened
@@ -615,7 +612,7 @@ let e11 () =
       Harness.all_apps
   in
   let json_file = "BENCH_3.json" in
-  e11_json ~file:json_file data;
+  Json.to_file json_file (e11_json data);
   let speedup_chart =
     Tablefmt.line_chart
       ~title:"E11a. Speedups, 2-64 processors, batched (4x the paper's cluster size)"
@@ -702,56 +699,51 @@ let e12_arm ~app ~crash_at ~backup =
   | m, digest -> E12_ok (m, digest)
   | exception Api.Degraded { pid; reason } -> E12_degraded (pid, reason)
 
-let e12_json ~file data =
-  let b = Buffer.create 8192 in
+let e12_json data =
+  let us t = Json.Float (Vtime.to_us t, 0) in
   let recovery_json (r : Protocol.recovery) =
-    Printf.sprintf
-      "{\"pid\":%d,\"epoch\":%d,\"crash_at_us\":%.0f,\"detected_at_us\":%.0f,\
-       \"latency_us\":%.0f,\"locks_rehomed\":%d,\"refetches\":%d}"
-      r.Protocol.rc_pid r.Protocol.rc_epoch
-      (Vtime.to_us r.Protocol.rc_crash_at)
-      (Vtime.to_us r.Protocol.rc_detected_at)
-      (Vtime.to_us (Vtime.sub r.Protocol.rc_detected_at r.Protocol.rc_crash_at))
-      r.Protocol.rc_locks_rehomed r.Protocol.rc_retries
+    Json.(
+      Obj
+        [ ("pid", Int r.Protocol.rc_pid); ("epoch", Int r.Protocol.rc_epoch);
+          ("crash_at_us", us r.Protocol.rc_crash_at);
+          ("detected_at_us", us r.Protocol.rc_detected_at);
+          ("latency_us", us (Vtime.sub r.Protocol.rc_detected_at r.Protocol.rc_crash_at));
+          ("locks_rehomed", Int r.Protocol.rc_locks_rehomed);
+          ("refetches", Int r.Protocol.rc_retries) ])
   in
-  let arm_json ~crash ~backup outcome =
+  let arm_json ((crash, backup), outcome) =
+    let arm = Json.[ ("crash", Bool crash); ("backup", Bool backup) ] in
     match outcome with
     | E12_degraded (pid, reason) ->
-      Printf.sprintf "{\"crash\":%b,\"backup\":%b,\"survived\":false,\"degraded_pid\":%d,\
-                      \"reason\":%S}"
-        crash backup pid reason
+      Json.(
+        Obj
+          (arm
+          @ [ ("survived", Bool false); ("degraded_pid", Int pid);
+              ("reason", String reason) ]))
     | E12_ok (m, digest) ->
-      let s = m.Harness.m_raw.Api.total_stats in
-      Printf.sprintf
-        "{\"crash\":%b,\"backup\":%b,\"survived\":true,\"time_s\":%.6f,\"messages\":%d,\
-         \"bytes\":%d,\"diff_backups\":%d,\"diff_backup_bytes\":%d,\"digest\":%S,\
-         \"recoveries\":[%s]}"
-        crash backup m.Harness.m_time_s m.Harness.m_raw.Api.messages
-        m.Harness.m_raw.Api.bytes s.Stats.diff_backups s.Stats.diff_backup_bytes digest
-        (String.concat "," (List.map recovery_json m.Harness.m_raw.Api.recoveries))
+      let raw = m.Harness.m_raw in
+      let s = raw.Api.total_stats in
+      Json.(
+        Obj
+          (arm
+          @ [ ("survived", Bool true); ("time_s", Float (m.Harness.m_time_s, 6));
+              ("messages", Int raw.Api.messages); ("bytes", Int raw.Api.bytes);
+              ("diff_backups", Int s.Stats.diff_backups);
+              ("diff_backup_bytes", Int s.Stats.diff_backup_bytes); ("digest", String digest);
+              ("recoveries", List (List.map recovery_json raw.Api.recoveries)) ]))
   in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"experiment\":\"E12\",\"protocol\":\"lrc\",\"network\":\"atm-aal34\",\
-        \"nprocs\":%d,\"crash_pid\":%d,\"apps\":["
-       e12_nprocs e12_crash_pid);
-  List.iteri
-    (fun i (app, crash_at, arms) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"app\":%S,\"crash_at_us\":%.0f,\"arms\":[" (Harness.app_name app)
-           (Vtime.to_us crash_at));
-      List.iteri
-        (fun j ((crash, backup), outcome) ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (arm_json ~crash ~backup outcome))
-        arms;
-      Buffer.add_string b "]}")
-    data;
-  Buffer.add_string b "]}\n";
-  let oc = open_out file in
-  Buffer.output_buffer oc b;
-  close_out oc
+  let app_json (app, crash_at, arms) =
+    Json.(
+      Obj
+        [ ("app", String (Harness.app_name app));
+          ("crash_at_us", us crash_at);
+          ("arms", List (List.map arm_json arms)) ])
+  in
+  Json.(
+    Obj
+      [ ("experiment", String "E12"); ("protocol", String "lrc");
+        ("network", String "atm-aal34"); ("nprocs", Int e12_nprocs);
+        ("crash_pid", Int e12_crash_pid); ("apps", List (List.map app_json data)) ])
 
 let e12 () =
   let data =
@@ -775,7 +767,7 @@ let e12 () =
       Harness.all_apps
   in
   let json_file = "BENCH_5.json" in
-  e12_json ~file:json_file data;
+  Json.to_file json_file (e12_json data);
   let arm_name (crash, backup) =
     (if crash then "crash" else "no crash") ^ (if backup then " +backup" else "")
   in
@@ -867,48 +859,44 @@ let e13_nprocs = 8
 let e13_backends = [ Config.Lrc; Config.Erc; Config.Tardis; Config.Sc_abd ]
 let e13_nets = [ Params.atm_aal34; Params.ethernet_udp ]
 
-let e13_json ~file data =
-  let b = Buffer.create 8192 in
-  let arm_json (protocol, (m : Harness.metrics), digest) lazy_time =
-    let s = m.Harness.m_raw.Api.total_stats in
-    Printf.sprintf
-      "{\"backend\":%S,\"time_s\":%.6f,\"vs_lazy\":%.4f,\"messages\":%d,\"bytes\":%d,\
-       \"page_fetches\":%d,\"diffs_created\":%d,\"diffs_applied\":%d,\
-       \"lease_expiries\":%d,\"quorum_reads\":%d,\"quorum_writes\":%d,\"digest\":%S}"
-      (Config.protocol_name protocol)
-      m.Harness.m_time_s
-      (lazy_time /. m.Harness.m_time_s)
-      m.Harness.m_raw.Api.messages m.Harness.m_raw.Api.bytes s.Stats.page_fetches
-      s.Stats.diffs_created s.Stats.diffs_applied s.Stats.lease_expiries
-      s.Stats.quorum_reads s.Stats.quorum_writes digest
+let e13_json data =
+  let arm_json lazy_time (protocol, (m : Harness.metrics), digest) =
+    let raw = m.Harness.m_raw in
+    let s = raw.Api.total_stats in
+    Json.(
+      Obj
+        [ ("backend", String (Config.protocol_name protocol));
+          ("time_s", Float (m.Harness.m_time_s, 6));
+          ("vs_lazy", Float (lazy_time /. m.Harness.m_time_s, 4));
+          ("messages", Int raw.Api.messages); ("bytes", Int raw.Api.bytes);
+          ("page_fetches", Int s.Stats.page_fetches);
+          ("diffs_created", Int s.Stats.diffs_created);
+          ("diffs_applied", Int s.Stats.diffs_applied);
+          ("lease_expiries", Int s.Stats.lease_expiries);
+          ("quorum_reads", Int s.Stats.quorum_reads);
+          ("quorum_writes", Int s.Stats.quorum_writes);
+          ("digest", String digest) ])
   in
-  Buffer.add_string b
-    (Printf.sprintf "{\"experiment\":\"E13\",\"nprocs\":%d,\"networks\":[" e13_nprocs);
-  List.iteri
-    (fun i (net, by_app) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "{\"network\":%S,\"apps\":[" (Params.name net));
-      List.iteri
-        (fun j (app, arms) ->
-          if j > 0 then Buffer.add_char b ',';
-          let lazy_time =
-            let _, (m : Harness.metrics), _ =
-              List.find (fun (p, _, _) -> p = Config.Lrc) arms
-            in
-            m.Harness.m_time_s
-          in
-          Buffer.add_string b
-            (Printf.sprintf "{\"app\":%S,\"workload\":%S,\"backends\":[%s]}"
-               (Harness.app_name app)
-               (Harness.workload_description app)
-               (String.concat "," (List.map (fun arm -> arm_json arm lazy_time) arms))))
-        by_app;
-      Buffer.add_string b "]}")
-    data;
-  Buffer.add_string b "]}\n";
-  let oc = open_out file in
-  Buffer.output_buffer oc b;
-  close_out oc
+  let app_json (app, arms) =
+    let lazy_time =
+      let _, (m : Harness.metrics), _ = List.find (fun (p, _, _) -> p = Config.Lrc) arms in
+      m.Harness.m_time_s
+    in
+    Json.(
+      Obj
+        [ ("app", String (Harness.app_name app));
+          ("workload", String (Harness.workload_description app));
+          ("backends", List (List.map (arm_json lazy_time) arms)) ])
+  in
+  let net_json (net, by_app) =
+    Json.(
+      Obj
+        [ ("network", String (Params.name net)); ("apps", List (List.map app_json by_app)) ])
+  in
+  Json.(
+    Obj
+      [ ("experiment", String "E13"); ("nprocs", Int e13_nprocs);
+        ("networks", List (List.map net_json data)) ])
 
 let e13 () =
   let arms =
@@ -941,7 +929,7 @@ let e13 () =
       e13_nets
   in
   let json_file = "BENCH_7.json" in
-  e13_json ~file:json_file data;
+  Json.to_file json_file (e13_json data);
   let per_net (net, by_app) =
     Tablefmt.render
       ~title:
@@ -1014,51 +1002,44 @@ let e14_mgr_per_barrier (m : Harness.metrics) =
   let barriers = max 1 raw.Api.stats.(0).Stats.barriers in
   float_of_int raw.Api.proc_msgs.(0) /. float_of_int barriers
 
-let e14_json ~file data =
-  let b = Buffer.create 8192 in
+let e14_json data =
   let mode_json ((m : Harness.metrics), digest) =
     let mpa, kpa = e11_per_acquire m in
     let raw = m.Harness.m_raw in
-    Printf.sprintf
-      "{\"time_s\":%.6f,\"messages\":%d,\"bytes\":%d,\"acquires\":%d,\
-       \"msgs_per_acquire\":%.4f,\"kb_per_acquire\":%.4f,\"mgr_frames\":%d,\
-       \"max_frames\":%d,\"barriers_per_proc\":%d,\"mgr_frames_per_barrier\":%.2f,\
-       \"digest\":%S}"
-      m.Harness.m_time_s raw.Api.messages raw.Api.bytes (e11_acquires m) mpa kpa
-      raw.Api.proc_msgs.(0)
-      (Array.fold_left max 0 raw.Api.proc_msgs)
-      raw.Api.stats.(0).Stats.barriers (e14_mgr_per_barrier m) digest
+    Json.(
+      Obj
+        [ ("time_s", Float (m.Harness.m_time_s, 6)); ("messages", Int raw.Api.messages);
+          ("bytes", Int raw.Api.bytes); ("acquires", Int (e11_acquires m));
+          ("msgs_per_acquire", Float (mpa, 4)); ("kb_per_acquire", Float (kpa, 4));
+          ("mgr_frames", Int raw.Api.proc_msgs.(0));
+          ("max_frames", Int (Array.fold_left max 0 raw.Api.proc_msgs));
+          ("barriers_per_proc", Int raw.Api.stats.(0).Stats.barriers);
+          ("mgr_frames_per_barrier", Float (e14_mgr_per_barrier m, 2));
+          ("digest", String digest) ])
   in
-  Buffer.add_string b "{\"experiment\":\"E14\",\"network\":\"atm-aal34\",\"apps\":[";
-  List.iteri
-    (fun i (app, by_proto) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"app\":%S,\"workload\":%S,\"protocols\":["
-           (Harness.app_name app)
-           (Harness.workload_description app));
-      List.iteri
-        (fun j (protocol, points) ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b
-            (Printf.sprintf "{\"protocol\":%S,\"points\":[" (Config.protocol_name protocol));
-          List.iteri
-            (fun k (n, flat, sharded) ->
-              if k > 0 then Buffer.add_char b ',';
-              Buffer.add_string b
-                (Printf.sprintf
-                   "{\"nprocs\":%d,\"flat\":%s,\"sharded\":%s,\"digests_match\":%b}" n
-                   (mode_json flat) (mode_json sharded)
-                   (snd flat = snd sharded)))
-            points;
-          Buffer.add_string b "]}")
-        by_proto;
-      Buffer.add_string b "]}")
-    data;
-  Buffer.add_string b "]}\n";
-  let oc = open_out file in
-  Buffer.output_buffer oc b;
-  close_out oc
+  let point (n, flat, sharded) =
+    Json.(
+      Obj
+        [ ("nprocs", Int n); ("flat", mode_json flat); ("sharded", mode_json sharded);
+          ("digests_match", Bool (snd flat = snd sharded)) ])
+  in
+  let protocol_json (protocol, points) =
+    Json.(
+      Obj
+        [ ("protocol", String (Config.protocol_name protocol));
+          ("points", List (List.map point points)) ])
+  in
+  let app_json (app, by_proto) =
+    Json.(
+      Obj
+        [ ("app", String (Harness.app_name app));
+          ("workload", String (Harness.workload_description app));
+          ("protocols", List (List.map protocol_json by_proto)) ])
+  in
+  Json.(
+    Obj
+      [ ("experiment", String "E14"); ("network", String "atm-aal34");
+        ("apps", List (List.map app_json data)) ])
 
 let e14 () =
   let procs = !e14_procs in
@@ -1096,7 +1077,7 @@ let e14 () =
       e14_apps
   in
   let json_file = "BENCH_10.json" in
-  e14_json ~file:json_file data;
+  Json.to_file json_file (e14_json data);
   let per_table (app, by_proto) =
     List.map
       (fun (protocol, points) ->

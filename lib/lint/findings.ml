@@ -21,12 +21,6 @@ type t = {
 
 let severity_name = function Info -> "info" | Warning -> "warning" | Error -> "error"
 
-let severity_of_string = function
-  | "info" -> Some Info
-  | "warning" -> Some Warning
-  | "error" -> Some Error
-  | _ -> None
-
 let severity_rank = function Error -> 2 | Warning -> 1 | Info -> 0
 
 (* Canonical order: severity (errors first), then location, then
@@ -93,241 +87,68 @@ let table findings =
          ~header:[ "severity"; "analyzer"; "rule"; "page:bytes"; "procs"; "finding"; "hint" ]
          rows)
 
-(* ---- JSON rendering (the same hand-rolled, byte-stable subset as
-   Tmk_trace.Jsonl: objects of ints, strings and int arrays) ---- *)
+(* ---- JSONL and SARIF 2.1.0 ----
 
-let escape_to b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+   SARIF: one run, driver "tmk-lint", one rule object per distinct rule
+   id, one result per finding.  Findings describe simulated DSM pages,
+   not source lines; [uri] names the artifact the annotations should land
+   on (the application's fixture file), with the page/byte location
+   carried in the message text. *)
 
-let add_str b s =
-  Buffer.add_char b '"';
-  escape_to b s;
-  Buffer.add_char b '"'
-
-let add_field b ~first k add_v =
-  if not first then Buffer.add_char b ',';
-  add_str b k;
-  Buffer.add_char b ':';
-  add_v ()
+module Json = Tmk_util.Json
 
 let to_jsonl_line f =
-  let b = Buffer.create 160 in
-  Buffer.add_char b '{';
-  add_field b ~first:true "analyzer" (fun () -> add_str b f.analyzer);
-  add_field b ~first:false "rule" (fun () -> add_str b f.rule);
-  add_field b ~first:false "severity" (fun () -> add_str b (severity_name f.severity));
-  add_field b ~first:false "page" (fun () -> Buffer.add_string b (string_of_int f.page));
-  add_field b ~first:false "lo" (fun () -> Buffer.add_string b (string_of_int f.lo));
-  add_field b ~first:false "hi" (fun () -> Buffer.add_string b (string_of_int f.hi));
-  add_field b ~first:false "pids" (fun () ->
-      Buffer.add_char b '[';
-      List.iteri
-        (fun i p ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (string_of_int p))
-        f.pids;
-      Buffer.add_char b ']');
-  add_field b ~first:false "message" (fun () -> add_str b f.message);
-  add_field b ~first:false "hint" (fun () -> add_str b f.hint);
-  Buffer.add_char b '}';
-  Buffer.contents b
+  Json.to_string
+    Json.(
+      Obj
+        [ ("analyzer", String f.analyzer); ("rule", String f.rule);
+          ("severity", String (severity_name f.severity)); ("page", Int f.page);
+          ("lo", Int f.lo); ("hi", Int f.hi);
+          ("pids", List (List.map (fun p -> Int p) f.pids));
+          ("message", String f.message); ("hint", String f.hint) ])
 
 let to_jsonl findings =
   String.concat "" (List.map (fun f -> to_jsonl_line f ^ "\n") findings)
 
-(* Decoder: the exact inverse of the encoder above; accepts precisely the
-   subset it produces (flat object, int/string/int-array values). *)
-
-exception Parse_error of string
-
-let of_jsonl_line line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then line.[!pos] else '\255' in
-  let advance () = incr pos in
-  let expect c =
-    if peek () = c then advance () else fail (Printf.sprintf "expected '%c'" c)
-  in
-  let parse_int () =
-    let start = !pos in
-    if peek () = '-' then advance ();
-    while !pos < n && line.[!pos] >= '0' && line.[!pos] <= '9' do
-      incr pos
-    done;
-    if !pos = start || (line.[start] = '-' && !pos = start + 1) then fail "expected integer";
-    int_of_string (String.sub line start (!pos - start))
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance ()
-      | '\255' -> fail "unterminated string"
-      | '\\' ->
-        advance ();
-        (match peek () with
-        | '"' -> Buffer.add_char b '"'; advance ()
-        | '\\' -> Buffer.add_char b '\\'; advance ()
-        | 'n' -> Buffer.add_char b '\n'; advance ()
-        | 't' -> Buffer.add_char b '\t'; advance ()
-        | 'r' -> Buffer.add_char b '\r'; advance ()
-        | 'u' ->
-          advance ();
-          if !pos + 4 > n then fail "truncated \\u escape";
-          let code =
-            try int_of_string ("0x" ^ String.sub line !pos 4)
-            with _ -> fail "bad \\u escape"
-          in
-          pos := !pos + 4;
-          if code > 0xFF then fail "non-latin \\u escape";
-          Buffer.add_char b (Char.chr code)
-        | _ -> fail "unknown escape");
-        go ()
-      | c ->
-        Buffer.add_char b c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_ints () =
-    expect '[';
-    if peek () = ']' then begin
-      advance ();
-      []
-    end
-    else begin
-      let items = ref [ parse_int () ] in
-      let rec go () =
-        match peek () with
-        | ',' ->
-          advance ();
-          items := parse_int () :: !items;
-          go ()
-        | ']' -> advance ()
-        | _ -> fail "expected ',' or ']'"
-      in
-      go ();
-      List.rev !items
-    end
-  in
-  expect '{';
-  let strs = Hashtbl.create 8 and ints = Hashtbl.create 8 in
-  let pids = ref [] in
-  (if peek () = '}' then advance ()
-   else
-     let rec go () =
-       let k = parse_string () in
-       expect ':';
-       (match peek () with
-       | '"' -> Hashtbl.replace strs k (parse_string ())
-       | '[' -> pids := parse_ints ()
-       | _ -> Hashtbl.replace ints k (parse_int ()));
-       match peek () with
-       | ',' ->
-         advance ();
-         go ()
-       | '}' -> advance ()
-       | _ -> fail "expected ',' or '}'"
-     in
-     go ());
-  if !pos <> n then fail "trailing bytes after object";
-  let str k =
-    match Hashtbl.find_opt strs k with
-    | Some v -> v
-    | None -> fail (Printf.sprintf "missing string field %S" k)
-  in
-  let int k =
-    match Hashtbl.find_opt ints k with
-    | Some v -> v
-    | None -> fail (Printf.sprintf "missing integer field %S" k)
-  in
-  let severity =
-    match severity_of_string (str "severity") with
-    | Some s -> s
-    | None -> fail "unknown severity"
-  in
-  {
-    analyzer = str "analyzer";
-    rule = str "rule";
-    severity;
-    page = int "page";
-    lo = int "lo";
-    hi = int "hi";
-    pids = !pids;
-    message = str "message";
-    hint = str "hint";
-  }
-
-let of_jsonl s =
-  String.split_on_char '\n' s
-  |> List.filter (fun l -> String.length l > 0)
-  |> List.map of_jsonl_line
-
-(* ---- SARIF 2.1.0 ----
-
-   One run, driver "tmk-lint", one rule object per distinct rule id, one
-   result per finding.  Findings describe simulated DSM pages, not source
-   lines; [uri] names the artifact the annotations should land on (the
-   application's fixture file), with the page/byte location carried in
-   the message text. *)
-
 let sarif_level = function Info -> "note" | Warning -> "warning" | Error -> "error"
 
 let to_sarif ?(uri = "README.md") findings =
-  let b = Buffer.create 2048 in
-  let add = Buffer.add_string b in
-  let rules =
-    List.sort_uniq compare
-      (List.map (fun f -> (f.rule, f.analyzer)) findings)
+  let rules = List.sort_uniq compare (List.map (fun f -> (f.rule, f.analyzer)) findings) in
+  let open Json in
+  let text s = Obj [ ("text", String s) ] in
+  let rule (rule, analyzer) =
+    Obj
+      [ ("id", String rule);
+        ("shortDescription", text (Printf.sprintf "%s analyzer: %s" analyzer rule)) ]
   in
-  add "{\"version\":\"2.1.0\",";
-  add "\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",";
-  add "\"runs\":[{\"tool\":{\"driver\":{\"name\":\"tmk-lint\",";
-  add "\"informationUri\":\"https://github.com/treadmarks/treadmarks\",";
-  add "\"version\":\"1.0.0\",\"rules\":[";
-  List.iteri
-    (fun i (rule, analyzer) ->
-      if i > 0 then add ",";
-      add "{\"id\":";
-      add_str b rule;
-      add ",\"shortDescription\":{\"text\":";
-      add_str b (Printf.sprintf "%s analyzer: %s" analyzer rule);
-      add "}}")
-    rules;
-  add "]}},\"results\":[";
-  List.iteri
-    (fun i f ->
-      if i > 0 then add ",";
-      add "{\"ruleId\":";
-      add_str b f.rule;
-      add ",\"level\":";
-      add_str b (sarif_level f.severity);
-      add ",\"message\":{\"text\":";
-      let text =
-        if f.page < 0 then Printf.sprintf "%s [%s] %s" f.message (pids_str f) f.hint
-        else
-          Printf.sprintf "page %s [%s]: %s. %s" (location f) (pids_str f) f.message
-            f.hint
-      in
-      add_str b text;
-      add "},\"locations\":[{\"physicalLocation\":{\"artifactLocation\":{\"uri\":";
-      add_str b uri;
-      add "},\"region\":{\"startLine\":1}}}]}")
-    findings;
-  add "]}]}";
-  Buffer.contents b
+  let artifact =
+    Obj
+      [ ( "physicalLocation",
+          Obj
+            [ ("artifactLocation", Obj [ ("uri", String uri) ]);
+              ("region", Obj [ ("startLine", Int 1) ]) ] ) ]
+  in
+  let result f =
+    let message =
+      if f.page < 0 then Printf.sprintf "%s [%s] %s" f.message (pids_str f) f.hint
+      else Printf.sprintf "page %s [%s]: %s. %s" (location f) (pids_str f) f.message f.hint
+    in
+    Obj
+      [ ("ruleId", String f.rule); ("level", String (sarif_level f.severity));
+        ("message", text message); ("locations", List [ artifact ]) ]
+  in
+  let driver =
+    Obj
+      [ ("name", String "tmk-lint");
+        ("informationUri", String "https://github.com/treadmarks/treadmarks");
+        ("version", String "1.0.0"); ("rules", List (List.map rule rules)) ]
+  in
+  to_string
+    (Obj
+       [ ("version", String "2.1.0");
+         ("$schema", String "https://json.schemastore.org/sarif-2.1.0.json");
+         ( "runs",
+           List
+             [ Obj
+                 [ ("tool", Obj [ ("driver", driver) ]);
+                   ("results", List (List.map result findings)) ] ] ) ])

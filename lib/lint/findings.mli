@@ -19,10 +19,6 @@ type t = {
   hint : string;  (** concrete remediation *)
 }
 
-val severity_name : severity -> string
-val severity_of_string : string -> severity option
-val severity_rank : severity -> int
-
 (** Total canonical order: severity (errors first), then page/byte
     location, then analyzer, rule, pids and text. *)
 val compare_findings : t -> t -> int
@@ -42,15 +38,11 @@ val has_errors : t list -> bool
     one-line all-clear. *)
 val table : t list -> string
 
-(** JSONL: one finding object per line, byte-stable; [of_jsonl] is the
-    exact inverse of [to_jsonl]. *)
+(** JSONL: one finding object per line, byte-stable; each line reads
+    back with {!Tmk_util.Json.of_string}. *)
 val to_jsonl_line : t -> string
 
 val to_jsonl : t list -> string
-
-exception Parse_error of string
-
-val of_jsonl : string -> t list
 
 (** [to_sarif ?uri fs] — a SARIF 2.1.0 document (driver "tmk-lint") for
     CI code-scanning annotations.  [uri] is the repository artifact the

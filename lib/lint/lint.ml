@@ -21,11 +21,6 @@ type analyzer = Lockset | Sharing | Discipline
 
 let all_analyzers = [ Lockset; Sharing; Discipline ]
 
-let analyzer_name = function
-  | Lockset -> "lockset"
-  | Sharing -> "sharing"
-  | Discipline -> "discipline"
-
 let analyzers_of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "" | "all" -> all_analyzers

@@ -19,8 +19,6 @@
 
 type analyzer = Lockset | Sharing | Discipline
 
-val all_analyzers : analyzer list
-val analyzer_name : analyzer -> string
 
 (** [analyzers_of_string s] parses a comma-separated analyzer list; [""]
     and ["all"] mean every analyzer.  Raises [Invalid_argument] on an

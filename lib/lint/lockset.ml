@@ -142,7 +142,6 @@ let access t ~pid kind ~addr ~width =
   done
 
 let accesses t = t.accesses
-let words_tracked t = Hashtbl.length t.words
 
 (* A sorted list of racy words, for the discipline analyzer's
    unsynchronized-shadow cross-reference and the HB dedup. *)

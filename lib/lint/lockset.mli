@@ -23,7 +23,6 @@ val create : segs:Tmk_check.Segments.t -> unit -> t
 val access : t -> pid:int -> Tmk_check.Hooks.access_kind -> addr:int -> width:int -> unit
 
 val accesses : t -> int
-val words_tracked : t -> int
 
 (** [racy_words t] — sorted word indices whose candidate set went empty,
     for cross-referencing by other analyzers. *)

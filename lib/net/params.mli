@@ -123,7 +123,6 @@ val deliver_blocked_cpu : t -> Vtime.t
     [fresh]) consumed delivering to the SIGIO handler. *)
 val deliver_handler_cpu : t -> fresh:bool -> Vtime.t
 
-val network_name : network -> string
 val protocol_name : protocol -> string
 
 (** [name t] is e.g. ["ATM-AAL3/4"]. *)

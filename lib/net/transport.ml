@@ -485,7 +485,6 @@ let rpc ?label t ~src ~dst ~bytes ~serve =
 let messages_sent t = Array.fold_left (fun acc c -> acc + c.msgs) 0 t.per_proc
 let bytes_sent t = Array.fold_left (fun acc c -> acc + c.bytes) 0 t.per_proc
 let messages_of t pid = t.per_proc.(pid).msgs
-let bytes_of t pid = t.per_proc.(pid).bytes
 let messages_handled_of t pid = t.recv.(pid)
 let retransmissions t = t.retransmissions
 let frames_coalesced t = t.coalesced

@@ -236,7 +236,6 @@ val rpc :
 val messages_sent : t -> int
 val bytes_sent : t -> int
 val messages_of : t -> Engine.pid -> int
-val bytes_of : t -> Engine.pid -> int
 
 (** [messages_handled_of t pid] — frames delivered {e at} [pid] (the
     receive-side load of acting as a manager), where {!messages_of}

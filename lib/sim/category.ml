@@ -25,12 +25,4 @@ let name = function
   | Tmk_consistency -> "tmk-consistency"
   | Tmk_other -> "tmk-other"
 
-let is_unix = function
-  | Unix_comm | Unix_mem -> true
-  | Computation | Tmk_mem | Tmk_consistency | Tmk_other -> false
-
-let is_treadmarks = function
-  | Tmk_mem | Tmk_consistency | Tmk_other -> true
-  | Computation | Unix_comm | Unix_mem -> false
-
 let pp ppf t = Format.pp_print_string ppf (name t)

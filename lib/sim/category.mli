@@ -28,10 +28,4 @@ val index : t -> int
 (** [name t] is the label used in reports. *)
 val name : t -> string
 
-(** [is_unix t] groups the categories charged to the kernel (Figure 6). *)
-val is_unix : t -> bool
-
-(** [is_treadmarks t] groups the user-level DSM categories (Figure 7). *)
-val is_treadmarks : t -> bool
-
 val pp : Format.formatter -> t -> unit

@@ -202,10 +202,6 @@ val tracing : t -> bool
     without a sink. *)
 val emit : t -> pid:pid -> Tmk_trace.Event.t -> unit
 
-(** [emit_at t ~time ~pid ev] records [ev] at an explicit time (for
-    contexts whose local clock is ahead of the global one). *)
-val emit_at : t -> time:Vtime.t -> pid:pid -> Tmk_trace.Event.t -> unit
-
 (** [hemit h ev] records [ev] from handler context, stamped with the
     handler's own clock ({!hnow}) and pid. *)
 val hemit : hctx -> Tmk_trace.Event.t -> unit

@@ -1,101 +1,45 @@
-(* trace_event JSON writer.  Timestamps ("ts") are microseconds; ours
-   are nanoseconds, so every slice boundary is time / 1000 with three
-   decimals — exact, no float rounding surprises below the picosecond. *)
+(* trace_event JSON writer: each entry is one printed Json object.
+   Timestamps ("ts") are microseconds; ours are nanoseconds, so every
+   slice boundary is time / 1000 printed with three decimals.  That is
+   exact while a trace spans less than 4.5e6 simulated seconds, where the
+   quotient's rounding error stays below the half nanosecond that would
+   change the last digit. *)
 
-let b_ts b ns =
-  Buffer.add_string b (string_of_int (ns / 1000));
-  Buffer.add_char b '.';
-  Buffer.add_string b (Printf.sprintf "%03d" (ns mod 1000))
+module Json = Tmk_util.Json
 
-let b_str b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
-let b_args b ev =
-  Buffer.add_string b "\"args\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      b_str b k;
-      Buffer.add_char b ':';
-      match v with
-      | Event.Int n -> Buffer.add_string b (string_of_int n)
-      | Event.Bool v -> Buffer.add_string b (if v then "true" else "false")
-      | Event.Str s -> b_str b s
-      | Event.Ints a ->
-        Buffer.add_char b '[';
-        Array.iteri
-          (fun j n ->
-            if j > 0 then Buffer.add_char b ',';
-            Buffer.add_string b (string_of_int n))
-          a;
-        Buffer.add_char b ']')
-    (Event.args ev);
-  Buffer.add_char b '}'
+let ts ns = Json.Float (float_of_int ns /. 1000., 3)
 
 type emitter = { b : Buffer.t; mutable first : bool }
 
-let entry e f =
+let entry e fields =
   if e.first then e.first <- false else Buffer.add_string e.b ",\n";
-  Buffer.add_char e.b '{';
-  f e.b;
-  Buffer.add_char e.b '}'
+  Json.to_buffer e.b (Json.Obj fields)
 
 let meta_thread e ~tid ~name =
-  entry e (fun b ->
-      Buffer.add_string b "\"ph\":\"M\",\"pid\":1,\"tid\":";
-      Buffer.add_string b (string_of_int tid);
-      Buffer.add_string b ",\"name\":\"thread_name\",\"args\":{\"name\":";
-      b_str b name;
-      Buffer.add_char b '}')
+  entry e
+    Json.
+      [ ("ph", String "M"); ("pid", Int 1); ("tid", Int tid); ("name", String "thread_name");
+        ("args", Obj [ ("name", String name) ]) ]
 
 let complete e ~tid ~name ~cat ~start ~stop ev =
-  entry e (fun b ->
-      Buffer.add_string b "\"ph\":\"X\",\"pid\":1,\"tid\":";
-      Buffer.add_string b (string_of_int tid);
-      Buffer.add_string b ",\"name\":";
-      b_str b name;
-      Buffer.add_string b ",\"cat\":";
-      b_str b cat;
-      Buffer.add_string b ",\"ts\":";
-      b_ts b start;
-      Buffer.add_string b ",\"dur\":";
-      b_ts b (stop - start);
-      Buffer.add_char b ',';
-      b_args b ev)
+  entry e
+    Json.
+      [ ("ph", String "X"); ("pid", Int 1); ("tid", Int tid); ("name", String name);
+        ("cat", String cat); ("ts", ts start); ("dur", ts (stop - start));
+        ("args", Obj (Event.args ev)) ]
 
-let instant e ~tid ~cat ~ts ev =
-  entry e (fun b ->
-      Buffer.add_string b "\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":";
-      Buffer.add_string b (string_of_int tid);
-      Buffer.add_string b ",\"name\":";
-      b_str b (Event.name ev);
-      Buffer.add_string b ",\"cat\":";
-      b_str b cat;
-      Buffer.add_string b ",\"ts\":";
-      b_ts b ts;
-      Buffer.add_char b ',';
-      b_args b ev)
+let instant e ~tid ~cat ~ts:t ev =
+  entry e
+    Json.
+      [ ("ph", String "i"); ("s", String "t"); ("pid", Int 1); ("tid", Int tid);
+        ("name", String (Event.name ev)); ("cat", String cat); ("ts", ts t);
+        ("args", Obj (Event.args ev)) ]
 
-let counter e ~name ~ts ~value =
-  entry e (fun b ->
-      Buffer.add_string b "\"ph\":\"C\",\"pid\":1,\"tid\":0,\"name\":";
-      b_str b name;
-      Buffer.add_string b ",\"ts\":";
-      b_ts b ts;
-      Buffer.add_string b ",\"args\":{\"value\":";
-      Buffer.add_string b (string_of_int value);
-      Buffer.add_char b '}')
+let counter e ~name ~ts:t ~value =
+  entry e
+    Json.
+      [ ("ph", String "C"); ("pid", Int 1); ("tid", Int 0); ("name", String name);
+        ("ts", ts t); ("args", Obj [ ("value", Int value) ]) ]
 
 (* Event classification. *)
 

@@ -1,3 +1,5 @@
+module Json = Tmk_util.Json
+
 type fault_kind = Read | Write
 
 type t =
@@ -40,8 +42,6 @@ type t =
   | Quorum_write of { pages : int; acks : int }
   | Proc_finish
   | Mark of string
-
-type arg = Int of int | Bool of bool | Str of string | Ints of int array
 
 let fault_kind_name = function Read -> "read" | Write -> "write"
 
@@ -86,7 +86,10 @@ let name = function
   | Proc_finish -> "proc-finish"
   | Mark _ -> "mark"
 
-let args = function
+let args ev =
+  let open Json in
+  let ints vt = List (Array.fold_right (fun n l -> Int n :: l) vt []) in
+  match ev with
   | Lock_acquire { lock; local } | Lock_acquired { lock; local } ->
     [ ("lock", Int lock); ("local", Bool local) ]
   | Lock_release { lock; granted_to } ->
@@ -102,7 +105,7 @@ let args = function
   | Barrier_arrive { id; epoch } | Barrier_release { id; epoch } ->
     [ ("id", Int id); ("epoch", Int epoch) ]
   | Page_fault { page; kind } | Page_fault_done { page; kind } ->
-    [ ("page", Int page); ("kind", Str (fault_kind_name kind)) ]
+    [ ("page", Int page); ("kind", String (fault_kind_name kind)) ]
   | Twin_create { page } | Page_invalidate { page } -> [ ("page", Int page) ]
   | Page_fetch { page; from_ } -> [ ("page", Int page); ("from", Int from_) ]
   | Diff_create { page; bytes; proc; interval } | Diff_apply { page; bytes; proc; interval } ->
@@ -110,26 +113,26 @@ let args = function
   | Diff_fetch { page; from_; count } ->
     [ ("page", Int page); ("from", Int from_); ("count", Int count) ]
   | Interval_close { id; notices; vt } ->
-    [ ("id", Int id); ("notices", Int notices); ("vt", Ints vt) ]
+    [ ("id", Int id); ("notices", Int notices); ("vt", ints vt) ]
   | Interval_recv { proc; id; notices; vt } ->
-    [ ("proc", Int proc); ("id", Int id); ("notices", Int notices); ("vt", Ints vt) ]
+    [ ("proc", Int proc); ("id", Int id); ("notices", Int notices); ("vt", ints vt) ]
   | Write_notice_recv { page; proc; interval } ->
     [ ("page", Int page); ("proc", Int proc); ("interval", Int interval) ]
   | Frame_send { src; dst; label; bytes; retrans } ->
-    [ ("src", Int src); ("dst", Int dst); ("label", Str label); ("bytes", Int bytes);
+    [ ("src", Int src); ("dst", Int dst); ("label", String label); ("bytes", Int bytes);
       ("retrans", Bool retrans) ]
   | Frame_recv { src; dst; label; bytes } | Frame_drop { src; dst; label; bytes } ->
-    [ ("src", Int src); ("dst", Int dst); ("label", Str label); ("bytes", Int bytes) ]
+    [ ("src", Int src); ("dst", Int dst); ("label", String label); ("bytes", Int bytes) ]
   | Frame_dup { src; dst; label } ->
-    [ ("src", Int src); ("dst", Int dst); ("label", Str label) ]
+    [ ("src", Int src); ("dst", Int dst); ("label", String label) ]
   | Frame_batch { src; dst; label; parts } ->
-    [ ("src", Int src); ("dst", Int dst); ("label", Str label); ("parts", Int parts) ]
+    [ ("src", Int src); ("dst", Int dst); ("label", String label); ("parts", Int parts) ]
   | Diff_cache { page; hit } -> [ ("page", Int page); ("hit", Bool hit) ]
   | Gc_begin { live } -> [ ("live", Int live) ]
   | Gc_end { discarded } -> [ ("discarded", Int discarded) ]
   | Proc_crash -> []
   | Peer_suspect { dst; label; attempts } ->
-    [ ("dst", Int dst); ("label", Str label); ("attempts", Int attempts) ]
+    [ ("dst", Int dst); ("label", String label); ("attempts", Int attempts) ]
   | Failover { dead; epoch } -> [ ("dead", Int dead); ("epoch", Int epoch) ]
   | Recovery_done { dead; locks; retries } ->
     [ ("dead", Int dead); ("locks", Int locks); ("retries", Int retries) ]
@@ -141,17 +144,23 @@ let args = function
   | Quorum_read { page; replies } -> [ ("page", Int page); ("replies", Int replies) ]
   | Quorum_write { pages; acks } -> [ ("pages", Int pages); ("acks", Int acks) ]
   | Proc_finish -> []
-  | Mark msg -> [ ("msg", Str msg) ]
+  | Mark msg -> [ ("msg", String msg) ]
 
 (* Inverse of [name]/[args], for re-reading recorded JSONL streams.  Local
    exception turns any missing/mistyped field into [None]. *)
 exception Bad_args
 
 let of_args ev_name ev_args =
-  let int k = match List.assoc_opt k ev_args with Some (Int v) -> v | _ -> raise Bad_args in
-  let bool k = match List.assoc_opt k ev_args with Some (Bool v) -> v | _ -> raise Bad_args in
-  let str k = match List.assoc_opt k ev_args with Some (Str v) -> v | _ -> raise Bad_args in
-  let ints k = match List.assoc_opt k ev_args with Some (Ints v) -> v | _ -> raise Bad_args in
+  let field k = match List.assoc_opt k ev_args with Some v -> v | None -> raise Bad_args in
+  let int_of = function Json.Int v -> v | _ -> raise Bad_args in
+  let int k = int_of (field k) in
+  let bool k = match field k with Json.Bool v -> v | _ -> raise Bad_args in
+  let str k = match field k with Json.String v -> v | _ -> raise Bad_args in
+  let ints k =
+    match field k with
+    | Json.List vs -> Array.of_list (List.map int_of vs)
+    | _ -> raise Bad_args
+  in
   let fault k =
     match str k with "read" -> Read | "write" -> Write | _ -> raise Bad_args
   in

@@ -116,15 +116,13 @@ type t =
   | Proc_finish  (** the application process returned *)
   | Mark of string  (** free-text marker ({!Tmk_sim.Engine.trace} shim) *)
 
-(** Serialized argument of an event field, for the exporters. *)
-type arg = Int of int | Bool of bool | Str of string | Ints of int array
-
 (** [name ev] — stable kebab-case event name ("lock-acquire", ...). *)
 val name : t -> string
 
-(** [args ev] — the event's fields in declaration order, for exporters.
+(** [args ev] — the event's fields in declaration order, for exporters:
+    ints, bools, strings, and vector timestamps as lists of ints.
     Deterministic: same event, same list. *)
-val args : t -> (string * arg) list
+val args : t -> (string * Tmk_util.Json.t) list
 
 (** [fault_kind_name k] — ["read"] or ["write"]. *)
 val fault_kind_name : fault_kind -> string
@@ -133,4 +131,4 @@ val fault_kind_name : fault_kind -> string
     exact inverse of the two functions above, used when re-reading a
     recorded JSONL stream.  [None] on an unknown name or missing/mistyped
     field. *)
-val of_args : string -> (string * arg) list -> t option
+val of_args : string -> (string * Tmk_util.Json.t) list -> t option

@@ -1,217 +1,76 @@
-(* Hand-rolled JSON: the event vocabulary only needs ints, bools,
-   strings and int arrays, and keeping the encoder local makes the
-   output byte-stable by construction. *)
+module Json = Tmk_util.Json
 
-let escape_to b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
-let add_string b s =
-  Buffer.add_char b '"';
-  escape_to b s;
-  Buffer.add_char b '"'
-
-let add_arg b = function
-  | Event.Int n -> Buffer.add_string b (string_of_int n)
-  | Event.Bool v -> Buffer.add_string b (if v then "true" else "false")
-  | Event.Str s -> add_string b s
-  | Event.Ints a ->
-    Buffer.add_char b '[';
-    Array.iteri
-      (fun i n ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (string_of_int n))
-      a;
-    Buffer.add_char b ']'
-
-let record_to_buffer b (r : Sink.record) =
-  Buffer.add_string b "{\"t\":";
-  Buffer.add_string b (string_of_int r.r_time);
-  Buffer.add_string b ",\"pid\":";
-  Buffer.add_string b (string_of_int r.r_pid);
-  Buffer.add_string b ",\"ev\":";
-  add_string b (Event.name r.r_ev);
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_char b ',';
-      add_string b k;
-      Buffer.add_char b ':';
-      add_arg b v)
-    (Event.args r.r_ev);
-  Buffer.add_char b '}'
-
-let record_to_string r =
-  let b = Buffer.create 96 in
-  record_to_buffer b r;
-  Buffer.contents b
+let to_json (r : Sink.record) =
+  Json.Obj
+    (("t", Json.Int r.r_time)
+    :: ("pid", Json.Int r.r_pid)
+    :: ("ev", Json.String (Event.name r.r_ev))
+    :: Event.args r.r_ev)
 
 let to_string sink =
   let b = Buffer.create 4096 in
   Sink.iter
     (fun r ->
-      record_to_buffer b r;
+      Json.to_buffer b (to_json r);
       Buffer.add_char b '\n')
     sink;
   Buffer.contents b
 
 let write oc sink =
+  let b = Buffer.create 256 in
   Sink.iter
     (fun r ->
-      output_string oc (record_to_string r);
-      output_char oc '\n')
+      Buffer.clear b;
+      Json.to_buffer b (to_json r);
+      Buffer.add_char b '\n';
+      Buffer.output_buffer oc b)
     sink
-
-(* Decoder: the exact inverse of the encoder above.  Not a general JSON
-   parser — it accepts precisely the subset the encoder produces (flat
-   object, int/bool/string/int-array values), which is all a recorded
-   trace can contain. *)
 
 exception Parse_error of string
 
+(* The simulator's processor ceiling, which tmk_run's --nprocs enforces:
+   a recorded pid is -1 (the engine) or a processor below it. *)
+let max_procs = 1024
+
 let parse_line line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then line.[!pos] else '\255' in
-  let advance () = incr pos in
-  let expect c =
-    if peek () = c then advance () else fail (Printf.sprintf "expected '%c'" c)
+  let fail fmt = Printf.ksprintf (fun msg -> raise (Parse_error msg)) fmt in
+  let fields =
+    match Json.of_string line with
+    | Json.Obj fields -> fields
+    | _ -> fail "expected an object"
+    | exception Json.Parse_error { offset; reason } -> fail "%s at byte %d" reason offset
   in
-  let parse_int () =
-    let start = !pos in
-    if peek () = '-' then advance ();
-    while !pos < n && line.[!pos] >= '0' && line.[!pos] <= '9' do
-      incr pos
-    done;
-    if !pos = start || (line.[start] = '-' && !pos = start + 1) then fail "expected integer";
-    int_of_string (String.sub line start (!pos - start))
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance ()
-      | '\255' -> fail "unterminated string"
-      | '\\' ->
-        advance ();
-        (match peek () with
-        | '"' -> Buffer.add_char b '"'; advance ()
-        | '\\' -> Buffer.add_char b '\\'; advance ()
-        | 'n' -> Buffer.add_char b '\n'; advance ()
-        | 't' -> Buffer.add_char b '\t'; advance ()
-        | 'r' -> Buffer.add_char b '\r'; advance ()
-        | 'u' ->
-          advance ();
-          if !pos + 4 > n then fail "truncated \\u escape";
-          let code =
-            try int_of_string ("0x" ^ String.sub line !pos 4)
-            with _ -> fail "bad \\u escape"
-          in
-          pos := !pos + 4;
-          if code > 0xFF then fail "non-latin \\u escape";
-          Buffer.add_char b (Char.chr code)
-        | _ -> fail "unknown escape");
-        go ()
-      | c ->
-        Buffer.add_char b c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let expect_word w v =
-    if !pos + String.length w <= n && String.sub line !pos (String.length w) = w then begin
-      pos := !pos + String.length w;
-      v
-    end
-    else fail (Printf.sprintf "expected %s" w)
-  in
-  let parse_value () =
-    match peek () with
-    | '"' -> Event.Str (parse_string ())
-    | 't' -> expect_word "true" (Event.Bool true)
-    | 'f' -> expect_word "false" (Event.Bool false)
-    | '[' ->
-      advance ();
-      let items = ref [] in
-      if peek () = ']' then advance ()
-      else begin
-        let rec go () =
-          items := parse_int () :: !items;
-          match peek () with
-          | ',' -> advance (); go ()
-          | ']' -> advance ()
-          | _ -> fail "expected ',' or ']'"
-        in
-        go ()
-      end;
-      Event.Ints (Array.of_list (List.rev !items))
-    | _ -> Event.Int (parse_int ())
-  in
-  expect '{';
-  let fields = ref [] in
-  (if peek () = '}' then advance ()
-   else
-     let rec go () =
-       let k = parse_string () in
-       expect ':';
-       let v = parse_value () in
-       fields := (k, v) :: !fields;
-       match peek () with
-       | ',' -> advance (); go ()
-       | '}' -> advance ()
-       | _ -> fail "expected ',' or '}'"
-     in
-     go ());
-  if !pos <> n then fail "trailing bytes after object";
-  let fields = List.rev !fields in
-  let int_field k =
+  let int k =
     match List.assoc_opt k fields with
-    | Some (Event.Int v) -> v
-    | _ -> fail (Printf.sprintf "missing integer field %S" k)
+    | Some (Json.Int v) -> v
+    | _ -> fail "missing integer field %S" k
   in
-  let str_field k =
-    match List.assoc_opt k fields with
-    | Some (Event.Str v) -> v
-    | _ -> fail (Printf.sprintf "missing string field %S" k)
+  let time = int "t" and pid = int "pid" in
+  if pid < -1 || pid >= max_procs then fail "pid %d outside -1..%d" pid (max_procs - 1);
+  let ev_name =
+    match List.assoc_opt "ev" fields with
+    | Some (Json.String v) -> v
+    | _ -> fail "missing string field \"ev\""
   in
-  let time = int_field "t" and pid = int_field "pid" and ev_name = str_field "ev" in
   let args = List.filter (fun (k, _) -> k <> "t" && k <> "pid" && k <> "ev") fields in
   match Event.of_args ev_name args with
   | Some ev -> { Sink.r_time = time; r_pid = pid; r_ev = ev }
-  | None -> fail (Printf.sprintf "unknown or malformed event %S" ev_name)
-
-let read_channel ic =
-  let sink = Sink.create () in
-  let lineno = ref 0 in
-  (try
-     while true do
-       let line = input_line ic in
-       incr lineno;
-       if String.length line > 0 then begin
-         let r =
-           try parse_line line
-           with Parse_error msg ->
-             raise (Parse_error (Printf.sprintf "line %d: %s" !lineno msg))
-         in
-         Sink.emit sink ~time:r.Sink.r_time ~pid:r.Sink.r_pid r.Sink.r_ev
-       end
-     done
-   with End_of_file -> ());
-  sink
+  | None -> fail "unknown or malformed event %S" ev_name
 
 let read_file path =
   let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> read_channel ic)
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+  let sink = Sink.create () in
+  let rec go lineno =
+    match input_line ic with
+    | exception End_of_file -> sink
+    | "" -> go (lineno + 1)
+    | line ->
+      let r =
+        try parse_line line
+        with Parse_error msg -> raise (Parse_error (Printf.sprintf "line %d: %s" lineno msg))
+      in
+      Sink.emit sink ~time:r.r_time ~pid:r.r_pid r.r_ev;
+      go (lineno + 1)
+  in
+  go 1

@@ -20,14 +20,16 @@ val write : out_channel -> Sink.t -> unit
 
 (** {2 Reading recorded streams back}
 
-    The decoder accepts exactly what the encoder produces (the offline
-    invariant oracle re-checks recorded runs this way); it is not a
-    general JSON parser. *)
+    Each line is read with {!Tmk_util.Json.of_string} and rebuilt with
+    {!Event.of_args}, so re-encoding what was read reproduces the file
+    byte for byte.  A pid must be -1 or a processor below 1024, the
+    simulator's ceiling. *)
 
 exception Parse_error of string
 
 (** [parse_line line] — decode one line (no trailing newline).
-    @raise Parse_error on malformed input. *)
+    @raise Parse_error on malformed JSON (naming the byte offset), a
+    missing or mistyped field, an unknown event or an out-of-range pid. *)
 val parse_line : string -> Sink.record
 
 (** [read_file path] — decode a whole stream into a fresh sink, skipping

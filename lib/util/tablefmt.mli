@@ -48,6 +48,3 @@ val line_chart :
   x:float list ->
   (string * char * float list) list ->
   string
-
-(** [float_cell v] formats a float with sensible width for table cells. *)
-val float_cell : float -> string

@@ -275,6 +275,22 @@ let jsonl_roundtrip () =
   check Alcotest.int "record count" (Sink.length sink) (Sink.length reparsed);
   check Alcotest.string "parse . print = id" text (Jsonl.to_string reparsed)
 
+(* Malformed lines end in a typed error naming what is wrong, never an
+   OCaml exception from deeper down: an overflowing integer, or a pid no
+   run can record (which would size the oracle's tables). *)
+let reader_rejects line expected () =
+  match Jsonl.parse_line line with
+  | _ -> Alcotest.failf "%S parsed" line
+  | exception Jsonl.Parse_error msg -> check Alcotest.string "message" expected msg
+
+(* A raw byte at or above 0x80 is ordinary string content. *)
+let reader_reads_high_bytes () =
+  let line = "{\"t\":0,\"pid\":0,\"ev\":\"mark\",\"msg\":\"\xff\"}" in
+  let r = Jsonl.parse_line line in
+  check Alcotest.bool "mark" true (r.Sink.r_ev = Event.Mark "\xff");
+  check Alcotest.string "re-encodes" (line ^ "\n")
+    (Jsonl.to_string (mk [ (r.Sink.r_time, r.Sink.r_pid, r.Sink.r_ev) ]))
+
 (* An unmatched begin event is closed at the last record's time. *)
 let chrome_closes_open_spans () =
   let open Event in
@@ -379,6 +395,16 @@ let suite =
       report_survives_zero_acquires;
     Alcotest.test_case "jsonl golden" `Quick jsonl_golden;
     Alcotest.test_case "jsonl roundtrip" `Quick jsonl_roundtrip;
+    Alcotest.test_case "jsonl rejects an overflowing time" `Quick
+      (reader_rejects "{\"t\":99999999999999999999999,\"pid\":0,\"ev\":\"proc-finish\"}"
+         "integer overflow at byte 5");
+    Alcotest.test_case "jsonl rejects pid max_int" `Quick
+      (reader_rejects "{\"t\":0,\"pid\":4611686018427387903,\"ev\":\"proc-finish\"}"
+         "pid 4611686018427387903 outside -1..1023");
+    Alcotest.test_case "jsonl rejects pid 100000000" `Quick
+      (reader_rejects "{\"t\":0,\"pid\":100000000,\"ev\":\"proc-finish\"}"
+         "pid 100000000 outside -1..1023");
+    Alcotest.test_case "jsonl reads raw high bytes" `Quick reader_reads_high_bytes;
     Alcotest.test_case "chrome golden" `Quick chrome_golden;
     Alcotest.test_case "chrome closes open spans" `Quick chrome_closes_open_spans;
     Alcotest.test_case "determinism jacobi" `Quick determinism_jacobi;

@@ -1,5 +1,5 @@
 (* Unit and property tests for Tmk_util: PRNG, RLE, bitset, table
-   rendering. *)
+   rendering, the JSON codec. *)
 
 open Tmk_util
 
@@ -337,6 +337,108 @@ let tablefmt_charts_do_not_crash () =
   in
   ()
 
+(* ------------------------------------------------------------------ *)
+(* Json *)
+
+(* Values up to depth 4 with every byte value in strings, the int
+   extremes, finite floats of 0-6 decimals below 1e12 in magnitude, and
+   empty lists and objects. *)
+let json_gen =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (int_range 0 8) in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun n -> Json.Int n) (oneof [ int; oneofl [ min_int; max_int; 0; -1 ] ]);
+        map2
+          (fun x d -> Json.Float (x, d))
+          (oneof
+             [
+               float_range (-1.) 1.;
+               float_range (-1e6) 1e6;
+               float_range (-999_999_999_999.) 999_999_999_999.;
+             ])
+          (int_range 0 6);
+        map (fun s -> Json.String s) str;
+      ]
+  in
+  fix
+    (fun self depth ->
+      if depth = 0 then leaf
+      else
+        frequency
+          [
+            (2, leaf);
+            (1, map (fun vs -> Json.List vs) (list_size (int_range 0 4) (self (depth - 1))));
+            ( 1,
+              map
+                (fun fs -> Json.Obj fs)
+                (list_size (int_range 0 4) (pair str (self (depth - 1)))) );
+          ])
+    4
+
+let json_roundtrip =
+  qtest ~count:500 "json print . parse . print = print"
+    (QCheck.make ~print:Json.to_string json_gen)
+    (fun v ->
+      let s = Json.to_string v in
+      Json.to_string (Json.of_string s) = s)
+
+let json_printer () =
+  check Alcotest.string "compact, fields in order, fixed decimals"
+    ("{\"b\":[true,null,-3],\"a\":{},\"f\":[0.5000,13,-0.00],"
+   ^ "\"s\":\"q\\\"\\\\\\n\\t\\r\\u0001\\u001f\x7f\xff\"}")
+    (Json.to_string
+       (Json.Obj
+          [
+            ("b", Json.List [ Json.Bool true; Json.Null; Json.Int (-3) ]);
+            ("a", Json.Obj []);
+            ("f", Json.(List [ Float (0.5, 4); Float (12.7, 0); Float (-0.001, 2) ]));
+            ("s", Json.String "q\"\\\n\t\r\001\031\127\255");
+          ]))
+
+(* Each malformed input fails at the byte where it stops being JSON. *)
+let json_parse_errors () =
+  List.iter
+    (fun (what, input, offset) ->
+      match Json.of_string input with
+      | v -> Alcotest.failf "%s: %S parsed as %s" what input (Json.to_string v)
+      | exception Json.Parse_error { offset = at; reason = _ } ->
+        check Alcotest.int what offset at)
+    [
+      ("truncated list", "{\"a\":[1,2", 9);
+      ("truncated string", "\"abc", 4);
+      ("empty input", "", 0);
+      ("trailing bytes", "{}x", 2);
+      ("whitespace", "[1, 2]", 3);
+      ("bad escape", "\"a\\qb\"", 3);
+      ("\\u above 00FF", "\"\\u0100\"", 2);
+      ("lone minus", "-", 1);
+      ("leading zero", "[01]", 1);
+      ("exponent", "[1e5]", 2);
+      ("overflow", "[4611686018427387904]", 1);
+      ("negative overflow", "-4611686018427387905", 0);
+    ];
+  check Alcotest.string "min_int reads" (string_of_int min_int)
+    (Json.to_string (Json.of_string (string_of_int min_int)))
+
+(* The committed BENCH records are printer output: each reads back and
+   reprints byte for byte (BENCH_6 is pretty-printed by an older writer
+   and is not). *)
+let json_reprints_bench_files () =
+  List.iter
+    (fun name ->
+      let path =
+        Filename.concat (Filename.dirname Sys.executable_name)
+          (Filename.concat Filename.parent_dir_name name)
+      in
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      let body = String.sub text 0 (String.length text - 1) in
+      check Alcotest.string name text (Json.to_string (Json.of_string body) ^ "\n"))
+    [ "BENCH_3.json"; "BENCH_5.json"; "BENCH_7.json"; "BENCH_10.json" ]
+
 let suite =
   [
     Alcotest.test_case "prng deterministic" `Quick prng_deterministic;
@@ -364,4 +466,9 @@ let suite =
     Alcotest.test_case "tablefmt render" `Quick tablefmt_render;
     Alcotest.test_case "tablefmt row mismatch" `Quick tablefmt_row_mismatch;
     Alcotest.test_case "tablefmt charts" `Quick tablefmt_charts_do_not_crash;
+    json_roundtrip;
+    Alcotest.test_case "json printer" `Quick json_printer;
+    Alcotest.test_case "json parse errors carry an offset" `Quick json_parse_errors;
+    Alcotest.test_case "json reprints the committed BENCH files" `Quick
+      json_reprints_bench_files;
   ]
