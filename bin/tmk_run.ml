@@ -542,9 +542,10 @@ let cmd =
             "tmk_run: degraded: the run cannot complete without processor %d (%s)\n" pid
             reason;
           exit 3
-        | Invalid_argument msg ->
+        | Invalid_argument msg | Sys_error msg ->
           (* e.g. Config.validate rejecting a fault plan that names pids
-             outside the cluster *)
+             outside the cluster, or a --trace/--lint-sarif/--lint-jsonl
+             file that cannot be opened *)
           prerr_endline ("tmk_run: " ^ msg);
           exit 1)
       | exception Invalid_argument msg ->

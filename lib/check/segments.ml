@@ -25,7 +25,6 @@ type segment = {
 }
 
 type t = {
-  nprocs : int;
   clock : int array array;  (* clock.(p).(q): segments of q ordered before p's current *)
   seg : segment array;  (* current open segment per processor *)
   held : int list array;
@@ -42,7 +41,6 @@ let create ~nprocs () =
     { s_pid = pid; s_idx = 1; s_open = Array.make nprocs 0; s_ctx = "at start"; s_locks = [] }
   in
   {
-    nprocs;
     clock = Array.init nprocs (fun _ -> Array.make nprocs 0);
     seg = Array.init nprocs seg0;
     held = Array.make nprocs [];
@@ -53,7 +51,6 @@ let create ~nprocs () =
     generation = 0;
   }
 
-let nprocs t = t.nprocs
 let current t pid = t.seg.(pid)
 let held t pid = t.held.(pid)
 let generation t = t.generation

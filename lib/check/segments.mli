@@ -19,7 +19,6 @@ type segment = {
 type t
 
 val create : nprocs:int -> unit -> t
-val nprocs : t -> int
 
 (** [current t pid] is the processor's open segment. *)
 val current : t -> int -> segment

@@ -67,6 +67,11 @@ let validate t =
       if c.Tmk_net.Fault_plan.cr_pid >= t.nprocs then
         invalid_arg "Config: crash pid outside the cluster")
     t.faults.Tmk_net.Fault_plan.crashes;
+  (* The pids are distinct and in range, so as many crashes as
+     processors kill them all: no survivor could detect, recover or
+     finish, and the failure detector would poll forever. *)
+  if List.length t.faults.Tmk_net.Fault_plan.crashes >= t.nprocs then
+    invalid_arg "Config: the crash schedule names every processor";
   (* Whether crash schedules or diff_backup are admissible depends on the
      selected coherence backend's capabilities; Protocol.create checks
      them against [Backend.caps] (this module cannot: the backend modules

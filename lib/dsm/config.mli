@@ -114,7 +114,8 @@ val default : t
 (** [validate t] checks invariants.  Capability-dependent admissibility
     (crash schedules, [diff_backup]) is checked by [Protocol.create]
     against the selected backend's {!Backend.caps}.
-    @raise Invalid_argument when a field is out of range. *)
+    @raise Invalid_argument when a field is out of range, or when the
+    crash schedule leaves no processor running. *)
 val validate : t -> unit
 
 val protocol_name : protocol -> string

@@ -7,11 +7,7 @@ type t = {
   points : int array;  (* ring positions, sorted ascending, all >= 0 *)
   pids : int array;  (* pids.(i) owns points.(i) *)
   nprocs : int;
-  vnodes : int;
 }
-
-let nprocs t = t.nprocs
-let vnodes t = t.vnodes
 
 (* splitmix64 finalizer: the avalanche permutation behind the placement
    and key hashes.  Everything is folded into OCaml's 63-bit native int
@@ -46,7 +42,6 @@ let create ?(vnodes = 16) ~nprocs ~seed () =
     points = Array.map fst pairs;
     pids = Array.map snd pairs;
     nprocs;
-    vnodes;
   }
 
 (* Namespacing: pages and locks are small dense integers; put them in

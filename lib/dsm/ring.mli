@@ -28,9 +28,6 @@ type t
     better shard balance at the cost of a larger (still tiny) table. *)
 val create : ?vnodes:int -> nprocs:int -> seed:int64 -> unit -> t
 
-val nprocs : t -> int
-val vnodes : t -> int
-
 (** [owner t ~live key] — the live processor owning [key]: the first
     point at or clockwise from [hash key] whose processor satisfies
     [live].  @raise Invalid_argument when no processor is live. *)

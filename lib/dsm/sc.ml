@@ -33,7 +33,7 @@ let manager_of t page = t.page_home page
 (* manager-side bookkeeping per protocol step *)
 let manager_cpu = Vtime.us 25
 
-let create ?page_home ~engine ~transport ~nodes ~pages () =
+let create ~page_home ~engine ~transport ~nodes ~pages =
   let make page =
     let copyset = Bitset.create (Array.length nodes) in
     Bitset.add copyset 0;
@@ -45,11 +45,6 @@ let create ?page_home ~engine ~transport ~nodes ~pages () =
       ps_awaiting_acks = 0;
       ps_queue = Queue.create ();
     }
-  in
-  let page_home =
-    match page_home with
-    | Some f -> f
-    | None -> fun page -> page mod Array.length nodes
   in
   { engine; transport; nodes; pstates = Array.init pages make; page_home }
 
@@ -220,7 +215,7 @@ let make cl =
     create
       ~page_home:(fun page -> Cluster.page_owner cl page)
       ~engine:cl.Cluster.engine ~transport:cl.Cluster.transport
-      ~nodes:cl.Cluster.nodes ~pages:cl.Cluster.cfg.Config.pages ()
+      ~nodes:cl.Cluster.nodes ~pages:cl.Cluster.cfg.Config.pages
   in
   let nprocs = cl.Cluster.cfg.Config.nprocs in
   {

@@ -26,27 +26,6 @@
 
     Used through {!Protocol} with [Config.protocol = Sc]. *)
 
-open Tmk_sim
-
-type t
-
-(** [create ~engine ~transport ~nodes ~pages ()] — ownership starts at
-    processor 0 for every page, matching {!Node.create}'s initial page
-    states.  [page_home] overrides the static [page mod nprocs] manager
-    placement (the sharding ring passes its owner lookup here). *)
-val create :
-  ?page_home:(int -> int) ->
-  engine:Engine.t ->
-  transport:Tmk_net.Transport.t ->
-  nodes:Node.t array ->
-  pages:int ->
-  unit ->
-  t
-
-(** [handle_fault t ~pid kind page] — application-context fault entry
-    point (the SIGSEGV analogue); blocks until the access is legal. *)
-val handle_fault : t -> pid:int -> Tmk_mem.Vm.access -> int -> unit
-
 val caps : Backend.caps
 
 (** [make cl] builds the single-writer state over [cl]'s nodes and

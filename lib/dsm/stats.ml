@@ -75,14 +75,3 @@ let add ~into t =
   into.lease_expiries <- into.lease_expiries + t.lease_expiries;
   into.quorum_reads <- into.quorum_reads + t.quorum_reads;
   into.quorum_writes <- into.quorum_writes + t.quorum_writes
-
-let pp ppf t =
-  Format.fprintf ppf
-    "locks=%d (remote %d) barriers=%d faults=r%d/w%d misses=%d twins=%d diffs=c%d/a%d \
-     diff-bytes=%d notices-in=%d intervals-in=%d pages=%d gc=%d discarded=%d \
-     diff-cache=h%d/m%d prefetched=%d backups=%d/%dB leases=%d quorum=r%d/w%d"
-    t.lock_acquires t.lock_remote t.barriers t.read_faults t.write_faults t.remote_misses
-    t.twins_created t.diffs_created t.diffs_applied t.diff_bytes_created
-    t.write_notices_in t.intervals_in t.page_fetches t.gc_runs t.records_discarded
-    t.diff_cache_hits t.diff_cache_misses t.diff_prefetch_entries t.diff_backups
-    t.diff_backup_bytes t.lease_expiries t.quorum_reads t.quorum_writes

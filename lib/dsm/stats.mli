@@ -49,5 +49,3 @@ val create : unit -> t
 
 (** [add ~into t] accumulates [t] into [into] (cluster totals). *)
 val add : into:t -> t -> unit
-
-val pp : Format.formatter -> t -> unit

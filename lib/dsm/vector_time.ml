@@ -29,8 +29,6 @@ let leq a b =
     invalid_arg "Vector_time.leq: size mismatch";
   leq_from a b 0
 
-let dominates a b = leq b a
-
 let rec equal_from (a : t) (b : t) q =
   q >= Array.length a || (a.(q) = b.(q) && equal_from a b (q + 1))
 
@@ -50,7 +48,3 @@ let compare_total a b =
   compare_from a b 0
 
 let bytes n = 4 * n
-
-let pp ppf t =
-  Format.fprintf ppf "<%s>"
-    (String.concat "," (Array.to_list (Array.map string_of_int t)))

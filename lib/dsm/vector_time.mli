@@ -30,9 +30,6 @@ val max_into : src:t -> dst:t -> unit
     [a] is covered by [b]. *)
 val leq : t -> t -> bool
 
-(** [dominates a b] is [leq b a]. *)
-val dominates : t -> t -> bool
-
 (** [equal a b] — pointwise equality. *)
 val equal : t -> t -> bool
 
@@ -48,5 +45,3 @@ val compare_total : t -> t -> int
 (** [bytes n] is the wire size of a timestamp over [n] processors (32-bit
     entries). *)
 val bytes : int -> int
-
-val pp : Format.formatter -> t -> unit

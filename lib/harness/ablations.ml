@@ -219,8 +219,11 @@ let a5 () =
   let rows =
     List.map
       (fun loss ->
-        let net = if loss = 0.0 then atm else Params.with_loss atm loss in
-        let cfg = Harness.config ~app ~nprocs:4 ~protocol:Config.Lrc ~net in
+        let cfg = Harness.config ~app ~nprocs:4 ~protocol:Config.Lrc ~net:atm in
+        let cfg =
+          if loss = 0.0 then cfg
+          else { cfg with Config.faults = Tmk_net.Fault_plan.(with_loss none loss) }
+        in
         let raw = Api.run cfg (Harness.body app) in
         [ Printf.sprintf "%.0f%%" (loss *. 100.0);
           f2 (Tmk_sim.Vtime.to_s raw.Api.total_time);

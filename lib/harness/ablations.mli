@@ -21,8 +21,6 @@
 
 type id = A1 | A2 | A3 | A4 | A5 | A6
 
-val all : id list
-
 val id_name : id -> string
 
 (** @raise Invalid_argument on unknown names. *)

@@ -251,11 +251,6 @@ let run_checked ~app cfg =
   let raw = Api.run cfg checked_body in
   (metrics_of_raw ~app cfg raw, !digest)
 
-let speedup ~app ~nprocs ~protocol ~net =
-  let base = run ~app ~nprocs:1 ~protocol ~net in
-  let par = run ~app ~nprocs ~protocol ~net in
-  base.m_time_s /. par.m_time_s
-
 (* Independent simulation arms on OCaml 5 domains.  Every run builds its
    own cluster, engine and RNG streams from the config's seed, so arms
    share no mutable state; results land in an index-keyed slot array, so

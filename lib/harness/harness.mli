@@ -58,7 +58,6 @@ val water_params : Tmk_apps.Water.params
 val jacobi_params : Tmk_apps.Jacobi.params
 val tsp_params : Tmk_apps.Tsp.params
 val quicksort_params : Tmk_apps.Quicksort.params
-val ilink_params : Tmk_apps.Ilink.params
 
 (** [workload_description app] — a short human-readable input summary. *)
 val workload_description : app -> string
@@ -99,12 +98,6 @@ val breakdown_table : metrics -> string
     the collection traffic makes the metrics slightly heavier than
     {!run_cfg}'s. *)
 val run_checked : app:app -> Config.t -> metrics * string
-
-(** [speedup ~app ~nprocs ~protocol ~net] — [time(1)/time(nprocs)]; the
-    uniprocessor baseline runs the same program on one processor (all
-    synchronization local). *)
-val speedup :
-  app:app -> nprocs:int -> protocol:Config.protocol -> net:Tmk_net.Params.t -> float
 
 (** [parallel_map ~jobs f items] — map [f] over [items] on up to [jobs]
     OCaml domains (sequentially when [jobs <= 1]).  Results are returned

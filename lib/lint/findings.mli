@@ -27,9 +27,6 @@ val compare_findings : t -> t -> int
     Every reporter consumes the result of this, never a raw list. *)
 val sort_dedup : t list -> t list
 
-(** [worst fs] — the highest severity present, [None] on an empty list. *)
-val worst : t list -> severity option
-
 (** [has_errors fs] — any error-severity finding present (the exit-2 and
     CI-failure condition). *)
 val has_errors : t list -> bool

@@ -57,15 +57,6 @@ let create ?(analyzers = all_analyzers) ~nprocs () =
     discipline = (if on Discipline then Some (Discipline.create ~nprocs ()) else None);
   }
 
-let enabled t =
-  List.filter
-    (fun a ->
-      match a with
-      | Lockset -> t.lockset <> None
-      | Sharing -> t.sharing <> None
-      | Discipline -> t.discipline <> None)
-    all_analyzers
-
 let hooks t =
   {
     Hooks.h_access =

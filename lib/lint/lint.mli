@@ -29,9 +29,6 @@ type t
 
 val create : ?analyzers:analyzer list -> nprocs:int -> unit -> t
 
-(** [enabled t] — the analyzers this instance runs, in canonical order. *)
-val enabled : t -> analyzer list
-
 (** [hooks t] — the observer to pass to [Checker.create ~hooks]. *)
 val hooks : t -> Tmk_check.Hooks.t
 
@@ -43,10 +40,6 @@ val attach : t -> Tmk_trace.Sink.t -> unit
     detector's (analyzer "hb"), sorted and deduplicated.  Lockset rows
     that overlap a confirmed HB race are dropped. *)
 val findings : ?race:Tmk_check.Race.t -> t -> Findings.t list
-
-(** [classification_table t] — the sharing analyzer's per-page pattern
-    table, when that analyzer is enabled. *)
-val classification_table : t -> string option
 
 (** [report ?race t] — the findings table plus the sharing
     classification. *)

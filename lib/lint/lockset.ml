@@ -52,11 +52,9 @@ type t = {
   segs : Segments.t;
   words : (int, cell) Hashtbl.t;
   mutable racy : racy list;
-  mutable accesses : int;
 }
 
-let create ~segs () =
-  { segs; words = Hashtbl.create 4096; racy = []; accesses = 0 }
+let create ~segs () = { segs; words = Hashtbl.create 4096; racy = [] }
 
 let inter a b = List.filter (fun l -> List.mem l b) a
 
@@ -75,7 +73,6 @@ let report t word cell =
   end
 
 let access t ~pid kind ~addr ~width =
-  t.accesses <- t.accesses + 1;
   let seg = Segments.current t.segs pid in
   let locks = List.sort_uniq compare (Segments.held t.segs pid) in
   let gen = Segments.generation t.segs in
@@ -140,8 +137,6 @@ let access t ~pid kind ~addr ~width =
       m.m_cands <- inter m.m_cands locks;
       if m.m_cands = [] then report t word cell
   done
-
-let accesses t = t.accesses
 
 (* A sorted list of racy words, for the discipline analyzer's
    unsynchronized-shadow cross-reference and the HB dedup. *)

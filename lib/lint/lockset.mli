@@ -22,8 +22,6 @@ val create : segs:Tmk_check.Segments.t -> unit -> t
     machines.  The caller filters [Api.unsynchronized] spans. *)
 val access : t -> pid:int -> Tmk_check.Hooks.access_kind -> addr:int -> width:int -> unit
 
-val accesses : t -> int
-
 (** [racy_words t] — sorted word indices whose candidate set went empty,
     for cross-referencing by other analyzers. *)
 val racy_words : t -> int list

@@ -49,7 +49,6 @@ let create ?(fast_path = true) ~pages () =
     on_access = None;
   }
 
-let npages t = t.npages
 let size_bytes t = t.npages * page_size
 
 let refresh_fast t page =
@@ -82,8 +81,6 @@ let set_fault_handler t f = t.on_fault <- f
 let set_access_hook t f =
   t.on_access <- Some f;
   refresh_fast_all t
-
-let fast_path t = t.fast_enabled
 
 let prot t page = t.prot.(page)
 

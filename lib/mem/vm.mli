@@ -35,9 +35,7 @@ val page_size : int
     through the checked path. *)
 val create : ?fast_path:bool -> pages:int -> unit -> t
 
-(** [npages t] / [size_bytes t] — capacity. *)
-val npages : t -> int
-
+(** [size_bytes t] — capacity. *)
 val size_bytes : t -> int
 
 (** [set_fault_handler t f] installs the SIGSEGV-handler analogue.  [f]
@@ -76,9 +74,6 @@ val set_prot : t -> int -> prot -> unit
     checked path.  The levels are maintained by [set_prot],
     [set_access_hook] and frame allocation; results are bit-identical with
     the fast path on or off. *)
-
-(** [fast_path t] — whether the fast path is enabled. *)
-val fast_path : t -> bool
 
 (** [page_of_addr addr] is [addr / page_size]. *)
 val page_of_addr : int -> int

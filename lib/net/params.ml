@@ -19,7 +19,6 @@ type t = {
   min_frame_bytes : int;
   shared_medium : bool;
   busy_access_delay : Vtime.t;
-  loss_rate : float;
   retransmit_timeout : Vtime.t;
   retransmit_backoff_cap : Vtime.t;
   max_retransmits : int;
@@ -45,7 +44,6 @@ let atm_aal34 =
     min_frame_bytes = 53 (* one ATM cell *);
     shared_medium = false;
     busy_access_delay = Vtime.zero;
-    loss_rate = 0.0;
     retransmit_timeout = Vtime.ms 20;
     retransmit_backoff_cap = Vtime.ms 320;
     max_retransmits = 12;
@@ -78,17 +76,6 @@ let ethernet_udp =
     shared_medium = true;
     busy_access_delay = Vtime.us 250;
   }
-
-let of_names ~network ~protocol =
-  match (network, protocol) with
-  | Atm, Aal34 -> atm_aal34
-  | Atm, Udp -> atm_udp
-  | Ethernet, Udp -> ethernet_udp
-  | Ethernet, Aal34 -> invalid_arg "Params.of_names: AAL3/4 requires the ATM LAN"
-
-let with_loss t rate =
-  if rate < 0.0 || rate >= 1.0 then invalid_arg "Params.with_loss: rate in [0,1)";
-  { t with loss_rate = rate }
 
 (* Exponential backoff, capped: 20, 40, 80, ... ms.  [attempt] counts
    transmissions already made, so the first timer uses the base timeout. *)

@@ -66,7 +66,6 @@ type t = {
           busy: CSMA/CD deference, collisions and binary exponential
           backoff waste air time on a loaded Ethernet (zero on the
           point-to-point ATM switch) *)
-  loss_rate : float;  (** probability a frame is dropped (default 0) *)
   retransmit_timeout : Vtime.t;  (** user-level protocol timer, first attempt *)
   retransmit_backoff_cap : Vtime.t;
       (** ceiling of the exponential backoff: successive retransmission
@@ -85,16 +84,6 @@ val atm_udp : t
 
 (** [ethernet_udp] — UDP/IP over the 10 Mbps Ethernet. *)
 val ethernet_udp : t
-
-(** [of_names ~network ~protocol] selects a preset.
-    @raise Invalid_argument on [Ethernet]+[Aal34], which the paper's
-    hardware could not run either. *)
-val of_names : network:network -> protocol:protocol -> t
-
-(** [with_loss t rate] enables frame loss (testing the user-level
-    reliability protocol).  Shorthand for a {!Fault_plan} with only a
-    global loss rate: the transport folds it into its effective plan. *)
-val with_loss : t -> float -> t
 
 (** [retransmit_delay t ~attempt] — the timer armed after transmission
     number [attempt] (1-based): [retransmit_timeout] doubled per further
@@ -122,8 +111,6 @@ val deliver_blocked_cpu : t -> Vtime.t
 (** [deliver_handler_cpu t ~fresh] is interrupt (+ signal dispatch when
     [fresh]) consumed delivering to the SIGIO handler. *)
 val deliver_handler_cpu : t -> fresh:bool -> Vtime.t
-
-val protocol_name : protocol -> string
 
 (** [name t] is e.g. ["ATM-AAL3/4"]. *)
 val name : t -> string

@@ -1,5 +1,7 @@
 open Tmk_sim
 
+(* Sender-side frame counts of one message label: the only home of the
+   transport's traffic totals, which are folds over the label table. *)
 type counters = {
   mutable msgs : int;
   mutable bytes : int;
@@ -22,11 +24,8 @@ type t = {
   prng : Tmk_util.Prng.t;
   batching : bool;  (* coalesce multi-part messages into single frames *)
   link_free : Vtime.t array;  (* per-source ATM link, or slot 0 = shared bus *)
-  per_proc : counters array;
   recv : int array;  (* frames delivered at each destination *)
   by_label : (string, counters) Hashtbl.t;  (* message mix by protocol operation *)
-  mutable retransmissions : int;
-  mutable dup_frames : int;
   mutable dups_suppressed : int;
   mutable coalesced : int;  (* frames saved by batching: Σ (parts − 1) *)
   mutable suspicions : int;  (* retry budgets exhausted *)
@@ -40,17 +39,8 @@ type t = {
          history *)
 }
 
-let fresh_counters () = { msgs = 0; bytes = 0; retrans = 0; dups = 0 }
-
 let create ?(plan = Fault_plan.none) ?(batching = true) ~engine ~params ~prng () =
   Fault_plan.validate plan;
-  (* Params.with_loss is the legacy loss knob: fold it into the plan so
-     the two configuration paths agree. *)
-  let plan =
-    if params.Params.loss_rate > plan.Fault_plan.loss then
-      { plan with Fault_plan.loss = params.Params.loss_rate }
-    else plan
-  in
   let n = Engine.nprocs engine in
   {
     engine;
@@ -59,11 +49,8 @@ let create ?(plan = Fault_plan.none) ?(batching = true) ~engine ~params ~prng ()
     prng;
     batching;
     link_free = Array.make (max n 1) Vtime.zero;
-    per_proc = Array.init n (fun _ -> fresh_counters ());
     recv = Array.make (max n 1) 0;
     by_label = Hashtbl.create 16;
-    retransmissions = 0;
-    dup_frames = 0;
     dups_suppressed = 0;
     coalesced = 0;
     suspicions = 0;
@@ -71,11 +58,6 @@ let create ?(plan = Fault_plan.none) ?(batching = true) ~engine ~params ~prng ()
     next_msg_id = 0;
     delivered = Hashtbl.create 64;
   }
-
-let engine t = t.engine
-let params t = t.params
-let plan t = t.plan
-let batching t = t.batching
 
 (* Delivery faults engage the ack/retransmit protocol; stall-only plans
    delay service but never lose frames. *)
@@ -110,7 +92,7 @@ let label_counters t label =
   match Hashtbl.find_opt t.by_label label with
   | Some lc -> lc
   | None ->
-    let lc = fresh_counters () in
+    let lc = { msgs = 0; bytes = 0; retrans = 0; dups = 0 } in
     Hashtbl.add t.by_label label lc;
     lc
 
@@ -147,9 +129,6 @@ let transmit ?(label = "other") ?(retrans = false) ?(parts = 1)
   in
   let nframes = List.length frames in
   let total = List.fold_left ( + ) 0 frames in
-  let c = t.per_proc.(src) in
-  c.msgs <- c.msgs + nframes;
-  c.bytes <- c.bytes + total;
   let lc = label_counters t label in
   lc.msgs <- lc.msgs + nframes;
   lc.bytes <- lc.bytes + total;
@@ -231,7 +210,6 @@ let transmit ?(label = "other") ?(retrans = false) ?(parts = 1)
         in
         arrive arrival;
         if copies = 2 then begin
-          t.dup_frames <- t.dup_frames + nframes;
           lc.dups <- lc.dups + nframes;
           if Engine.tracing t.engine then
             Engine.emit t.engine ~pid:src
@@ -256,95 +234,11 @@ let deliver_to_handler t ~dst ~bytes ~arrival ~deliver =
       deliver h)
 
 (* ------------------------------------------------------------------ *)
-(* Reliable one-way messages.                                          *)
-
-(* Per-message retransmission state.  [expected]/[checked] count medium
-   copies: [expected] grows at each transmission (adjusted once the
-   medium decides the copy count), [checked] when a copy has passed the
-   duplicate filter.  The dedup entry can be dropped only when the ack
-   has landed AND no copy is still in flight — pruning earlier would let
-   a trailing duplicate deliver a second time. *)
-type rel = {
-  mutable acked : bool;
-  mutable expected : int;
-  mutable checked : int;
-  mutable attempts : int;
-  mutable cancel : unit -> unit;
-}
-
-(* In reliable mode each one-way message is acknowledged; the sender
-   retransmits on an exponentially backed-off timer until the ack lands
-   or the retry budget runs out (the peer is {i suspected}).  Acks and
-   retransmissions consume CPU through self-posted handlers so the
-   charges land on the right processor even though the original caller
-   has moved on. *)
-let rec oneway ?(label = "other") ?(parts = 1) ?retry_budget t ~src ~dst ~bytes ~at
-    ~deliver =
-  if not (reliable t) then
-    transmit ~label ~parts t ~src ~dst ~bytes ~at ~on_arrival:(fun arrival ->
-        deliver_to_handler t ~dst ~bytes ~arrival ~deliver)
-  else begin
-    let budget =
-      match retry_budget with
-      | Some b -> min b t.params.Params.max_retransmits
-      | None -> t.params.Params.max_retransmits
-    in
-    let id = fresh_id t in
-    let st = { acked = false; expected = 0; checked = 0; attempts = 0; cancel = ignore } in
-    let maybe_prune () =
-      if st.acked && st.expected = st.checked then Hashtbl.remove t.delivered id
-    in
-    let on_ack () =
-      if not st.acked then begin
-        st.acked <- true;
-        st.cancel ();
-        maybe_prune ()
-      end
-    in
-    let lc = label_counters t label in
-    let rec attempt ~at =
-      st.attempts <- st.attempts + 1;
-      st.expected <- st.expected + 1;
-      if st.attempts > 1 then begin
-        t.retransmissions <- t.retransmissions + 1;
-        lc.retrans <- lc.retrans + 1
-      end;
-      transmit ~label ~retrans:(st.attempts > 1) ~parts t ~src ~dst ~bytes ~at
-        ~on_fate:(fun copies ->
-          st.expected <- st.expected + (copies - 1);
-          maybe_prune ())
-        ~on_arrival:(fun arrival ->
-          deliver_to_handler t ~dst ~bytes ~arrival ~deliver:(fun h ->
-              if not (Hashtbl.mem t.delivered id) then begin
-                Hashtbl.add t.delivered id ();
-                deliver h
-              end
-              else t.dups_suppressed <- t.dups_suppressed + 1;
-              st.checked <- st.checked + 1;
-              maybe_prune ();
-              send_ack t h ~dst:src ~on_ack));
-      let timeout = Vtime.add at (Params.retransmit_delay t.params ~attempt:st.attempts) in
-      st.cancel <-
-        Engine.schedule_cancellable t.engine ~at:timeout (fun () ->
-            (* A dead sender retransmits nothing (and suspects no one). *)
-            if (not st.acked) && not (Engine.crashed t.engine src) then begin
-              if st.attempts >= budget then
-                suspected t ~src ~dst ~label ~attempts:st.attempts
-              else
-                (* The user-level timer fires on [src]: charge the resend. *)
-                post_to t ~pid:src ~at:timeout (fun h ->
-                    if not st.acked then begin
-                      Engine.hcharge h Category.Unix_comm (Params.send_cost t.params bytes);
-                      attempt ~at:(Engine.hnow h)
-                    end)
-            end)
-    in
-    attempt ~at
-  end
+(* Reliable delivery.                                                  *)
 
 (* Acks are fire-and-forget minimum-size frames; a lost ack just causes a
    (suppressed) duplicate and a re-ack. *)
-and send_ack t h ~dst ~on_ack =
+let send_ack t h ~dst ~on_ack =
   Engine.hcharge h Category.Unix_comm (Params.send_cost t.params 0);
   transmit ~label:"ack" t ~src:(Engine.hpid h) ~dst ~bytes:0 ~at:(Engine.hnow h)
     ~on_arrival:(fun arrival ->
@@ -353,6 +247,97 @@ and send_ack t h ~dst ~on_ack =
             (Params.deliver_handler_cpu t.params ~fresh:(Engine.hfresh ha));
           Engine.hcharge ha Category.Unix_comm (Params.recv_cost t.params 0);
           on_ack ()))
+
+(* Per-message retransmission state.  [id] keys the message's entry in
+   the duplicate table (a mailbox value has none: the single-use mailbox
+   is its filter).  [unfiltered] counts medium copies not yet past the
+   receiver's filter: each transmission adds one, the medium's decision
+   corrects it (none when dropped, two when duplicated), each
+   acknowledged copy takes one off.  The entry can be dropped only when
+   the ack has landed AND no copy is unfiltered — pruning earlier would
+   let a trailing duplicate deliver a second time. *)
+type rel = {
+  id : int;
+  mutable acked : bool;
+  mutable attempts : int;
+  mutable unfiltered : int;
+  mutable cancel : unit -> unit;
+}
+
+(* The user-level reliability protocol (§3.7), under both delivery ends.
+   Every transmission arms a timer, doubling from the base timeout to
+   the cap; the ack cancels it.  A timer that fires first makes [src]
+   charge the resend and transmit again, until the retry budget runs out
+   and the peer is suspected.  Acks and resends consume CPU through
+   self-posted handlers so the charges land on the right processor even
+   though the original caller has moved on.  [on_copy id arrival ~ack]
+   is the receiving end's action for each copy the medium delivers: it
+   filters the copy and runs [ack] in a handler on [dst]. *)
+let reliably ?(retry_budget = max_int) t ~label ~parts ~src ~dst ~bytes ~at ~on_copy =
+  let budget = min retry_budget t.params.Params.max_retransmits in
+  let st = { id = fresh_id t; acked = false; attempts = 0; unfiltered = 0; cancel = ignore } in
+  let prune () =
+    if st.acked && st.unfiltered = 0 then Hashtbl.remove t.delivered st.id
+  in
+  let on_ack () =
+    if not st.acked then begin
+      st.acked <- true;
+      st.cancel ();
+      prune ()
+    end
+  in
+  let ack h =
+    st.unfiltered <- st.unfiltered - 1;
+    prune ();
+    send_ack t h ~dst:src ~on_ack
+  in
+  let lc = label_counters t label in
+  let rec attempt ~at =
+    st.attempts <- st.attempts + 1;
+    st.unfiltered <- st.unfiltered + 1;
+    if st.attempts > 1 then lc.retrans <- lc.retrans + 1;
+    transmit ~label ~retrans:(st.attempts > 1) ~parts t ~src ~dst ~bytes ~at
+      ~on_fate:(fun copies ->
+        st.unfiltered <- st.unfiltered + (copies - 1);
+        prune ())
+      ~on_arrival:(fun arrival -> on_copy st.id arrival ~ack);
+    let timeout = Vtime.add at (Params.retransmit_delay t.params ~attempt:st.attempts) in
+    st.cancel <-
+      Engine.schedule_cancellable t.engine ~at:timeout (fun () ->
+          (* A dead sender retransmits nothing (and suspects no one). *)
+          if (not st.acked) && not (Engine.crashed t.engine src) then begin
+            if st.attempts >= budget then
+              suspected t ~src ~dst ~label ~attempts:st.attempts
+            else
+              (* The user-level timer fires on [src]: charge the resend. *)
+              post_to t ~pid:src ~at:timeout (fun h ->
+                  if not st.acked then begin
+                    Engine.hcharge h Category.Unix_comm (Params.send_cost t.params bytes);
+                    attempt ~at:(Engine.hnow h)
+                  end)
+          end)
+  in
+  attempt ~at
+
+(* ------------------------------------------------------------------ *)
+(* One-way messages into a handler.                                    *)
+
+(* In reliable mode a copy runs [deliver] only if the duplicate table
+   has not seen its message, and is acknowledged either way. *)
+let oneway ?(label = "other") ?(parts = 1) ?retry_budget t ~src ~dst ~bytes ~at ~deliver =
+  if not (reliable t) then
+    transmit ~label ~parts t ~src ~dst ~bytes ~at ~on_arrival:(fun arrival ->
+        deliver_to_handler t ~dst ~bytes ~arrival ~deliver)
+  else
+    reliably ?retry_budget t ~label ~parts ~src ~dst ~bytes ~at
+      ~on_copy:(fun id arrival ~ack ->
+        deliver_to_handler t ~dst ~bytes ~arrival ~deliver:(fun h ->
+            if not (Hashtbl.mem t.delivered id) then begin
+              Hashtbl.add t.delivered id ();
+              deliver h
+            end
+            else t.dups_suppressed <- t.dups_suppressed + 1;
+            ack h))
 
 (* Sender CPU for a possibly-split burst: the payload cost once, plus the
    fixed kernel send entry for each extra fragment an unbatched transport
@@ -395,8 +380,7 @@ let mailbox_filled mb = Engine.Ivar.is_filled mb
    additionally runs a (cheap) handler on [dst] to source the
    acknowledgement; the single-use mailbox doubles as the duplicate
    filter, so no dedup-table entry is needed. *)
-let value_message ?(label = "other") ?(parts = 1) ?retry_budget t ~src ~dst ~bytes ~at
-    mb v =
+let value_message ?(label = "other") ?(parts = 1) t ~src ~dst ~bytes ~at mb v =
   let fill_at arrival =
     let at = Fault_plan.stall_until t.plan ~pid:dst ~at:arrival in
     if not (Engine.Ivar.is_filled mb) then Engine.fill t.engine mb ~at (bytes, v)
@@ -404,47 +388,10 @@ let value_message ?(label = "other") ?(parts = 1) ?retry_budget t ~src ~dst ~byt
   in
   if not (reliable t) then
     transmit ~label ~parts t ~src ~dst ~bytes ~at ~on_arrival:fill_at
-  else begin
-    let budget =
-      match retry_budget with
-      | Some b -> min b t.params.Params.max_retransmits
-      | None -> t.params.Params.max_retransmits
-    in
-    let st = { acked = false; expected = 0; checked = 0; attempts = 0; cancel = ignore } in
-    let on_ack () =
-      if not st.acked then begin
-        st.acked <- true;
-        st.cancel ()
-      end
-    in
-    let lc = label_counters t label in
-    let rec attempt ~at =
-      st.attempts <- st.attempts + 1;
-      if st.attempts > 1 then begin
-        t.retransmissions <- t.retransmissions + 1;
-        lc.retrans <- lc.retrans + 1
-      end;
-      transmit ~label ~retrans:(st.attempts > 1) ~parts t ~src ~dst ~bytes ~at
-        ~on_arrival:(fun arrival ->
-          fill_at arrival;
-          post_to t ~pid:dst ~at:arrival (fun h ->
-              send_ack t h ~dst:src ~on_ack));
-      let timeout = Vtime.add at (Params.retransmit_delay t.params ~attempt:st.attempts) in
-      st.cancel <-
-        Engine.schedule_cancellable t.engine ~at:timeout (fun () ->
-            if (not st.acked) && not (Engine.crashed t.engine src) then begin
-              if st.attempts >= budget then
-                suspected t ~src ~dst ~label ~attempts:st.attempts
-              else
-                post_to t ~pid:src ~at:timeout (fun h ->
-                    if not st.acked then begin
-                      Engine.hcharge h Category.Unix_comm (Params.send_cost t.params bytes);
-                      attempt ~at:(Engine.hnow h)
-                    end)
-            end)
-    in
-    attempt ~at
-  end
+  else
+    reliably t ~label ~parts ~src ~dst ~bytes ~at ~on_copy:(fun _ arrival ~ack ->
+        fill_at arrival;
+        post_to t ~pid:dst ~at:arrival ack)
 
 let send_value ?label ?(parts = 1) t ~src ~dst ~bytes mb v =
   Engine.advance Category.Unix_comm (burst_send_cost t ~bytes ~parts);
@@ -461,34 +408,15 @@ let await_value t mb =
   v
 
 (* ------------------------------------------------------------------ *)
-(* Request/response.                                                   *)
-
-type 'a promise = 'a mailbox
-
-let call ?label ?(parts = 1) t ~src ~dst ~bytes ~serve =
-  let mb = mailbox () in
-  let reply_label = Option.map (fun l -> l ^ "-reply") label in
-  Engine.advance Category.Unix_comm (burst_send_cost t ~bytes ~parts);
-  oneway ?label ~parts t ~src ~dst ~bytes ~at:(Engine.now t.engine) ~deliver:(fun h ->
-      let reply_bytes, reply = serve h in
-      hsend_value ?label:reply_label t h ~dst:src ~bytes:reply_bytes mb reply);
-  mb
-
-let await_reply = await_value
-
-let rpc ?label t ~src ~dst ~bytes ~serve =
-  await_reply t (call ?label t ~src ~dst ~bytes ~serve)
-
-(* ------------------------------------------------------------------ *)
 (* Statistics.                                                         *)
 
-let messages_sent t = Array.fold_left (fun acc c -> acc + c.msgs) 0 t.per_proc
-let bytes_sent t = Array.fold_left (fun acc c -> acc + c.bytes) 0 t.per_proc
-let messages_of t pid = t.per_proc.(pid).msgs
+let total t count = Hashtbl.fold (fun _ c acc -> acc + count c) t.by_label 0
+let messages_sent t = total t (fun c -> c.msgs)
+let bytes_sent t = total t (fun c -> c.bytes)
 let messages_handled_of t pid = t.recv.(pid)
-let retransmissions t = t.retransmissions
+let retransmissions t = total t (fun c -> c.retrans)
 let frames_coalesced t = t.coalesced
-let duplicates_injected t = t.dup_frames
+let duplicates_injected t = total t (fun c -> c.dups)
 let duplicates_suppressed t = t.dups_suppressed
 let dedup_entries t = Hashtbl.length t.delivered
 
@@ -505,19 +433,3 @@ let message_mix t =
       :: acc)
     t.by_label []
   |> List.sort (fun a b -> compare b.mix_msgs a.mix_msgs)
-
-let reset_stats t =
-  Array.iter
-    (fun c ->
-      c.msgs <- 0;
-      c.bytes <- 0;
-      c.retrans <- 0;
-      c.dups <- 0)
-    t.per_proc;
-  Array.fill t.recv 0 (Array.length t.recv) 0;
-  Hashtbl.reset t.by_label;
-  Hashtbl.reset t.delivered;
-  t.retransmissions <- 0;
-  t.dup_frames <- 0;
-  t.dups_suppressed <- 0;
-  t.coalesced <- 0

@@ -22,16 +22,22 @@
     top of UDP/IP and AAL3/4 to insure delivery" (§3.7).  Here, when the
     fault plan cannot affect delivery ({!Fault_plan.is_faulty} is false —
     the default) frames always arrive and no acknowledgements are sent.
-    Otherwise every one-way message is acknowledged and retransmitted on a
-    timer with exponential backoff (doubling from
-    [Params.retransmit_timeout] up to [Params.retransmit_backoff_cap]);
-    duplicates — whether retransmission- or medium-induced — are
-    suppressed by message id, giving exactly-once delivery of the
-    [deliver] callback.  The suppression table is pruned as soon as a
+    Frame loss, like every other medium fault, is set only through the
+    {!Fault_plan} given to {!create}.
+
+    Otherwise one retransmission machine runs under both delivery ends —
+    a [deliver] callback in a handler ({!send}, {!hsend}, {!notify}) and a
+    value into a mailbox ({!send_value}, {!hsend_value}): every message is
+    acknowledged and retransmitted on a timer with exponential backoff
+    (doubling from [Params.retransmit_timeout] up to
+    [Params.retransmit_backoff_cap]).  Duplicates — whether
+    retransmission- or medium-induced — are filtered at the receiver, by
+    message id for handler deliveries (exactly-once [deliver]) and by the
+    single-use mailbox for values.  The id table is pruned as soon as a
     message's ack has landed and its last in-flight copy has been
     filtered, so it holds only in-flight messages.  A message still
     unacknowledged after its retry budget ([Params.max_retransmits]
-    transmissions, or the smaller [?retry_budget] given at the send) makes
+    transmissions, or the smaller [?retry_budget] given to {!notify}) makes
     the sender {e suspect} the peer: the event is counted, traced
     ({!Tmk_trace.Event.Peer_suspect}) and reported through the
     {!on_suspect} callback so the DSM layer's failure detector can react.
@@ -56,9 +62,8 @@ open Tmk_sim
 type t
 
 (** [create ~engine ~params ~prng] builds a transport over [engine]'s
-    processors.  [prng] drives the fault draws.  [?plan] installs a fault
-    schedule (default {!Fault_plan.none}); a legacy [Params.with_loss]
-    rate is folded into the effective plan, whichever is larger.
+    processors.  [prng] drives the fault draws.  [?plan] is the fault
+    schedule (default {!Fault_plan.none}, an ideal network).
 
     [?batching] (default [true]) controls how multi-part messages (the
     [?parts] argument of the send functions) reach the wire: a batching
@@ -77,21 +82,6 @@ val create :
   prng:Tmk_util.Prng.t ->
   unit ->
   t
-
-val engine : t -> Engine.t
-val params : t -> Params.t
-
-(** [plan t] is the effective fault plan (after folding in
-    [Params.loss_rate]). *)
-val plan : t -> Fault_plan.t
-
-(** [reliable t] — true when the plan engages the ack/retransmit
-    protocol. *)
-val reliable : t -> bool
-
-(** [batching t] — whether multi-part messages coalesce into single
-    frames (see {!create}). *)
-val batching : t -> bool
 
 (** [on_suspect t f] registers the suspicion callback: [f] fires (from a
     timer callback — no process context, no CPU charges) each time a
@@ -193,55 +183,21 @@ val hsend_value :
     mailbox delivers exactly one value. *)
 val await_value : t -> 'a mailbox -> 'a
 
-(** Outstanding reply of an asynchronous {!call}. *)
-type 'a promise
-
-(** [call t ~src ~dst ~bytes ~serve] — request/response: [serve] runs in a
-    handler context on [dst] and returns [(reply_bytes, reply)]; the reply
-    is sent back to [src].  Returns immediately; several calls may be
-    outstanding (the access-miss protocol fetches diffs "in parallel",
-    §3.5). *)
-val call :
-  ?label:string ->
-  ?parts:int ->
-  t ->
-  src:Engine.pid ->
-  dst:Engine.pid ->
-  bytes:int ->
-  serve:(Engine.hctx -> int * 'a) ->
-  'a promise
-
-(** [await_reply t p] — process context: block for the reply, charge
-    delivery CPU, return it. *)
-val await_reply : t -> 'a promise -> 'a
-
-(** [rpc t ~src ~dst ~bytes ~serve] is [await_reply t (call t ...)]. *)
-val rpc :
-  ?label:string ->
-  t ->
-  src:Engine.pid ->
-  dst:Engine.pid ->
-  bytes:int ->
-  serve:(Engine.hctx -> int * 'a) ->
-  'a
-
 (** {2 Statistics}
 
-    Counters cover every frame handed to the medium by a sender,
-    including retransmissions and acknowledgements; bytes are on-wire
-    frame sizes (payload + protocol header, padded to the minimum frame).
-    Extra copies injected by a duplicating medium are counted separately
-    (they are not sender traffic). *)
+    Sender counters cover every frame handed to the medium, including
+    retransmissions and acknowledgements; bytes are on-wire frame sizes
+    (payload + protocol header, padded to the minimum frame).  Extra
+    copies injected by a duplicating medium are counted separately (they
+    are not sender traffic).  Each is kept once, per message label: the
+    totals below are sums over the {!message_mix} rows. *)
 
 val messages_sent : t -> int
 val bytes_sent : t -> int
-val messages_of : t -> Engine.pid -> int
 
 (** [messages_handled_of t pid] — frames delivered {e at} [pid] (the
-    receive-side load of acting as a manager), where {!messages_of}
-    counts the frames [pid] handed to the medium as a sender.  Dropped
-    frames are not counted; duplicated copies are counted once per
-    delivery. *)
+    receive-side load of acting as a manager).  Dropped frames are not
+    counted; duplicated copies are counted once per delivery. *)
 val messages_handled_of : t -> Engine.pid -> int
 
 (** [retransmissions t] — frames re-sent by the reliability protocol. *)
@@ -278,11 +234,7 @@ type mix_entry = {
 }
 
 (** [message_mix t] — traffic per message label (the [?label] given at
-    each send; replies get ["<label>-reply"], transport acknowledgements
-    ["ack"], unlabelled traffic ["other"]), most frequent first. *)
+    each send, by convention ["<request>-reply"] for a reply; transport
+    acknowledgements get ["ack"], unlabelled traffic ["other"]), most
+    frequent first. *)
 val message_mix : t -> mix_entry list
-
-(** [reset_stats t] zeroes all counters and clears the
-    duplicate-suppression table (call only between quiesced phases:
-    clearing while messages are in flight would defeat dedup). *)
-val reset_stats : t -> unit

@@ -16,13 +16,3 @@ let index = function
   | Tmk_mem -> 3
   | Tmk_consistency -> 4
   | Tmk_other -> 5
-
-let name = function
-  | Computation -> "computation"
-  | Unix_comm -> "unix-comm"
-  | Unix_mem -> "unix-mem"
-  | Tmk_mem -> "tmk-mem"
-  | Tmk_consistency -> "tmk-consistency"
-  | Tmk_other -> "tmk-other"
-
-let pp ppf t = Format.pp_print_string ppf (name t)

@@ -24,8 +24,3 @@ val count : int
 
 (** [index t] is a dense index for array-based accumulators. *)
 val index : t -> int
-
-(** [name t] is the label used in reports. *)
-val name : t -> string
-
-val pp : Format.formatter -> t -> unit

@@ -205,7 +205,6 @@ let stop_reason t = t.stop_reason
 (* Typed event tracing                                                 *)
 
 let set_sink t s = t.sink <- Some s
-let sink t = t.sink
 let tracing t = t.sink <> None
 
 let emit_at t ~time ~pid ev =

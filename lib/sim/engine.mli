@@ -190,9 +190,6 @@ val end_time : t -> Vtime.t
 (** [set_sink t s] installs the typed event sink. *)
 val set_sink : t -> Tmk_trace.Sink.t -> unit
 
-(** [sink t] is the installed sink, if any. *)
-val sink : t -> Tmk_trace.Sink.t option
-
 (** [tracing t] is [true] iff a sink is installed.  Emitting code should
     test this before building an event value. *)
 val tracing : t -> bool

@@ -4,8 +4,6 @@ let create n =
   if n < 0 then invalid_arg "Bitset.create: negative capacity";
   { words = Bytes.make ((n + 7) / 8) '\000'; capacity = n }
 
-let capacity t = t.capacity
-
 let check t i =
   if i < 0 || i >= t.capacity then invalid_arg "Bitset: index out of range"
 
@@ -76,10 +74,3 @@ let union_into ~src ~dst =
     let b = Char.code (Bytes.get src.words i) lor Char.code (Bytes.get dst.words i) in
     Bytes.set dst.words i (Char.chr b)
   done
-
-let equal a b = a.capacity = b.capacity && Bytes.equal a.words b.words
-
-let pp ppf t =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",") Format.pp_print_int)
-    (to_list t)

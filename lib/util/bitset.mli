@@ -9,9 +9,6 @@ type t
 (** [create n] makes a set over the universe [0, n). *)
 val create : int -> t
 
-(** [capacity t] is the universe size given at creation. *)
-val capacity : t -> int
-
 (** [add t i] inserts [i]. *)
 val add : t -> int -> unit
 
@@ -51,9 +48,3 @@ val copy : t -> t
 (** [union_into ~src ~dst] adds every member of [src] to [dst].  The two
     sets must have the same capacity. *)
 val union_into : src:t -> dst:t -> unit
-
-(** [equal a b] holds when the sets have identical members. *)
-val equal : t -> t -> bool
-
-(** [pp] formats as [{0,3,5}]. *)
-val pp : Format.formatter -> t -> unit

@@ -34,12 +34,5 @@ val int_in : t -> int -> int -> int
 (** [float t bound] draws uniformly from [0, bound). *)
 val float : t -> float -> float
 
-(** [bool t] draws a fair coin flip. *)
-val bool : t -> bool
-
 (** [shuffle t arr] permutes [arr] in place (Fisher-Yates). *)
 val shuffle : t -> 'a array -> unit
-
-(** [pick t arr] draws a uniformly random element of the non-empty array
-    [arr]. *)
-val pick : t -> 'a array -> 'a

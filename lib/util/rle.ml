@@ -105,9 +105,3 @@ let overlaps a b =
     covers ra rb.offset || covers rb ra.offset
   in
   List.exists (fun ra -> List.exists (run_overlap ra) b.runs) a.runs
-
-let pp ppf t =
-  let pp_run ppf r = Format.fprintf ppf "%d+%d" r.offset (Bytes.length r.bytes) in
-  Format.fprintf ppf "[%a]"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ") pp_run)
-    t.runs

@@ -58,6 +58,3 @@ val header_bytes : int
 (** [overlaps a b] holds when some byte position is covered by both
     encodings. *)
 val overlaps : t -> t -> bool
-
-(** [pp] formats a diff as [\[off+len; ...\]] for debugging. *)
-val pp : Format.formatter -> t -> unit

@@ -7,7 +7,6 @@ let create ?(capacity = 0) () =
   { buf = [||]; len = 0 }
 
 let length t = t.len
-let is_empty t = t.len = 0
 
 let push t x =
   let cap = Array.length t.buf in
@@ -18,10 +17,6 @@ let push t x =
   end;
   Array.unsafe_set t.buf t.len x;
   t.len <- t.len + 1
-
-let get t i =
-  if i < 0 || i >= t.len then invalid_arg "Vec.get: index out of bounds";
-  Array.unsafe_get t.buf i
 
 let iter f t =
   for i = 0 to t.len - 1 do

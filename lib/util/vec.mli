@@ -15,14 +15,9 @@ type 'a t
 val create : ?capacity:int -> unit -> 'a t
 
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 
 (** [push t x] appends [x]; amortized O(1), doubling growth. *)
 val push : 'a t -> 'a -> unit
-
-(** [get t i] — the [i]th element pushed.
-    @raise Invalid_argument when out of bounds. *)
-val get : 'a t -> int -> 'a
 
 (** [iter f t] — visit elements in push order. *)
 val iter : ('a -> unit) -> 'a t -> unit

@@ -330,6 +330,20 @@ let page_fetches_spread_over_copyset () =
       check Alcotest.bool "provider from the warmed copyset" true (from_ >= 0 && from_ <= 3))
     providers
 
+(* With every processor dead no survivor can detect the crashes, so the
+   failure detector would poll forever: the schedule is refused before
+   a run starts.  One survivor is enough. *)
+let every_processor_crashing () =
+  let refused what cfg =
+    Alcotest.check_raises what
+      (Invalid_argument "Config: the crash schedule names every processor") (fun () ->
+        Config.validate cfg)
+  in
+  refused "1 of 1" (cfg ~faults:(crash 0 0) ~nprocs:1 ~pages:1 ());
+  let both = Fault_plan.with_crash (crash 0 0) ~pid:1 ~at:(Vtime.ms 0) in
+  refused "2 of 2" (cfg ~faults:both ~nprocs:2 ~pages:1 ());
+  Config.validate (cfg ~faults:both ~nprocs:3 ~pages:1 ())
+
 let suite =
   [
     Alcotest.test_case "crash while holding a lock" `Quick crash_while_holding_lock;
@@ -346,4 +360,5 @@ let suite =
     Alcotest.test_case "page fetches spread over the copyset" `Quick
       page_fetches_spread_over_copyset;
     Alcotest.test_case "crash inside the GC exchange" `Quick crash_inside_gc_exchange;
+    Alcotest.test_case "a crash of every processor is rejected" `Quick every_processor_crashing;
   ]

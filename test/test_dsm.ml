@@ -432,8 +432,9 @@ let deterministic_runs () =
 (* The protocol survives a lossy medium: user-level retransmission keeps
    the execution correct. *)
 let correct_under_loss () =
-  let net = Tmk_net.Params.with_loss Tmk_net.Params.atm_aal34 0.15 in
-  let c = cfg ~nprocs:3 ~net () in
+  let c =
+    { (cfg ~nprocs:3 ()) with Config.faults = Tmk_net.Fault_plan.(with_loss none 0.15) }
+  in
   let r =
     Api.run c (fun ctx ->
         let counter = Api.ialloc ctx 1 in

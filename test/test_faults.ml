@@ -95,24 +95,13 @@ let dedup_table_drains () =
   Engine.spawn engine 1 (fun () -> ());
   Engine.spawn engine 0 (fun () ->
       for _ = 1 to 50 do
-        ignore (Transport.rpc tr ~src:0 ~dst:1 ~bytes:32 ~serve:(fun _ -> incr served; (32, ())))
+        ignore (Test_net.rpc tr ~src:0 ~dst:1 ~bytes:32 ~serve:(fun _ -> incr served; (32, ())))
       done);
   Engine.run engine;
   check Alcotest.int "served exactly once each" 50 !served;
   check Alcotest.bool "retransmissions happened" true (Transport.retransmissions tr > 0);
   check Alcotest.int "dedup table empty" 0 (Transport.dedup_entries tr);
   check Alcotest.int "event queue empty" 0 (Engine.pending_events engine)
-
-let reset_stats_clears_dedup () =
-  let engine, tr = make ~plan:(lossy 0.3) ~seed:7L () in
-  Engine.spawn engine 1 (fun () -> ());
-  Engine.spawn engine 0 (fun () ->
-      ignore (Transport.rpc tr ~src:0 ~dst:1 ~bytes:8 ~serve:(fun _ -> (8, ()))));
-  Engine.run engine;
-  Transport.reset_stats tr;
-  check Alcotest.int "counters" 0 (Transport.messages_sent tr);
-  check Alcotest.int "retrans" 0 (Transport.retransmissions tr);
-  check Alcotest.int "dedup" 0 (Transport.dedup_entries tr)
 
 let duplication_suppressed () =
   let plan = Fault_plan.with_dup Fault_plan.none 0.5 in
@@ -172,7 +161,7 @@ let unreachable_peer_suspected () =
   let engine, tr = make ~plan () in
   Engine.spawn engine 1 (fun () -> ());
   Engine.spawn engine 0 (fun () ->
-      ignore (Transport.rpc tr ~src:0 ~dst:1 ~bytes:8 ~serve:(fun _ -> (8, ()))));
+      ignore (Test_net.rpc tr ~src:0 ~dst:1 ~bytes:8 ~serve:(fun _ -> (8, ()))));
   Engine.run engine;
   check Alcotest.int "one suspicion" 1 (Transport.suspicions tr);
   check Alcotest.bool "run stopped cleanly" true (Engine.stop_reason engine <> None);
@@ -206,7 +195,7 @@ let transport_runs_are_deterministic () =
     Engine.spawn engine 1 (fun () -> ());
     Engine.spawn engine 0 (fun () ->
         for _ = 1 to 25 do
-          ignore (Transport.rpc tr ~src:0 ~dst:1 ~bytes:64 ~serve:(fun _ -> (64, ())))
+          ignore (Test_net.rpc tr ~src:0 ~dst:1 ~bytes:64 ~serve:(fun _ -> (64, ())))
         done);
     Engine.run engine;
     (Engine.end_time engine, Transport.messages_sent tr, Transport.retransmissions tr)
@@ -317,7 +306,6 @@ let suite =
     Alcotest.test_case "parse_stalls" `Quick plan_parse_stalls;
     Alcotest.test_case "backoff doubles to a cap" `Quick backoff_schedule;
     Alcotest.test_case "dedup table drains" `Quick dedup_table_drains;
-    Alcotest.test_case "reset_stats clears dedup" `Quick reset_stats_clears_dedup;
     Alcotest.test_case "duplication suppressed" `Quick duplication_suppressed;
     Alcotest.test_case "reordering exactly once" `Quick reordering_is_exactly_once;
     Alcotest.test_case "stalls delay delivery" `Quick stalls_delay_delivery;

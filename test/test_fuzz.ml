@@ -185,7 +185,6 @@ let fuzz_lossy =
        (fun s ->
          (* every protocol, including SC: all messages go through the
             transport's reliable one-way primitives *)
-         let cfg_net = Tmk_net.Params.with_loss Tmk_net.Params.atm_aal34 0.10 in
          let s = { s with sc_seed = Int64.add s.sc_seed 1L } in
          let expected_slots, expected_counter = expectation s in
          let race = Tmk_check.Race.create ~nprocs:s.sc_nprocs ~pages:s.sc_pages () in
@@ -198,7 +197,7 @@ let fuzz_lossy =
              protocol = s.sc_protocol;
              lrc_updates = s.sc_updates;
              seed = s.sc_seed;
-             net = cfg_net;
+             faults = Tmk_net.Fault_plan.(with_loss none 0.10);
              check = Some (Tmk_check.Checker.create ~race ~oracle ());
            }
          in

@@ -14,8 +14,9 @@
      still observe every shared access — the checker's findings and the
      digest both have to match, and a Vm-level test counts hook calls);
    - the benchmark's four workloads, Water at 32 and 64 processors, a
-     GC-heavy Water run and a Jacobi run collecting over a narrow barrier
-     tree match pinned fingerprints;
+     GC-heavy Water run, a Jacobi run collecting over a narrow barrier
+     tree, and Water under frame loss and under a crash match pinned
+     fingerprints;
    - set-up memory follows the pages a node touches, fast-path typed
      accesses allocate nothing, a diff replay allocates in proportion
      to the diffs it applies, not to held x missing notices, an engine
@@ -231,6 +232,20 @@ let narrow_tree_gc_run () =
   let m, digest = Harness.run_checked ~app:Harness.Jacobi cfg in
   pin_of digest m.Harness.m_raw
 
+(* Water at 8 processors under a fault plan, so the run takes the
+   acknowledged, retransmitting path. *)
+let faulty_water_run faults () =
+  let cfg =
+    {
+      (Harness.config ~app:Harness.Water ~nprocs:8 ~protocol:Config.Lrc
+         ~net:Tmk_net.Params.atm_aal34)
+      with
+      Config.faults;
+    }
+  in
+  let m, digest = Harness.run_checked ~app:Harness.Water cfg in
+  pin_of digest m.Harness.m_raw
+
 let pinned_runs =
   [
     ( "tsp-8",
@@ -324,6 +339,33 @@ let pinned_runs =
         p_bytes = 4425771;
         p_hot = 610;
         p_stats = "682f314eadd7fe13b3889c024beca9a2";
+      } );
+    (* The reliable path, recorded while one-way messages and mailbox
+       values still ran separate retransmission machines: a lossy,
+       duplicating, reordering medium (832 retransmissions), and E12's
+       crash arm for Water, which survives processor 4 failing at half
+       its fault-free run time. *)
+    ( "water-8 lossy",
+      faulty_water_run
+        Tmk_net.Fault_plan.(with_reorder (with_dup (with_loss none 0.05) 0.02) 0.05),
+      {
+        p_digest = "c7f75ef5b495806f2415bc74c79a0354";
+        p_time = 3900392227;
+        p_messages = 16482;
+        p_bytes = 1867443;
+        p_hot = 2474;
+        p_stats = "b55f9f679fc6983a82a005ee323eb917";
+      } );
+    ( "water-8 crash",
+      faulty_water_run
+        Tmk_net.Fault_plan.(with_crash none ~pid:4 ~at:(Tmk_sim.Vtime.us 1103453)),
+      {
+        p_digest = "0b683036030c2c2893c76e9f09525396";
+        p_time = 2539996960;
+        p_messages = 15288;
+        p_bytes = 1616144;
+        p_hot = 2742;
+        p_stats = "8a66dd6f6b7018c7cdba69ae8eb5d398";
       } );
   ]
 
