@@ -4,7 +4,9 @@
    replaced, kept verbatim in this file ([Rle_ref] is the byte-wise diff
    encoder; the software-MMU baseline is the same [Vm] with the fast path
    switched off), so the speedup numbers survive without needing an old
-   checkout to compare against.  Results go to stdout and BENCH_6.json.
+   checkout to compare against.  Results go to stdout and, in the ledger
+   shape of the experiments ([Experiments.ledger]: one row per benchmark,
+   speedups left to the reader), to BENCH_6.json.
 
    Usage: bench/micro.exe [output.json]   (default BENCH_6.json) *)
 
@@ -345,17 +347,6 @@ let bench_e2e () =
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)
 
-let json_of benches =
-  let opt decimals = function None -> Json.Null | Some v -> Json.Float (v, decimals) in
-  let bench b =
-    Json.(
-      Obj
-        [ ("name", String b.b_name); ("unit", String b.b_unit);
-          ("baseline", opt 1 b.b_baseline); ("current", Float (b.b_current, 1));
-          ("speedup", opt 2 (speedup b)) ])
-  in
-  Json.(Obj [ ("benchmarks", List (List.map bench benches)) ])
-
 let () =
   let out = if Array.length Sys.argv > 1 then Sys.argv.(1) else "BENCH_6.json" in
   sanity ();
@@ -375,5 +366,16 @@ let () =
         (match speedup bench with None -> "-" | Some s -> Printf.sprintf "%.2fx" s)
         bench.b_unit)
     benches;
-  Json.to_file out (json_of benches);
+  let rate v = Json.Float (v, 1) in
+  Json.to_file out
+    (Tmk_harness.Experiments.ledger "micro"
+       [ ("timing", Json.String "best of 3 trials, each of at least 0.2 s") ]
+       (List.map
+          (fun b ->
+            Json.(
+              Obj
+                [ ("arm", Obj [ ("name", String b.b_name) ]); ("unit", String b.b_unit);
+                  ("baseline", Option.fold ~none:Null ~some:rate b.b_baseline);
+                  ("current", rate b.b_current) ]))
+          benches));
   Printf.printf "\n[raw measurements written to %s]\n" out

@@ -2,36 +2,6 @@ open Tmk_dsm
 module Tablefmt = Tmk_util.Tablefmt
 module Params = Tmk_net.Params
 
-type id = A1 | A2 | A3 | A4 | A5 | A6
-
-let all = [ A1; A2; A3; A4; A5; A6 ]
-
-let id_name = function
-  | A1 -> "a1"
-  | A2 -> "a2"
-  | A3 -> "a3"
-  | A4 -> "a4"
-  | A5 -> "a5"
-  | A6 -> "a6"
-
-let id_of_name s =
-  match String.lowercase_ascii s with
-  | "a1" -> A1
-  | "a2" -> A2
-  | "a3" -> A3
-  | "a4" -> A4
-  | "a5" -> A5
-  | "a6" -> A6
-  | other -> invalid_arg (Printf.sprintf "Ablations.id_of_name: unknown ablation %S" other)
-
-let describe = function
-  | A1 -> "protocol zoo: LRC vs ERC vs single-writer SC on the five applications"
-  | A2 -> "false sharing: multiple-writer diffs vs single-writer page ping-pong"
-  | A3 -> "lazy vs eager diff creation within LRC"
-  | A4 -> "garbage collection threshold sweep"
-  | A5 -> "frame loss and the user-level reliability protocol"
-  | A6 -> "invalidate vs hybrid-update propagation within LRC"
-
 let atm = Params.atm_aal34
 let f1 v = Printf.sprintf "%.1f" v
 let f2 v = Printf.sprintf "%.2f" v
@@ -125,19 +95,17 @@ let a3 () =
       (fun app ->
         List.map
           (fun lazy_diffs ->
-            let cfg_patch c = { c with Config.lazy_diffs } in
-            (* re-run with the patched configuration *)
             let cfg =
-              cfg_patch
-                (Harness.config ~app ~nprocs:8 ~protocol:Config.Lrc ~net:atm)
+              { (Harness.config ~app ~nprocs:8 ~protocol:Config.Lrc ~net:atm) with
+                Config.lazy_diffs }
             in
-            let raw = Api.run cfg (Harness.body app) in
-            let time_s = Tmk_sim.Vtime.to_s raw.Api.total_time in
+            let m = Harness.run_cfg ~app cfg in
+            let diffs = m.Harness.m_raw.Api.total_stats.Stats.diffs_created in
             [ Harness.app_name app;
               (if lazy_diffs then "lazy" else "eager");
-              f2 time_s;
-              string_of_int raw.Api.total_stats.Stats.diffs_created;
-              f0 (float_of_int raw.Api.total_stats.Stats.diffs_created /. time_s) ])
+              f2 m.Harness.m_time_s;
+              string_of_int diffs;
+              f0 (float_of_int diffs /. m.Harness.m_time_s) ])
           [ true; false ])
       Harness.all_apps
   in
@@ -224,9 +192,10 @@ let a5 () =
           if loss = 0.0 then cfg
           else { cfg with Config.faults = Tmk_net.Fault_plan.(with_loss none loss) }
         in
-        let raw = Api.run cfg (Harness.body app) in
+        let m = Harness.run_cfg ~app cfg in
+        let raw = m.Harness.m_raw in
         [ Printf.sprintf "%.0f%%" (loss *. 100.0);
-          f2 (Tmk_sim.Vtime.to_s raw.Api.total_time);
+          f2 m.Harness.m_time_s;
           string_of_int raw.Api.messages;
           string_of_int raw.Api.retransmissions ])
       [ 0.0; 0.01; 0.05; 0.15 ]
@@ -272,18 +241,14 @@ let a6 () =
     ~header:[ "app"; "mode"; "time s"; "msgs/s"; "KB/s"; "faults"; "misses" ]
     rows
 
-let run = function
-  | A1 -> a1 ()
-  | A2 -> a2 ()
-  | A3 -> a3 ()
-  | A4 -> a4 ()
-  | A5 -> a5 ()
-  | A6 -> a6 ()
-
-let run_all () =
-  String.concat "\n"
-    (List.map
-       (fun id ->
-         Printf.sprintf "=== %s: %s ===\n%s" (String.uppercase_ascii (id_name id))
-           (describe id) (run id))
-       all)
+let all =
+  [
+    Experiments.report "a1"
+      "protocol zoo: LRC vs ERC vs single-writer SC on the five applications" a1;
+    Experiments.report "a2"
+      "false sharing: multiple-writer diffs vs single-writer page ping-pong" a2;
+    Experiments.report "a3" "lazy vs eager diff creation within LRC" a3;
+    Experiments.report "a4" "garbage collection threshold sweep" a4;
+    Experiments.report "a5" "frame loss and the user-level reliability protocol" a5;
+    Experiments.report "a6" "invalidate vs hybrid-update propagation within LRC" a6;
+  ]

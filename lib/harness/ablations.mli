@@ -19,16 +19,6 @@
       within LRC (§2.2 names both options; TreadMarks ships the
       invalidate protocol). *)
 
-type id = A1 | A2 | A3 | A4 | A5 | A6
-
-val id_name : id -> string
-
-(** @raise Invalid_argument on unknown names. *)
-val id_of_name : string -> id
-
-val describe : id -> string
-
-(** [run id] — execute and render. *)
-val run : id -> string
-
-val run_all : unit -> string
+(** [all] — A1–A6, reports only, found by name like the experiments
+    ({!Experiments.find}). *)
+val all : Experiments.t list

@@ -4,65 +4,48 @@ module Json = Tmk_util.Json
 module Tablefmt = Tmk_util.Tablefmt
 module Params = Tmk_net.Params
 
-type id = E1 | E2 | E3 | E4 | E5 | E6 | E7 | E8 | E9 | E10 | E11 | E12 | E13 | E14
+type result = {
+  tables : string;
+  gates : (string * bool option) list;
+  ledger : (string * Json.t) option;
+}
 
-let all = [ E1; E2; E3; E4; E5; E6; E7; E8; E9; E10; E11; E12; E13; E14 ]
+type t = { name : string; describe : string; body : unit -> result }
 
-let id_name = function
-  | E1 -> "e1"
-  | E2 -> "e2"
-  | E3 -> "e3"
-  | E4 -> "e4"
-  | E5 -> "e5"
-  | E6 -> "e6"
-  | E7 -> "e7"
-  | E8 -> "e8"
-  | E9 -> "e9"
-  | E10 -> "e10"
-  | E11 -> "e11"
-  | E12 -> "e12"
-  | E13 -> "e13"
-  | E14 -> "e14"
+let report name describe tables =
+  { name; describe; body = (fun () -> { tables = tables (); gates = []; ledger = None }) }
 
-let id_of_name s =
-  match String.lowercase_ascii s with
-  | "e1" -> E1
-  | "e2" -> E2
-  | "e3" -> E3
-  | "e4" -> E4
-  | "e5" -> E5
-  | "e6" -> E6
-  | "e7" -> E7
-  | "e8" -> E8
-  | "e9" -> E9
-  | "e10" -> E10
-  | "e11" -> E11
-  | "e12" -> E12
-  | "e13" -> E13
-  | "e14" -> E14
-  | other -> invalid_arg (Printf.sprintf "Experiments.id_of_name: unknown experiment %S" other)
+let find registry name =
+  let name = String.lowercase_ascii name in
+  List.find_opt (fun e -> e.name = name) registry
 
-let describe = function
-  | E1 -> "basic operation costs (paper section 4.2)"
-  | E2 -> "speedups on 1-8 processors, ATM/AAL3/4 (Figure 3)"
-  | E3 -> "8-processor execution statistics (Figure 4)"
-  | E4 -> "execution time breakdown (Figure 5)"
-  | E5 -> "Unix overhead breakdown (Figure 6)"
-  | E6 -> "TreadMarks overhead breakdown (Figure 7)"
-  | E7 -> "Water across communication substrates (Figure 8)"
-  | E8 -> "lazy vs eager release consistency (Figures 9-12)"
-  | E9 -> "speedups on the 10 Mbps Ethernet (abstract)"
-  | E10 -> "robustness sweep: all applications under 0-20% frame loss (section 3.7)"
-  | E11 -> "scaling study, 2-64 processors, batched vs unbatched consistency traffic"
-  | E12 -> "crash survival: recovery latency and diff replication cost, 8 processors"
-  | E13 -> "coherence backend comparison: lazy/eager/tardis/sc-abd on both networks"
-  | E14 -> "metadata-plane scaling, 64-1024 processors: flat vs ring-sharded + tree barriers"
+let verdict = function
+  | Some true -> "yes"
+  | Some false -> "NO - REGRESSION"
+  | None -> "not swept"
+
+let run e =
+  let r = e.body () in
+  Option.iter (fun (file, json) -> Json.to_file file json) r.ledger;
+  let footer =
+    List.map (fun (claim, holds) -> claim ^ ": " ^ verdict holds) r.gates
+    @ Option.fold ~none:[]
+        ~some:(fun (file, _) -> [ Printf.sprintf "(raw measurements written to %s)" file ])
+        r.ledger
+  in
+  ( Printf.sprintf "=== %s: %s ===\n%s" (String.uppercase_ascii e.name) e.describe
+      (String.concat "\n" (r.tables :: footer)),
+    List.for_all (fun (_, holds) -> holds <> Some false) r.gates )
+
+let ledger experiment config rows =
+  Json.(
+    Obj [ ("experiment", String experiment); ("config", Obj config); ("metrics", List rows) ])
 
 let atm = Params.atm_aal34
 
-(* Worker-domain count for sweeps whose arms are independent runs (E10,
-   E11); 1 = sequential.  Arms that share memoised [lazy] baselines stay
-   sequential whatever this says — forcing a lazy from two domains races. *)
+(* Worker-domain count for the sweeps of E10-E14, whose arms are
+   independent runs; 1 = sequential.  E1-E9 share memoised [lazy]
+   baselines and run no sweep — forcing a lazy from two domains races. *)
 let jobs = ref 1
 let set_jobs n = jobs := max 1 n
 
@@ -471,61 +454,117 @@ let e9 () =
     ~header:[ "app"; "measured"; "paper"; "(ATM measured)" ]
     rows
 
+
+(* ------------------------------------------------------------------ *)
+(* Sweeps (E10-E14): one runner, one row encoder, one ledger shape     *)
+
+(* An arm's outcome: its metrics and, when it ran checked, the digest of
+   its answer; or the typed degradation a crash ended it in. *)
+type outcome = Ran of Harness.metrics * string option | Degraded of int * string
+
+(* [sweep arm keys] makes one run per key — [arm key] is its app and
+   configuration — on up to [!jobs] domains, and returns the outcomes as
+   a lookup by key. *)
+let sweep ?(checked = true) arm keys =
+  let run key =
+    let app, cfg = arm key in
+    if not checked then Ran (Harness.run_cfg ~app cfg, None)
+    else
+      match Harness.run_checked ~app cfg with
+      | m, digest -> Ran (m, Some digest)
+      | exception Api.Degraded { pid; reason } -> Degraded (pid, reason)
+  in
+  let by_key = Hashtbl.create 64 in
+  List.iter2 (Hashtbl.replace by_key) keys (Harness.parallel_map ~jobs:!jobs run keys);
+  Hashtbl.find by_key
+
+(* An arm without a crash plan cannot degrade. *)
+let ran = function
+  | Ran (m, digest) -> (m, digest)
+  | Degraded _ -> invalid_arg "Experiments.ran: an arm without a crash plan degraded"
+
+(* One ledger row per arm: its keys, then its raw measurements; derived
+   ratios (speedups, per-acquire traffic) are left to the reader. *)
+let rows arm measures get keys =
+  List.map
+    (fun key ->
+      match get key with
+      | Ran (m, digest) ->
+        Json.Obj
+          ((("arm", Json.Obj (arm key)) :: List.map (fun measure -> measure m) measures)
+          @ Option.fold ~none:[] ~some:(fun d -> [ ("digest", Json.String d) ]) digest)
+      | Degraded (pid, reason) ->
+        Json.(
+          Obj [ ("arm", Obj (arm key)); ("degraded_pid", Int pid); ("reason", String reason) ]))
+    keys
+
+let micros t = Json.Float (Vtime.to_us t, 0)
+let time_s (m : Harness.metrics) = ("time_s", Json.Float (m.Harness.m_time_s, 6))
+let count name f (m : Harness.metrics) = (name, Json.Int (f m))
+let stat name f = count name (fun m -> f m.Harness.m_raw.Api.total_stats)
+let messages = count "messages" (fun m -> m.Harness.m_raw.Api.messages)
+let bytes = count "bytes" (fun m -> m.Harness.m_raw.Api.bytes)
+let app_key app = ("app", Json.String (Harness.app_name app))
+let protocol_key p = ("protocol", Json.String (Config.protocol_name p))
+let network_key net = ("network", Json.String (Params.name net))
+
+let workloads apps =
+  ( "workloads",
+    Json.Obj
+      (List.map
+         (fun app -> (Harness.app_name app, Json.String (Harness.workload_description app)))
+         apps) )
+
 (* ------------------------------------------------------------------ *)
 (* E10: robustness sweep                                               *)
 
 let e10_loss_rates = [ 0.0; 0.01; 0.05; 0.10; 0.20 ]
 
 let e10 () =
-  let run_at app rate =
-    let cfg = Harness.config ~app ~nprocs:8 ~protocol:Config.Lrc ~net:atm in
-    let cfg =
-      if rate = 0.0 then cfg
-      else { cfg with Config.faults = Tmk_net.Fault_plan.with_loss Tmk_net.Fault_plan.none rate }
-    in
-    Harness.run_checked ~app cfg
-  in
-  (* app × loss-rate arms are independent checked runs — fan them across
-     domains and look results up by arm (rate 0.0 doubles as the baseline,
-     run once). *)
-  let arms =
+  let keys =
     List.concat_map
       (fun app -> List.map (fun rate -> (app, rate)) e10_loss_rates)
       Harness.all_apps
   in
-  let results = Harness.parallel_map ~jobs:!jobs (fun (app, rate) -> run_at app rate) arms in
-  let by_arm = Hashtbl.create 32 in
-  List.iter2 (fun arm r -> Hashtbl.replace by_arm arm r) arms results;
-  let rows =
-    List.concat_map
-      (fun app ->
-        let base, base_digest = Hashtbl.find by_arm (app, 0.0) in
-        let base_msgs = base.Harness.m_raw.Api.messages in
-        List.map
-          (fun rate ->
-            let m, digest = Hashtbl.find by_arm (app, rate) in
-            let msgs = m.Harness.m_raw.Api.messages in
-            let overhead =
-              100.0 *. (float_of_int msgs /. float_of_int base_msgs -. 1.0)
-            in
-            [ Harness.app_name app;
-              Printf.sprintf "%.0f%%" (rate *. 100.0);
-              f2 m.Harness.m_time_s;
-              string_of_int m.Harness.m_raw.Api.retransmissions;
-              string_of_int msgs;
-              Printf.sprintf "%+.0f%%" overhead;
-              (if digest = base_digest then "ok" else "MISMATCH") ])
-          e10_loss_rates)
-      Harness.all_apps
+  let get =
+    sweep
+      (fun (app, rate) ->
+        let cfg = Harness.config ~app ~nprocs:8 ~protocol:Config.Lrc ~net:atm in
+        ( app,
+          if rate = 0.0 then cfg
+          else { cfg with Config.faults = Tmk_net.Fault_plan.(with_loss none rate) } ))
+      keys
   in
-  Tablefmt.render
-    ~title:
-      "E10. Robustness sweep: LRC, 8 processors, ATM, frame loss 0-20%\n\
-       (user-level reliability protocol, section 3.7: the DSM answer must be\n\
-       bit-identical at every loss rate; message overhead = extra frames from\n\
-       retransmissions and acknowledgements vs the loss-free run)"
-    ~header:[ "app"; "loss"; "time s"; "retrans"; "frames"; "overhead"; "result" ]
-    rows
+  (* rate 0.0 doubles as the baseline *)
+  let same_answer (app, rate) = snd (ran (get (app, rate))) = snd (ran (get (app, 0.0))) in
+  let row ((app, rate) as key) =
+    let base, _ = ran (get (app, 0.0)) and m, _ = ran (get key) in
+    let msgs = m.Harness.m_raw.Api.messages in
+    let overhead =
+      100.0 *. ((float_of_int msgs /. float_of_int base.Harness.m_raw.Api.messages) -. 1.0)
+    in
+    [ Harness.app_name app;
+      Printf.sprintf "%.0f%%" (rate *. 100.0);
+      f2 m.Harness.m_time_s;
+      string_of_int m.Harness.m_raw.Api.retransmissions;
+      string_of_int msgs;
+      Printf.sprintf "%+.0f%%" overhead;
+      (if same_answer key then "ok" else "MISMATCH") ]
+  in
+  {
+    tables =
+      Tablefmt.render
+        ~title:
+          "E10. Robustness sweep: LRC, 8 processors, ATM, frame loss 0-20%\n\
+           (user-level reliability protocol, section 3.7: the DSM answer must be\n\
+           bit-identical at every loss rate; message overhead = extra frames from\n\
+           retransmissions and acknowledgements vs the loss-free run)"
+        ~header:[ "app"; "loss"; "time s"; "retrans"; "frames"; "overhead"; "result" ]
+        (List.map row keys);
+    gates =
+      [ ("every loss rate gives the loss-free answer", Some (List.for_all same_answer keys)) ];
+    ledger = None;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E11: scaling past the paper, batched vs unbatched traffic           *)
@@ -536,99 +575,47 @@ let e11_procs = [ 2; 4; 8; 16; 32; 64 ]
    acquires + barrier arrivals): as the cluster grows, each operation
    carries more piggybacked intervals, and the batched protocol's win is
    exactly the frames it no longer pays per interval. *)
-let e11_acquires (m : Harness.metrics) =
+let acquires (m : Harness.metrics) =
   let s = m.Harness.m_raw.Api.total_stats in
   s.Stats.lock_acquires + s.Stats.barriers
 
-let e11_per_acquire (m : Harness.metrics) =
-  let acq = float_of_int (max 1 (e11_acquires m)) in
+let per_acquire (m : Harness.metrics) =
+  let acq = float_of_int (max 1 (acquires m)) in
   ( float_of_int m.Harness.m_raw.Api.messages /. acq,
     float_of_int m.Harness.m_raw.Api.bytes /. 1024.0 /. acq )
 
-let e11_json data =
-  let mode_json (m : Harness.metrics) base_time =
-    let mpa, kpa = e11_per_acquire m in
-    let raw = m.Harness.m_raw in
-    let s = raw.Api.total_stats in
-    Json.(
-      Obj
-        [ ("time_s", Float (m.Harness.m_time_s, 6));
-          ("speedup", Float (base_time /. m.Harness.m_time_s, 4));
-          ("messages", Int raw.Api.messages); ("bytes", Int raw.Api.bytes);
-          ("acquires", Int (e11_acquires m)); ("msgs_per_acquire", Float (mpa, 4));
-          ("kb_per_acquire", Float (kpa, 4));
-          ("frames_coalesced", Int raw.Api.frames_coalesced);
-          ("diff_cache_hits", Int s.Stats.diff_cache_hits);
-          ("diff_cache_misses", Int s.Stats.diff_cache_misses) ])
-  in
-  let point base_time (n, batched, unbatched) =
-    Json.(
-      Obj
-        [ ("nprocs", Int n); ("batched", mode_json batched base_time);
-          ("unbatched", mode_json unbatched base_time) ])
-  in
-  let app_json (app, (base : Harness.metrics), points) =
-    Json.(
-      Obj
-        [ ("app", String (Harness.app_name app));
-          ("workload", String (Harness.workload_description app));
-          ("baseline_time_s", Float (base.Harness.m_time_s, 6));
-          ("points", List (List.map (point base.Harness.m_time_s) points)) ])
-  in
-  Json.(
-    Obj
-      [ ("experiment", String "E11"); ("protocol", String "lrc");
-        ("network", String "atm-aal34"); ("apps", List (List.map app_json data)) ])
-
 let e11 () =
-  (* Every arm of the sweep is an independent run, so fan the flattened
-     arm list across domains ([--jobs]) and reassemble by position —
-     output is identical to the sequential nesting. *)
-  let arms =
+  let keys =
     List.concat_map
       (fun app ->
         (app, 1, true)
         :: List.concat_map (fun n -> [ (app, n, true); (app, n, false) ]) e11_procs)
       Harness.all_apps
   in
-  let run_arm (app, n, batching) =
-    let cfg = Harness.config ~app ~nprocs:n ~protocol:Config.Lrc ~net:atm in
-    Harness.run_cfg ~app { cfg with Config.batching = batching }
+  let get =
+    sweep ~checked:false
+      (fun (app, n, batching) ->
+        let cfg = Harness.config ~app ~nprocs:n ~protocol:Config.Lrc ~net:atm in
+        (app, { cfg with Config.batching }))
+      keys
   in
-  let results = Harness.parallel_map ~jobs:!jobs run_arm arms in
-  let by_arm = Hashtbl.create 128 in
-  List.iter2 (fun arm m -> Hashtbl.replace by_arm arm m) arms results;
-  let data =
-    List.map
-      (fun app ->
-        let base = Hashtbl.find by_arm (app, 1, true) in
-        let points =
-          List.map
-            (fun n ->
-              (n, Hashtbl.find by_arm (app, n, true), Hashtbl.find by_arm (app, n, false)))
-            e11_procs
-        in
-        (app, base, points))
-      Harness.all_apps
+  let m key = fst (ran (get key)) in
+  let speedup app n batching =
+    (m (app, 1, true)).Harness.m_time_s /. (m (app, n, batching)).Harness.m_time_s
   in
-  let json_file = "BENCH_3.json" in
-  Json.to_file json_file (e11_json data);
   let speedup_chart =
     Tablefmt.line_chart
       ~title:"E11a. Speedups, 2-64 processors, batched (4x the paper's cluster size)"
       ~x_label:"processors" ~y_label:"speedup"
       ~x:(List.map float_of_int e11_procs)
       (List.map
-         (fun (app, (base : Harness.metrics), points) ->
+         (fun app ->
            ( Harness.app_name app,
              (Harness.app_name app).[0],
-             List.map
-               (fun (_, (batched : Harness.metrics), _) ->
-                 base.Harness.m_time_s /. batched.Harness.m_time_s)
-               points ))
-         data)
+             List.map (fun n -> speedup app n true) e11_procs ))
+         Harness.all_apps)
   in
-  let per_app (app, (base : Harness.metrics), points) =
+  let per_app app =
     Tablefmt.render
       ~title:
         (Printf.sprintf "E11b. %s (%s): batched vs unbatched consistency traffic"
@@ -637,39 +624,47 @@ let e11 () =
       ~header:
         [ "procs"; "speedup b/u"; "msgs/acq b/u"; "KB/acq b/u"; "coalesced"; "cache h/m" ]
       (List.map
-         (fun (n, (bm : Harness.metrics), (um : Harness.metrics)) ->
-           let b_mpa, b_kpa = e11_per_acquire bm in
-           let u_mpa, u_kpa = e11_per_acquire um in
+         (fun n ->
+           let bm = m (app, n, true) and um = m (app, n, false) in
+           let b_mpa, b_kpa = per_acquire bm and u_mpa, u_kpa = per_acquire um in
            let bs = bm.Harness.m_raw.Api.total_stats in
            [ string_of_int n;
-             f2 (base.Harness.m_time_s /. bm.Harness.m_time_s)
-             ^ " / "
-             ^ f2 (base.Harness.m_time_s /. um.Harness.m_time_s);
+             f2 (speedup app n true) ^ " / " ^ f2 (speedup app n false);
              f2 b_mpa ^ " / " ^ f2 u_mpa;
              f2 b_kpa ^ " / " ^ f2 u_kpa;
              string_of_int bm.Harness.m_raw.Api.frames_coalesced;
              Printf.sprintf "%d/%d" bs.Stats.diff_cache_hits bs.Stats.diff_cache_misses ])
-         points)
+         e11_procs)
   in
-  let strict =
+  let at_every_point fewer =
     List.for_all
-      (fun (_, _, points) ->
-        List.for_all
-          (fun (_, bm, um) ->
-            let b_mpa, _ = e11_per_acquire bm and u_mpa, _ = e11_per_acquire um in
-            b_mpa < u_mpa)
-          points)
-      data
+      (fun app ->
+        List.for_all (fun n -> fewer (m (app, n, true)) (m (app, n, false))) e11_procs)
+      Harness.all_apps
   in
-  String.concat "\n"
-    (speedup_chart :: List.map per_app data
-    @ [
-        Printf.sprintf
-          "batching strictly reduces messages per acquire at every point: %s\n\
-           (raw measurements written to %s)"
-          (if strict then "yes" else "NO - REGRESSION")
-          json_file;
-      ])
+  {
+    tables = String.concat "\n" (speedup_chart :: List.map per_app Harness.all_apps);
+    gates =
+      [ ( "batching strictly reduces messages per acquire at every point",
+          Some (at_every_point (fun b u -> fst (per_acquire b) < fst (per_acquire u))) );
+        ( "batching strictly reduces frames at every point",
+          Some
+            (at_every_point (fun b u ->
+                 b.Harness.m_raw.Api.messages < u.Harness.m_raw.Api.messages)) ) ];
+    ledger =
+      Some
+        ( "BENCH_3.json",
+          ledger "E11"
+            [ protocol_key Config.Lrc; network_key atm; workloads Harness.all_apps ]
+            (rows
+               (fun (app, n, batching) ->
+                 [ app_key app; ("nprocs", Json.Int n); ("batching", Json.Bool batching) ])
+               [ time_s; messages; bytes; count "acquires" acquires;
+                 count "frames_coalesced" (fun m -> m.Harness.m_raw.Api.frames_coalesced);
+                 stat "diff_cache_hits" (fun s -> s.Stats.diff_cache_hits);
+                 stat "diff_cache_misses" (fun s -> s.Stats.diff_cache_misses) ]
+               get keys) );
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E12: crash survival, recovery latency, diff replication cost        *)
@@ -677,130 +672,85 @@ let e11 () =
 let e12_nprocs = 8
 let e12_crash_pid = 4
 
-(* One arm of the E12 matrix.  [Harness.run_checked] raises [Degraded]
-   when the survivors needed state only the dead processor held; the arm
-   records that outcome instead of aborting the experiment. *)
-type e12_outcome =
-  | E12_ok of Harness.metrics * string  (* metrics, result digest *)
-  | E12_degraded of int * string  (* pid whose loss caused it, reason *)
-
-let e12_arm ~app ~crash_at ~backup =
+let e12_cfg ~app ~crash_at ~backup =
   let cfg = Harness.config ~app ~nprocs:e12_nprocs ~protocol:Config.Lrc ~net:atm in
   let cfg = { cfg with Config.diff_backup = backup } in
-  let cfg =
-    match crash_at with
-    | None -> cfg
-    | Some at ->
-      { cfg with
-        Config.faults =
-          Tmk_net.Fault_plan.with_crash Tmk_net.Fault_plan.none ~pid:e12_crash_pid ~at }
-  in
-  match Harness.run_checked ~app cfg with
-  | m, digest -> E12_ok (m, digest)
-  | exception Api.Degraded { pid; reason } -> E12_degraded (pid, reason)
+  match crash_at with
+  | None -> cfg
+  | Some at ->
+    { cfg with
+      Config.faults =
+        Tmk_net.Fault_plan.with_crash Tmk_net.Fault_plan.none ~pid:e12_crash_pid ~at }
 
-let e12_json data =
-  let us t = Json.Float (Vtime.to_us t, 0) in
-  let recovery_json (r : Protocol.recovery) =
-    Json.(
-      Obj
-        [ ("pid", Int r.Protocol.rc_pid); ("epoch", Int r.Protocol.rc_epoch);
-          ("crash_at_us", us r.Protocol.rc_crash_at);
-          ("detected_at_us", us r.Protocol.rc_detected_at);
-          ("latency_us", us (Vtime.sub r.Protocol.rc_detected_at r.Protocol.rc_crash_at));
-          ("locks_rehomed", Int r.Protocol.rc_locks_rehomed);
-          ("refetches", Int r.Protocol.rc_retries) ])
-  in
-  let arm_json ((crash, backup), outcome) =
-    let arm = Json.[ ("crash", Bool crash); ("backup", Bool backup) ] in
-    match outcome with
-    | E12_degraded (pid, reason) ->
-      Json.(
-        Obj
-          (arm
-          @ [ ("survived", Bool false); ("degraded_pid", Int pid);
-              ("reason", String reason) ]))
-    | E12_ok (m, digest) ->
-      let raw = m.Harness.m_raw in
-      let s = raw.Api.total_stats in
-      Json.(
-        Obj
-          (arm
-          @ [ ("survived", Bool true); ("time_s", Float (m.Harness.m_time_s, 6));
-              ("messages", Int raw.Api.messages); ("bytes", Int raw.Api.bytes);
-              ("diff_backups", Int s.Stats.diff_backups);
-              ("diff_backup_bytes", Int s.Stats.diff_backup_bytes); ("digest", String digest);
-              ("recoveries", List (List.map recovery_json raw.Api.recoveries)) ]))
-  in
-  let app_json (app, crash_at, arms) =
-    Json.(
-      Obj
-        [ ("app", String (Harness.app_name app));
-          ("crash_at_us", us crash_at);
-          ("arms", List (List.map arm_json arms)) ])
-  in
-  Json.(
-    Obj
-      [ ("experiment", String "E12"); ("protocol", String "lrc");
-        ("network", String "atm-aal34"); ("nprocs", Int e12_nprocs);
-        ("crash_pid", Int e12_crash_pid); ("apps", List (List.map app_json data)) ])
+let recoveries (m : Harness.metrics) =
+  ( "recoveries",
+    Json.List
+      (List.map
+         (fun (r : Protocol.recovery) ->
+           Json.(
+             Obj
+               [ ("pid", Int r.Protocol.rc_pid); ("epoch", Int r.Protocol.rc_epoch);
+                 ("crash_at_us", micros r.Protocol.rc_crash_at);
+                 ("detected_at_us", micros r.Protocol.rc_detected_at);
+                 ("locks_rehomed", Int r.Protocol.rc_locks_rehomed);
+                 ("refetches", Int r.Protocol.rc_retries) ]))
+         m.Harness.m_raw.Api.recoveries) )
 
 let e12 () =
-  let data =
-    List.map
+  let app_backups =
+    List.concat_map (fun app -> [ (app, false); (app, true) ]) Harness.all_apps
+  in
+  let clean =
+    sweep (fun (app, backup) -> (app, e12_cfg ~app ~crash_at:None ~backup)) app_backups
+  in
+  (* Crash processor 4 halfway through the crash-free run. *)
+  let crash_at app =
+    Vtime.us (int_of_float ((fst (ran (clean (app, false)))).Harness.m_time_s *. 1e6 /. 2.0))
+  in
+  let crashed =
+    sweep
+      (fun (app, backup) -> (app, e12_cfg ~app ~crash_at:(Some (crash_at app)) ~backup))
+      app_backups
+  in
+  let keys =
+    List.concat_map
       (fun app ->
-        (* Crash processor 4 halfway through the crash-free run. *)
-        let base = e12_arm ~app ~crash_at:None ~backup:false in
-        let base_time =
-          match base with
-          | E12_ok (m, _) -> m.Harness.m_time_s
-          | E12_degraded _ -> assert false (* no crash plan: cannot degrade *)
-        in
-        let crash_at = Vtime.us (int_of_float (base_time *. 1e6 /. 2.0)) in
-        let arms =
-          [ ((false, false), base);
-            ((false, true), e12_arm ~app ~crash_at:None ~backup:true);
-            ((true, false), e12_arm ~app ~crash_at:(Some crash_at) ~backup:false);
-            ((true, true), e12_arm ~app ~crash_at:(Some crash_at) ~backup:true) ]
-        in
-        (app, crash_at, arms))
+        [ (app, false, false); (app, false, true); (app, true, false); (app, true, true) ])
       Harness.all_apps
   in
-  let json_file = "BENCH_5.json" in
-  Json.to_file json_file (e12_json data);
-  let arm_name (crash, backup) =
-    (if crash then "crash" else "no crash") ^ (if backup then " +backup" else "")
+  let get (app, crash, backup) = (if crash then crashed else clean) (app, backup) in
+  (* An arm survived only if it computed its app's crash-free answer. *)
+  let survived ((app, _, _) as key) =
+    match get key with
+    | Ran (_, digest) -> digest = snd (ran (clean (app, false)))
+    | Degraded _ -> false
   in
-  let rows =
-    List.concat_map
-      (fun (app, crash_at, arms) ->
-        List.map
-          (fun (arm, outcome) ->
-            let when_ = if fst arm then Printf.sprintf "%.0f" (Vtime.to_us crash_at) else "-" in
-            match outcome with
-            | E12_degraded (pid, reason) ->
-              [ Harness.app_name app; arm_name arm; when_;
-                Printf.sprintf "degraded (p%d: %s)" pid reason; "-"; "-"; "-" ]
-            | E12_ok (m, _) ->
-              let latency, rehomed, refetches =
-                match m.Harness.m_raw.Api.recoveries with
-                | [] -> ("-", "-", "-")
-                | rs ->
-                  ( String.concat "+"
-                      (List.map
-                         (fun r ->
-                           f0
-                             (Vtime.to_us
-                                (Vtime.sub r.Protocol.rc_detected_at r.Protocol.rc_crash_at)))
-                         rs),
-                    string_of_int
-                      (List.fold_left (fun a r -> a + r.Protocol.rc_locks_rehomed) 0 rs),
-                    string_of_int (List.fold_left (fun a r -> a + r.Protocol.rc_retries) 0 rs) )
-              in
-              [ Harness.app_name app; arm_name arm; when_; "completed " ^ f2 m.Harness.m_time_s ^ "s";
-                latency; rehomed; refetches ])
-          arms)
-      data
+  let arm_name (crash, backup) =
+    (if crash then "crash" else "no crash") ^ if backup then " +backup" else ""
+  in
+  let row ((app, crash, backup) as key) =
+    let when_ = if crash then Printf.sprintf "%.0f" (Vtime.to_us (crash_at app)) else "-" in
+    match get key with
+    | Degraded (pid, reason) ->
+      [ Harness.app_name app; arm_name (crash, backup); when_;
+        Printf.sprintf "degraded (p%d: %s)" pid reason; "-"; "-"; "-" ]
+    | Ran (m, _) ->
+      let latency, rehomed, refetches =
+        match m.Harness.m_raw.Api.recoveries with
+        | [] -> ("-", "-", "-")
+        | rs ->
+          ( String.concat "+"
+              (List.map
+                 (fun r ->
+                   f0
+                     (Vtime.to_us (Vtime.sub r.Protocol.rc_detected_at r.Protocol.rc_crash_at)))
+                 rs),
+            string_of_int (List.fold_left (fun a r -> a + r.Protocol.rc_locks_rehomed) 0 rs),
+            string_of_int (List.fold_left (fun a r -> a + r.Protocol.rc_retries) 0 rs) )
+      in
+      [ Harness.app_name app; arm_name (crash, backup); when_;
+        (if survived key then "completed " else "wrong answer ") ^ f2 m.Harness.m_time_s ^ "s";
+        latency; rehomed; refetches ]
   in
   let table =
     Tablefmt.render
@@ -811,46 +761,57 @@ let e12 () =
             migrates to the next live processor; +backup mirrors each diff to one peer)"
            e12_nprocs e12_crash_pid)
       ~header:[ "app"; "arm"; "crash us"; "outcome"; "detect us"; "locks rehomed"; "refetches" ]
-      rows
+      (List.map row keys)
   in
   (* Replication cost: what the diff mirroring adds to a crash-free run. *)
   let overhead =
     Tablefmt.render ~title:"Diff replication overhead (no-crash runs, +backup vs plain)"
       ~header:[ "app"; "mirrored diffs"; "mirror KB"; "msgs +%"; "bytes +%"; "time +%" ]
-      (List.filter_map
-         (fun (app, _, arms) ->
-           match (List.assoc (false, false) arms, List.assoc (false, true) arms) with
-           | E12_ok (plain, _), E12_ok (backed, _) ->
-             let s = backed.Harness.m_raw.Api.total_stats in
-             let pct f g = Printf.sprintf "%+.1f%%" (100.0 *. ((f /. g) -. 1.0)) in
-             Some
-               [ Harness.app_name app;
-                 string_of_int s.Stats.diff_backups;
-                 string_of_int (s.Stats.diff_backup_bytes / 1024);
-                 pct
-                   (float_of_int backed.Harness.m_raw.Api.messages)
-                   (float_of_int plain.Harness.m_raw.Api.messages);
-                 pct
-                   (float_of_int backed.Harness.m_raw.Api.bytes)
-                   (float_of_int plain.Harness.m_raw.Api.bytes);
-                 pct backed.Harness.m_time_s plain.Harness.m_time_s ]
-           | _ -> None)
-         data)
+      (List.map
+         (fun app ->
+           let plain, _ = ran (clean (app, false)) and backed, _ = ran (clean (app, true)) in
+           let s = backed.Harness.m_raw.Api.total_stats in
+           let pct f g = Printf.sprintf "%+.1f%%" (100.0 *. ((f /. g) -. 1.0)) in
+           [ Harness.app_name app;
+             string_of_int s.Stats.diff_backups;
+             string_of_int (s.Stats.diff_backup_bytes / 1024);
+             pct
+               (float_of_int backed.Harness.m_raw.Api.messages)
+               (float_of_int plain.Harness.m_raw.Api.messages);
+             pct
+               (float_of_int backed.Harness.m_raw.Api.bytes)
+               (float_of_int plain.Harness.m_raw.Api.bytes);
+             pct backed.Harness.m_time_s plain.Harness.m_time_s ])
+         Harness.all_apps)
   in
-  let survived_crashes =
-    List.concat_map
-      (fun (_, _, arms) ->
-        List.filter_map
-          (fun ((crash, _), o) ->
-            if crash then Some (match o with E12_ok _ -> true | E12_degraded _ -> false)
-            else None)
-          arms)
-      data
-  in
-  let n_ok = List.length (List.filter Fun.id survived_crashes) in
-  table ^ "\n" ^ overhead
-  ^ Printf.sprintf "\ncrash arms survived: %d/%d (raw measurements written to %s)\n" n_ok
-      (List.length survived_crashes) json_file
+  let crash_arms = List.filter (fun (_, crash, _) -> crash) keys in
+  {
+    tables =
+      table ^ "\n" ^ overhead
+      ^ Printf.sprintf "\ncrash arms that finish with the crash-free answer: %d/%d"
+          (List.length (List.filter survived crash_arms))
+          (List.length crash_arms);
+    gates =
+      [ ( "some crash arm with diff backup finishes with the crash-free answer",
+          Some (List.exists survived (List.filter (fun (_, _, backup) -> backup) crash_arms)) )
+      ];
+    ledger =
+      Some
+        ( "BENCH_5.json",
+          ledger "E12"
+            [ protocol_key Config.Lrc; network_key atm; ("nprocs", Json.Int e12_nprocs);
+              ("crash_pid", Json.Int e12_crash_pid); workloads Harness.all_apps;
+              ( "crash_at_us",
+                Json.Obj
+                  (List.map (fun app -> (Harness.app_name app, micros (crash_at app)))
+                     Harness.all_apps) ) ]
+            (rows
+               (fun (app, crash, backup) ->
+                 [ app_key app; ("crash", Json.Bool crash); ("backup", Json.Bool backup) ])
+               [ time_s; messages; bytes; stat "diff_backups" (fun s -> s.Stats.diff_backups);
+                 stat "diff_backup_bytes" (fun s -> s.Stats.diff_backup_bytes); recoveries ]
+               get keys) );
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E13: coherence backend comparison                                   *)
@@ -859,47 +820,8 @@ let e13_nprocs = 8
 let e13_backends = [ Config.Lrc; Config.Erc; Config.Tardis; Config.Sc_abd ]
 let e13_nets = [ Params.atm_aal34; Params.ethernet_udp ]
 
-let e13_json data =
-  let arm_json lazy_time (protocol, (m : Harness.metrics), digest) =
-    let raw = m.Harness.m_raw in
-    let s = raw.Api.total_stats in
-    Json.(
-      Obj
-        [ ("backend", String (Config.protocol_name protocol));
-          ("time_s", Float (m.Harness.m_time_s, 6));
-          ("vs_lazy", Float (lazy_time /. m.Harness.m_time_s, 4));
-          ("messages", Int raw.Api.messages); ("bytes", Int raw.Api.bytes);
-          ("page_fetches", Int s.Stats.page_fetches);
-          ("diffs_created", Int s.Stats.diffs_created);
-          ("diffs_applied", Int s.Stats.diffs_applied);
-          ("lease_expiries", Int s.Stats.lease_expiries);
-          ("quorum_reads", Int s.Stats.quorum_reads);
-          ("quorum_writes", Int s.Stats.quorum_writes);
-          ("digest", String digest) ])
-  in
-  let app_json (app, arms) =
-    let lazy_time =
-      let _, (m : Harness.metrics), _ = List.find (fun (p, _, _) -> p = Config.Lrc) arms in
-      m.Harness.m_time_s
-    in
-    Json.(
-      Obj
-        [ ("app", String (Harness.app_name app));
-          ("workload", String (Harness.workload_description app));
-          ("backends", List (List.map (arm_json lazy_time) arms)) ])
-  in
-  let net_json (net, by_app) =
-    Json.(
-      Obj
-        [ ("network", String (Params.name net)); ("apps", List (List.map app_json by_app)) ])
-  in
-  Json.(
-    Obj
-      [ ("experiment", String "E13"); ("nprocs", Int e13_nprocs);
-        ("networks", List (List.map net_json data)) ])
-
 let e13 () =
-  let arms =
+  let keys =
     List.concat_map
       (fun net ->
         List.concat_map
@@ -907,30 +829,18 @@ let e13 () =
           Harness.all_apps)
       e13_nets
   in
-  let run_arm (net, app, protocol) =
-    Harness.run_checked ~app (Harness.config ~app ~nprocs:e13_nprocs ~protocol ~net)
+  let get =
+    sweep
+      (fun (net, app, protocol) ->
+        (app, Harness.config ~app ~nprocs:e13_nprocs ~protocol ~net))
+      keys
   in
-  let results = Harness.parallel_map ~jobs:!jobs run_arm arms in
-  let by_arm = Hashtbl.create 64 in
-  List.iter2 (fun arm r -> Hashtbl.replace by_arm arm r) arms results;
-  let data =
-    List.map
-      (fun net ->
-        ( net,
-          List.map
-            (fun app ->
-              ( app,
-                List.map
-                  (fun protocol ->
-                    let m, digest = Hashtbl.find by_arm (net, app, protocol) in
-                    (protocol, m, digest))
-                  e13_backends ))
-            Harness.all_apps ))
-      e13_nets
+  let agree net app =
+    match List.map (fun protocol -> snd (ran (get (net, app, protocol)))) e13_backends with
+    | [] -> true
+    | d :: rest -> List.for_all (( = ) d) rest
   in
-  let json_file = "BENCH_7.json" in
-  Json.to_file json_file (e13_json data);
-  let per_net (net, by_app) =
+  let per_net net =
     Tablefmt.render
       ~title:
         (Printf.sprintf
@@ -940,42 +850,41 @@ let e13 () =
       ~header:
         [ "app"; "lazy s"; "eager s (vs)"; "tardis s (vs)"; "sc-abd s (vs)"; "answers" ]
       (List.map
-         (fun (app, arms) ->
-           let time p =
-             let _, (m : Harness.metrics), _ = List.find (fun (q, _, _) -> q = p) arms in
-             m.Harness.m_time_s
-           in
+         (fun app ->
+           let time p = (fst (ran (get (net, app, p)))).Harness.m_time_s in
            let cell p = Printf.sprintf "%s (%s)" (f2 (time p)) (f2 (time Config.Lrc /. time p)) in
-           let digests = List.map (fun (_, _, d) -> d) arms in
-           let agree = List.for_all (fun d -> d = List.hd digests) digests in
            [ Harness.app_name app;
              f2 (time Config.Lrc);
              cell Config.Erc;
              cell Config.Tardis;
              cell Config.Sc_abd;
-             (if agree then "identical" else "MISMATCH") ])
-         by_app)
+             (if agree net app then "identical" else "MISMATCH") ])
+         Harness.all_apps)
   in
-  let all_agree =
-    List.for_all
-      (fun (_, by_app) ->
-        List.for_all
-          (fun (_, arms) ->
-            match List.map (fun (_, _, d) -> d) arms with
-            | [] -> true
-            | d :: rest -> List.for_all (( = ) d) rest)
-          by_app)
-      data
-  in
-  String.concat "\n"
-    (List.map per_net data
-    @ [
-        Printf.sprintf
-          "every application digests identically under every backend: %s\n\
-           (raw measurements written to %s)"
-          (if all_agree then "yes" else "NO - REGRESSION")
-          json_file;
-      ])
+  {
+    tables = String.concat "\n" (List.map per_net e13_nets);
+    gates =
+      [ ( "every application digests identically under every backend",
+          Some
+            (List.for_all (fun net -> List.for_all (agree net) Harness.all_apps) e13_nets) )
+      ];
+    ledger =
+      Some
+        ( "BENCH_7.json",
+          ledger "E13"
+            [ ("nprocs", Json.Int e13_nprocs); workloads Harness.all_apps ]
+            (rows
+               (fun (net, app, protocol) ->
+                 [ network_key net; app_key app; protocol_key protocol ])
+               [ time_s; messages; bytes;
+                 stat "page_fetches" (fun s -> s.Stats.page_fetches);
+                 stat "diffs_created" (fun s -> s.Stats.diffs_created);
+                 stat "diffs_applied" (fun s -> s.Stats.diffs_applied);
+                 stat "lease_expiries" (fun s -> s.Stats.lease_expiries);
+                 stat "quorum_reads" (fun s -> s.Stats.quorum_reads);
+                 stat "quorum_writes" (fun s -> s.Stats.quorum_writes) ]
+               get keys) );
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E14: metadata-plane scaling, flat vs ring-sharded + tree barriers   *)
@@ -1002,113 +911,48 @@ let e14_mgr_per_barrier (m : Harness.metrics) =
   let barriers = max 1 raw.Api.stats.(0).Stats.barriers in
   float_of_int raw.Api.proc_msgs.(0) /. float_of_int barriers
 
-let e14_json data =
-  let mode_json ((m : Harness.metrics), digest) =
-    let mpa, kpa = e11_per_acquire m in
-    let raw = m.Harness.m_raw in
-    Json.(
-      Obj
-        [ ("time_s", Float (m.Harness.m_time_s, 6)); ("messages", Int raw.Api.messages);
-          ("bytes", Int raw.Api.bytes); ("acquires", Int (e11_acquires m));
-          ("msgs_per_acquire", Float (mpa, 4)); ("kb_per_acquire", Float (kpa, 4));
-          ("mgr_frames", Int raw.Api.proc_msgs.(0));
-          ("max_frames", Int (Array.fold_left max 0 raw.Api.proc_msgs));
-          ("barriers_per_proc", Int raw.Api.stats.(0).Stats.barriers);
-          ("mgr_frames_per_barrier", Float (e14_mgr_per_barrier m, 2));
-          ("digest", String digest) ])
-  in
-  let point (n, flat, sharded) =
-    Json.(
-      Obj
-        [ ("nprocs", Int n); ("flat", mode_json flat); ("sharded", mode_json sharded);
-          ("digests_match", Bool (snd flat = snd sharded)) ])
-  in
-  let protocol_json (protocol, points) =
-    Json.(
-      Obj
-        [ ("protocol", String (Config.protocol_name protocol));
-          ("points", List (List.map point points)) ])
-  in
-  let app_json (app, by_proto) =
-    Json.(
-      Obj
-        [ ("app", String (Harness.app_name app));
-          ("workload", String (Harness.workload_description app));
-          ("protocols", List (List.map protocol_json by_proto)) ])
-  in
-  Json.(
-    Obj
-      [ ("experiment", String "E14"); ("network", String "atm-aal34");
-        ("apps", List (List.map app_json data)) ])
-
 let e14 () =
   let procs = !e14_procs in
-  let arms =
+  let pairs =
     List.concat_map
-      (fun app ->
+      (fun app -> List.map (fun protocol -> (app, protocol)) e14_protocols)
+      e14_apps
+  in
+  let keys =
+    List.concat_map
+      (fun (app, protocol) ->
         List.concat_map
-          (fun protocol ->
-            List.concat_map
-              (fun n -> [ (app, protocol, n, false); (app, protocol, n, true) ])
-              procs)
-          e14_protocols)
-      e14_apps
+          (fun n -> [ (app, protocol, n, false); (app, protocol, n, true) ])
+          procs)
+      pairs
   in
-  let run_arm (app, protocol, n, sharded) =
-    Harness.run_checked ~app (e14_cfg ~app ~n ~protocol ~sharded)
+  let get =
+    sweep (fun (app, protocol, n, sharded) -> (app, e14_cfg ~app ~n ~protocol ~sharded)) keys
   in
-  let results = Harness.parallel_map ~jobs:!jobs run_arm arms in
-  let by_arm = Hashtbl.create 64 in
-  List.iter2 (fun arm r -> Hashtbl.replace by_arm arm r) arms results;
-  let data =
-    List.map
-      (fun app ->
-        ( app,
-          List.map
-            (fun protocol ->
-              ( protocol,
-                List.map
-                  (fun n ->
-                    ( n,
-                      Hashtbl.find by_arm (app, protocol, n, false),
-                      Hashtbl.find by_arm (app, protocol, n, true) ))
-                  procs ))
-            e14_protocols ))
-      e14_apps
+  let m key = fst (ran (get key)) in
+  let mgr key = e14_mgr_per_barrier (m key) in
+  let same_answer (app, protocol) n =
+    snd (ran (get (app, protocol, n, false))) = snd (ran (get (app, protocol, n, true)))
   in
-  let json_file = "BENCH_10.json" in
-  Json.to_file json_file (e14_json data);
-  let per_table (app, by_proto) =
-    List.map
-      (fun (protocol, points) ->
-        Tablefmt.render
-          ~title:
-            (Printf.sprintf
-               "E14. %s, %s: flat vs ring-sharded metadata plane\n\
-                (mgr/barrier = frames delivered at processor 0 per barrier; flat \
-                centralizes there, sharding caps it near the tree arity)"
-               (Harness.app_name app)
-               (Config.protocol_name protocol))
-          ~header:
-            [ "procs"; "time f/s"; "mgr/barrier f/s"; "msgs/acq f/s"; "answers" ]
-          (List.map
-             (fun (n, ((fm : Harness.metrics), fd), ((sm : Harness.metrics), sd)) ->
-               let f_mpa, _ = e11_per_acquire fm and s_mpa, _ = e11_per_acquire sm in
-               [ string_of_int n;
-                 f2 fm.Harness.m_time_s ^ " / " ^ f2 sm.Harness.m_time_s;
-                 f1 (e14_mgr_per_barrier fm) ^ " / " ^ f1 (e14_mgr_per_barrier sm);
-                 f2 f_mpa ^ " / " ^ f2 s_mpa;
-                 (if fd = sd then "identical" else "MISMATCH") ])
-             points))
-      by_proto
-  in
-  let digests_ok =
-    List.for_all
-      (fun (_, by_proto) ->
-        List.for_all
-          (fun (_, points) -> List.for_all (fun (_, (_, fd), (_, sd)) -> fd = sd) points)
-          by_proto)
-      data
+  let per_table ((app, protocol) as pair) =
+    Tablefmt.render
+      ~title:
+        (Printf.sprintf
+           "E14. %s, %s: flat vs ring-sharded metadata plane\n\
+            (mgr/barrier = frames delivered at processor 0 per barrier; flat \
+            centralizes there, sharding caps it near the tree arity)"
+           (Harness.app_name app)
+           (Config.protocol_name protocol))
+      ~header:[ "procs"; "time f/s"; "mgr/barrier f/s"; "msgs/acq f/s"; "answers" ]
+      (List.map
+         (fun n ->
+           let fm = m (app, protocol, n, false) and sm = m (app, protocol, n, true) in
+           [ string_of_int n;
+             f2 fm.Harness.m_time_s ^ " / " ^ f2 sm.Harness.m_time_s;
+             f1 (e14_mgr_per_barrier fm) ^ " / " ^ f1 (e14_mgr_per_barrier sm);
+             f2 (fst (per_acquire fm)) ^ " / " ^ f2 (fst (per_acquire sm));
+             (if same_answer pair n then "identical" else "MISMATCH") ])
+         procs)
   in
   (* The scaling claims need a real sweep (at least a 4x processor
      range); a smoke run at a single count only checks digests and the
@@ -1124,80 +968,89 @@ let e14 () =
      that hot spot (the lock's home moves off the barrier manager and
      the data traffic spreads), which is the strict-reduction line. *)
   let lo = List.hd procs and hi = List.nth procs (List.length procs - 1) in
-  let swept = hi >= 4 * lo in
-  let barrier_paced points =
+  let swept claim = if hi >= 4 * lo then Some (List.for_all claim pairs) else None in
+  let barrier_paced (app, protocol) =
     List.for_all
-      (fun (_, ((fm : Harness.metrics), _), _) ->
-        fm.Harness.m_raw.Api.stats.(0).Stats.barriers >= 8)
-      points
+      (fun n -> (m (app, protocol, n, false)).Harness.m_raw.Api.stats.(0).Stats.barriers >= 8)
+      procs
   in
-  let fold_arms f init =
-    List.fold_left
-      (fun acc (_, by_proto) ->
-        List.fold_left (fun acc (_, points) -> f acc points) acc by_proto)
-      init data
-  in
-  let flat_grows, sharded_flat =
-    if not swept then (true, true)
-    else
-      fold_arms
-        (fun (fg, sf) points ->
-          let at n sel =
-            let _, f, s = List.find (fun (m, _, _) -> m = n) points in
-            e14_mgr_per_barrier (fst (sel (f, s)))
-          in
-          ( fg && at hi fst >= 4.0 *. at lo fst,
-            sf && ((not (barrier_paced points)) || at hi snd <= 2.0 *. at lo snd) ))
-        (true, true)
-  in
-  let sharding_reduces =
-    fold_arms
-      (fun ok points ->
-        ok
-        && List.for_all
-             (fun (_, (fm, _), (sm, _)) ->
-               e14_mgr_per_barrier sm < e14_mgr_per_barrier fm)
-             points)
-      true
-  in
-  String.concat "\n"
-    (List.concat_map per_table data
-    @ [
-        Printf.sprintf
-          "digests identical across flat and sharded arms: %s\n\
-           sharding reduces the pid-0 hot spot at every measured point: %s\n\
-           flat manager load grows at least 4x from %d to %d processors: %s\n\
-           sharded manager load stays within 2x from %d to %d processors (barrier-paced arms): %s\n\
-           (raw measurements written to %s)"
-          (if digests_ok then "yes" else "NO - REGRESSION")
-          (if sharding_reduces then "yes" else "NO - REGRESSION")
-          lo hi
-          (if not swept then "not swept" else if flat_grows then "yes" else "NO - REGRESSION")
-          lo hi
-          (if not swept then "not swept" else if sharded_flat then "yes" else "NO - REGRESSION")
-          json_file;
-      ])
+  {
+    tables = String.concat "\n" (List.map per_table pairs);
+    gates =
+      [ ( "digests identical across flat and sharded arms",
+          Some (List.for_all (fun pair -> List.for_all (same_answer pair) procs) pairs) );
+        ( "sharding reduces the pid-0 hot spot at every measured point",
+          Some
+            (List.for_all
+               (fun (app, protocol) ->
+                 List.for_all
+                   (fun n -> mgr (app, protocol, n, true) < mgr (app, protocol, n, false))
+                   procs)
+               pairs) );
+        ( Printf.sprintf "flat manager load grows at least 4x from %d to %d processors" lo hi,
+          swept (fun (app, protocol) ->
+              mgr (app, protocol, hi, false) >= 4.0 *. mgr (app, protocol, lo, false)) );
+        ( Printf.sprintf
+            "sharded manager load stays within 2x from %d to %d processors (barrier-paced \
+             arms)"
+            lo hi,
+          swept (fun ((app, protocol) as pair) ->
+              (not (barrier_paced pair))
+              || mgr (app, protocol, hi, true) <= 2.0 *. mgr (app, protocol, lo, true)) ) ];
+    ledger =
+      Some
+        ( "BENCH_10.json",
+          ledger "E14"
+            [ network_key atm; workloads e14_apps ]
+            (rows
+               (fun (app, protocol, n, sharded) ->
+                 [ app_key app; protocol_key protocol; ("nprocs", Json.Int n);
+                   ("sharded", Json.Bool sharded) ])
+               [ time_s; messages; bytes; count "acquires" acquires;
+                 count "mgr_frames" (fun m -> m.Harness.m_raw.Api.proc_msgs.(0));
+                 count "max_frames" (fun m ->
+                     Array.fold_left max 0 m.Harness.m_raw.Api.proc_msgs);
+                 count "barriers_per_proc" (fun m ->
+                     m.Harness.m_raw.Api.stats.(0).Stats.barriers)
+               ]
+               get keys) );
+  }
 
-let run = function
-  | E1 -> e1 ()
-  | E2 -> e2 ()
-  | E3 -> e3 ()
-  | E4 -> e4 ()
-  | E5 -> e5 ()
-  | E6 -> e6 ()
-  | E7 -> e7 ()
-  | E8 -> e8 ()
-  | E9 -> e9 ()
-  | E10 -> e10 ()
-  | E11 -> e11 ()
-  | E12 -> e12 ()
-  | E13 -> e13 ()
-  | E14 -> e14 ()
-
-let run_all () =
-  String.concat "\n"
-    (List.map
-       (fun id ->
-         Printf.sprintf "=== %s: %s ===\n%s" (String.uppercase_ascii (id_name id))
-           (describe id) (run id))
-       all)
+let all =
+  [
+    report "e1" "basic operation costs (paper section 4.2)" e1;
+    report "e2" "speedups on 1-8 processors, ATM/AAL3/4 (Figure 3)" e2;
+    report "e3" "8-processor execution statistics (Figure 4)" e3;
+    report "e4" "execution time breakdown (Figure 5)" e4;
+    report "e5" "Unix overhead breakdown (Figure 6)" e5;
+    report "e6" "TreadMarks overhead breakdown (Figure 7)" e6;
+    report "e7" "Water across communication substrates (Figure 8)" e7;
+    report "e8" "lazy vs eager release consistency (Figures 9-12)" e8;
+    report "e9" "speedups on the 10 Mbps Ethernet (abstract)" e9;
+    {
+      name = "e10";
+      describe = "robustness sweep: all applications under 0-20% frame loss (section 3.7)";
+      body = e10;
+    };
+    {
+      name = "e11";
+      describe = "scaling study, 2-64 processors, batched vs unbatched consistency traffic";
+      body = e11;
+    };
+    {
+      name = "e12";
+      describe = "crash survival: recovery latency and diff replication cost, 8 processors";
+      body = e12;
+    };
+    {
+      name = "e13";
+      describe = "coherence backend comparison: lazy/eager/tardis/sc-abd on both networks";
+      body = e13;
+    };
+    {
+      name = "e14";
+      describe =
+        "metadata-plane scaling, 64-1024 processors: flat vs ring-sharded + tree barriers";
+      body = e14;
+    };
+  ]

@@ -1,84 +1,67 @@
 (** Regeneration of every table and figure in the paper's evaluation
-    (§4–§5).  Each function runs the necessary simulations and renders a
-    plain-text table or chart, quoting the paper's own numbers alongside
-    for shape comparison.  The per-experiment index lives in DESIGN.md;
-    measured-vs-paper records live in EXPERIMENTS.md. *)
+    (§4–§5), and the studies past it.  Each experiment is a value: it runs
+    the necessary simulations and renders plain-text tables or charts,
+    quoting the paper's own numbers alongside for shape comparison.  The
+    per-experiment index lives in DESIGN.md §3; measured-vs-paper records
+    live in EXPERIMENTS.md. *)
 
-(** Experiment identifiers, in paper order. *)
-type id =
-  | E1  (** §4.2 basic operation costs *)
-  | E2  (** Figure 3: speedups, 1–8 processors, ATM *)
-  | E3  (** Figure 4: execution statistics, 8 processors *)
-  | E4  (** Figure 5: execution time breakdown *)
-  | E5  (** Figure 6: Unix overhead breakdown *)
-  | E6  (** Figure 7: TreadMarks overhead breakdown *)
-  | E7  (** Figure 8: Water across communication substrates *)
-  | E8  (** Figures 9–12: lazy versus eager release consistency *)
-  | E9  (** abstract: speedups on the 10 Mbps Ethernet *)
-  | E10
-      (** robustness sweep (§3.7): the five applications under 0–20% frame
-          loss — execution time, retransmissions, message overhead versus
-          the loss-free baseline, and a digest check that the DSM answer
-          is bit-identical at every loss rate *)
-  | E11
-      (** scaling study past the paper: the five applications on 2–64
-          processors, batched versus unbatched consistency traffic
-          ([Config.batching]) — speedup curves, messages and kilobytes per
-          synchronization acquire, frames coalesced, and diff-cache
-          effectiveness.  Also writes the raw measurements to
-          [BENCH_3.json] in the working directory. *)
-  | E12
-      (** crash survival study: the five applications on 8 processors,
-          {no crash, processor 4 dies halfway} × {diff replication
-          off, on} — survival or typed degradation, failure-detection
-          latency, locks re-homed, in-flight fetches re-issued, and the
-          message/byte cost of mirroring each diff to a backup peer.
-          Also writes the raw measurements to [BENCH_5.json] in the
-          working directory. *)
-  | E13
-      (** coherence backend comparison: the five applications on 8
-          processors under lazy, eager, tardis and sc-abd, on both the
-          ATM and Ethernet models — execution time and backend-specific
-          traffic (page fetches, diffs, lease expiries, quorum rounds),
-          with a digest check that every backend computes the same
-          answer.  Also writes the raw measurements to [BENCH_7.json] in
-          the working directory. *)
-  | E14
-      (** metadata-plane scaling study: Jacobi and TSP on 64–1024
-          processors under lazy and tardis, flat (static ownership,
-          centralized barriers) versus sharded ([Config.sharding] +
-          [Config.barrier_tree]) — execution time, messages per acquire,
-          and the hot-spot metric: frames delivered at processor 0 per
-          barrier, which grows O(nprocs) flat and stays near the tree
-          arity sharded.  Digest-checks every flat/sharded pair.  Also
-          writes the raw measurements to [BENCH_10.json] in the working
-          directory. *)
+(** What an experiment's body returns. *)
+type result = {
+  tables : string;  (** the rendered report *)
+  gates : (string * bool option) list;
+      (** claims the experiment checks on its own numbers: [Some true]
+          holds, [Some false] fails, [None] the run cannot decide (an
+          E14 sweep narrower than 4x) *)
+  ledger : (string * Tmk_util.Json.t) option;
+      (** the file the raw measurements go to, and its contents (see
+          {!ledger}) *)
+}
 
-val all : id list
+type t = {
+  name : string;  (** lowercase, as given on bench's command line: ["e3"], ["a2"] *)
+  describe : string;  (** one line *)
+  body : unit -> result;
+}
 
-val id_name : id -> string
+(** [all] — E1–E14 in paper order.  E1–E9 regenerate the paper's
+    artefacts and are reports only; E10 (loss robustness), E11 (2–64
+    processors, batched vs unbatched traffic, [BENCH_3.json]), E12 (crash
+    survival, [BENCH_5.json]), E13 (coherence backends, [BENCH_7.json])
+    and E14 (64–1024 processors, flat vs sharded metadata plane,
+    [BENCH_10.json]) sweep independent arms and check gates. *)
+val all : t list
 
-(** [id_of_name "e3"] — parse a CLI argument.
-    @raise Invalid_argument on unknown ids. *)
-val id_of_name : string -> id
+(** [report name describe tables] — an entry with no gates and no
+    ledger. *)
+val report : string -> string -> (unit -> string) -> t
 
-(** [describe id] — one-line description. *)
-val describe : id -> string
+(** [find registry name] — the entry called [name], ignoring case. *)
+val find : t list -> string -> t option
 
-(** [set_jobs n] — run the independent arms of sweep experiments (E10,
-    E11, E13) on up to [n] OCaml domains via {!Harness.parallel_map}.
-    The default is 1 (sequential); reports are byte-identical at any
-    value. *)
+(** [run e] — execute [e], write its ledger to the working directory, and
+    return its report (a [=== NAME: describe ===] header, the tables, one
+    [claim: yes | NO - REGRESSION | not swept] line per gate and the
+    ledger's file name) and whether no gate failed. *)
+val run : t -> string * bool
+
+(** [ledger experiment config rows] — the one shape of every measurement
+    file: [{"experiment", "config", "metrics"}], where [config] holds
+    what every arm shares (network, processor count, per-app workloads)
+    and each row of [metrics] is [{"arm": {<its keys>}, <its raw
+    measurements>}], with [digest] when the arm ran checked, and
+    [degraded_pid] and [reason] instead of measurements when a crash
+    degraded it.  Derived ratios are left to readers ([bench/delta.py]
+    compares two ledgers arm by arm). *)
+val ledger :
+  string -> (string * Tmk_util.Json.t) list -> Tmk_util.Json.t list -> Tmk_util.Json.t
+
+(** [set_jobs n] — run the independent arms of the sweeps (E10–E14) on up
+    to [n] OCaml domains via {!Harness.parallel_map}.  The default is 1
+    (sequential); reports and ledgers are byte-identical at any value. *)
 val set_jobs : int -> unit
 
 (** [set_e14_procs l] — override E14's processor-count sweep (default
     [[64; 256; 1024]]); the CI smoke arm runs a single cheap point.
-    Empty lists are ignored.  The O(nprocs) scaling assertions need at
-    least a 4x range and report "not swept" otherwise. *)
+    Empty lists are ignored.  The O(nprocs) scaling gates need at least a
+    4x range and report "not swept" otherwise. *)
 val set_e14_procs : int list -> unit
-
-(** [run id] — execute the experiment and return its rendered report. *)
-val run : id -> string
-
-(** [run_all ()] — E1 through E14, concatenated. *)
-val run_all : unit -> string

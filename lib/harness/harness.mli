@@ -67,11 +67,6 @@ val workload_description : app -> string
 val config :
   app:app -> nprocs:int -> protocol:Config.protocol -> net:Tmk_net.Params.t -> Config.t
 
-(** [body app] — the application's SPMD body at experiment scale (result
-    collection disabled), for callers that need a custom {!Config.t}
-    (ablations). *)
-val body : app -> Api.ctx -> unit
-
 (** [run ~app ~nprocs ~protocol ~net] — execute and measure. *)
 val run :
   app:app -> nprocs:int -> protocol:Config.protocol -> net:Tmk_net.Params.t -> metrics

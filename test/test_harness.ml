@@ -1,5 +1,6 @@
-(* Harness and experiment-driver tests: metric extraction sanity, id
-   parsing, and light end-to-end runs (the heavyweight sweeps live in
+(* Harness and experiment-driver tests: metric extraction sanity, the
+   experiment registry and its gates, the committed ledgers' shape, and
+   light end-to-end runs (the heavyweight sweeps live in
    bench/main.exe, not the test suite). *)
 
 open Tmk_dsm
@@ -49,26 +50,88 @@ let jacobi_parallelizes () =
   in
   check Alcotest.bool "speedup > 3 at 4 procs" true (t1 /. t4 > 3.0)
 
+let contains text needle =
+  let n = String.length needle in
+  let rec go i = i + n <= String.length text && (String.sub text i n = needle || go (i + 1)) in
+  go 0
+
+(* The registry: E1-E14 and A1-A6, each found by its name in any case. *)
 let experiment_ids () =
+  let registry = Experiments.all @ Ablations.all in
+  let names = List.map (fun e -> e.Experiments.name) registry in
+  check Alcotest.int "20 entries" 20 (List.length registry);
+  check Alcotest.int "unique names" 20 (List.length (List.sort_uniq compare names));
   List.iter
-    (fun id ->
-      check Alcotest.bool "id roundtrip" true
-        (Experiments.id_of_name (Experiments.id_name id) = id);
-      check Alcotest.bool "describe nonempty" true (String.length (Experiments.describe id) > 0))
-    Experiments.all;
-  Alcotest.check_raises "unknown id"
-    (Invalid_argument "Experiments.id_of_name: unknown experiment \"e42\"") (fun () ->
-      ignore (Experiments.id_of_name "e42"))
+    (fun e ->
+      check Alcotest.bool "describe nonempty" true (e.Experiments.describe <> "");
+      check Alcotest.bool "find ignores case" true
+        (match Experiments.find registry (String.uppercase_ascii e.Experiments.name) with
+        | Some found -> found == e
+        | None -> false))
+    registry;
+  check Alcotest.bool "unknown name" true (Option.is_none (Experiments.find registry "e42"))
 
 let e1_report_renders () =
-  let report = Experiments.run Experiments.E1 in
+  let report, held = Experiments.run (Option.get (Experiments.find Experiments.all "e1")) in
+  check Alcotest.bool "no gate fails" true held;
   check Alcotest.bool "mentions paper values" true
-    (List.for_all
-       (fun needle ->
-         let n = String.length needle in
-         let rec go i = i + n <= String.length report && (String.sub report i n = needle || go (i + 1)) in
-         go 0)
-       [ "827"; "1149"; "2186"; "2792"; "lock acquire" ])
+    (List.for_all (contains report)
+       [ "=== E1: "; "827"; "1149"; "2186"; "2792"; "lock acquire" ])
+
+(* Gates render in one form and decide [run]'s verdict; this experiment
+   runs no simulation. *)
+let gates_decide_the_verdict () =
+  let synthetic gates =
+    {
+      Experiments.name = "x1";
+      describe = "synthetic";
+      body = (fun () -> { Experiments.tables = "table\n"; gates; ledger = None });
+    }
+  in
+  let report, held = Experiments.run (synthetic [ ("holds", Some true); ("open", None) ]) in
+  check Alcotest.bool "an undecided gate does not fail" true held;
+  check Alcotest.string "report" "=== X1: synthetic ===\ntable\n\nholds: yes\nopen: not swept"
+    report;
+  let report, held =
+    Experiments.run (synthetic [ ("holds", Some true); ("breaks", Some false) ])
+  in
+  check Alcotest.bool "a failing gate fails the run" false held;
+  check Alcotest.bool "renders the regression" true (contains report "breaks: NO - REGRESSION")
+
+(* Every committed ledger has one shape: {experiment, config, metrics},
+   each row starting with its arm, the rows of one file sharing one field
+   list (degraded rows another) and one arm key list, no arm twice, and
+   as many rows as the sweep has arms. *)
+let committed_ledgers_share_one_shape () =
+  List.iter
+    (fun (name, expected) ->
+      let path =
+        Filename.concat (Filename.dirname Sys.executable_name)
+          (Filename.concat Filename.parent_dir_name name)
+      in
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      let module Json = Tmk_util.Json in
+      match Json.of_string (String.trim text) with
+      | Json.Obj
+          [ ("experiment", Json.String _); ("config", Json.Obj _); ("metrics", Json.List rows) ]
+        ->
+        let split = function
+          | Json.Obj (("arm", Json.Obj arm) :: fields) -> (arm, List.map fst fields)
+          | _ -> Alcotest.failf "%s: a row does not start with its arm" name
+        in
+        let arms, fields = List.split (List.map split rows) in
+        let shapes = List.sort_uniq compare fields in
+        let degraded, measured = List.partition (List.mem "degraded_pid") shapes in
+        check Alcotest.int (name ^ ": rows") expected (List.length rows);
+        check Alcotest.int (name ^ ": measured field lists") 1 (List.length measured);
+        check Alcotest.bool (name ^ ": degraded field lists") true (List.length degraded <= 1);
+        check Alcotest.int (name ^ ": arm key lists") 1
+          (List.length (List.sort_uniq compare (List.map (List.map fst) arms)));
+        check Alcotest.int (name ^ ": distinct arms") expected
+          (List.length (List.sort_uniq compare arms))
+      | _ -> Alcotest.failf "%s: not {experiment, config, metrics}" name)
+    [ ("BENCH_3.json", 65); ("BENCH_5.json", 20); ("BENCH_6.json", 7); ("BENCH_7.json", 40);
+      ("BENCH_10.json", 24) ]
 
 let suite =
   [
@@ -78,4 +141,7 @@ let suite =
     Alcotest.test_case "jacobi parallelizes" `Slow jacobi_parallelizes;
     Alcotest.test_case "experiment ids" `Quick experiment_ids;
     Alcotest.test_case "e1 report renders" `Quick e1_report_renders;
+    Alcotest.test_case "gates decide the verdict" `Quick gates_decide_the_verdict;
+    Alcotest.test_case "committed ledgers share one shape" `Quick
+      committed_ledgers_share_one_shape;
   ]

@@ -425,8 +425,7 @@ let json_parse_errors () =
     (Json.to_string (Json.of_string (string_of_int min_int)))
 
 (* The committed BENCH records are printer output: each reads back and
-   reprints byte for byte (BENCH_6 is pretty-printed by an older writer
-   and is not). *)
+   reprints byte for byte. *)
 let json_reprints_bench_files () =
   List.iter
     (fun name ->
@@ -437,7 +436,7 @@ let json_reprints_bench_files () =
       let text = In_channel.with_open_bin path In_channel.input_all in
       let body = String.sub text 0 (String.length text - 1) in
       check Alcotest.string name text (Json.to_string (Json.of_string body) ^ "\n"))
-    [ "BENCH_3.json"; "BENCH_5.json"; "BENCH_7.json"; "BENCH_10.json" ]
+    [ "BENCH_3.json"; "BENCH_5.json"; "BENCH_6.json"; "BENCH_7.json"; "BENCH_10.json" ]
 
 let suite =
   [
