@@ -202,6 +202,9 @@ let create cfg =
     Transport.create ~plan:cfg.Config.faults ~batching:cfg.Config.batching ~engine
       ~params:cfg.Config.net ~prng ()
   in
+  (* one record store per cluster, never a global: clusters run on
+     parallel domains *)
+  let store = Node.create_store ~nprocs:cfg.Config.nprocs ~pages:cfg.Config.pages in
   let nodes =
     Array.init cfg.Config.nprocs (fun pid ->
         let emit =
@@ -209,7 +212,7 @@ let create cfg =
           | None -> None
           | Some _ -> Some (fun ev -> Engine.emit engine ~pid ev)
         in
-        Node.create ?emit ~vm_fast_path:cfg.Config.vm_fast_path ~pid
+        Node.create ?emit ~vm_fast_path:cfg.Config.vm_fast_path ~store ~pid
           ~nprocs:cfg.Config.nprocs ~pages:cfg.Config.pages ())
   in
   let live_pids = Bitset.create cfg.Config.nprocs in

@@ -450,9 +450,9 @@ let attach_for cl node ~receiver ~charge =
         if Bitset.mem node.Node.pages.(page).Node.pg_copyset receiver then begin
           (* a pending local diff is created now (it is the newest
              diff-less local notice by the lazy-diffing invariant) *)
-          if wn.Node.wn_interval.Node.iv_proc = node.Node.pid && wn.Node.wn_diff = None
+          if wn.Node.wn_interval.Node.iv_proc = node.Node.pid && Node.diff node wn = None
           then Node.ensure_own_diff node page ~charge;
-          wn.Node.wn_diff
+          Node.diff node wn
         end
         else None)
 
@@ -469,10 +469,12 @@ let eager_diffs cl =
    the grant carries exactly the granter's knowledge not covered by the
    requester's timestamp, so incorporation alone realises the
    pairwise-maximum rule of §2.2; the timestamp itself must only ever
-   track incorporated records (see Node.incorporate). *)
+   track incorporated records (see Node.incorporate).  Every timestamp
+   taken here is a [Node.snapshot], one copy per change of [vt] however
+   many requests, grants and releases read it. *)
 let make_acquire cl ~pid =
   let node = cl.Cluster.nodes.(pid) in
-  let request_vt = Vector_time.copy node.Node.vt in
+  let request_vt = Node.snapshot node in
   {
     Backend.a_grant =
       (fun ~granter ~charge ->
@@ -487,7 +489,7 @@ let make_acquire cl ~pid =
             (Node.notice_counts intervals)
           + Node.update_bytes intervals
         in
-        let granter_vt = Vector_time.copy gnode.Node.vt in
+        let granter_vt = Node.snapshot gnode in
         {
           Backend.p_bytes = bytes;
           p_parts = 1 + List.length intervals;
@@ -510,18 +512,14 @@ let make_arrival cl ~pid ~mgr ~relay =
      may lack — the children's intervals it just absorbed travel on
      inside it.  Both are safe over-approximations of what the manager
      actually lacks: [Node.incorporate] skips covered intervals. *)
-  let mgr_known_vt =
-    match node.Node.intervals.(mgr) with
-    | iv :: _ -> iv.Node.iv_vt
-    | [] -> Vector_time.create nprocs
-  in
+  let mgr_known_vt = Node.newest_vt node mgr in
   let own =
     atomically cl (fun charge ->
         let attach = attach_for cl node ~receiver:mgr ~charge in
         if relay then Node.intervals_since ?attach node mgr_known_vt
         else Node.own_intervals_since ?attach node mgr_known_vt)
   in
-  let arrival_vt = Vector_time.copy node.Node.vt in
+  let arrival_vt = Node.snapshot node in
   {
     Backend.v_bytes =
       Wire.barrier_arrival_bytes ~nprocs (Node.notice_counts own) + Node.update_bytes own;
@@ -537,7 +535,7 @@ let make_arrival cl ~pid ~mgr ~relay =
       (fun ~charge ->
         let attach = attach_for cl mgr_node ~receiver:pid ~charge in
         let intervals = Node.intervals_since ?attach mgr_node arrival_vt in
-        let release_vt = Vector_time.copy mgr_node.Node.vt in
+        let release_vt = Node.snapshot mgr_node in
         {
           Backend.p_bytes =
             Wire.barrier_release_bytes ~nprocs (Node.notice_counts intervals)
@@ -560,8 +558,10 @@ let gc_validate cl ~pid =
   in
   List.iter validate (Node.modified_pages node)
 
-(* Drop the dead processor from every live node's copysets. *)
+(* Drop the dead processor from every live node's copysets, and its view
+   from the record store. *)
 let on_death cl dead_pid =
+  Node.retire cl.Cluster.nodes.(dead_pid);
   Array.iteri
     (fun pid node ->
       if not cl.Cluster.dead.(pid) then

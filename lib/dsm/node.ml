@@ -7,23 +7,31 @@ module Int_map = Map.Make (Int)
 
 type charge = Category.t -> Vtime.t -> unit
 
+(* One record per interval and one per (interval, page) for the whole
+   cluster.  What differs between nodes is which records a node's view
+   holds (its [vt] above its [floor]) and, per notice, two bits: whether
+   the node holds the diff and whether it is applied to the node's copy.
+   The bits live in the notice, at [2 * pid] and [2 * pid + 1] of
+   [wn_bits], so a node incorporating a notice sets two bits and
+   allocates nothing. *)
 type write_notice = {
   wn_page : int;
   wn_interval : interval;
   mutable wn_diff : Rle.t option;
-  mutable wn_applied : bool;
-      (* the diff's content is reflected in the local copy of the page;
-         distinct from wn_diff presence once diffs can arrive piggybacked
-         on synchronization messages (hybrid update protocol) *)
+      (* the creator's diff once made; a node holds it only when its bit
+         says so *)
+  wn_bits : Bytes.t;
 }
 
 and interval = {
   iv_proc : int;
   iv_id : int;
   iv_vt : Vector_time.t;
-  mutable iv_notices : write_notice list;
+  mutable iv_notices : write_notice list;  (* in the creator's order *)
   mutable iv_msg : msg_interval option;
       (* the wire form without piggybacked diffs, built at the first send *)
+  mutable iv_holders : int;
+      (* live nodes that have not yet discarded the interval *)
 }
 
 and msg_interval = {
@@ -40,9 +48,115 @@ and msg_interval = {
    so the map costs nothing per processor. *)
 type writers = write_notice list ref Int_map.t
 
+(* Processor [q]'s intervals: [ivs.(id - base)] is interval [id] for [lo]
+   <= id <= [hi] ([lo > hi] when none is held).  Ids are consecutive per
+   processor, so the array is dense; [absent] fills the slots of a
+   hand-built history with gaps.  Discarded intervals leave from the [lo]
+   end. *)
+type proc_intervals = {
+  mutable ivs : interval array;
+  mutable base : int;
+  mutable lo : int;
+  mutable hi : int;
+}
+
+type store = {
+  s_nprocs : int;
+  procs : proc_intervals array;
+  writers : writers array;  (* per page *)
+  zero : Vector_time.t;  (* the vector of a processor with no interval *)
+  mutable live : int;  (* nodes not retired *)
+}
+
+let absent =
+  {
+    iv_proc = -1;
+    iv_id = 0;
+    iv_vt = Vector_time.create 1;
+    iv_notices = [];
+    iv_msg = None;
+    iv_holders = 0;
+  }
+
+let create_store ~nprocs ~pages =
+  {
+    s_nprocs = nprocs;
+    procs = Array.init nprocs (fun _ -> { ivs = [||]; base = 0; lo = 1; hi = 0 });
+    writers = Array.make pages Int_map.empty;
+    zero = Vector_time.create nprocs;
+    live = nprocs;
+  }
+
+(* Interval [id] of the processor behind [pi], or [absent]. *)
+let interval_at pi id = if id < pi.lo || id > pi.hi then absent else pi.ivs.(id - pi.base)
+
+let record_notice s wn =
+  let proc = wn.wn_interval.iv_proc in
+  match Int_map.find proc s.writers.(wn.wn_page) with
+  | l -> l := wn :: !l
+  | exception Not_found ->
+    s.writers.(wn.wn_page) <- Int_map.add proc (ref [ wn ]) s.writers.(wn.wn_page)
+
+(* Add a new interval, newer than every interval of its processor, with
+   its notices. *)
+let publish s iv =
+  let pi = s.procs.(iv.iv_proc) and id = iv.iv_id in
+  if pi.lo > pi.hi then pi.lo <- id
+  else if id <= pi.hi then invalid_arg "Node.publish: interval ids must increase";
+  if id - pi.base >= Array.length pi.ivs || id < pi.base then begin
+    let held = pi.hi - pi.lo + 1 in
+    let ivs = Array.make (max 8 (2 * (id - pi.lo + 1))) absent in
+    if held > 0 then Array.blit pi.ivs (pi.lo - pi.base) ivs 0 held;
+    pi.ivs <- ivs;
+    pi.base <- pi.lo
+  end;
+  pi.ivs.(id - pi.base) <- iv;
+  pi.hi <- id;
+  List.iter (record_notice s) iv.iv_notices
+
+let new_notice s iv page diff =
+  { wn_page = page; wn_interval = iv; wn_diff = diff;
+    wn_bits = Bytes.make ((2 * s.s_nprocs + 7) / 8) '\000' }
+
+(* The notices of a newest-first list with ids above [lo]. *)
+let rec newer_than lo = function
+  | wn :: rest when wn.wn_interval.iv_id > lo -> wn :: newer_than lo rest
+  | _ -> []
+
+(* Drop processor [q]'s oldest intervals while no live node keeps them,
+   and unlink their notices from the pages' writer lists. *)
+let drop_discarded s q =
+  let pi = s.procs.(q) in
+  let pages = ref [] in
+  while pi.lo <= pi.hi && (interval_at pi pi.lo).iv_holders <= 0 do
+    List.iter (fun wn -> pages := wn.wn_page :: !pages) (interval_at pi pi.lo).iv_notices;
+    pi.ivs.(pi.lo - pi.base) <- absent;
+    pi.lo <- pi.lo + 1
+  done;
+  List.iter
+    (fun page ->
+      match Int_map.find_opt q s.writers.(page) with
+      | None -> ()
+      | Some l -> (
+        match newer_than (pi.lo - 1) !l with
+        | [] -> s.writers.(page) <- Int_map.remove q s.writers.(page)
+        | kept -> l := kept))
+    !pages
+
+(* A node with [floor] stops keeping the intervals of each processor [q]
+   above [floor.(q)] up to [upto q]. *)
+let stop_keeping s ~floor ~upto =
+  for q = 0 to s.s_nprocs - 1 do
+    let pi = s.procs.(q) in
+    for id = max (Vector_time.get floor q + 1) pi.lo to min (upto q) pi.hi do
+      let iv = interval_at pi id in
+      if iv != absent then iv.iv_holders <- iv.iv_holders - 1
+    done;
+    drop_discarded s q
+  done
+
 type page_entry = {
   mutable pg_copyset : Bitset.t;
-  mutable pg_writers : writers;
   mutable pg_twin : Bytes.t option;
   mutable pg_has_copy : bool;
   mutable pg_fetched : bool;
@@ -53,9 +167,12 @@ type t = {
   pid : int;
   nprocs : int;
   vm : Vm.t;
+  store : store;
   vt : Vector_time.t;
+  mutable floor : Vector_time.t;
+  mutable snapshot : Vector_time.t option;
+      (* an immutable copy of [vt], shared until [vt] next changes *)
   mutable next_interval : int;
-  intervals : interval list array;
   pages : page_entry array;
   mutable dirty : int list;
   mutable live_records : int;
@@ -84,14 +201,17 @@ let tracing t = t.emit <> None
 let emit t ev = match t.emit with None -> () | Some f -> f ev
 let vt_array t vt = Array.init t.nprocs (Vector_time.get vt)
 
-let create ?emit ?(vm_fast_path = true) ~pid ~nprocs ~pages () =
+let create ?emit ?(vm_fast_path = true) ?store ~pid ~nprocs ~pages () =
+  let store = match store with Some s -> s | None -> create_store ~nprocs ~pages in
+  if
+    store.s_nprocs <> nprocs || Array.length store.writers <> pages || pid < 0 || pid >= nprocs
+  then invalid_arg "Node.create: the store is for another cluster shape";
   let vm = Vm.create ~fast_path:vm_fast_path ~pages () in
   let make_entry _ =
     let copyset = Bitset.create nprocs in
     Bitset.add copyset 0;
     {
       pg_copyset = copyset;
-      pg_writers = Int_map.empty;
       pg_twin = None;
       pg_has_copy = pid = 0;
       pg_fetched = false;
@@ -107,9 +227,11 @@ let create ?emit ?(vm_fast_path = true) ~pid ~nprocs ~pages () =
     pid;
     nprocs;
     vm;
+    store;
     vt = Vector_time.create nprocs;
+    floor = store.zero;
+    snapshot = None;
     next_interval = 1;
-    intervals = Array.make nprocs [];
     pages = Array.init pages make_entry;
     dirty = [];
     live_records = 0;
@@ -120,6 +242,36 @@ let create ?emit ?(vm_fast_path = true) ~pid ~nprocs ~pages () =
     emit;
   }
 
+let snapshot t =
+  match t.snapshot with
+  | Some vt -> vt
+  | None ->
+    let vt = Vector_time.copy t.vt in
+    t.snapshot <- Some vt;
+    vt
+
+let set_vt t q id =
+  Vector_time.set t.vt q id;
+  t.snapshot <- None
+
+let newest_vt t q =
+  let id = Vector_time.get t.vt q in
+  if id > Vector_time.get t.floor q then (interval_at t.store.procs.(q) id).iv_vt
+  else t.store.zero
+
+(* The per-node bits of a notice. *)
+let bit wn i = Char.code (Bytes.unsafe_get wn.wn_bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+let set_bit wn i on =
+  let b = Char.code (Bytes.unsafe_get wn.wn_bits (i lsr 3)) in
+  let m = 1 lsl (i land 7) in
+  Bytes.unsafe_set wn.wn_bits (i lsr 3)
+    (Char.unsafe_chr (if on then b lor m else b land lnot m))
+
+let holds t wn = bit wn (2 * t.pid)
+let applied t wn = bit wn ((2 * t.pid) + 1)
+let diff t wn = if holds t wn then wn.wn_diff else None
+
 let set_diff_hook t f = t.on_diff_create <- Some f
 let store_backup t ~proc ~interval_id ~page diff =
   Hashtbl.replace t.backup_store (proc, interval_id, page) diff
@@ -127,15 +279,35 @@ let store_backup t ~proc ~interval_id ~page diff =
 let backup_diff t ~proc ~interval_id ~page =
   Hashtbl.find_opt t.backup_store (proc, interval_id, page)
 
-let notices t ~page ~proc =
-  match Int_map.find_opt proc t.pages.(page).pg_writers with Some l -> !l | None -> []
+(* A writer's newest-first notices without those above [top], the ones a
+   node whose [vt] entry is [top] has not seen yet. *)
+let rec skip_unseen top = function
+  | wn :: rest when wn.wn_interval.iv_id > top -> skip_unseen top rest
+  | l -> l
 
-let record_notice t wn =
-  let entry = t.pages.(wn.wn_page) in
-  let proc = wn.wn_interval.iv_proc in
-  match Int_map.find proc entry.pg_writers with
-  | l -> l := wn :: !l
-  | exception Not_found -> entry.pg_writers <- Int_map.add proc (ref [ wn ]) entry.pg_writers
+(* The notices of a newest-first list with ids above [floor] that
+   satisfy [keep t], newest first.  [keep] is a top-level function, so a
+   walk builds no closure. *)
+let rec filter_above t keep floor = function
+  | wn :: rest when wn.wn_interval.iv_id > floor ->
+    if keep t wn then wn :: filter_above t keep floor rest else filter_above t keep floor rest
+  | _ -> []
+
+(* The notices of writer [q]'s newest-first list [l] in [t]'s view that
+   satisfy [keep t]. *)
+let in_view t q keep l =
+  filter_above t keep (Vector_time.get t.floor q) (skip_unseen (Vector_time.get t.vt q) l)
+
+let lacks_diff t wn = not (holds t wn)
+let unapplied t wn = holds t wn && not (applied t wn)
+
+(* This node's own notices for [page], newest first; the head is in view
+   when it is above the floor (own ids never exceed [vt]). *)
+let own_notices t page =
+  match Int_map.find_opt t.pid t.store.writers.(page) with
+  | Some { contents = wn :: _ as l } when wn.wn_interval.iv_id > Vector_time.get t.floor t.pid
+    -> l
+  | _ -> []
 
 let write_fault_twin t page ~charge =
   let entry = t.pages.(page) in
@@ -156,11 +328,11 @@ let build_msg iv page_entry =
     mi_pages = List.map page_entry iv.iv_notices;
   }
 
-(* The wire form of [iv], its notices in [iv_notices] order, so page order
-   reverses at each relay.  [attach] decides the piggybacked diff of each
-   write notice (hybrid update protocol), so each receiver gets a form of
-   its own.  Without it the form depends on the record alone, whose
-   notices are complete once it is published, so it is built once. *)
+(* The wire form of [iv], its pages in the creator's order at every
+   sender.  [attach] decides the piggybacked diff of each write notice
+   (hybrid update protocol), so each receiver gets a form of its own.
+   Without it the form depends on the record alone, whose notices are
+   complete once it is published, so it is built once for the cluster. *)
 let to_msg ?attach iv =
   match (attach, iv.iv_msg) with
   | Some attach, _ -> build_msg iv (fun wn -> (wn.wn_page, attach wn))
@@ -170,17 +342,19 @@ let to_msg ?attach iv =
     iv.iv_msg <- Some mi;
     mi
 
-(* [acc] preceded by the wire forms of a stored interval list's records
-   with ids above [bound], oldest first.  Stored lists are newest-first
-   and contiguous, so this is a reversed prefix. *)
-let rec take_since ?attach bound acc = function
-  | iv :: rest when iv.iv_id > bound -> take_since ?attach bound (to_msg ?attach iv :: acc) rest
-  | _ -> acc
+(* [acc] preceded by the wire forms of [pi]'s intervals with ids in (lo,
+   id], oldest first, walking down from [id]. *)
+let rec take_since ?attach pi lo id acc =
+  if id <= lo then acc
+  else
+    let iv = interval_at pi id in
+    take_since ?attach pi lo (id - 1) (if iv == absent then acc else to_msg ?attach iv :: acc)
 
-(* [acc] preceded by the intervals of processor [q] newer than [vt]'s
-   entry for [q], oldest first. *)
+(* [acc] preceded by the intervals of processor [q] in [t]'s view newer
+   than [vt]'s entry for [q], oldest first. *)
 let proc_intervals_since ?attach t q vt acc =
-  take_since ?attach (Vector_time.get vt q) acc t.intervals.(q)
+  let lo = max (Vector_time.get vt q) (Vector_time.get t.floor q) in
+  take_since ?attach t.store.procs.(q) lo (Vector_time.get t.vt q) acc
 
 (* Built from the last processor back, so each prefix is consed on once.
    [attach] can have side effects, but only on this node's own notices
@@ -211,22 +385,23 @@ let rec close_interval ?(eager_diffs = false) t ~charge =
   | dirty ->
     let id = t.next_interval in
     t.next_interval <- id + 1;
-    Vector_time.set t.vt t.pid id;
+    set_vt t t.pid id;
+    (* the interval's timestamp is the node's first snapshot of it *)
     let iv =
-      { iv_proc = t.pid; iv_id = id; iv_vt = Vector_time.copy t.vt; iv_notices = [];
-        iv_msg = None }
+      { iv_proc = t.pid; iv_id = id; iv_vt = snapshot t; iv_notices = []; iv_msg = None;
+        iv_holders = t.store.live }
     in
     charge Category.Tmk_consistency
       (Vtime.add Cpu.interval_close_base
          (Vtime.scale Cpu.interval_close_per_page (List.length dirty)));
     let add_notice page =
-      let wn = { wn_page = page; wn_interval = iv; wn_diff = None; wn_applied = true } in
+      let wn = new_notice t.store iv page None in
+      set_bit wn ((2 * t.pid) + 1) true;
       iv.iv_notices <- wn :: iv.iv_notices;
-      record_notice t wn;
       t.live_records <- t.live_records + 1
     in
     List.iter add_notice dirty;
-    t.intervals.(t.pid) <- iv :: t.intervals.(t.pid);
+    publish t.store iv;
     t.live_records <- t.live_records + 1;
     t.dirty <- [];
     if tracing t then
@@ -250,8 +425,8 @@ and make_diff_now t page ~charge =
   match entry.pg_twin with
   | None -> ()
   | Some twin ->
-    (match notices t ~page ~proc:t.pid with
-    | wn :: _ when wn.wn_diff = None -> ()
+    (match own_notices t page with
+    | wn :: _ when not (holds t wn) -> ()
     | _ -> close_interval t ~charge);
     charge Category.Tmk_mem (Costs.diff_create Vm.page_size);
     let diff = Vm.diff_against t.vm page ~twin in
@@ -260,9 +435,10 @@ and make_diff_now t page ~charge =
     t.stats.Stats.diff_bytes_created <-
       t.stats.Stats.diff_bytes_created + Rle.encoded_size diff;
     t.live_records <- t.live_records + 1;
-    (match notices t ~page ~proc:t.pid with
-    | wn :: _ when wn.wn_diff = None ->
+    (match own_notices t page with
+    | wn :: _ when not (holds t wn) ->
       wn.wn_diff <- Some diff;
+      set_bit wn (2 * t.pid) true;
       if tracing t then
         emit t
           (Tmk_trace.Event.Diff_create
@@ -294,24 +470,30 @@ let invalidate t page ~charge =
     if tracing t then emit t (Tmk_trace.Event.Page_invalidate { page })
   end
 
+let rec find_id id = function
+  | wn :: rest -> if wn.wn_interval.iv_id = id then wn else find_id id rest
+  | [] -> raise Not_found
+
 let find_notice t ~proc ~interval_id ~page =
-  List.find (fun wn -> wn.wn_interval.iv_id = interval_id) (notices t ~page ~proc)
+  if interval_id <= Vector_time.get t.floor proc || interval_id > Vector_time.get t.vt proc
+  then raise Not_found;
+  find_id interval_id !(Int_map.find proc t.store.writers.(page))
 
 let held_diff t ~proc ~interval_id ~page =
   match find_notice t ~proc ~interval_id ~page with
-  | wn -> wn.wn_diff
+  | wn -> diff t wn
   | exception Not_found -> None
 
 let find_diff t ~proc ~interval_id ~page ~charge =
   (if proc = t.pid then
      (* Our own diff may not exist yet: this is the lazy-creation point
         for a diff request from another processor (§3.2). *)
-     match notices t ~page ~proc:t.pid with
-     | wn :: _ when wn.wn_diff = None && wn.wn_interval.iv_id = interval_id ->
+     match own_notices t page with
+     | wn :: _ when (not (holds t wn)) && wn.wn_interval.iv_id = interval_id ->
        ensure_own_diff t page ~charge
      | _ -> ());
   let wn = find_notice t ~proc ~interval_id ~page in
-  match wn.wn_diff with
+  match diff t wn with
   | Some diff -> diff
   | None ->
     invalid_arg
@@ -330,21 +512,21 @@ let missing_diffs t page =
      lacks one, so the diff-less notices are not necessarily a prefix. *)
   Seq.fold_left
     (fun acc (q, l) ->
-      match List.filter (fun wn -> wn.wn_diff = None) !l with
+      match in_view t q lacks_diff !l with
       | [] -> acc
       | l -> (q, l) :: acc (* newest-first, like the source list *))
-    [] (Int_map.to_rev_seq t.pages.(page).pg_writers)
+    [] (Int_map.to_rev_seq t.store.writers.(page))
 
 let unapplied_diffs t page =
-  let unapplied wn = wn.wn_diff <> None && not wn.wn_applied in
   Seq.fold_left
-    (fun acc (_, l) -> List.filter unapplied !l @ acc)
-    [] (Int_map.to_rev_seq t.pages.(page).pg_writers)
+    (fun acc (q, l) -> in_view t q unapplied !l @ acc)
+    [] (Int_map.to_rev_seq t.store.writers.(page))
 
 let store_diff t ~proc ~interval_id ~page diff =
   let wn = find_notice t ~proc ~interval_id ~page in
-  if wn.wn_diff = None then begin
-    wn.wn_diff <- Some diff;
+  if not (holds t wn) then begin
+    if wn.wn_diff = None then wn.wn_diff <- Some diff;
+    set_bit wn (2 * t.pid) true;
     t.live_records <- t.live_records + 1
   end
 
@@ -377,15 +559,18 @@ let replay_set t page notices =
     in
     let members = Notice_set.create (List.length notices) in
     List.iter (fun wn -> Notice_set.replace members wn ()) notices;
-    let rec newer acc = function
-      | wn :: rest when Vector_time.compare_total oldest wn.wn_interval.iv_vt < 0 ->
-        if wn.wn_diff <> None && not (Notice_set.mem members wn) then wn :: newer acc rest
-        else newer acc rest
+    let rec newer floor acc = function
+      | wn :: rest
+        when wn.wn_interval.iv_id > floor
+             && Vector_time.compare_total oldest wn.wn_interval.iv_vt < 0 ->
+        if holds t wn && not (Notice_set.mem members wn) then wn :: newer floor acc rest
+        else newer floor acc rest
       | _ -> acc
     in
     Seq.fold_left
-      (fun acc (_, l) -> newer acc !l)
-      [] (Int_map.to_rev_seq t.pages.(page).pg_writers)
+      (fun acc (q, l) ->
+        newer (Vector_time.get t.floor q) acc (skip_unseen (Vector_time.get t.vt q) !l))
+      [] (Int_map.to_rev_seq t.store.writers.(page))
 
 let apply_missing_diffs t page notices ~charge =
   (* The local (out-of-date) copy already reflects every previously held
@@ -406,7 +591,7 @@ let apply_missing_diffs t page notices ~charge =
       (List.rev_append notices replay)
   in
   let apply wn =
-    match wn.wn_diff with
+    match diff t wn with
     | None ->
       invalid_arg
         (Printf.sprintf "Node.apply_missing_diffs: diff absent (proc %d, page %d)"
@@ -414,7 +599,7 @@ let apply_missing_diffs t page notices ~charge =
     | Some diff ->
       charge Category.Tmk_mem (Costs.diff_apply (Rle.payload_size diff));
       Vm.patch t.vm page diff;
-      wn.wn_applied <- true;
+      set_bit wn ((2 * t.pid) + 1) true;
       t.stats.Stats.diffs_applied <- t.stats.Stats.diffs_applied + 1;
       if tracing t then
         emit t
@@ -435,30 +620,47 @@ let rec save_twins t pages ~charge =
     if t.pages.(page).pg_twin <> None then make_diff_now t page ~charge;
     save_twins t rest ~charge
 
+(* The store's record of [mi], published from the wire form when no node
+   has it (a history built by hand rather than by [close_interval]). *)
+let interval_of_msg s mi =
+  match interval_at s.procs.(mi.mi_proc) mi.mi_id with
+  | iv when iv != absent -> iv
+  | _ ->
+    let iv =
+      { iv_proc = mi.mi_proc; iv_id = mi.mi_id; iv_vt = mi.mi_vt; iv_notices = [];
+        iv_msg = None; iv_holders = s.live }
+    in
+    iv.iv_notices <- List.map (fun (page, diff) -> new_notice s iv page diff) mi.mi_pages;
+    publish s iv;
+    iv
+
 (* [fresh] maps a page to the notices of this incorporation that name it,
    newest first.  A page enters [fresh] at its first notice, through
    [Hashtbl.add], which inserts as [Hashtbl.replace] does for a new key.
    [Hashtbl.iter] settles pages in an order set by those insertions and
    the table's size, and that order fixes the order of the section's
    charges and of [Page_invalidate] records, so the table is neither
-   pre-sized nor rebuilt. *)
-let rec add_notices t fresh iv pages ~charge =
-  match pages with
-  | [] -> ()
-  | (page, diff) :: rest ->
+   pre-sized nor rebuilt.  [notices] are the interval's records and
+   [pages] its wire form's entries, in the same order. *)
+let rec add_notices t fresh notices pages ~charge =
+  match (notices, pages) with
+  | [], [] -> ()
+  | wn :: notices, (page, diff) :: pages when wn.wn_page = page ->
     charge Category.Tmk_consistency Cpu.incorporate_per_notice;
-    let wn = { wn_page = page; wn_interval = iv; wn_diff = diff; wn_applied = false } in
-    iv.iv_notices <- wn :: iv.iv_notices;
-    record_notice t wn;
+    if diff <> None && wn.wn_diff = None then wn.wn_diff <- diff;
+    set_bit wn (2 * t.pid) (diff <> None);
+    set_bit wn ((2 * t.pid) + 1) false;
     t.live_records <- t.live_records + (if diff = None then 1 else 2);
     t.stats.Stats.write_notices_in <- t.stats.Stats.write_notices_in + 1;
     if tracing t then
       emit t
-        (Tmk_trace.Event.Write_notice_recv { page; proc = iv.iv_proc; interval = iv.iv_id });
+        (Tmk_trace.Event.Write_notice_recv
+           { page; proc = wn.wn_interval.iv_proc; interval = wn.wn_interval.iv_id });
     (match Hashtbl.find fresh page with
     | l -> l := wn :: !l
     | exception Not_found -> Hashtbl.add fresh page (ref [ wn ]));
-    add_notices t fresh iv rest ~charge
+    add_notices t fresh notices pages ~charge
+  | _ -> invalid_arg "Node.incorporate: a wire form disagrees with its interval's notices"
 
 let rec add_intervals t fresh intervals ~charge =
   match intervals with
@@ -468,10 +670,7 @@ let rec add_intervals t fresh intervals ~charge =
        when two clients both forward a third party's interval). *)
     if mi.mi_id > Vector_time.get t.vt mi.mi_proc then begin
       charge Category.Tmk_consistency Cpu.incorporate_per_interval;
-      let iv =
-        { iv_proc = mi.mi_proc; iv_id = mi.mi_id; iv_vt = mi.mi_vt; iv_notices = [];
-          iv_msg = None }
-      in
+      let iv = interval_of_msg t.store mi in
       if tracing t then
         emit t
           (Tmk_trace.Event.Interval_recv
@@ -481,19 +680,21 @@ let rec add_intervals t fresh intervals ~charge =
                notices = List.length mi.mi_pages;
                vt = vt_array t mi.mi_vt;
              });
-      add_notices t fresh iv mi.mi_pages ~charge;
-      t.intervals.(mi.mi_proc) <- iv :: t.intervals.(mi.mi_proc);
+      add_notices t fresh iv.iv_notices mi.mi_pages ~charge;
       t.live_records <- t.live_records + 1;
       t.stats.Stats.intervals_in <- t.stats.Stats.intervals_in + 1;
-      (* Advance only this processor's entry.  Folding in the interval's
-         whole vector timestamp would mark transitively-covered intervals
-         as seen before their records arrive (they may be later in this
-         same message, or in another barrier client's arrival), and the
-         skip above would then drop them forever.  The timestamp must
-         track record coverage exactly. *)
-      Vector_time.set t.vt mi.mi_proc mi.mi_id
+      (* Advance only this processor's entry, which brings the interval
+         into the view.  Folding in the interval's whole vector timestamp
+         would mark transitively-covered intervals as seen before their
+         records arrive (they may be later in this same message, or in
+         another barrier client's arrival), and the skip above would then
+         drop them forever.  The timestamp must track record coverage
+         exactly. *)
+      set_vt t mi.mi_proc mi.mi_id
     end;
     add_intervals t fresh rest ~charge
+
+let rec all_held t = function [] -> true | wn :: rest -> holds t wn && all_held t rest
 
 let incorporate t intervals ~charge =
   charge Category.Tmk_consistency Cpu.incorporate_base;
@@ -526,7 +727,7 @@ let incorporate t intervals ~charge =
          outstanding *)
       t.pages.(page).pg_twin = None
       && Vm.prot t.vm page <> Vm.No_access
-      && List.for_all (fun wn -> wn.wn_diff <> None) fresh
+      && all_held t fresh
       && missing_diffs t page = []
     in
     if updatable then apply_missing_diffs t page fresh ~charge
@@ -543,12 +744,12 @@ let validate_page t page bytes ~charge =
 let discard_all_records t ~charge =
   let discarded = t.live_records in
   charge Category.Tmk_other (Vtime.scale Cpu.gc_per_record discarded);
-  for q = 0 to t.nprocs - 1 do
-    t.intervals.(q) <- []
-  done;
+  (* The view empties: the floor rises to the timestamp, and the store
+     forgets what no live node keeps any more. *)
+  stop_keeping t.store ~floor:t.floor ~upto:(Vector_time.get t.vt);
+  t.floor <- snapshot t;
   Array.iter
     (fun entry ->
-      entry.pg_writers <- Int_map.empty;
       entry.pg_twin <- None;
       (* the gather blacklist describes diffs that no longer exist *)
       entry.pg_no_gather <- false)
@@ -561,11 +762,14 @@ let discard_all_records t ~charge =
   t.stats.Stats.records_discarded <- t.stats.Stats.records_discarded + discarded;
   discarded
 
+let retire t =
+  t.store.live <- t.store.live - 1;
+  stop_keeping t.store ~floor:t.floor ~upto:(fun _ -> max_int)
+
 let modified_pages t =
   let result = ref [] in
   Array.iteri
     (fun page entry ->
-      if entry.pg_twin <> None || Int_map.mem t.pid entry.pg_writers then
-        result := page :: !result)
+      if entry.pg_twin <> None || own_notices t page <> [] then result := page :: !result)
     t.pages;
   List.rev !result

@@ -2,10 +2,26 @@
 
     Mirrors the paper's data structures: the {e PageArray} (page state,
     approximate copyset, write-notice lists of the page's writers), the
-    {e ProcArray} (per-processor interval record lists, newest first),
-    interval records carrying vector timestamps, write-notice records
-    doubly linked to their intervals, and the diff pool (diffs hang off
-    write-notice records).
+    {e ProcArray} (per-processor interval records), interval records
+    carrying vector timestamps, write-notice records linked to their
+    intervals, and the diff pool (diffs hang off write-notice records).
+
+    On real workstations every processor keeps its own copy of each
+    record.  The records are identical everywhere, so the simulator keeps
+    one {!store} per cluster: each interval once, with one notice per
+    (interval, page) that carries the diff once its creator makes it, and
+    each page's notices grouped by writer.  A node keeps only what differs
+    between nodes:
+    - its vector timestamp [vt];
+    - its GC floor [floor], its [vt] at its last discard;
+    - per notice, two bits: whether it holds the diff and whether the
+      diff is applied to its copy.
+
+    A node's {e view} of processor [q] is the store's intervals with ids
+    above [floor.(q)] up to [vt.(q)]; every walk below reads through it.  A diff
+    in the shared record is not one the node holds: only its own bit says
+    so.  The store drops an interval once every live node has discarded
+    it ({!discard_all_records}, {!retire}).
 
     Functions here are pure bookkeeping plus simulated-cost charging; they
     never communicate.  They run either in the application process or in a
@@ -17,28 +33,28 @@ open Tmk_sim
 (** [charge cat dt] consumes [dt] of CPU in the caller's context. *)
 type charge = Category.t -> Vtime.t -> unit
 
-(** Write-notice record: page [wn_page] was modified in interval
-    [wn_interval]; [wn_diff] is filled when the diff has been created
-    locally or received; [wn_applied] when its content is reflected in the
-    local copy (they differ once diffs can arrive piggybacked on
-    synchronization messages). *)
-type write_notice = {
+(** Write-notice record, one per (interval, page) for the cluster: page
+    [wn_page] was modified in interval [wn_interval].  [wn_diff] is the
+    diff once its creator has made it; whether a node holds it is
+    {!diff}'s answer. *)
+type write_notice = private {
   wn_page : int;
   wn_interval : interval;
   mutable wn_diff : Tmk_util.Rle.t option;
-  mutable wn_applied : bool;
+  wn_bits : Bytes.t;  (** per node: holds the diff, diff applied *)
 }
 
 (** Interval record of processor [iv_proc], interval index [iv_id],
-    stamped [iv_vt]. *)
-and interval = {
+    stamped [iv_vt], one per interval for the cluster. *)
+and interval = private {
   iv_proc : int;
   iv_id : int;
   iv_vt : Vector_time.t;
-  mutable iv_notices : write_notice list;
+  mutable iv_notices : write_notice list;  (** in the creator's order *)
   mutable iv_msg : msg_interval option;
       (** the interval's wire form without piggybacked diffs, built at its
-          first send and shared by every later one *)
+          first send and shared by every later one from any node *)
+  mutable iv_holders : int;  (** live nodes that have not discarded it *)
 }
 
 (** Interval data as carried by synchronization messages.  Under the
@@ -49,21 +65,20 @@ and msg_interval = {
   mi_id : int;
   mi_vt : Vector_time.t;
   mi_pages : (int * Tmk_util.Rle.t option) list;
-      (** in the sender's [iv_notices] order, so page order reverses at
-          each relay *)
+      (** in the creator's order, at every sender *)
 }
 
-(** A page's write notices keyed by writer.  Only processors with notices
-    for the page are present, so the map's size follows the page's
-    writers, not [nprocs].  Read it with {!notices}; every walk over it
-    ({!missing_diffs}, {!unapplied_diffs}, {!apply_missing_diffs}) visits
-    writers in increasing pid. *)
-type writers
+(** The cluster's record store. *)
+type store
+
+(** [create_store ~nprocs ~pages] — an empty store for a cluster of that
+    shape.  Each cluster needs its own: clusters can run on parallel
+    domains. *)
+val create_store : nprocs:int -> pages:int -> store
 
 (** PageArray entry. *)
 type page_entry = {
   mutable pg_copyset : Tmk_util.Bitset.t;  (** processors believed to cache the page *)
-  mutable pg_writers : writers;
   mutable pg_twin : Bytes.t option;
   mutable pg_has_copy : bool;  (** false until a copy has been fetched (or initially held) *)
   mutable pg_fetched : bool;
@@ -81,9 +96,12 @@ type t = {
   pid : int;
   nprocs : int;
   vm : Tmk_mem.Vm.t;
+  store : store;  (** the cluster's records *)
   vt : Vector_time.t;  (** current vector timestamp *)
+  mutable floor : Vector_time.t;  (** [vt] at the last discard: the view's lower end *)
+  mutable snapshot : Vector_time.t option;
+      (** an immutable copy of [vt] while it is unchanged; see {!snapshot} *)
   mutable next_interval : int;  (** index the next local interval will get *)
-  intervals : interval list array;  (** ProcArray: per processor, newest first *)
   pages : page_entry array;
   mutable dirty : int list;  (** pages twinned since the last interval creation *)
   mutable live_records : int;  (** intervals + notices + diffs held (GC trigger) *)
@@ -102,15 +120,19 @@ type t = {
       (** typed-trace hook; [None] disables emission entirely *)
 }
 
-(** [create ?emit ~pid ~nprocs ~pages ()] — initial state: processor 0
-    holds every page [Read_only] (it is the initial copyset), everyone
-    else holds nothing ([No_access], no copy).  [emit], when given,
-    receives the node's bookkeeping events (twin creation, interval
-    close, diff create/apply, invalidations, record receipt).
-    [vm_fast_path] (default [true]) is forwarded to {!Tmk_mem.Vm.create}. *)
+(** [create ?emit ?store ~pid ~nprocs ~pages ()] — initial state:
+    processor 0 holds every page [Read_only] (it is the initial copyset),
+    everyone else holds nothing ([No_access], no copy).  The node keeps
+    its records in [store] (default: a store of its own); nodes sharing a
+    store need distinct pids.  [emit], when given, receives the node's
+    bookkeeping events (twin creation, interval close, diff create/apply,
+    invalidations, record receipt).  [vm_fast_path] (default [true]) is
+    forwarded to {!Tmk_mem.Vm.create}.
+    @raise Invalid_argument when [store] has another shape. *)
 val create :
   ?emit:(Tmk_trace.Event.t -> unit) ->
   ?vm_fast_path:bool ->
+  ?store:store ->
   pid:int ->
   nprocs:int ->
   pages:int ->
@@ -129,7 +151,19 @@ val write_fault_twin : t -> int -> charge:charge -> unit
     diff creation, §2.4); default [false]. *)
 val close_interval : ?eager_diffs:bool -> t -> charge:charge -> unit
 
-(** [intervals_since t vt] — every interval record known to [t] that [vt]
+(** [snapshot t] — an immutable copy of [t.vt], shared by every caller
+    until [t.vt] next changes.  The timestamp of [t]'s newest interval is
+    the first snapshot of the [vt] it closed with. *)
+val snapshot : t -> Vector_time.t
+
+(** [newest_vt t q] — the timestamp of [q]'s newest interval in [t]'s
+    view, or the store's shared zero vector when the view holds none. *)
+val newest_vt : t -> int -> Vector_time.t
+
+(** [diff t wn] — [wn]'s diff when [t] holds it. *)
+val diff : t -> write_notice -> Tmk_util.Rle.t option
+
+(** [intervals_since t vt] — every interval in [t]'s view that [vt]
     does not cover, as message intervals ordered oldest-first per
     processor (the piggyback payload of §3.3/§3.4).  [attach] selects a
     piggybacked diff per write notice (hybrid update protocol), and each
@@ -150,9 +184,11 @@ val notice_counts : msg_interval list -> int list
     diffs (zero under the invalidate protocol). *)
 val update_bytes : msg_interval list -> int
 
-(** [incorporate t intervals ~charge] — §3.3's "incorporate": append
-    interval records, prepend write-notice records, advance the vector
-    timestamp, and invalidate the pages named by the notices.  A local
+(** [incorporate t intervals ~charge] — §3.3's "incorporate": bring the
+    intervals into the view (advance the vector timestamp), set the
+    node's bits of their notices, and invalidate the pages named by the
+    notices.  An interval no node has published is added to the store from
+    its wire form.  A local
     twin forces local diff creation before invalidation (§2.4).  Intervals
     already covered by [t.vt] are skipped (they can arrive twice at a
     barrier manager).  Notices carrying piggybacked diffs (hybrid update
@@ -200,10 +236,6 @@ val store_backup : t -> proc:int -> interval_id:int -> page:int -> Tmk_util.Rle.
     (recovery path: the creator has crashed). *)
 val backup_diff : t -> proc:int -> interval_id:int -> page:int -> Tmk_util.Rle.t option
 
-(** [notices t ~page ~proc] — [proc]'s write notices for [page], in
-    decreasing interval index ([[]] when [proc] has none). *)
-val notices : t -> page:int -> proc:int -> write_notice list
-
 (** [held_diff t ~proc ~interval_id ~page] — the diff of that write
     notice if [t] holds both the notice and its diff. *)
 val held_diff : t -> proc:int -> interval_id:int -> page:int -> Tmk_util.Rle.t option
@@ -231,9 +263,14 @@ val apply_missing_diffs : t -> int -> write_notice list -> charge:charge -> unit
 val validate_page : t -> int -> Bytes.t -> charge:charge -> unit
 
 (** [discard_all_records t ~charge] — GC sweep (§3.6): drop every
-    interval, write-notice and diff record, and all twins.  Returns the
-    number of records discarded. *)
+    interval, write-notice and diff record from the view (the floor rises
+    to [vt]), and all twins.  The store forgets the intervals no live node
+    keeps.  Returns the number of records discarded. *)
 val discard_all_records : t -> charge:charge -> int
+
+(** [retire t] — [t]'s processor died: the store stops keeping records
+    for it.  Call once; [t]'s view must not be read afterwards. *)
+val retire : t -> unit
 
 (** [modified_pages t] — pages with a local twin or a local write notice
     (the pages this node must validate during GC). *)

@@ -5,7 +5,6 @@ let create n =
   Array.make n 0
 
 let copy = Array.copy
-let size = Array.length
 let get t q = t.(q)
 let set t q i = t.(q) <- i
 
@@ -28,11 +27,6 @@ let leq a b =
   if Array.length a <> Array.length b then
     invalid_arg "Vector_time.leq: size mismatch";
   leq_from a b 0
-
-let rec equal_from (a : t) (b : t) q =
-  q >= Array.length a || (a.(q) = b.(q) && equal_from a b (q + 1))
-
-let equal a b = Array.length a = Array.length b && equal_from a b 0
 
 (* Lexicographic order.  It extends the pointwise order: if [leq a b] and
    [a <> b], the first entry where they differ has [a.(q) < b.(q)]. *)

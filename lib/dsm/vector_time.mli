@@ -14,9 +14,6 @@ val create : int -> t
 (** [copy t] is an independent duplicate. *)
 val copy : t -> t
 
-(** [size t] is the number of processors. *)
-val size : t -> int
-
 (** [get t q] / [set t q i] access entry [q]. *)
 val get : t -> int -> int
 
@@ -30,12 +27,10 @@ val max_into : src:t -> dst:t -> unit
     [a] is covered by [b]. *)
 val leq : t -> t -> bool
 
-(** [equal a b] — pointwise equality. *)
-val equal : t -> t -> bool
-
 (** [compare_total a b] is [-1], [0] or [1] in the lexicographic order of
     the entry vectors.  That total order extends the partial order: if
-    [leq a b] and not [equal a b] then [compare_total a b < 0].  Used to
+    [leq a b] and [a] differs from [b] then [compare_total a b < 0]; it
+    is [0] exactly when the entries are equal.  Used to
     apply concurrent diffs deterministically (their runs are disjoint for
     properly-labeled programs, so any deterministic order merges
     correctly).

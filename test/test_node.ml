@@ -1,7 +1,7 @@
 (* White-box tests of the consistency bookkeeping in Node: interval
    closing, incorporation and its duplicate suppression, interval deltas,
-   lazy diff creation, miss planning inputs, replay ordering, and the GC
-   sweep. *)
+   lazy diff creation, miss planning inputs, replay ordering, the GC
+   sweep, and nodes sharing one record store. *)
 
 open Tmk_dsm
 module Vm = Tmk_mem.Vm
@@ -29,10 +29,10 @@ let close_creates_interval () =
   Node.close_interval n ~charge:no_charge;
   check Alcotest.int "dirty drained" 0 (List.length n.Node.dirty);
   check Alcotest.int "vt advanced" 1 (Vector_time.get n.Node.vt 0);
-  (match n.Node.intervals.(0) with
-  | [ iv ] ->
-    check Alcotest.int "interval id" 1 iv.Node.iv_id;
-    check Alcotest.int "two notices" 2 (List.length iv.Node.iv_notices)
+  (match Node.own_intervals_since n (Vector_time.create 4) with
+  | [ mi ] ->
+    check Alcotest.int "interval id" 1 mi.Node.mi_id;
+    check Alcotest.int "two notices" 2 (List.length mi.Node.mi_pages)
   | other -> Alcotest.failf "expected one interval, got %d" (List.length other));
   (* closing again with nothing dirty is a no-op *)
   Node.close_interval n ~charge:no_charge;
@@ -57,6 +57,10 @@ let msg_interval ?(diffs = []) ~proc ~id ~vt ~pages () =
   let diff_for p = List.assoc_opt p diffs in
   { Node.mi_proc = proc; mi_id = id; mi_vt = v; mi_pages = List.map (fun p -> (p, diff_for p)) pages }
 
+(* Each writer's count of notices for [page] that lack their diff. *)
+let lacking n page =
+  List.map (fun (q, wns) -> (q, List.length wns)) (Node.missing_diffs n page)
+
 let incorporate_invalidates () =
   let n = make_node ~pid:0 () in
   (* node 0 initially holds every page read-only *)
@@ -64,15 +68,16 @@ let incorporate_invalidates () =
     ~charge:no_charge;
   check Alcotest.bool "page invalidated" true (Vm.prot n.Node.vm 2 = Vm.No_access);
   check Alcotest.int "vt tracks" 1 (Vector_time.get n.Node.vt 1);
-  check Alcotest.int "notice recorded" 1 (List.length (Node.notices n ~page:2 ~proc:1))
+  check Alcotest.(list (pair int int)) "notice recorded" [ (1, 1) ] (lacking n 2)
 
 let incorporate_skips_duplicates () =
   let n = make_node ~pid:0 () in
   let mi = msg_interval ~proc:1 ~id:1 ~vt:[ 0; 1; 0; 0 ] ~pages:[ 2 ] () in
   Node.incorporate n [ mi ] ~charge:no_charge;
   Node.incorporate n [ mi ] ~charge:no_charge;
-  check Alcotest.int "one record only" 1 (List.length (Node.notices n ~page:2 ~proc:1));
-  check Alcotest.int "one interval only" 1 (List.length n.Node.intervals.(1))
+  check Alcotest.(list (pair int int)) "one record only" [ (1, 1) ] (lacking n 2);
+  check Alcotest.int "one interval only" 1
+    (List.length (Node.intervals_since n (Vector_time.create 4)))
 
 let incorporate_saves_local_twin () =
   let n = make_node ~pid:0 () in
@@ -120,11 +125,13 @@ let own_intervals_only () =
   check Alcotest.int "own id" 0 (List.hd (Node.own_intervals_since n zero)).Node.mi_proc
 
 (* Without [attach], an interval's wire form is built once and shared by
-   every later send.  A relay lists an interval's pages in the reverse of
-   the order it received them, as a fresh build does.  With [attach],
-   each call builds fresh forms. *)
+   every later send, from any node over the same store.  Every relay
+   lists an interval's pages in its creator's order, as a fresh build
+   does.  With [attach], each call builds fresh forms. *)
 let wire_forms_are_cached () =
-  let writer = make_node ~pid:1 () and relay = make_node ~pid:0 () in
+  let store = Node.create_store ~nprocs:4 ~pages:4 in
+  let node pid = Node.create ~store ~pid ~nprocs:4 ~pages:4 () in
+  let writer = node 1 and relay = node 0 and second_relay = node 2 in
   List.iter (fun page -> write writer page ~offset:0 (page + 1)) [ 0; 1; 2 ];
   Node.close_interval writer ~charge:no_charge;
   let zero = Vector_time.create 4 in
@@ -133,14 +140,21 @@ let wire_forms_are_cached () =
   let pages = List.map (fun mi -> List.map fst mi.Node.mi_pages) in
   let first = Node.intervals_since relay zero in
   let second = Node.intervals_since relay zero in
+  Node.incorporate second_relay first ~charge:no_charge;
   check Alcotest.int "one interval relayed" 1 (List.length first);
   check Alcotest.bool "physically equal forms" true (List.for_all2 ( == ) first second);
   check Alcotest.bool "own_intervals_since shares them" true
     (List.for_all2 ( == ) sent (Node.own_intervals_since writer zero));
+  check Alcotest.bool "the relay sends the writer's form" true
+    (List.for_all2 ( == ) sent first);
   let no_diff _ = None in
   let fresh = Node.intervals_since ~attach:no_diff relay zero in
   check Alcotest.(list (list int)) "page order of a fresh build" (pages fresh) (pages first);
-  check Alcotest.(list (list int)) "reversed at the relay" [ [ 2; 1; 0 ] ] (pages first);
+  check
+    Alcotest.(list (list int))
+    "same page order at every relay"
+    [ [ 0; 1; 2 ]; [ 0; 1; 2 ] ]
+    (pages first @ pages (Node.intervals_since ~attach:no_diff second_relay zero));
   check Alcotest.(list (list int)) "as the writer sent them" [ [ 0; 1; 2 ] ] (pages sent);
   check Alcotest.bool "attach builds fresh forms" true
     (List.for_all2 ( != ) fresh first
@@ -199,15 +213,11 @@ let apply_replays_newer_diffs () =
   (* the newer diff (proc 2, causally after proc 1's) is already held and
      applied; then the older one arrives *)
   Node.store_diff n ~proc:2 ~interval_id:1 ~page:0 (diff_of 222);
-  let newer =
-    match Node.notices n ~page:0 ~proc:2 with [ wn ] -> wn | _ -> assert false
-  in
+  let newer = match Node.unapplied_diffs n 0 with [ wn ] -> wn | _ -> assert false in
   Node.apply_missing_diffs n 0 [ newer ] ~charge:no_charge;
   check Alcotest.int "newer applied" 222 (Vm.read_int n.Node.vm 0);
   Node.store_diff n ~proc:1 ~interval_id:1 ~page:0 (diff_of 111);
-  let older =
-    match Node.notices n ~page:0 ~proc:1 with [ wn ] -> wn | _ -> assert false
-  in
+  let older = match Node.unapplied_diffs n 0 with [ wn ] -> wn | _ -> assert false in
   Node.apply_missing_diffs n 0 [ older ] ~charge:no_charge;
   (* without replay this would regress to 111 *)
   check Alcotest.int "newer value survives" 222 (Vm.read_int n.Node.vm 0)
@@ -225,7 +235,7 @@ let discard_sweeps_everything () =
   check Alcotest.bool "twins gone" true
     (Array.for_all (fun e -> e.Node.pg_twin = None) n.Node.pages);
   check Alcotest.bool "intervals gone" true
-    (Array.for_all (fun l -> l = []) n.Node.intervals)
+    (Node.intervals_since n (Vector_time.create 4) = [])
 
 (* The writer map keeps only the page's writers, but every walk still
    visits them in increasing pid, whatever order their notices came in. *)
@@ -258,10 +268,8 @@ let writers_walk_in_pid_order () =
   check Alcotest.(list (pair int int))
     "unapplied diffs by increasing writer" [ (2, 1); (3, 1) ]
     (ids (Node.unapplied_diffs n 1));
-  check Alcotest.(list (pair int int)) "one writer's notices" [ (5, 2); (5, 1) ]
-    (ids (Node.notices n ~page:1 ~proc:5));
   check Alcotest.(list (pair int int)) "a page nobody wrote" []
-    (ids (Node.notices n ~page:2 ~proc:5));
+    (List.concat_map (fun (_, wns) -> ids wns) (Node.missing_diffs n 2));
   check Alcotest.bool "held diff" true
     (Node.held_diff n ~proc:3 ~interval_id:1 ~page:1 <> None);
   check Alcotest.bool "notice without its diff" true
@@ -269,91 +277,62 @@ let writers_walk_in_pid_order () =
   ignore (Node.discard_all_records n ~charge:no_charge);
   check Alcotest.int "no missing diffs after GC" 0 (List.length (Node.missing_diffs n 1));
   check Alcotest.int "no unapplied diffs after GC" 0 (List.length (Node.unapplied_diffs n 1));
-  check Alcotest.bool "no notices after GC" true
-    (List.for_all (fun q -> Node.notices n ~page:1 ~proc:q = []) [ 0; 1; 2; 3; 4; 5 ]);
+  check Alcotest.bool "no intervals after GC" true
+    (Node.intervals_since n (Vector_time.create 6) = []);
   check Alcotest.bool "no held diff after GC" true
     (Node.held_diff n ~proc:3 ~interval_id:1 ~page:1 = None)
 
 (* ------------------------------------------------------------------ *)
-(* Replay-set equivalence.  [reference_apply] is the replay the node ran
-   before it walked writer prefixes: every held diff is tested against
-   every notice in the call, under the order defined by cases over the
-   partial order. *)
-
-let vt_of wn = wn.Node.wn_interval.Node.iv_vt
-
-let reference_apply node ~emit page notices =
-  let needs_replay wn =
-    wn.Node.wn_diff <> None
-    && (not (List.memq wn notices))
-    && List.exists (fun m -> Test_dsm.reference_compare_total (vt_of m) (vt_of wn) < 0) notices
-  in
-  let replay =
-    List.concat_map
-      (fun q -> List.filter needs_replay (Node.notices node ~page ~proc:q))
-      (List.init node.Node.nprocs Fun.id)
-  in
-  let ordered =
-    List.sort
-      (fun a b -> Test_dsm.reference_compare_total (vt_of a) (vt_of b))
-      (List.rev_append notices replay)
-  in
-  List.iter
-    (fun wn ->
-      let diff = Option.get wn.Node.wn_diff in
-      Vm.patch node.Node.vm page diff;
-      wn.Node.wn_applied <- true;
-      node.Node.stats.Stats.diffs_applied <- node.Node.stats.Stats.diffs_applied + 1;
-      let iv = wn.Node.wn_interval in
-      emit
-        (Tmk_trace.Event.Diff_apply
-           {
-             page;
-             bytes = Tmk_util.Rle.payload_size diff;
-             proc = iv.Node.iv_proc;
-             interval = iv.Node.iv_id;
-           }))
-    ordered;
-  Vm.set_prot node.Node.vm page Vm.Read_only
+(* Replay-set equivalence.  The reference is the replay the node ran
+   before it walked writer prefixes, kept as a model beside the node: the
+   diffs the node holds and has applied, and a shadow copy of each page.
+   Every held diff is tested against every notice in the call, under the
+   order defined by cases over the partial order. *)
 
 (* A writer's notices come newest first, strictly decreasing in
    [compare_total]; the replay walk stops at the first one not newer than
    the oldest missing notice, so it relies on this order. *)
 let check_writer_order what node =
   for page = 0 to Array.length node.Node.pages - 1 do
-    for q = 0 to node.Node.nprocs - 1 do
-      let rec decreasing = function
-        | a :: (b :: _ as rest) ->
-          Vector_time.compare_total (vt_of a) (vt_of b) > 0 && decreasing rest
-        | _ -> true
-      in
-      if not (decreasing (Node.notices node ~page ~proc:q)) then
-        Alcotest.failf "%s: writer %d's notices for page %d are not decreasing" what q page
-    done
+    let rec decreasing = function
+      | a :: (b :: _ as rest) ->
+        let a = a.Node.wn_interval and b = b.Node.wn_interval in
+        (a.Node.iv_proc <> b.Node.iv_proc
+        || Vector_time.compare_total a.Node.iv_vt b.Node.iv_vt > 0)
+        && decreasing rest
+      | _ -> true
+    in
+    List.iter
+      (fun (q, wns) ->
+        if not (decreasing wns) then
+          Alcotest.failf "%s: writer %d's notices for page %d are not decreasing" what q page)
+      (Node.missing_diffs node page);
+    if not (decreasing (Node.unapplied_diffs node page)) then
+      Alcotest.failf "%s: held notices for page %d are not decreasing" what page
   done
 
-(* One random causal history played into two identical nodes, one
-   replaying with [Node.apply_missing_diffs], the other with
-   [reference_apply].  Writers close intervals whose timestamps dominate
-   their earlier ones and sometimes merge another writer's clock first;
-   the node receives them in per-writer order, some with piggybacked
-   diffs; then it fetches missing diffs (all of a page's, or some) and
-   applies them with the pending ones, or applies only the pending
-   ones. *)
+(* One random causal history played into a node and the model: the node
+   replays with [Node.apply_missing_diffs], the model with the reference
+   order.  Writers close intervals whose timestamps dominate their earlier
+   ones and sometimes merge another writer's clock first; the node
+   receives them in per-writer order, some with piggybacked diffs; then it
+   fetches missing diffs (all of a page's, or some) and applies them with
+   the pending ones, or applies only the pending ones. *)
 let replay_matches_reference_seed seed =
   let rng = Random.State.make [| seed |] in
   let int n = Random.State.int rng n in
   let nprocs = 3 + int 6 and pages = 1 + int 2 in
   let pid = nprocs - 1 and writers = nprocs - 1 in
-  let events = Array.make 2 [] in
-  let emits =
-    Array.init 2 (fun i -> function
-      | Tmk_trace.Event.Diff_apply _ as ev -> events.(i) <- ev :: events.(i)
-      | _ -> ())
+  let events = ref [] in
+  let emit = function
+    | Tmk_trace.Event.Diff_apply _ as ev -> events := ev :: !events
+    | _ -> ()
   in
-  let nodes = Array.map (fun emit -> Node.create ~emit ~pid ~nprocs ~pages ()) emits in
+  let node = Node.create ~emit ~pid ~nprocs ~pages () in
   let clocks = Array.init writers (fun _ -> Array.make nprocs 0) in
-  let diffs = Hashtbl.create 64 in
+  let diffs = Hashtbl.create 64 and vts = Hashtbl.create 64 in
+  let held = Hashtbl.create 64 and applied = Hashtbl.create 64 in
+  let shadow = Array.init pages (fun _ -> Bytes.make Vm.page_size '\000') in
   let undelivered = Array.make writers [] in
   let new_interval q =
     if int 2 = 0 then begin
@@ -362,6 +341,7 @@ let replay_matches_reference_seed seed =
     end;
     clocks.(q).(q) <- clocks.(q).(q) + 1;
     let id = clocks.(q).(q) in
+    Hashtbl.replace vts (q, id) (Array.copy clocks.(q));
     let written = List.filter (fun _ -> int 3 > 0) (List.init pages Fun.id) in
     let written = if written = [] then [ int pages ] else written in
     List.iter
@@ -373,19 +353,23 @@ let replay_matches_reference_seed seed =
         done;
         Hashtbl.replace diffs (q, id, page) (Tmk_util.Rle.encode ~old_:base cur))
       written;
-    undelivered.(q) <- (id, Array.copy clocks.(q), written) :: undelivered.(q)
+    undelivered.(q) <- (id, written) :: undelivered.(q)
   in
   let deliver () =
     let mis =
       List.concat
         (List.init writers (fun q ->
              List.rev_map
-               (fun (id, vt, written) ->
+               (fun (id, written) ->
                  let piggyback page =
-                   if int 3 = 0 then Some (Hashtbl.find diffs (q, id, page)) else None
+                   if int 3 = 0 then begin
+                     Hashtbl.replace held (q, id, page) ();
+                     Some (Hashtbl.find diffs (q, id, page))
+                   end
+                   else None
                  in
                  let v = Vector_time.create nprocs in
-                 Array.iteri (Vector_time.set v) vt;
+                 Array.iteri (Vector_time.set v) (Hashtbl.find vts (q, id));
                  {
                    Node.mi_proc = q;
                    mi_id = id;
@@ -395,11 +379,38 @@ let replay_matches_reference_seed seed =
                undelivered.(q)))
     in
     Array.fill undelivered 0 writers [];
-    Array.iter (fun n -> Node.incorporate n mis ~charge:no_charge) nodes
+    Node.incorporate node mis ~charge:no_charge
   in
   let key wn = (wn.Node.wn_interval.Node.iv_proc, wn.Node.wn_interval.Node.iv_id) in
-  let find n page (q, id) =
-    List.find (fun wn -> wn.Node.wn_interval.Node.iv_id = id) (Node.notices n ~page ~proc:q)
+  (* the model's held diffs of [page] the node has not applied *)
+  let pending_in_model page =
+    Hashtbl.fold
+      (fun (q, id, p) () acc ->
+        if p = page && not (Hashtbl.mem applied (q, id, p)) then (q, id) :: acc else acc)
+      held []
+    |> List.sort compare
+  in
+  let reference_apply page keys =
+    let vt (q, id) = Hashtbl.find vts (q, id) in
+    let needs_replay (q, id, p) =
+      p = page
+      && (not (List.mem (q, id) keys))
+      && List.exists (fun m -> Test_dsm.reference_compare_total (vt m) (vt (q, id)) < 0) keys
+    in
+    let replay =
+      Hashtbl.fold
+        (fun ((q, id, _) as k) () acc -> if needs_replay k then (q, id) :: acc else acc)
+        held []
+    in
+    List.sort
+      (fun a b -> Test_dsm.reference_compare_total (vt a) (vt b))
+      (List.rev_append keys replay)
+    |> List.map (fun (q, id) ->
+           let diff = Hashtbl.find diffs (q, id, page) in
+           Tmk_util.Rle.apply diff shadow.(page);
+           Hashtbl.replace applied (q, id, page) ();
+           Tmk_trace.Event.Diff_apply
+             { page; bytes = Tmk_util.Rle.payload_size diff; proc = q; interval = id })
   in
   let shuffle l =
     let a = Array.of_list l in
@@ -415,25 +426,24 @@ let replay_matches_reference_seed seed =
   let apply page keys =
     incr calls;
     let what = Printf.sprintf "seed %d, call %d" seed !calls in
-    Array.fill events 0 2 [];
-    let args i = List.map (find nodes.(i) page) keys in
-    Node.apply_missing_diffs nodes.(0) page (args 0) ~charge:no_charge;
-    reference_apply nodes.(1) ~emit:emits.(1) page (args 1);
-    if events.(0) <> events.(1) then Alcotest.failf "%s: different Diff_apply sequences" what;
-    replayed := !replayed + List.length events.(0) - List.length keys;
-    for p = 0 to pages - 1 do
-      if Vm.page_snapshot nodes.(0).Node.vm p <> Vm.page_snapshot nodes.(1).Node.vm p then
-        Alcotest.failf "%s: page %d differs" what p
-    done;
-    let applied n =
-      List.concat_map
-        (fun q -> List.map (fun wn -> wn.Node.wn_applied) (Node.notices n ~page ~proc:q))
-        (List.init nprocs Fun.id)
+    events := [];
+    let notices =
+      let unapplied = Node.unapplied_diffs node page in
+      List.map (fun k -> List.find (fun wn -> key wn = k) unapplied) keys
     in
-    if applied nodes.(0) <> applied nodes.(1) then
-      Alcotest.failf "%s: applied flags differ" what;
+    Node.apply_missing_diffs node page notices ~charge:no_charge;
+    let expected = reference_apply page keys in
+    if List.rev !events <> expected then
+      Alcotest.failf "%s: different Diff_apply sequences" what;
+    replayed := !replayed + List.length expected - List.length keys;
+    for p = 0 to pages - 1 do
+      if Vm.page_snapshot node.Node.vm p <> shadow.(p) then
+        Alcotest.failf "%s: page %d differs" what p;
+      if List.sort compare (List.map key (Node.unapplied_diffs node p)) <> pending_in_model p
+      then Alcotest.failf "%s: applied flags differ on page %d" what p
+    done;
     (* invalidate again, so incorporation never applies diffs in place *)
-    Array.iter (fun n -> Vm.set_prot n.Node.vm page Vm.No_access) nodes
+    Vm.set_prot node.Node.vm page Vm.No_access
   in
   for _ = 1 to 80 do
     match int 10 with
@@ -441,28 +451,29 @@ let replay_matches_reference_seed seed =
     | 4 | 5 -> deliver ()
     | 6 | 7 | 8 ->
       let page = int pages in
-      let missing = List.concat_map snd (Node.missing_diffs nodes.(0) page) in
+      let missing = List.concat_map snd (Node.missing_diffs node page) in
       let fetched = if int 3 = 0 then List.filter (fun _ -> int 2 = 0) missing else missing in
       let fetched = List.map key fetched in
       List.iter
         (fun (q, id) ->
           let diff = Hashtbl.find diffs (q, id, page) in
-          Array.iter (fun n -> Node.store_diff n ~proc:q ~interval_id:id ~page diff) nodes)
+          Node.store_diff node ~proc:q ~interval_id:id ~page diff;
+          Hashtbl.replace held (q, id, page) ())
         fetched;
       let pending =
         List.filter
           (fun k -> not (List.mem k fetched))
-          (List.map key (Node.unapplied_diffs nodes.(0) page))
+          (List.map key (Node.unapplied_diffs node page))
       in
       if fetched <> [] || pending <> [] then
         apply page (shuffle (List.rev_append fetched pending))
     | _ ->
       (* only the piggybacked diffs that arrived while the page was invalid *)
       let page = int pages in
-      let pending = List.map key (Node.unapplied_diffs nodes.(0) page) in
+      let pending = List.map key (Node.unapplied_diffs node page) in
       if pending <> [] then apply page (shuffle pending)
   done;
-  check_writer_order (Printf.sprintf "seed %d" seed) nodes.(0);
+  check_writer_order (Printf.sprintf "seed %d" seed) node;
   (!calls, !replayed)
 
 let replay_matches_reference () =
@@ -492,6 +503,118 @@ let notice_counts_sizes () =
   in
   check Alcotest.(list int) "counts" [ 3; 0 ] (Node.notice_counts mis)
 
+(* ------------------------------------------------------------------ *)
+(* One record store for the cluster: nodes share the interval and notice
+   records, and differ only in their views and their per-notice bits. *)
+
+let shared_nodes ?(nprocs = 4) ?(pages = 4) () =
+  let store = Node.create_store ~nprocs ~pages in
+  Array.init nprocs (fun pid -> Node.create ~store ~pid ~nprocs ~pages ())
+
+let write_and_close node page =
+  write node page ~offset:0 (node.Node.pid + 1);
+  Node.close_interval node ~charge:no_charge
+
+let all_but nodes pid f = Array.iter (fun n -> if n.Node.pid <> pid then f n) nodes
+let incorporate intervals n = Node.incorporate n intervals ~charge:no_charge
+let discard n = ignore (Node.discard_all_records n ~charge:no_charge)
+
+let an_interval_is_one_record () =
+  let nodes = shared_nodes () in
+  write_and_close nodes.(1) 2;
+  let zero = Vector_time.create 4 in
+  let sent = Node.intervals_since nodes.(1) zero in
+  Node.incorporate nodes.(0) sent ~charge:no_charge;
+  Node.incorporate nodes.(3) sent ~charge:no_charge;
+  let notice n = match Node.missing_diffs n 2 with [ (1, [ wn ]) ] -> wn | _ -> assert false in
+  check Alcotest.bool "one notice record" true (notice nodes.(0) == notice nodes.(3));
+  check Alcotest.bool "one interval record" true
+    ((notice nodes.(0)).Node.wn_interval == (notice nodes.(3)).Node.wn_interval);
+  check Alcotest.bool "one wire form" true
+    (List.for_all2 ( == ) (Node.intervals_since nodes.(0) zero)
+       (Node.intervals_since nodes.(3) zero));
+  check Alcotest.bool "no view at a node that has not incorporated it" true
+    (Node.intervals_since nodes.(2) zero = [])
+
+(* The diff in the shared notice is not a diff every node holds. *)
+let diff_ownership_stays_per_node () =
+  let nodes = shared_nodes () in
+  write_and_close nodes.(1) 2;
+  let sent = Node.intervals_since nodes.(1) (Vector_time.create 4) in
+  Node.incorporate nodes.(0) sent ~charge:no_charge;
+  Node.incorporate nodes.(3) sent ~charge:no_charge;
+  let diff = Node.find_diff nodes.(1) ~proc:1 ~interval_id:1 ~page:2 ~charge:no_charge in
+  check Alcotest.(list (pair int int)) "the creator's diff is not the others'" [ (1, 1) ]
+    (lacking nodes.(0) 2);
+  Node.store_diff nodes.(0) ~proc:1 ~interval_id:1 ~page:2 diff;
+  check Alcotest.(list (pair int int)) "stored at node 0" [] (lacking nodes.(0) 2);
+  check Alcotest.(list (pair int int)) "still missing at node 3" [ (1, 1) ]
+    (lacking nodes.(3) 2);
+  check Alcotest.bool "node 0 holds the creator's diff" true
+    (match Node.held_diff nodes.(0) ~proc:1 ~interval_id:1 ~page:2 with
+    | Some d -> d == diff
+    | None -> false);
+  check Alcotest.bool "node 3 does not" true
+    (Node.held_diff nodes.(3) ~proc:1 ~interval_id:1 ~page:2 = None);
+  Alcotest.check_raises "node 3 cannot serve it"
+    (Invalid_argument "Node.find_diff: notice (proc 1, interval 1, page 2) has no diff")
+    (fun () ->
+      ignore (Node.find_diff nodes.(3) ~proc:1 ~interval_id:1 ~page:2 ~charge:no_charge))
+
+(* Weak pointers to the records of processor 1's two intervals, reached
+   through node 0's view: the notices and the shared wire forms.  Built in
+   a function of its own so no stack slot of the caller keeps them. *)
+let weak_records nodes =
+  let zero = Vector_time.create (Array.length nodes) in
+  let notices = List.concat_map snd (Node.missing_diffs nodes.(0) 2) in
+  let forms = Node.intervals_since nodes.(0) zero in
+  let records = List.map Obj.repr notices @ List.map Obj.repr forms in
+  let weak = Weak.create (List.length records) in
+  List.iteri (fun i r -> Weak.set weak i (Some r)) records;
+  weak
+
+let collected weak =
+  Gc.full_major ();
+  List.init (Weak.length weak) (Weak.check weak) |> List.for_all not
+
+(* A GC round leaves no record in the store that every live node has
+   discarded; while one live node still keeps an interval, it stays. *)
+let gc_frees_what_every_live_node_discarded () =
+  let nodes = shared_nodes () in
+  write_and_close nodes.(1) 2;
+  Node.ensure_own_diff nodes.(1) 2 ~charge:no_charge;
+  write_and_close nodes.(1) 2;
+  let sent = Node.intervals_since nodes.(1) (Vector_time.create 4) in
+  all_but nodes 1 (incorporate sent);
+  let weak = weak_records nodes in
+  check Alcotest.int "four records watched" 4 (Weak.length weak);
+  all_but nodes 2 discard;
+  check Alcotest.bool "kept while node 2 keeps them" false (collected weak);
+  check Alcotest.int "node 2 still sees both" 2
+    (List.length (Node.intervals_since nodes.(2) (Vector_time.create 4)));
+  discard nodes.(2);
+  check Alcotest.bool "freed once every node discarded them" true (collected weak);
+  (* a new interval after the round is held again, by every node *)
+  write_and_close nodes.(1) 3;
+  check Alcotest.int "the next interval" 3
+    (List.hd (Node.own_intervals_since nodes.(1) (Vector_time.create 4))).Node.mi_id
+
+(* A dead node keeps nothing: its view no longer holds records in the
+   store once it is retired. *)
+let retired_node_keeps_nothing () =
+  let nodes = shared_nodes () in
+  write_and_close nodes.(1) 2;
+  let sent = Node.intervals_since nodes.(1) (Vector_time.create 4) in
+  all_but nodes 1 (incorporate sent);
+  let weak = weak_records nodes in
+  all_but nodes 3 discard;
+  check Alcotest.bool "kept for node 3" false (collected weak);
+  Node.retire nodes.(3);
+  check Alcotest.bool "freed once node 3 is retired" true (collected weak);
+  (* the nodes, and so the store, stay reachable through the check *)
+  check Alcotest.int "the creator still counts its interval" 1
+    (Vector_time.get (Sys.opaque_identity nodes).(1).Node.vt 1)
+
 let suite =
   [
     Alcotest.test_case "close creates interval" `Quick close_creates_interval;
@@ -511,4 +634,10 @@ let suite =
       replay_matches_reference;
     Alcotest.test_case "modified pages tracks" `Quick modified_pages_tracks;
     Alcotest.test_case "notice counts" `Quick notice_counts_sizes;
+    Alcotest.test_case "an interval is one record for every node" `Quick
+      an_interval_is_one_record;
+    Alcotest.test_case "diff ownership stays per node" `Quick diff_ownership_stays_per_node;
+    Alcotest.test_case "GC frees what every live node discarded" `Quick
+      gc_frees_what_every_live_node_discarded;
+    Alcotest.test_case "a retired node keeps nothing" `Quick retired_node_keeps_nothing;
   ]
