@@ -36,7 +36,7 @@ let fetch_base cl pid page =
     let pnode = cl.Cluster.nodes.(provider) in
     h_charge h Category.Tmk_mem Costs.page_copy;
     let pentry = pnode.Node.pages.(page) in
-    Bitset.add pentry.Node.pg_copyset pid;
+    pentry.Node.pg_copyset <- Bitset.with_member pentry.Node.pg_copyset pid;
     (* Serve the twin when the page is dirty: diffs record only the
        bytes that changed relative to their interval's base state, so
        a base copy containing the provider's uncommitted (not yet
@@ -48,7 +48,7 @@ let fetch_base cl pid page =
       | None -> Vm.page_snapshot pnode.Node.vm page
     in
     Transport.hsend_value ~label:"page-fetch-reply" cl.Cluster.transport h ~dst:pid
-      ~bytes:Wire.page_reply_bytes mb (snapshot, Bitset.copy pentry.Node.pg_copyset)
+      ~bytes:Wire.page_reply_bytes mb (snapshot, pentry.Node.pg_copyset)
   in
   (* Re-issue against another live copyset member if the provider dies
      before replying.  The retry runs in timer context, so the request
@@ -81,8 +81,8 @@ let fetch_base cl pid page =
       Cluster.emit cl ~pid (Tmk_trace.Event.Page_fetch { page; from_ = provider });
     atomically cl (fun charge ->
         Node.validate_page node page bytes ~charge;
-        Bitset.union_into ~src:copyset ~dst:entry.Node.pg_copyset;
-        Bitset.add entry.Node.pg_copyset pid)
+        entry.Node.pg_copyset <-
+          Bitset.with_member (Bitset.union entry.Node.pg_copyset copyset) pid)
 
 (* Serve one gathered diff-request entry on responder [r].  In batched
    mode repeated fetches of the same (proc, interval, page) diff hit the
@@ -558,14 +558,30 @@ let gc_validate cl ~pid =
   in
   List.iter validate (Node.modified_pages node)
 
+(* Copysets by physical identity: entries share them. *)
+module Shared = Hashtbl.Make (struct
+  type t = Bitset.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
 (* Drop the dead processor from every live node's copysets, and its view
-   from the record store. *)
+   from the record store.  Each distinct set that names it is replaced
+   once, so entries that shared a set share its replacement. *)
 let on_death cl dead_pid =
   Node.retire cl.Cluster.nodes.(dead_pid);
+  let replaced = Shared.create 64 in
+  let prune entry =
+    let cs = entry.Node.pg_copyset in
+    if Bitset.mem cs dead_pid then begin
+      if not (Shared.mem replaced cs) then
+        Shared.add replaced cs (Bitset.without_member cs dead_pid);
+      entry.Node.pg_copyset <- Shared.find replaced cs
+    end
+  in
   Array.iteri
-    (fun pid node ->
-      if not cl.Cluster.dead.(pid) then
-        Array.iter (fun entry -> Bitset.remove entry.Node.pg_copyset dead_pid) node.Node.pages)
+    (fun pid node -> if not cl.Cluster.dead.(pid) then Array.iter prune node.Node.pages)
     cl.Cluster.nodes
 
 (* Diff replication: mirror each locally created diff to its creator's

@@ -65,6 +65,7 @@ type store = {
   procs : proc_intervals array;
   writers : writers array;  (* per page *)
   zero : Vector_time.t;  (* the vector of a processor with no interval *)
+  initial_copyset : Bitset.t;  (* {0}, every node's first copyset of every page *)
   mutable live : int;  (* nodes not retired *)
 }
 
@@ -79,11 +80,14 @@ let absent =
   }
 
 let create_store ~nprocs ~pages =
+  let initial_copyset = Bitset.create nprocs in
+  Bitset.add initial_copyset 0;
   {
     s_nprocs = nprocs;
     procs = Array.init nprocs (fun _ -> { ivs = [||]; base = 0; lo = 1; hi = 0 });
     writers = Array.make pages Int_map.empty;
     zero = Vector_time.create nprocs;
+    initial_copyset;
     live = nprocs;
   }
 
@@ -208,10 +212,8 @@ let create ?emit ?(vm_fast_path = true) ?store ~pid ~nprocs ~pages () =
   then invalid_arg "Node.create: the store is for another cluster shape";
   let vm = Vm.create ~fast_path:vm_fast_path ~pages () in
   let make_entry _ =
-    let copyset = Bitset.create nprocs in
-    Bitset.add copyset 0;
     {
-      pg_copyset = copyset;
+      pg_copyset = store.initial_copyset;
       pg_twin = None;
       pg_has_copy = pid = 0;
       pg_fetched = false;

@@ -78,7 +78,12 @@ val create_store : nprocs:int -> pages:int -> store
 
 (** PageArray entry. *)
 type page_entry = {
-  mutable pg_copyset : Tmk_util.Bitset.t;  (** processors believed to cache the page *)
+  mutable pg_copyset : Tmk_util.Bitset.t;
+      (** processors believed to cache the page.  An immutable value that
+          entries share: a change of membership replaces it, through
+          [Bitset.with_member], [Bitset.without_member] or [Bitset.union],
+          and nothing mutates it in place.  Every entry of every node over
+          one store starts from the store's one [{0}]. *)
   mutable pg_twin : Bytes.t option;
   mutable pg_has_copy : bool;  (** false until a copy has been fetched (or initially held) *)
   mutable pg_fetched : bool;

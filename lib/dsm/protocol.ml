@@ -518,10 +518,12 @@ let gc_phase t pid =
     if Vm.prot node.Node.vm page <> Vm.No_access then Bitset.add keep page
   done;
   let keepers = gc_exchange t pid ~npages ~keep in
-  (* 3. Adopt the new copysets and discard every consistency record. *)
+  (* 3. Adopt the new copysets and discard every consistency record.
+     Every node adopts the root's sets themselves, which nothing mutates
+     after the root built them. *)
   Array.iteri
     (fun page entry ->
-      entry.Node.pg_copyset <- Bitset.copy keepers.(page);
+      entry.Node.pg_copyset <- keepers.(page);
       if not (Bitset.mem keepers.(page) pid) then entry.Node.pg_has_copy <- false)
     node.Node.pages;
   let discarded = Node.discard_all_records node ~charge:app_charge in

@@ -15,7 +15,6 @@ module Ivar = struct
   let create () = { state = Empty [] }
 
   let is_filled iv = match iv.state with Filled _ -> true | Empty _ -> false
-  let peek iv = match iv.state with Filled v -> Some v | Empty _ -> None
 end
 
 (* ------------------------------------------------------------------ *)
@@ -213,11 +212,6 @@ let emit_at t ~time ~pid ev =
   | Some s -> Tmk_trace.Sink.emit s ~time ~pid ev
 
 let emit t ~pid ev = emit_at t ~time:t.clock ~pid ev
-
-let trace t msg =
-  if tracing t then
-    let pid = match t.running_pid with Some p -> p | None -> -1 in
-    emit t ~pid (Tmk_trace.Event.Mark msg)
 
 (* ------------------------------------------------------------------ *)
 (* Event queue: a binary min-heap ordered by [(time, seq)]             *)

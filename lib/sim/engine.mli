@@ -36,9 +36,6 @@ module Ivar : sig
 
   (** [is_filled iv] tests whether a value has been supplied. *)
   val is_filled : 'a t -> bool
-
-  (** [peek iv] is the value, if any. *)
-  val peek : 'a t -> 'a option
 end
 
 (** [create ~nprocs] builds a cluster of [nprocs] processors. *)
@@ -205,7 +202,3 @@ val hemit : hctx -> Tmk_trace.Event.t -> unit
 
 (** [htracing h] is {!tracing} reached through a handler context. *)
 val htracing : hctx -> bool
-
-(** [trace t msg] records a {!Tmk_trace.Event.Mark} at the current time,
-    attributed to the running process if any (no-op without a sink). *)
-val trace : t -> string -> unit

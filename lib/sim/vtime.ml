@@ -6,8 +6,6 @@ let us n = n * 1_000
 let ms n = n * 1_000_000
 let s n = n * 1_000_000_000
 
-let of_us_float x = int_of_float (Float.round (x *. 1_000.0))
-
 let to_us t = float_of_int t /. 1_000.0
 let to_ms t = float_of_int t /. 1_000_000.0
 let to_s t = float_of_int t /. 1_000_000_000.0

@@ -16,10 +16,6 @@ val us : int -> t
 val ms : int -> t
 val s : int -> t
 
-(** [of_us_float x] converts fractional microseconds, rounding to the
-    nearest nanosecond (used when scaling per-byte costs). *)
-val of_us_float : float -> t
-
 (** [to_us t], [to_ms t], [to_s t] convert to floating-point units for
     reporting. *)
 val to_us : t -> float

@@ -67,10 +67,39 @@ let next_member t i =
 
 let copy t = { words = Bytes.copy t.words; capacity = t.capacity }
 
-let union_into ~src ~dst =
-  if src.capacity <> dst.capacity then
-    invalid_arg "Bitset.union_into: capacity mismatch";
-  for i = 0 to Bytes.length src.words - 1 do
-    let b = Char.code (Bytes.get src.words i) lor Char.code (Bytes.get dst.words i) in
-    Bytes.set dst.words i (Char.chr b)
-  done
+let with_member t i =
+  if mem t i then t
+  else begin
+    let t' = copy t in
+    add t' i;
+    t'
+  end
+
+let without_member t i =
+  if not (mem t i) then t
+  else begin
+    let t' = copy t in
+    remove t' i;
+    t'
+  end
+
+(* Every member of [a] is in [b]. *)
+let subset a b =
+  let rec from i =
+    i >= Bytes.length a.words
+    || Char.code (Bytes.get a.words i) land lnot (Char.code (Bytes.get b.words i)) = 0
+       && from (i + 1)
+  in
+  from 0
+
+let union a b =
+  if a.capacity <> b.capacity then invalid_arg "Bitset.union: capacity mismatch";
+  if subset b a then a
+  else if subset a b then b
+  else
+    let u = copy a in
+    for i = 0 to Bytes.length u.words - 1 do
+      Bytes.set u.words i
+        (Char.chr (Char.code (Bytes.get u.words i) lor Char.code (Bytes.get b.words i)))
+    done;
+    u

@@ -1,8 +1,14 @@
-(** Fixed-capacity mutable bitsets.
+(** Fixed-capacity bitsets.
 
     Used for page copysets (the set of processors believed to cache a page,
-    paper §3.1) and for per-interval page sets.  Capacity is fixed at
-    creation; membership operations are O(1). *)
+    paper §3.1), copyset directories, GC keep bitmaps and the live-processor
+    set.  Capacity is fixed at creation; membership operations are O(1).
+
+    A set is either built in place ({!add}, {!remove}, {!clear}) or treated
+    as an immutable value and updated with {!with_member},
+    {!without_member} and {!union}, which never mutate their arguments and
+    return an argument itself when membership does not change.  A value
+    updated that way can be shared by any number of holders. *)
 
 type t
 
@@ -42,9 +48,15 @@ val to_list : t -> int list
     fewer loads than a per-bit scan. *)
 val next_member : t -> int -> int option
 
-(** [copy t] is an independent duplicate. *)
-val copy : t -> t
+(** [with_member t i] is [t] with [i] added: [t] itself when [i] is a
+    member, else a new set. *)
+val with_member : t -> int -> t
 
-(** [union_into ~src ~dst] adds every member of [src] to [dst].  The two
-    sets must have the same capacity. *)
-val union_into : src:t -> dst:t -> unit
+(** [without_member t i] is [t] with [i] removed: [t] itself when [i] is
+    not a member, else a new set. *)
+val without_member : t -> int -> t
+
+(** [union a b] holds the members of both: [a] itself when [b]'s members
+    are all in [a], else [b] itself when [a]'s are all in [b], else a new
+    set.  The two sets must have the same capacity. *)
+val union : t -> t -> t

@@ -13,8 +13,6 @@ let bits64 t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t = create (bits64 t)
-
 (* FNV-1a over the label, folded into a fresh stream drawn from [t]. *)
 let split_named t name =
   let h = ref 0xCBF29CE484222325L in
@@ -45,11 +43,3 @@ let float t bound =
   (* 53 uniform bits scaled into [0, bound). *)
   let r = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   bound *. (r /. 9007199254740992.0)
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

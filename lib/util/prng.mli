@@ -13,12 +13,9 @@ type t
 (** [create seed] makes a fresh generator from a 64-bit seed. *)
 val create : int64 -> t
 
-(** [split t] derives a generator whose stream is independent of further
-    draws from [t].  [t] itself advances by one step. *)
-val split : t -> t
-
-(** [split_named t name] splits deterministically on a label, so call sites
-    are robust to reordering. *)
+(** [split_named t name] derives a generator whose stream is independent
+    of further draws from [t]; [t] itself advances by one step.  The label
+    enters the new stream's seed, so call sites are robust to reordering. *)
 val split_named : t -> string -> t
 
 (** [bits64 t] draws 64 uniformly distributed bits. *)
@@ -33,6 +30,3 @@ val int_in : t -> int -> int -> int
 
 (** [float t bound] draws uniformly from [0, bound). *)
 val float : t -> float -> float
-
-(** [shuffle t arr] permutes [arr] in place (Fisher-Yates). *)
-val shuffle : t -> 'a array -> unit

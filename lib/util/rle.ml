@@ -13,12 +13,6 @@ let run_count t = t.nruns
 let payload_size t = t.payload
 let encoded_size t = t.payload + (header_bytes * t.nruns)
 
-let of_runs runs =
-  let nruns, payload =
-    List.fold_left (fun (c, p) r -> (c + 1, p + Bytes.length r.bytes)) (0, 0) runs
-  in
-  { runs; nruns; payload }
-
 (* Native-endian 8-byte loads: the scans below only test words for
    equality and for equal bytes, which byte order does not change.
    Callers keep [i + 8 <= length]. *)
@@ -98,10 +92,3 @@ let apply t target =
     Bytes.blit bytes 0 target offset len
   in
   List.iter apply_run t.runs
-
-let overlaps a b =
-  let covers r pos = pos >= r.offset && pos < r.offset + Bytes.length r.bytes in
-  let run_overlap ra rb =
-    covers ra rb.offset || covers rb ra.offset
-  in
-  List.exists (fun ra -> List.exists (run_overlap ra) b.runs) a.runs

@@ -34,10 +34,6 @@ val apply : t -> Bytes.t -> unit
 (** [runs t] — the runs, sorted by increasing offset. *)
 val runs : t -> run list
 
-(** [of_runs runs] — rebuild a diff from explicit runs (tests and
-    hand-crafted fixtures; [encode] is the normal constructor). *)
-val of_runs : run list -> t
-
 (** [is_empty t] holds when no byte differs. *)
 val is_empty : t -> bool
 
@@ -47,14 +43,7 @@ val run_count : t -> int
 (** [payload_size t] is the total number of modified bytes carried; O(1). *)
 val payload_size : t -> int
 
-(** [encoded_size t] is the wire size: per-run header ([header_bytes]) plus
-    payload; O(1). *)
+(** [encoded_size t] is the wire size: a 4-byte header per run (offset
+    and length, 2 bytes each, since pages are 4 KB) plus the payload;
+    O(1). *)
 val encoded_size : t -> int
-
-(** Size in bytes of one run header on the wire (offset + length, 2 bytes
-    each — pages are 4 KB so 16-bit fields suffice). *)
-val header_bytes : int
-
-(** [overlaps a b] holds when some byte position is covered by both
-    encodings. *)
-val overlaps : t -> t -> bool

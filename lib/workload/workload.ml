@@ -53,6 +53,6 @@ let pedigree_sizes ~families ~seed =
      multi-generation pedigree.  Work per family scales superlinearly with
      size, so a few large families dominate and defeat static balance. *)
   let make _ =
-    if Prng.int rng 6 = 0 then 7 + Prng.int rng 3 else 3 + Prng.int rng 4
+    if Prng.int rng 6 = 0 then Prng.int_in rng 7 9 else Prng.int_in rng 3 6
   in
   Array.init families make

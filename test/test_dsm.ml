@@ -1,6 +1,7 @@
 (* Protocol tests: vector timestamps, end-to-end shared-memory semantics
    under LRC and ERC, multi-writer merging, lazy diffs, locks, barriers,
-   garbage collection, determinism, and behaviour under frame loss. *)
+   garbage collection, determinism, behaviour under frame loss, and the
+   sharing of copysets between page entries. *)
 
 open Tmk_dsm
 
@@ -506,6 +507,107 @@ let read_sharing_no_diffs () =
   check Alcotest.bool "at most p0's diffs" true (r.Api.total_stats.Stats.diffs_created <= 1);
   check Alcotest.bool "three fetches" true (r.Api.total_stats.Stats.page_fetches >= 3)
 
+(* ------------------------------------------------------------------ *)
+(* Copysets are shared values: a change of membership replaces an
+   entry's set, and entries holding the same set share one value.      *)
+
+module Bitset = Tmk_util.Bitset
+
+let copyset node page = node.Node.pages.(page).Node.pg_copyset
+let members = Alcotest.(list int)
+
+(* A cold miss at processor 1 is served by processor 0, the initial
+   copyset: the provider's entry gains the requester, the reply carries
+   that value, and the requester's entry becomes the value itself, since
+   its own [{0}] adds nothing.  Every other entry keeps the shared [{0}]. *)
+let fetch_shares_the_providers_copyset () =
+  let page = ref (-1) in
+  let r =
+    Api.run (cfg ~nprocs:4 ~pages:8 ()) (fun ctx ->
+        let addr = Api.malloc ~align:Tmk_mem.Vm.page_size ctx ~bytes:Tmk_mem.Vm.page_size in
+        page := addr / Tmk_mem.Vm.page_size;
+        if Api.pid ctx = 1 then ignore (Api.read_f64 ctx addr))
+  in
+  let node = Protocol.node r.Api.cluster in
+  check Alcotest.int "one page fetch" 1 r.Api.total_stats.Stats.page_fetches;
+  let fetched = copyset (node 0) !page and initial = copyset (node 2) !page in
+  check members "the provider's set gains the requester" [ 0; 1 ] (Bitset.to_list fetched);
+  check Alcotest.bool "the requester holds the provider's value" true
+    (copyset (node 1) !page == fetched);
+  check members "the others still believe {0}" [ 0 ] (Bitset.to_list initial);
+  for pid = 0 to 3 do
+    for p = 0 to 7 do
+      if not (pid <= 1 && p = !page) then
+        check Alcotest.bool
+          (Printf.sprintf "node %d page %d keeps the shared {0}" pid p)
+          true (copyset (node pid) p == initial)
+    done
+  done
+
+(* A GC round hands every node the root's keepers set of each page: one
+   value per page, whose members are the nodes holding a valid copy. *)
+let gc_adopts_the_keepers () =
+  let r =
+    Api.run (cfg ~nprocs:4 ~pages:4 ~gc_threshold:1 ()) (fun ctx ->
+        let arr = Api.ialloc ctx 4 in
+        Api.iset ctx arr (Api.pid ctx) 1;
+        Api.barrier ctx 0)
+  in
+  check Alcotest.bool "gc ran" true (r.Api.total_stats.Stats.gc_runs > 0);
+  let node = Protocol.node r.Api.cluster in
+  let written = ref 0 in
+  for page = 0 to 3 do
+    let keepers = copyset (node 0) page in
+    let holders =
+      List.filter
+        (fun pid -> Tmk_mem.Vm.prot (node pid).Node.vm page <> Tmk_mem.Vm.No_access)
+        [ 0; 1; 2; 3 ]
+    in
+    check members (Printf.sprintf "page %d: the holders of a copy" page) holders
+      (Bitset.to_list keepers);
+    if List.length holders = 4 then incr written;
+    for pid = 1 to 3 do
+      check Alcotest.bool
+        (Printf.sprintf "node %d shares page %d's set" pid page)
+        true (copyset (node pid) page == keepers)
+    done
+  done;
+  check Alcotest.int "one page written by all four" 1 !written
+
+(* A death replaces each distinct set naming the dead processor once:
+   entries that shared such a set share its replacement, sets without it
+   stay as they were, and no set is mutated. *)
+let death_replaces_each_shared_set_once () =
+  let cl = Cluster.create (cfg ~nprocs:4 ~pages:4 ()) in
+  let backend = Lrc.make cl in
+  let copyset pid page = copyset cl.Cluster.nodes.(pid) page in
+  let set = List.fold_left Bitset.with_member (Bitset.create 4) in
+  let with_2 = set [ 0; 2 ] and also_2 = set [ 1; 2; 3 ] and without_2 = set [ 0; 1 ] in
+  let initial = copyset 0 3 in
+  let assign pid page s = cl.Cluster.nodes.(pid).Node.pages.(page).Node.pg_copyset <- s in
+  List.iter (fun pid -> assign pid 0 with_2) [ 0; 1; 2; 3 ];
+  List.iter (fun pid -> assign pid 1 also_2) [ 0; 1 ];
+  List.iter (fun pid -> assign pid 2 without_2) [ 0; 1; 2; 3 ];
+  Cluster.mark_dead cl 2;
+  backend.Backend.b_on_death 2;
+  let replaced = copyset 0 0 in
+  check members "page 0 loses processor 2" [ 0 ] (Bitset.to_list replaced);
+  check Alcotest.bool "one replacement for page 0" true
+    (copyset 1 0 == replaced && copyset 3 0 == replaced);
+  check members "page 1 at node 0" [ 1; 3 ] (Bitset.to_list (copyset 0 1));
+  check Alcotest.bool "one replacement for page 1" true (copyset 1 1 == copyset 0 1);
+  check Alcotest.bool "{0} is no replacement of {0, 2}" true (replaced != initial);
+  List.iter
+    (fun pid ->
+      check Alcotest.bool (Printf.sprintf "node %d keeps {0, 1}" pid) true
+        (copyset pid 2 == without_2);
+      check Alcotest.bool (Printf.sprintf "node %d keeps the shared {0}" pid) true
+        (copyset pid 3 == initial))
+    [ 0; 1; 3 ];
+  check Alcotest.bool "the dead node's entries are left alone" true (copyset 2 0 == with_2);
+  check members "no set was mutated" [ 0; 2; 1; 2; 3; 0; 1 ]
+    (List.concat_map Bitset.to_list [ with_2; also_2; without_2 ])
+
 let suite =
   [
     vt_leq_reflexive;
@@ -535,4 +637,9 @@ let suite =
     Alcotest.test_case "out of memory detected" `Quick out_of_memory_detected;
     Alcotest.test_case "read sharing no diffs" `Quick read_sharing_no_diffs;
     vt_compare_total_matches_reference;
+    Alcotest.test_case "a fetch shares the provider's copyset" `Quick
+      fetch_shares_the_providers_copyset;
+    Alcotest.test_case "a GC round adopts the keepers" `Quick gc_adopts_the_keepers;
+    Alcotest.test_case "a death replaces each shared copyset once" `Quick
+      death_replaces_each_shared_set_once;
   ]

@@ -10,6 +10,7 @@ let check = Alcotest.check
 let no_charge _ _ = ()
 
 let make_node ?(pid = 0) ?(nprocs = 4) ?(pages = 4) () = Node.create ~pid ~nprocs ~pages ()
+let empty_diff = Tmk_util.Rle.encode ~old_:Bytes.empty Bytes.empty
 
 (* simulate a local write: twin the page, then poke the vm *)
 let write node page ~offset v =
@@ -188,11 +189,11 @@ let missing_diffs_prefix () =
   (* Diffs arrive in complete fetch rounds, oldest first within a round,
      so the lacking notices always form a newest-first prefix.  Store the
      older diff: only the newer remains missing. *)
-  Node.store_diff n ~proc:1 ~interval_id:1 ~page:2 (Tmk_util.Rle.of_runs []);
+  Node.store_diff n ~proc:1 ~interval_id:1 ~page:2 empty_diff;
   (match Node.missing_diffs n 2 with
   | [ (1, [ wn ]) ] -> check Alcotest.int "newer still lacking" 2 wn.Node.wn_interval.Node.iv_id
   | _ -> Alcotest.fail "unexpected");
-  Node.store_diff n ~proc:1 ~interval_id:2 ~page:2 (Tmk_util.Rle.of_runs []);
+  Node.store_diff n ~proc:1 ~interval_id:2 ~page:2 empty_diff;
   check Alcotest.bool "none lacking" true (Node.missing_diffs n 2 = [])
 
 (* Replay: applying an older foreign diff must re-apply newer held diffs
@@ -241,7 +242,7 @@ let discard_sweeps_everything () =
    visits them in increasing pid, whatever order their notices came in. *)
 let writers_walk_in_pid_order () =
   let n = make_node ~pid:0 ~nprocs:6 () in
-  let diff = Tmk_util.Rle.of_runs [] in
+  let diff = empty_diff in
   let vt_of q id = List.init 6 (fun p -> if p = q then id else 0) in
   (* writers 5, 3, 1, 2 and 4 arrive in that order; 3 and 2 piggyback
      their diffs, and 5 has a second, newer notice *)
@@ -519,6 +520,21 @@ let all_but nodes pid f = Array.iter (fun n -> if n.Node.pid <> pid then f n) no
 let incorporate intervals n = Node.incorporate n intervals ~charge:no_charge
 let discard n = ignore (Node.discard_all_records n ~charge:no_charge)
 
+(* Every entry of every node over one store starts from one [{0}]. *)
+let fresh_nodes_share_one_copyset () =
+  let nodes = shared_nodes ~nprocs:8 ~pages:6 () in
+  let first = nodes.(0).Node.pages.(0).Node.pg_copyset in
+  check Alcotest.(list int) "processor 0 holds every page" [ 0 ] (Tmk_util.Bitset.to_list first);
+  Array.iter
+    (fun n ->
+      Array.iteri
+        (fun page e ->
+          check Alcotest.bool
+            (Printf.sprintf "node %d page %d shares the set" n.Node.pid page)
+            true (e.Node.pg_copyset == first))
+        n.Node.pages)
+    nodes
+
 let an_interval_is_one_record () =
   let nodes = shared_nodes () in
   write_and_close nodes.(1) 2;
@@ -634,6 +650,7 @@ let suite =
       replay_matches_reference;
     Alcotest.test_case "modified pages tracks" `Quick modified_pages_tracks;
     Alcotest.test_case "notice counts" `Quick notice_counts_sizes;
+    Alcotest.test_case "fresh nodes share one copyset" `Quick fresh_nodes_share_one_copyset;
     Alcotest.test_case "an interval is one record for every node" `Quick
       an_interval_is_one_record;
     Alcotest.test_case "diff ownership stays per node" `Quick diff_ownership_stays_per_node;

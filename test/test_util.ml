@@ -28,10 +28,10 @@ let prng_split_independent () =
   (* Draws from the split stream must not depend on how many draws were
      later made from the parent. *)
   let parent1 = Prng.create 7L in
-  let child1 = Prng.split parent1 in
+  let child1 = Prng.split_named parent1 "child" in
   let _ = Prng.bits64 parent1 in
   let parent2 = Prng.create 7L in
-  let child2 = Prng.split parent2 in
+  let child2 = Prng.split_named parent2 "child" in
   for _ = 1 to 50 do
     let _ = Prng.bits64 parent2 in
     ()
@@ -85,14 +85,6 @@ let prng_uniformity () =
       check Alcotest.bool "bucket near uniform" true
         (abs (n - (draws / 10)) < draws * 3 / 100))
     buckets
-
-let prng_shuffle_permutation =
-  qtest "shuffle is a permutation"
-    QCheck.(pair int64 (list_of_size (Gen.int_range 0 50) small_int))
-    (fun (seed, xs) ->
-      let arr = Array.of_list xs in
-      Prng.shuffle (Prng.create seed) arr;
-      List.sort compare (Array.to_list arr) = List.sort compare xs)
 
 (* ------------------------------------------------------------------ *)
 (* Rle *)
@@ -234,23 +226,12 @@ let rle_sizes () =
   Bytes.set cur 32 'z';
   let diff = Rle.encode ~old_:base cur in
   check Alcotest.int "payload" 2 (Rle.payload_size diff);
-  check Alcotest.int "encoded" (2 + (2 * Rle.header_bytes)) (Rle.encoded_size diff)
+  check Alcotest.int "encoded: 4 header bytes per run" (2 + (2 * 4)) (Rle.encoded_size diff)
 
 let rle_length_mismatch () =
   Alcotest.check_raises "length mismatch"
     (Invalid_argument "Rle.encode: buffers must have equal length") (fun () ->
       ignore (Rle.encode ~old_:(Bytes.create 4) (Bytes.create 5)))
-
-let rle_overlap () =
-  let base = Bytes.of_string "aaaaaaaa" in
-  let c1 = Bytes.of_string "bbaaaaaa" in
-  let c2 = Bytes.of_string "aaaaaabb" in
-  let c3 = Bytes.of_string "abbaaaaa" in
-  let d1 = Rle.encode ~old_:base c1 in
-  let d2 = Rle.encode ~old_:base c2 in
-  let d3 = Rle.encode ~old_:base c3 in
-  check Alcotest.bool "disjoint" false (Rle.overlaps d1 d2);
-  check Alcotest.bool "overlapping" true (Rle.overlaps d1 d3)
 
 (* ------------------------------------------------------------------ *)
 (* Bitset *)
@@ -279,17 +260,61 @@ let bitset_union () =
   let a = Bitset.create 16 and b = Bitset.create 16 in
   List.iter (Bitset.add a) [ 1; 3; 5 ];
   List.iter (Bitset.add b) [ 3; 4 ];
-  Bitset.union_into ~src:a ~dst:b;
-  check Alcotest.(list int) "union" [ 1; 3; 4; 5 ] (Bitset.to_list b);
-  check Alcotest.(list int) "src unchanged" [ 1; 3; 5 ] (Bitset.to_list a)
+  let u = Bitset.union a b in
+  check Alcotest.(list int) "union" [ 1; 3; 4; 5 ] (Bitset.to_list u);
+  check Alcotest.(list int) "first argument unchanged" [ 1; 3; 5 ] (Bitset.to_list a);
+  check Alcotest.(list int) "second argument unchanged" [ 3; 4 ] (Bitset.to_list b);
+  check Alcotest.bool "a superset comes back itself" true
+    (Bitset.union u a == u && Bitset.union a u == u);
+  Alcotest.check_raises "capacity mismatch" (Invalid_argument "Bitset.union: capacity mismatch")
+    (fun () -> ignore (Bitset.union a (Bitset.create 17)))
 
-let bitset_copy_independent () =
-  let a = Bitset.create 8 in
-  Bitset.add a 2;
-  let b = Bitset.copy a in
-  Bitset.add b 3;
-  check Alcotest.bool "copy has" true (Bitset.mem b 2);
-  check Alcotest.bool "original unchanged" false (Bitset.mem a 3)
+(* The persistent updates against the mutable ones applied to a copy,
+   over sparse and dense sets of 1-1024 processors: the arguments never
+   change, and an update that changes no membership returns its argument
+   itself.  [b] is drawn independently of [a], as a subset of it, or as a
+   superset. *)
+let bitset_persistent =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 1024 >>= fun n ->
+      let members = list_size (int_range 0 40) (int_bound (n - 1)) in
+      quad (return n) members members (pair (int_range 0 2) (int_bound (n - 1))))
+  in
+  let print = QCheck.Print.(quad int (list int) (list int) (pair int int)) in
+  qtest ~count:500 "persistent bitset updates share and never mutate" (QCheck.make ~print gen)
+    (fun (n, xs, ys, (mode, i)) ->
+      let of_list l =
+        let s = Bitset.create n in
+        List.iter (Bitset.add s) l;
+        s
+      in
+      let a = of_list xs in
+      let b =
+        of_list
+          (match mode with
+          | 0 -> ys
+          | 1 -> List.filteri (fun k _ -> k mod 2 = 0) xs
+          | _ -> xs @ ys)
+      in
+      let a0 = Bitset.to_list a and b0 = Bitset.to_list b in
+      let on_copy f =
+        let c = of_list a0 in
+        f c;
+        Bitset.to_list c
+      in
+      let w = Bitset.with_member a i
+      and v = Bitset.without_member a i
+      and u = Bitset.union a b in
+      let b_in_a = List.for_all (Bitset.mem a) b0 and a_in_b = List.for_all (Bitset.mem b) a0 in
+      Bitset.to_list w = on_copy (fun c -> Bitset.add c i)
+      && (w == a) = Bitset.mem a i
+      && Bitset.to_list v = on_copy (fun c -> Bitset.remove c i)
+      && (v == a) = not (Bitset.mem a i)
+      && Bitset.to_list u = on_copy (fun c -> List.iter (Bitset.add c) b0)
+      && (if b_in_a then u == a else if a_in_b then u == b else u != a && u != b)
+      && Bitset.to_list a = a0
+      && Bitset.to_list b = b0)
 
 let bitset_bounds () =
   let a = Bitset.create 8 in
@@ -448,7 +473,6 @@ let suite =
     prng_int_in_bounds;
     prng_float_bounds;
     Alcotest.test_case "prng uniformity" `Quick prng_uniformity;
-    prng_shuffle_permutation;
     rle_roundtrip;
     rle_empty_when_equal;
     rle_runs_sorted_disjoint;
@@ -456,10 +480,9 @@ let suite =
     Alcotest.test_case "rle join gap" `Quick rle_join_gap;
     Alcotest.test_case "rle sizes" `Quick rle_sizes;
     Alcotest.test_case "rle length mismatch" `Quick rle_length_mismatch;
-    Alcotest.test_case "rle overlap" `Quick rle_overlap;
     bitset_model;
     Alcotest.test_case "bitset union" `Quick bitset_union;
-    Alcotest.test_case "bitset copy" `Quick bitset_copy_independent;
+    bitset_persistent;
     Alcotest.test_case "bitset bounds" `Quick bitset_bounds;
     Alcotest.test_case "bitset empty" `Quick bitset_empty;
     Alcotest.test_case "tablefmt render" `Quick tablefmt_render;
