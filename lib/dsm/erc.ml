@@ -91,7 +91,7 @@ let miss t pid page =
   Cluster.note_miss t.cl pid page;
   (* Update protocol: pages are never invalidated, so a miss is always a
      cold fetch. *)
-  assert (not t.cl.Cluster.nodes.(pid).Node.pages.(page).Node.pg_has_copy);
+  assert (not (Node.has_copy t.cl.Cluster.nodes.(pid).Node.pages.(page)));
   fetch_base t pid page
 
 (* Release flush (§5.1): diff every dirty page and push updates to every
@@ -175,8 +175,8 @@ let flush t pid =
                   msg "[t=%d] erc update page %d from %d at %d (%d runs, has_copy=%b)"
                     (Engine.now cl.Cluster.engine) page pid m
                     (Tmk_util.Rle.run_count diff)
-                    mnode.Node.pages.(page).Node.pg_has_copy);
-              if mnode.Node.pages.(page).Node.pg_has_copy then begin
+                    (Node.has_copy mnode.Node.pages.(page)));
+              if Node.has_copy mnode.Node.pages.(page) then begin
                 h_charge h Category.Tmk_mem (Costs.diff_apply (Rle.payload_size diff));
                 Vm.patch mnode.Node.vm page diff;
                 (match mnode.Node.pages.(page).Node.pg_twin with

@@ -197,7 +197,11 @@ let retry_diff_fetch cl ~pid ~entries ~mb =
    processor is a head; undominated heads are the minimal responder set,
    and each processor's lacking notices go to a responder whose newest
    interval covers them (a processor that modified the page in interval i
-   holds all of the page's diffs for intervals with smaller timestamps). *)
+   holds all of the page's diffs for intervals with smaller timestamps).
+   Every coverage test asks whether [q]'s interval is covered, so it reads
+   [q]'s entry first ([Vector_time.leq_at]): a concurrent interval that
+   has not counted [q]'s fails there, and the full comparison decides
+   every pair that passes. *)
 let plan_page_fetch missing =
   let heads =
     List.map
@@ -208,7 +212,7 @@ let plan_page_fetch missing =
       missing
   in
   let dominated (q, vt) =
-    List.exists (fun (r, vt') -> r <> q && Vector_time.leq vt vt') heads
+    List.exists (fun (r, vt') -> r <> q && Vector_time.leq_at q vt vt') heads
   in
   (heads, List.filter (fun h -> not (dominated h)) heads)
 
@@ -240,7 +244,7 @@ let fetch_and_apply_diffs cl pid page missing =
   let assign (q, wns) =
     let vt_q = (List.hd wns).Node.wn_interval.Node.iv_vt in
     let r =
-      match List.find_opt (fun (_r, vt_r) -> Vector_time.leq vt_q vt_r) responders with
+      match List.find_opt (fun (_r, vt_r) -> Vector_time.leq_at q vt_q vt_r) responders with
       | Some (r, _) -> r
       | None -> assert false (* q's own head is undominated or covered *)
     in
@@ -268,9 +272,9 @@ let fetch_and_apply_diffs cl pid page missing =
     Array.iteri
       (fun q_page pentry ->
         if
-          q_page <> page && pentry.Node.pg_fetched
-          && (not pentry.Node.pg_no_gather)
-          && pentry.Node.pg_has_copy
+          q_page <> page && Node.fetched pentry
+          && (not (Node.no_gather pentry))
+          && Node.has_copy pentry
         then
           match Node.missing_diffs node q_page with
           | [] -> ()
@@ -287,7 +291,7 @@ let fetch_and_apply_diffs cl pid page missing =
                   let holds r =
                     r = g
                     || List.exists
-                         (fun (p, vt_p) -> p = r && Vector_time.leq vt_g vt_p)
+                         (fun (p, vt_p) -> p = r && Vector_time.leq_at g vt_g vt_p)
                          heads
                   in
                   match List.find_opt holds contacted with
@@ -299,7 +303,7 @@ let fetch_and_apply_diffs cl pid page missing =
                         Tmk_util.Vec.push v (q_page, g, wn.Node.wn_interval.Node.iv_id))
                       wns;
                     gathered := !gathered + List.length wns;
-                    pentry.Node.pg_fetched <- false
+                    Node.set_fetched pentry false
                 end)
               groups)
       node.Node.pages;
@@ -384,20 +388,11 @@ let fetch_and_apply_diffs cl pid page missing =
         if
           p <> page
           && not (List.exists (fun (p', q', i', _) -> (p', q', i') = entry) replies)
-        then node.Node.pages.(p).Node.pg_no_gather <- true)
+        then Node.set_no_gather node.Node.pages.(p) true)
       entries
   in
   List.iter receive promises;
-  atomically cl (fun charge ->
-      (* the fetched diffs, plus any piggybacked ones not yet reflected;
-         rev_append (not @): apply_missing_diffs sorts by timestamp *)
-      let fetched =
-        List.fold_left (fun acc (_, wns) -> List.rev_append wns acc) [] missing
-      in
-      let pending =
-        List.filter (fun wn -> not (List.memq wn fetched)) (Node.unapplied_diffs node page)
-      in
-      Node.apply_missing_diffs node page (List.rev_append fetched pending) ~charge)
+  atomically cl (fun charge -> Node.apply_fetched node page missing ~charge)
 
 (* Bring [page] current: new write notices can be incorporated by a
    request handler while we wait for replies (this node may be the
@@ -407,14 +402,10 @@ let settle cl pid page =
   let rec loop () =
     match Node.missing_diffs node page with
     | [] ->
+      (* no scheduling point since [missing_diffs]: nothing entered the
+         view *)
       atomically cl (fun charge ->
-          (match Node.unapplied_diffs node page with
-          | [] -> ()
-          | pending ->
-            (* diffs that arrived piggybacked on synchronization
-               messages (hybrid update protocol) while the page was
-               invalid or twinned *)
-            Node.apply_missing_diffs node page pending ~charge);
+          Node.settle_page node page ~charge;
           if Vm.prot node.Node.vm page = Vm.No_access then begin
             charge Category.Unix_mem Costs.mprotect;
             Vm.set_prot node.Node.vm page Vm.Read_only
@@ -431,8 +422,8 @@ let miss cl pid page =
   (* A genuine access miss (re-)arms the page for speculative gathering;
      each gather disarms it (one-strike policy, see
      [fetch_and_apply_diffs]). *)
-  entry.Node.pg_fetched <- true;
-  if not entry.Node.pg_has_copy then fetch_base cl pid page;
+  Node.set_fetched entry true;
+  if not (Node.has_copy entry) then fetch_base cl pid page;
   settle cl pid page
 
 (* ------------------------------------------------------------------ *)

@@ -13,10 +13,15 @@ type charge = Category.t -> Vtime.t -> unit
    the node holds the diff and whether it is applied to the node's copy.
    The bits live in the notice, at [2 * pid] and [2 * pid + 1] of
    [wn_bits], so a node incorporating a notice sets two bits and
-   allocates nothing. *)
+   allocates nothing.  A notice is settled at a node once both of the
+   node's bits are set. *)
 type write_notice = {
   wn_page : int;
   wn_interval : interval;
+  wn_seq : int;
+      (* the notice's place in its store's creation order: a writer makes
+         its notices in interval order, so its newest-first list for a
+         page decreases in [wn_seq] *)
   mutable wn_diff : Rle.t option;
       (* the creator's diff once made; a node holds it only when its bit
          says so *)
@@ -67,6 +72,7 @@ type store = {
   zero : Vector_time.t;  (* the vector of a processor with no interval *)
   initial_copyset : Bitset.t;  (* {0}, every node's first copyset of every page *)
   mutable live : int;  (* nodes not retired *)
+  mutable notices_made : int;  (* the next notice's [wn_seq] *)
 }
 
 let absent =
@@ -89,6 +95,7 @@ let create_store ~nprocs ~pages =
     zero = Vector_time.create nprocs;
     initial_copyset;
     live = nprocs;
+    notices_made = 0;
   }
 
 (* Interval [id] of the processor behind [pi], or [absent]. *)
@@ -119,7 +126,9 @@ let publish s iv =
   List.iter (record_notice s) iv.iv_notices
 
 let new_notice s iv page diff =
-  { wn_page = page; wn_interval = iv; wn_diff = diff;
+  let seq = s.notices_made in
+  s.notices_made <- seq + 1;
+  { wn_page = page; wn_interval = iv; wn_seq = seq; wn_diff = diff;
     wn_bits = Bytes.make ((2 * s.s_nprocs + 7) / 8) '\000' }
 
 (* The notices of a newest-first list with ids above [lo]. *)
@@ -162,10 +171,32 @@ let stop_keeping s ~floor ~upto =
 type page_entry = {
   mutable pg_copyset : Bitset.t;
   mutable pg_twin : Bytes.t option;
-  mutable pg_has_copy : bool;
-  mutable pg_fetched : bool;
-  mutable pg_no_gather : bool;
+  mutable pg_flags : int;  (* [has_copy], [fetched] and [no_gather], one bit each *)
+  mutable pg_unsettled : int;
+      (* the unsettled-notice frontier: no notice of the page in the
+         node's view with a smaller [wn_seq] is unsettled, and [max_int]
+         says none is.  Lowered as notices enter the view, raised only
+         where every notice in it is settled. *)
 }
+
+let has_copy_bit = 1
+let fetched_bit = 2
+let no_gather_bit = 4
+let[@inline] flag entry bit = entry.pg_flags land bit <> 0
+
+let[@inline] set_flag entry bit on =
+  entry.pg_flags <- (if on then entry.pg_flags lor bit else entry.pg_flags land lnot bit)
+
+let[@inline] has_copy entry = flag entry has_copy_bit
+let[@inline] set_has_copy entry on = set_flag entry has_copy_bit on
+let[@inline] fetched entry = flag entry fetched_bit
+let[@inline] set_fetched entry on = set_flag entry fetched_bit on
+let[@inline] no_gather entry = flag entry no_gather_bit
+let[@inline] set_no_gather entry on = set_flag entry no_gather_bit on
+
+(* [wn] has entered the view of the node with [entry] unsettled. *)
+let[@inline] unsettle entry wn =
+  if wn.wn_seq < entry.pg_unsettled then entry.pg_unsettled <- wn.wn_seq
 
 type t = {
   pid : int;
@@ -215,9 +246,8 @@ let create ?emit ?(vm_fast_path = true) ?store ~pid ~nprocs ~pages () =
     {
       pg_copyset = store.initial_copyset;
       pg_twin = None;
-      pg_has_copy = pid = 0;
-      pg_fetched = false;
-      pg_no_gather = false;
+      pg_flags = (if pid = 0 then has_copy_bit else 0);
+      pg_unsettled = max_int;
     }
   in
   (* Processor 0 starts with every page valid but write-protected (a first
@@ -287,18 +317,22 @@ let rec skip_unseen top = function
   | wn :: rest when wn.wn_interval.iv_id > top -> skip_unseen top rest
   | l -> l
 
-(* The notices of a newest-first list with ids above [floor] that
-   satisfy [keep t], newest first.  [keep] is a top-level function, so a
-   walk builds no closure. *)
-let rec filter_above t keep floor = function
-  | wn :: rest when wn.wn_interval.iv_id > floor ->
-    if keep t wn then wn :: filter_above t keep floor rest else filter_above t keep floor rest
+(* The notices of a newest-first list with ids above [floor] and seqs
+   from [frontier] up that satisfy [keep t], newest first.  The walk stops
+   at the first notice below the frontier: it is settled, and so is every
+   older one, whose seqs are smaller still.  [keep] is a top-level
+   function, so a walk builds no closure. *)
+let rec unsettled_above t keep floor frontier = function
+  | wn :: rest when wn.wn_interval.iv_id > floor && wn.wn_seq >= frontier ->
+    if keep t wn then wn :: unsettled_above t keep floor frontier rest
+    else unsettled_above t keep floor frontier rest
   | _ -> []
 
-(* The notices of writer [q]'s newest-first list [l] in [t]'s view that
-   satisfy [keep t]. *)
-let in_view t q keep l =
-  filter_above t keep (Vector_time.get t.floor q) (skip_unseen (Vector_time.get t.vt q) l)
+(* The notices of writer [q]'s newest-first list [l] in [t]'s view, at or
+   above [frontier], that satisfy [keep t]. *)
+let unsettled_in_view t q keep frontier l =
+  unsettled_above t keep (Vector_time.get t.floor q) frontier
+    (skip_unseen (Vector_time.get t.vt q) l)
 
 let lacks_diff t wn = not (holds t wn)
 let unapplied t wn = holds t wn && not (applied t wn)
@@ -399,6 +433,8 @@ let rec close_interval ?(eager_diffs = false) t ~charge =
     let add_notice page =
       let wn = new_notice t.store iv page None in
       set_bit wn ((2 * t.pid) + 1) true;
+      (* applied, but its diff is not made yet *)
+      unsettle t.pages.(page) wn;
       iv.iv_notices <- wn :: iv.iv_notices;
       t.live_records <- t.live_records + 1
     in
@@ -509,20 +545,27 @@ let cache_diff t ~proc ~interval_id ~page diff =
   Hashtbl.replace t.diff_cache (proc, interval_id, page) diff
 
 let missing_diffs t page =
-  (* Scan the whole notice list: with piggybacked diffs (hybrid update
-     protocol) a newer notice can hold its diff while an older one still
-     lacks one, so the diff-less notices are not necessarily a prefix. *)
-  Seq.fold_left
-    (fun acc (q, l) ->
-      match in_view t q lacks_diff !l with
-      | [] -> acc
-      | l -> (q, l) :: acc (* newest-first, like the source list *))
-    [] (Int_map.to_rev_seq t.store.writers.(page))
+  (* Scan each writer's notices down to the frontier: with piggybacked
+     diffs (hybrid update protocol) a newer notice can hold its diff while
+     an older one still lacks one, so the diff-less notices are not
+     necessarily a prefix. *)
+  let frontier = t.pages.(page).pg_unsettled in
+  if frontier = max_int then []
+  else
+    Seq.fold_left
+      (fun acc (q, l) ->
+        match unsettled_in_view t q lacks_diff frontier !l with
+        | [] -> acc
+        | l -> (q, l) :: acc (* newest-first, like the source list *))
+      [] (Int_map.to_rev_seq t.store.writers.(page))
 
 let unapplied_diffs t page =
-  Seq.fold_left
-    (fun acc (q, l) -> in_view t q unapplied !l @ acc)
-    [] (Int_map.to_rev_seq t.store.writers.(page))
+  let frontier = t.pages.(page).pg_unsettled in
+  if frontier = max_int then []
+  else
+    Seq.fold_left
+      (fun acc (q, l) -> unsettled_in_view t q unapplied frontier !l @ acc)
+      [] (Int_map.to_rev_seq t.store.writers.(page))
 
 let store_diff t ~proc ~interval_id ~page diff =
   let wn = find_notice t ~proc ~interval_id ~page in
@@ -613,6 +656,25 @@ let apply_missing_diffs t page notices ~charge =
   charge Category.Unix_mem Costs.mprotect;
   Vm.set_prot t.vm page Vm.Read_only
 
+let apply_fetched t page missing ~charge =
+  (* the fetched diffs, plus any piggybacked or gathered ones not yet
+     reflected; rev_append (not @): apply_missing_diffs sorts by
+     timestamp *)
+  let fetched = List.fold_left (fun acc (_, wns) -> List.rev_append wns acc) [] missing in
+  let pending = List.filter (fun wn -> not (List.memq wn fetched)) (unapplied_diffs t page) in
+  apply_missing_diffs t page (List.rev_append fetched pending) ~charge
+
+let settle_page t page ~charge =
+  (match unapplied_diffs t page with
+  | [] -> ()
+  | pending ->
+    (* diffs that arrived piggybacked on synchronization messages (hybrid
+       update protocol) while the page was invalid or twinned, or
+       gathered by a fetch for another page *)
+    apply_missing_diffs t page pending ~charge);
+  (* nothing lacks its diff, and now nothing held is unapplied *)
+  t.pages.(page).pg_unsettled <- max_int
+
 (* Save local modifications of [pages] before the vector timestamp
    advances; see [incorporate]. *)
 let rec save_twins t pages ~charge =
@@ -652,6 +714,7 @@ let rec add_notices t fresh notices pages ~charge =
     if diff <> None && wn.wn_diff = None then wn.wn_diff <- diff;
     set_bit wn (2 * t.pid) (diff <> None);
     set_bit wn ((2 * t.pid) + 1) false;
+    unsettle t.pages.(page) wn;
     t.live_records <- t.live_records + (if diff = None then 1 else 2);
     t.stats.Stats.write_notices_in <- t.stats.Stats.write_notices_in + 1;
     if tracing t then
@@ -740,7 +803,7 @@ let incorporate t intervals ~charge =
 let validate_page t page bytes ~charge =
   charge Category.Tmk_mem Costs.page_copy;
   Vm.install_page t.vm page bytes;
-  t.pages.(page).pg_has_copy <- true;
+  set_has_copy t.pages.(page) true;
   t.stats.Stats.page_fetches <- t.stats.Stats.page_fetches + 1
 
 let discard_all_records t ~charge =
@@ -754,7 +817,8 @@ let discard_all_records t ~charge =
     (fun entry ->
       entry.pg_twin <- None;
       (* the gather blacklist describes diffs that no longer exist *)
-      entry.pg_no_gather <- false)
+      set_no_gather entry false;
+      entry.pg_unsettled <- max_int)
     t.pages;
   t.dirty <- [];
   t.live_records <- 0;

@@ -15,13 +15,24 @@
     - its vector timestamp [vt];
     - its GC floor [floor], its [vt] at its last discard;
     - per notice, two bits: whether it holds the diff and whether the
-      diff is applied to its copy.
+      diff is applied to its copy;
+    - per page, its unsettled-notice frontier.
 
     A node's {e view} of processor [q] is the store's intervals with ids
     above [floor.(q)] up to [vt.(q)]; every walk below reads through it.  A diff
     in the shared record is not one the node holds: only its own bit says
     so.  The store drops an interval once every live node has discarded
     it ({!discard_all_records}, {!retire}).
+
+    A notice is {e settled} at a node that holds its diff and has applied
+    it.  The bits are cleared once, when the notice enters the view, so a
+    settled notice stays settled until GC takes it out of the view.  Each
+    notice has a sequence number, its place in the store's creation order,
+    and each page entry records a frontier ([pg_unsettled]): no notice of
+    the page in the view below it is unsettled.  An access miss walks each
+    writer's notices newest first and stops at the frontier, so it costs
+    what is unsettled, not the page's whole history
+    ({!missing_diffs}, {!unapplied_diffs}).
 
     Functions here are pure bookkeeping plus simulated-cost charging; they
     never communicate.  They run either in the application process or in a
@@ -40,6 +51,9 @@ type charge = Category.t -> Vtime.t -> unit
 type write_notice = private {
   wn_page : int;
   wn_interval : interval;
+  wn_seq : int;
+      (** the notice's place in its store's creation order; a writer's
+          notices for a page increase with its intervals *)
   mutable wn_diff : Tmk_util.Rle.t option;
   wn_bits : Bytes.t;  (** per node: holds the diff, diff applied *)
 }
@@ -85,17 +99,36 @@ type page_entry = {
           and nothing mutates it in place.  Every entry of every node over
           one store starts from the store's one [{0}]. *)
   mutable pg_twin : Bytes.t option;
-  mutable pg_has_copy : bool;  (** false until a copy has been fetched (or initially held) *)
-  mutable pg_fetched : bool;
-      (** armed by this processor's own access misses, disarmed by each
-          speculative gather; gates multi-page diff gathering so a page
-          the processor has stopped touching wastes at most one
-          speculative fetch (see [Protocol.fetch_and_apply_diffs]) *)
-  mutable pg_no_gather : bool;
-      (** set when a responder declined to serve this page's gathered
-          entries (diffs too large to ride a reply); blocks further
-          speculative gathering of the page *)
+  mutable pg_flags : int;
+      (** three flags, read and written through {!has_copy},
+          {!fetched}, {!no_gather} and their setters *)
+  mutable pg_unsettled : int;
+      (** the unsettled-notice frontier: the smallest [wn_seq] that may
+          be unsettled in the node's view, [max_int] when nothing is.
+          Node's own: it is lowered as notices enter the view and reset
+          by {!settle_page} and {!discard_all_records}. *)
 }
+
+(** [has_copy e] — false until a copy has been fetched (or initially
+    held). *)
+val has_copy : page_entry -> bool
+
+val set_has_copy : page_entry -> bool -> unit
+
+(** [fetched e] — armed by this processor's own access misses, disarmed by
+    each speculative gather; gates multi-page diff gathering so a page the
+    processor has stopped touching wastes at most one speculative fetch
+    (see [Lrc.fetch_and_apply_diffs]). *)
+val fetched : page_entry -> bool
+
+val set_fetched : page_entry -> bool -> unit
+
+(** [no_gather e] — set when a responder declined to serve this page's
+    gathered entries (diffs too large to ride a reply); blocks further
+    speculative gathering of the page until the next GC. *)
+val no_gather : page_entry -> bool
+
+val set_no_gather : page_entry -> bool -> unit
 
 type t = {
   pid : int;
@@ -245,13 +278,17 @@ val backup_diff : t -> proc:int -> interval_id:int -> page:int -> Tmk_util.Rle.t
     notice if [t] holds both the notice and its diff. *)
 val held_diff : t -> proc:int -> interval_id:int -> page:int -> Tmk_util.Rle.t option
 
-(** [missing_diffs t page] — the write notices for [page] lacking diffs,
-    grouped per processor in increasing pid, each group newest-first. *)
+(** [missing_diffs t page] — the write notices for [page] in [t]'s view
+    lacking diffs, grouped per processor in increasing pid, each group
+    newest-first.  Each writer's walk stops at the page's frontier, below
+    which every notice is settled, and a page with nothing unsettled
+    returns [[]] at once without allocating. *)
 val missing_diffs : t -> int -> (int * write_notice list) list
 
 (** [unapplied_diffs t page] — notices whose diffs are present but not
     yet reflected in the local copy (piggybacked arrivals on an invalid or
-    twinned page), writers in increasing pid, each newest-first. *)
+    twinned page, gathered diffs), writers in increasing pid, each
+    newest-first.  Bounded by the frontier like {!missing_diffs}. *)
 val unapplied_diffs : t -> int -> write_notice list
 
 (** [store_diff t ~proc ~interval_id ~page diff] — attach a received diff
@@ -263,14 +300,31 @@ val store_diff : t -> proc:int -> interval_id:int -> page:int -> Tmk_util.Rle.t 
     vector-timestamp order and validate the page ([Read_only]). *)
 val apply_missing_diffs : t -> int -> write_notice list -> charge:charge -> unit
 
+(** [apply_fetched t page missing ~charge] — the end of a diff fetch:
+    [missing] are the groups the fetch asked for ({!missing_diffs}), whose
+    diffs [t] now holds.  Applies them with [page]'s other held diffs not
+    yet applied, and validates the page ({!apply_missing_diffs}). *)
+val apply_fetched :
+  t -> int -> (int * write_notice list) list -> charge:charge -> unit
+
+(** [settle_page t page ~charge] — for a page none of whose notices in
+    view lacks its diff ([missing_diffs t page = []], with nothing
+    incorporated since): apply the held diffs not yet applied, validating
+    the page when there are any, and record that every notice of the page
+    in the view is settled, so that {!missing_diffs} and
+    {!unapplied_diffs} return [[]] at once until a notice enters the
+    view. *)
+val settle_page : t -> int -> charge:charge -> unit
+
 (** [validate_page t page ~charge] — mark a freshly fetched base copy
     present and readable. *)
 val validate_page : t -> int -> Bytes.t -> charge:charge -> unit
 
 (** [discard_all_records t ~charge] — GC sweep (§3.6): drop every
     interval, write-notice and diff record from the view (the floor rises
-    to [vt]), and all twins.  The store forgets the intervals no live node
-    keeps.  Returns the number of records discarded. *)
+    to [vt], and nothing in the empty view is unsettled), and all twins.
+    The store forgets the intervals no live node keeps.  Returns the
+    number of records discarded. *)
 val discard_all_records : t -> charge:charge -> int
 
 (** [retire t] — [t]'s processor died: the store stops keeping records

@@ -524,7 +524,7 @@ let gc_phase t pid =
   Array.iteri
     (fun page entry ->
       entry.Node.pg_copyset <- keepers.(page);
-      if not (Bitset.mem keepers.(page) pid) then entry.Node.pg_has_copy <- false)
+      if not (Bitset.mem keepers.(page) pid) then Node.set_has_copy entry false)
     node.Node.pages;
   let discarded = Node.discard_all_records node ~charge:app_charge in
   if Engine.tracing (engine t) then

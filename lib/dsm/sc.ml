@@ -75,7 +75,7 @@ and grant_at_requester t st rq ~page_bytes ~prot h =
   | Some bytes ->
     h_charge h Category.Tmk_mem Costs.page_copy;
     Vm.install_page node.Node.vm st.ps_page bytes;
-    node.Node.pages.(st.ps_page).Node.pg_has_copy <- true;
+    Node.set_has_copy node.Node.pages.(st.ps_page) true;
     node.Node.stats.Stats.page_fetches <- node.Node.stats.Stats.page_fetches + 1;
     (* the shipped copy always comes from the current owner (ownership
        records update only afterwards, in [complete]) *)
@@ -103,7 +103,7 @@ and owner_transfer_write t st rq ~need_page h =
   (* the old owner's copy is invalidated by the write *)
   h_charge h Category.Unix_mem Costs.mprotect;
   Vm.set_prot onode.Node.vm st.ps_page Vm.No_access;
-  onode.Node.pages.(st.ps_page).Node.pg_has_copy <- false;
+  Node.set_has_copy onode.Node.pages.(st.ps_page) false;
   let bytes = if need_page then Wire.page_reply_bytes else Wire.ack_bytes in
   Transport.hsend ~label:"sc-transfer" t.transport h ~dst:rq.rq_pid ~bytes
     ~deliver:(grant_at_requester t st rq ~page_bytes ~prot:Vm.Read_write)
@@ -161,7 +161,7 @@ and start t st rq h =
                 h_charge hv Category.Unix_mem Costs.mprotect;
                 Vm.set_prot vnode.Node.vm st.ps_page Vm.No_access
               end;
-              vnode.Node.pages.(st.ps_page).Node.pg_has_copy <- false;
+              Node.set_has_copy vnode.Node.pages.(st.ps_page) false;
               Transport.hsend ~label:"sc-inval-ack" t.transport hv
                 ~dst:(manager_of t st.ps_page) ~bytes:Wire.ack_bytes
                 ~deliver:(fun hm ->

@@ -189,7 +189,7 @@ let quorum_read t pid page =
         Vm.install_page node.Node.vm page merged;
         charge Category.Unix_mem Costs.mprotect;
         Vm.set_prot node.Node.vm page Vm.Read_only;
-        node.Node.pages.(page).Node.pg_has_copy <- true;
+        Node.set_has_copy node.Node.pages.(page) true;
         disagree)
   in
   if Engine.tracing cl.Cluster.engine then
@@ -362,7 +362,7 @@ let invalidate_all t pid ~charge =
     for page = 0 to t.cl.Cluster.cfg.Config.pages - 1 do
       if Vm.prot node.Node.vm page <> Vm.No_access then begin
         Vm.set_prot node.Node.vm page Vm.No_access;
-        node.Node.pages.(page).Node.pg_has_copy <- false
+        Node.set_has_copy node.Node.pages.(page) false
       end
     done
   end
@@ -376,7 +376,7 @@ let make cl =
     (fun node ->
       for page = 0 to npages - 1 do
         Vm.set_prot node.Node.vm page Vm.Read_only;
-        node.Node.pages.(page).Node.pg_has_copy <- true
+        Node.set_has_copy node.Node.pages.(page) true
       done)
     cl.Cluster.nodes;
   let t = { cl; wordts = Array.init n (fun _ -> Array.make (npages * words) 0) } in

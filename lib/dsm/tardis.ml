@@ -104,7 +104,7 @@ and grant t st rq ~wts ~lease ~prot ~from_ ~page_bytes h =
   | None -> ());
   h_charge h Category.Unix_mem Costs.mprotect;
   Vm.set_prot node.Node.vm st.ps_page prot;
-  node.Node.pages.(st.ps_page).Node.pg_has_copy <- true;
+  Node.set_has_copy node.Node.pages.(st.ps_page) true;
   t.version.(rq.rq_pid).(st.ps_page) <- wts;
   t.lease.(rq.rq_pid).(st.ps_page) <- lease;
   t.pts.(rq.rq_pid) <- max t.pts.(rq.rq_pid) wts;
@@ -251,7 +251,7 @@ let sweep t pid ~charge =
     then begin
       charge Category.Unix_mem Costs.mprotect;
       Vm.set_prot node.Node.vm page Vm.No_access;
-      node.Node.pages.(page).Node.pg_has_copy <- false;
+      Node.set_has_copy node.Node.pages.(page) false;
       node.Node.stats.Stats.lease_expiries <- node.Node.stats.Stats.lease_expiries + 1;
       if Engine.tracing t.cl.Cluster.engine then
         Cluster.emit t.cl ~pid (Tmk_trace.Event.Lease_expire { page })

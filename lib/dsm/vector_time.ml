@@ -10,9 +10,9 @@ let set t q i = t.(q) <- i
 
 (* Every comparison below is typed over [t], so it compiles to inline int
    compares: none calls [caml_compare], [caml_equal], [caml_lessequal] or
-   [caml_greaterthan], and none allocates.  [leq] and [max_into] run on
-   every diff-fetch plan and every acquire; [compare_total] orders every
-   diff replay. *)
+   [caml_greaterthan], and none allocates.  [leq_at] runs on every
+   coverage test of a diff-fetch plan, [max_into] and [leq] on every
+   acquire; [compare_total] orders every diff replay. *)
 let max_into ~(src : t) ~(dst : t) =
   if Array.length src <> Array.length dst then
     invalid_arg "Vector_time.max_into: size mismatch";
@@ -27,6 +27,11 @@ let leq a b =
   if Array.length a <> Array.length b then
     invalid_arg "Vector_time.leq: size mismatch";
   leq_from a b 0
+
+let leq_at q a b =
+  if Array.length a <> Array.length b then
+    invalid_arg "Vector_time.leq_at: size mismatch";
+  a.(q) <= b.(q) && leq_from a b 0
 
 (* Lexicographic order.  It extends the pointwise order: if [leq a b] and
    [a <> b], the first entry where they differ has [a.(q) < b.(q)]. *)

@@ -27,6 +27,12 @@ val max_into : src:t -> dst:t -> unit
     [a] is covered by [b]. *)
 val leq : t -> t -> bool
 
+(** [leq_at q a b] is [leq a b], testing entry [q] first.  When [a] is
+    the timestamp of one of [q]'s intervals, a [b] that has not counted
+    that interval fails at that first test.
+    @raise Invalid_argument when the sizes differ or [q] is not an entry. *)
+val leq_at : int -> t -> t -> bool
+
 (** [compare_total a b] is [-1], [0] or [1] in the lexicographic order of
     the entry vectors.  That total order extends the partial order: if
     [leq a b] and [a] differs from [b] then [compare_total a b < 0]; it

@@ -58,7 +58,7 @@ let cat_of (ev : Event.t) =
     "failure"
   | Ts_sync _ -> "consistency"
   | Lease_expire _ | Quorum_read _ | Quorum_write _ -> "page"
-  | Proc_finish | Mark _ -> "engine"
+  | Proc_finish -> "engine"
 
 (* Begin/end pairing: a begin event opens a span under a key; the
    matching end event closes the most recent open span with that key on
@@ -86,7 +86,7 @@ let span_end (ev : Event.t) =
 let to_string sink =
   let e = { b = Buffer.create 8192; first = true } in
   Buffer.add_string e.b "{\"traceEvents\":[\n";
-  (* Track names.  Records with pid = -1 (engine marks) go on a
+  (* Track names.  Records with pid = -1 (the engine's) go on a
      dedicated track numbered past the last processor. *)
   let max_pid = ref (-1) in
   Sink.iter (fun r -> if r.Sink.r_pid > !max_pid then max_pid := r.Sink.r_pid) sink;

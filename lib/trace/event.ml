@@ -41,7 +41,6 @@ type t =
   | Quorum_read of { page : int; replies : int }
   | Quorum_write of { pages : int; acks : int }
   | Proc_finish
-  | Mark of string
 
 let fault_kind_name = function Read -> "read" | Write -> "write"
 
@@ -84,7 +83,6 @@ let name = function
   | Quorum_read _ -> "quorum-read"
   | Quorum_write _ -> "quorum-write"
   | Proc_finish -> "proc-finish"
-  | Mark _ -> "mark"
 
 let args ev =
   let open Json in
@@ -144,7 +142,6 @@ let args ev =
   | Quorum_read { page; replies } -> [ ("page", Int page); ("replies", Int replies) ]
   | Quorum_write { pages; acks } -> [ ("pages", Int pages); ("acks", Int acks) ]
   | Proc_finish -> []
-  | Mark msg -> [ ("msg", String msg) ]
 
 (* Inverse of [name]/[args], for re-reading recorded JSONL streams.  Local
    exception turns any missing/mistyped field into [None]. *)
@@ -237,7 +234,6 @@ let of_args ev_name ev_args =
       | "quorum-read" -> Quorum_read { page = int "page"; replies = int "replies" }
       | "quorum-write" -> Quorum_write { pages = int "pages"; acks = int "acks" }
       | "proc-finish" -> Proc_finish
-      | "mark" -> Mark (str "msg")
       | _ -> raise Bad_args
     in
     Some ev

@@ -114,7 +114,6 @@ type t =
           gathering [acks] store acknowledgements (excluding self) *)
   (* Engine *)
   | Proc_finish  (** the application process returned *)
-  | Mark of string  (** free-text marker *)
 
 (** [name ev] — stable kebab-case event name ("lock-acquire", ...). *)
 val name : t -> string

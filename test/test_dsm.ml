@@ -110,6 +110,41 @@ let vt_compare_total_matches_reference =
       && Vector_time.leq y x = reference_leq b a
       && max_into_matches_reference a b && max_into_matches_reference b a)
 
+(* [leq_at q] tests entry [q] first and is [leq] for every [q]: pairs of
+   1 to 1 024 entries, equal, one raised or lowered in a few entries (a
+   timestamp lowered at [q] is one that has not counted [q]'s interval),
+   or independent. *)
+let vt_wide_pair_gen =
+  let open QCheck.Gen in
+  int_range 1 1024 >>= fun n ->
+  array_size (return n) (int_range 0 3) >>= fun a ->
+  let nudge d =
+    map
+      (fun qs ->
+        let b = Array.copy a in
+        List.iter (fun q -> b.(q) <- max 0 (b.(q) + d)) qs;
+        (a, b))
+      (list_size (int_range 1 3) (int_bound (n - 1)))
+  in
+  oneof
+    [
+      return (a, Array.copy a);
+      nudge 1;
+      nudge (-1);
+      map (fun b -> (a, b)) (array_size (return n) (int_range 0 3));
+    ]
+
+let vt_leq_at_is_leq =
+  let print (a, b) =
+    Printf.sprintf "%d entries%s" (Array.length a) (if a = b then ", equal" else "")
+  in
+  qtest "leq_at equals leq" (QCheck.make ~print vt_wide_pair_gen) (fun (a, b) ->
+      let x = vt_of_array a and y = vt_of_array b in
+      let xy = Vector_time.leq x y and yx = Vector_time.leq y x in
+      List.for_all
+        (fun q -> Vector_time.leq_at q x y = xy && Vector_time.leq_at q y x = yx)
+        (List.init (Array.length a) Fun.id))
+
 let wire_sizes () =
   check Alcotest.int "notice" 2 Wire.write_notice_bytes;
   check Alcotest.int "vt" 32 (Vector_time.bytes 8);
@@ -642,4 +677,5 @@ let suite =
     Alcotest.test_case "a GC round adopts the keepers" `Quick gc_adopts_the_keepers;
     Alcotest.test_case "a death replaces each shared copyset once" `Quick
       death_replaces_each_shared_set_once;
+    vt_leq_at_is_leq;
   ]

@@ -1,7 +1,8 @@
 (* White-box tests of the consistency bookkeeping in Node: interval
    closing, incorporation and its duplicate suppression, interval deltas,
    lazy diff creation, miss planning inputs, replay ordering, the GC
-   sweep, and nodes sharing one record store. *)
+   sweep, nodes sharing one record store, and access-miss walks bounded
+   by the unsettled-notice frontier. *)
 
 open Tmk_dsm
 module Vm = Tmk_mem.Vm
@@ -631,6 +632,269 @@ let retired_node_keeps_nothing () =
   check Alcotest.int "the creator still counts its interval" 1
     (Vector_time.get (Sys.opaque_identity nodes).(1).Node.vt 1)
 
+(* ------------------------------------------------------------------ *)
+(* Bounded walks.  [missing_diffs] and [unapplied_diffs] stop each
+   writer's walk at the page's unsettled-notice frontier.  The reference
+   is the walk they made before the frontier existed: every notice of the
+   page in the node's view, writers in increasing pid, each newest first,
+   filtered by the node's two bits read from the record.  Every notice of
+   the page comes from an observer node over the same store that
+   incorporates every interval as it is made and never holds a diff, so
+   its [missing_diffs] lists them all; its wire forms check that list. *)
+
+type walk_op =
+  | Write of int * int  (* node, page: a write fault, a miss first on an invalid page *)
+  | Close of int
+  | Transfer of int * int * bool
+      (* granter, acquirer, piggybacked diffs: a lock grant, both close *)
+  | Absorb of int * int * bool  (* sender, receiver: a barrier arrival, no close *)
+  | Settle of int * int  (* node, page: a read miss, the loop of [Lrc.settle] *)
+  | Begin_fetch of int * int  (* node, page: a miss's fetch goes out and waits *)
+  | End_fetch of int  (* node: its replies arrive and are applied *)
+  | Gather of int * int  (* node, page: the newest missing diffs stored, not applied *)
+  | Gc
+      (* a GC round: the pending fetches end, a barrier brings every node
+         up to date, and each validates its pages and discards *)
+
+let show_walk_op = function
+  | Write (n, p) -> Printf.sprintf "Write (%d, %d)" n p
+  | Close n -> Printf.sprintf "Close %d" n
+  | Transfer (g, r, pb) -> Printf.sprintf "Transfer (%d, %d, %b)" g r pb
+  | Absorb (s, r, pb) -> Printf.sprintf "Absorb (%d, %d, %b)" s r pb
+  | Settle (n, p) -> Printf.sprintf "Settle (%d, %d)" n p
+  | Begin_fetch (n, p) -> Printf.sprintf "Begin_fetch (%d, %d)" n p
+  | End_fetch n -> Printf.sprintf "End_fetch %d" n
+  | Gather (n, p) -> Printf.sprintf "Gather (%d, %d)" n p
+  | Gc -> "Gc"
+
+(* [nprocs] nodes over one store, the last of them the observer. *)
+let walk_history_gen =
+  let open QCheck.Gen in
+  int_range 3 6 >>= fun nprocs ->
+  int_range 1 3 >>= fun pages ->
+  let node = int_bound (nprocs - 2) and page = int_bound (pages - 1) in
+  let op =
+    frequency
+      [
+        (3, map2 (fun n p -> Write (n, p)) node page);
+        (2, map (fun n -> Close n) node);
+        (3, map3 (fun g r pb -> Transfer (g, r, pb)) node node bool);
+        (4, map3 (fun s r pb -> Absorb (s, r, pb)) node node bool);
+        (2, map2 (fun n p -> Settle (n, p)) node page);
+        (4, map2 (fun n p -> Begin_fetch (n, p)) node page);
+        (2, map (fun n -> End_fetch n) node);
+        (1, map2 (fun n p -> Gather (n, p)) node page);
+        (1, return Gc);
+      ]
+  in
+  map (fun ops -> (nprocs, pages, ops)) (list_size (int_range 20 120) op)
+
+let print_walk_history (nprocs, pages, ops) =
+  Printf.sprintf "%d nodes (the last observes), %d pages: [%s]" nprocs pages
+    (String.concat "; " (List.map show_walk_op ops))
+
+let bit wn i = Char.code (Bytes.get wn.Node.wn_bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
+let holds n wn = bit wn (2 * n.Node.pid)
+let applied n wn = bit wn ((2 * n.Node.pid) + 1)
+
+(* The full walk over [all], every notice of the page by writer. *)
+let full_walk n keep all =
+  List.filter_map
+    (fun (q, wns) ->
+      let in_view wn =
+        let id = wn.Node.wn_interval.Node.iv_id in
+        id > Vector_time.get n.Node.floor q && id <= Vector_time.get n.Node.vt q
+      in
+      match List.filter (fun wn -> in_view wn && keep n wn) wns with
+      | [] -> None
+      | l -> Some (q, l))
+    all
+
+let notice_keys wns =
+  List.map (fun wn -> (wn.Node.wn_interval.Node.iv_proc, wn.Node.wn_interval.Node.iv_id)) wns
+
+let show_keys keys =
+  String.concat " " (List.map (fun (q, id) -> Printf.sprintf "%d.%d" q id) keys)
+
+let bounded_walks_match (nprocs, pages, ops) =
+  let store = Node.create_store ~nprocs ~pages in
+  let nodes = Array.init nprocs (fun pid -> Node.create ~store ~pid ~nprocs ~pages ()) in
+  let observer = nodes.(nprocs - 1) and active = nprocs - 1 in
+  let pending = Array.make active None in
+  let refresh_observer () =
+    for s = 0 to active - 1 do
+      Node.incorporate observer
+        (Node.own_intervals_since nodes.(s) (Node.snapshot observer))
+        ~charge:no_charge
+    done
+  in
+  (* A diff as a responder would serve it: the creator makes it when it
+     is still pending. *)
+  let diff_of wn =
+    (match wn.Node.wn_diff with
+    | Some _ -> ()
+    | None ->
+      Node.ensure_own_diff nodes.(wn.Node.wn_interval.Node.iv_proc) wn.Node.wn_page
+        ~charge:no_charge);
+    Option.get wn.Node.wn_diff
+  in
+  let store_all n page wns =
+    List.iter
+      (fun wn ->
+        Node.store_diff n ~proc:wn.Node.wn_interval.Node.iv_proc
+          ~interval_id:wn.Node.wn_interval.Node.iv_id ~page (diff_of wn))
+      wns
+  in
+  let fetch n page missing =
+    List.iter (fun (_, wns) -> store_all n page wns) missing;
+    Node.apply_fetched n page missing ~charge:no_charge
+  in
+  let attach g piggyback =
+    if not piggyback then None
+    else
+      Some
+        (fun wn ->
+          if wn.Node.wn_interval.Node.iv_proc = g.Node.pid && Node.diff g wn = None then
+            Node.ensure_own_diff g wn.Node.wn_page ~charge:no_charge;
+          Node.diff g wn)
+  in
+  let free n = pending.(n) = None in
+  let settle node page =
+    let rec loop () =
+      match Node.missing_diffs node page with
+      | [] ->
+        Node.settle_page node page ~charge:no_charge;
+        if Vm.prot node.Node.vm page = Vm.No_access then
+          Vm.set_prot node.Node.vm page Vm.Read_only
+      | missing ->
+        fetch node page missing;
+        loop ()
+    in
+    loop ()
+  in
+  let end_fetch n =
+    match pending.(n) with
+    | None -> ()
+    | Some (page, missing) ->
+      pending.(n) <- None;
+      fetch nodes.(n) page missing
+  in
+  let absorb s r attach =
+    Node.incorporate nodes.(r)
+      (Node.intervals_since ?attach nodes.(s) (Node.snapshot nodes.(r)))
+      ~charge:no_charge
+  in
+  let invalid n page = Vm.prot nodes.(n).Node.vm page = Vm.No_access in
+  let run = function
+    | Write (n, page) ->
+      if free n then begin
+        if invalid n page then settle nodes.(n) page;
+        write nodes.(n) page ~offset:(8 * n) (n + 1)
+      end
+    | Close n -> if free n then Node.close_interval nodes.(n) ~charge:no_charge
+    | Transfer (g, r, piggyback) ->
+      if g <> r && free r then begin
+        let request_vt = Node.snapshot nodes.(r) in
+        Node.close_interval nodes.(g) ~charge:no_charge;
+        let intervals =
+          Node.intervals_since ?attach:(attach nodes.(g) piggyback) nodes.(g) request_vt
+        in
+        Node.close_interval nodes.(r) ~charge:no_charge;
+        Node.incorporate nodes.(r) intervals ~charge:no_charge
+      end
+    | Absorb (s, r, piggyback) -> if s <> r then absorb s r (attach nodes.(s) piggyback)
+    | Settle (n, page) -> if free n && invalid n page then settle nodes.(n) page
+    | Begin_fetch (n, page) -> (
+      if free n && invalid n page then
+        match Node.missing_diffs nodes.(n) page with
+        | [] -> ()
+        | missing -> pending.(n) <- Some (page, missing))
+    | End_fetch n -> end_fetch n
+    | Gather (n, page) ->
+      if free n then
+        List.iter
+          (fun (_, wns) -> store_all nodes.(n) page [ List.hd wns ])
+          (Node.missing_diffs nodes.(n) page)
+    | Gc ->
+      (* every node's view ends at one timestamp, so none later receives
+         an interval newer than one it never saw *)
+      for n = 0 to active - 1 do
+        end_fetch n;
+        Node.close_interval nodes.(n) ~charge:no_charge
+      done;
+      for s = 1 to active - 1 do
+        absorb s 0 None
+      done;
+      for r = 1 to active - 1 do
+        absorb 0 r None
+      done;
+      Array.iteri
+        (fun n node ->
+          if n < active then
+            List.iter
+              (fun page ->
+                Node.ensure_own_diff node page ~charge:no_charge;
+                settle node page)
+              (Node.modified_pages node))
+        nodes;
+      refresh_observer ();
+      for n = 0 to active - 1 do
+        ignore (Node.discard_all_records nodes.(n) ~charge:no_charge)
+      done
+  in
+  let compare_walks step =
+    let zero = Vector_time.create nprocs in
+    let forms = Node.intervals_since observer zero in
+    for page = 0 to pages - 1 do
+      let all = Node.missing_diffs observer page in
+      let expected =
+        List.init active (fun q ->
+            List.filter_map
+              (fun mi ->
+                if mi.Node.mi_proc = q && List.mem_assoc page mi.Node.mi_pages then
+                  Some (q, mi.Node.mi_id)
+                else None)
+              (List.rev forms))
+        |> List.concat
+      in
+      if notice_keys (List.concat_map snd all) <> expected then
+        QCheck.Test.fail_reportf "step %d, page %d: the observer lists [%s], its forms [%s]"
+          step page
+          (show_keys (notice_keys (List.concat_map snd all)))
+          (show_keys expected);
+      for n = 0 to active - 1 do
+        let node = nodes.(n) in
+        let lacks n wn = not (holds n wn) in
+        let unapplied n wn = holds n wn && not (applied n wn) in
+        let groups l = List.map (fun (q, wns) -> (q, notice_keys wns)) l in
+        let want = full_walk node lacks all and got = Node.missing_diffs node page in
+        if groups got <> groups want then
+          QCheck.Test.fail_reportf "step %d, node %d, page %d: missing [%s], full walk [%s]"
+            step n page
+            (show_keys (notice_keys (List.concat_map snd got)))
+            (show_keys (notice_keys (List.concat_map snd want)));
+        let want = List.concat_map snd (full_walk node unapplied all)
+        and got = Node.unapplied_diffs node page in
+        if notice_keys got <> notice_keys want then
+          QCheck.Test.fail_reportf "step %d, node %d, page %d: unapplied [%s], full walk [%s]"
+            step n page (show_keys (notice_keys got)) (show_keys (notice_keys want))
+      done
+    done
+  in
+  List.iteri
+    (fun step op ->
+      run op;
+      refresh_observer ();
+      compare_walks step)
+    ops;
+  true
+
+let bounded_walks_equal_full_walks =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:1000 ~name:"bounded notice walks equal full-history walks"
+       (QCheck.make ~print:print_walk_history walk_history_gen)
+       bounded_walks_match)
+
 let suite =
   [
     Alcotest.test_case "close creates interval" `Quick close_creates_interval;
@@ -657,4 +921,5 @@ let suite =
     Alcotest.test_case "GC frees what every live node discarded" `Quick
       gc_frees_what_every_live_node_discarded;
     Alcotest.test_case "a retired node keeps nothing" `Quick retired_node_keeps_nothing;
+    bounded_walks_equal_full_walks;
   ]

@@ -16,8 +16,9 @@
    - the benchmark's four workloads, Water at 32 and 64 processors, a
      GC-heavy Water run, a Jacobi run collecting over a narrow barrier
      tree, Water under frame loss and under a crash, Water with the
-     hybrid update protocol over a binary tree, and Jacobi with diff
-     backups match pinned fingerprints;
+     hybrid update protocol over a binary tree, Jacobi with diff
+     backups, and ILINK at 16 processors with and without the update
+     protocol match pinned fingerprints;
    - set-up memory follows the pages a node touches, fast-path typed
      accesses allocate nothing, a diff replay allocates in proportion
      to the diffs it applies, not to held x missing notices, an engine
@@ -25,8 +26,9 @@
      protocol section allocates nothing per charge, a diff encode
      allocates its runs, a barrier release's records are
      incorporated and walked without temporaries, a cluster holds
-     one record per interval, not one per node, and page entries share
-     their copysets;
+     one record per interval, not one per node, page entries share
+     their copysets, and a page with nothing unsettled is walked
+     without allocating;
    - a sweep mapped with [Harness.parallel_map ~jobs:4] equals the
      sequential map, element for element.
 
@@ -282,6 +284,20 @@ let faulty_water_run faults () =
   let m, digest = Harness.run_checked ~app:Harness.Water cfg in
   pin_of digest m.Harness.m_raw
 
+(* ILINK at 16 processors with the hybrid update protocol: the fifth
+   app's pins, with [benchmark_run]'s flat ILINK-16 below. *)
+let ilink_updates_run () =
+  let cfg =
+    {
+      (Harness.config ~app:Harness.Ilink ~nprocs:16 ~protocol:Config.Lrc
+         ~net:Tmk_net.Params.atm_aal34)
+      with
+      Config.lrc_updates = true;
+    }
+  in
+  let m, digest = Harness.run_checked ~app:Harness.Ilink cfg in
+  pin_of digest m.Harness.m_raw
+
 let pinned_runs =
   [
     ( "tsp-8",
@@ -422,6 +438,28 @@ let pinned_runs =
         p_bytes = 22467389;
         p_hot = 1402;
         p_stats = "287603975e7712f84d19f8cedd7e3636";
+      } );
+    (* ILINK, the one app the pins above leave out, recorded while every
+       access miss walked the page's whole notice history. *)
+    ( "ilink-16",
+      benchmark_run ~app:Harness.Ilink ~nprocs:16 ~protocol:Config.Lrc ~scaled:false,
+      {
+        p_digest = "b2da79d9d52430f049bd48cb843c7ddd";
+        p_time = 1399103972;
+        p_messages = 840;
+        p_bytes = 387926;
+        p_hot = 420;
+        p_stats = "bef42a159a3e54c01028ccccd53849ee";
+      } );
+    ( "ilink-16 updates",
+      ilink_updates_run,
+      {
+        p_digest = "b2da79d9d52430f049bd48cb843c7ddd";
+        p_time = 1352023624;
+        p_messages = 510;
+        p_bytes = 381000;
+        p_hot = 255;
+        p_stats = "7e422bd05b2bce62f2d2fd4b7bd6f894";
       } );
   ]
 
@@ -689,6 +727,34 @@ let copysets_are_shared_values () =
     (float (Obj.reachable_words (Obj.repr copysets)))
     32_000.
 
+(* An access miss costs what is unsettled: after Water at 16 processors at
+   Harness scale, on every page of processor 3 where nothing is missing or
+   unapplied, [missing_diffs] and [unapplied_diffs] return at the page's
+   frontier and allocate nothing.  Walking each page's whole notice
+   history, each allocated 742 words over these 7 pages. *)
+let settled_walks_allocate_nothing () =
+  let cfg =
+    Harness.config ~app:Harness.Water ~nprocs:16 ~protocol:Config.Lrc
+      ~net:Tmk_net.Params.atm_aal34
+  in
+  let m, _ = Harness.run_checked ~app:Harness.Water cfg in
+  let node = Protocol.node m.Harness.m_raw.Api.cluster 3 in
+  let settled =
+    List.filter
+      (fun page -> Node.missing_diffs node page = [] && Node.unapplied_diffs node page = [])
+      (List.init (Array.length node.Node.pages) Fun.id)
+    |> Array.of_list
+  in
+  check Alcotest.int "pages with nothing missing or unapplied" 7 (Array.length settled);
+  let walks () =
+    for i = 0 to Array.length settled - 1 do
+      ignore (Sys.opaque_identity (Node.missing_diffs node settled.(i)));
+      ignore (Sys.opaque_identity (Node.unapplied_diffs node settled.(i)))
+    done
+  in
+  check (Alcotest.float 0.0) "words allocated by both walks over those pages" 0.0
+    (allocated walks)
+
 (* ------------------------------------------------------------------ *)
 (* Domain-parallel sweeps: mapping the arms on 4 domains must be
    indistinguishable from the sequential map.                           *)
@@ -777,4 +843,6 @@ let suite =
       Alcotest.test_case "a cluster holds one record per interval" `Quick
         cluster_heap_holds_one_record_per_interval;
       Alcotest.test_case "copysets are shared values" `Quick copysets_are_shared_values;
+      Alcotest.test_case "settled pages are walked without allocating" `Quick
+        settled_walks_allocate_nothing;
     ]

@@ -192,11 +192,15 @@ let deterministic_trace () =
     for p = 0 to 3 do
       Engine.spawn e p (fun () ->
           Engine.advance Category.Computation (us (10 * (p + 1)));
-          Engine.emit e ~pid:p (Tmk_trace.Event.Mark (Printf.sprintf "p%d-computed" p));
+          Engine.emit e ~pid:p
+            (Tmk_trace.Event.Frame_dup
+               { src = p; dst = (p + 1) mod 4; label = Printf.sprintf "p%d-computed" p });
           (* everyone signals the next processor, ring-style *)
           Engine.fill e ivs.((p + 1) mod 4) ~at:(Engine.now e) p;
           let from = Engine.await ivs.(p) in
-          Engine.emit e ~pid:p (Tmk_trace.Event.Mark (Printf.sprintf "p%d-got-%d" p from)))
+          Engine.emit e ~pid:p
+            (Tmk_trace.Event.Frame_dup
+               { src = from; dst = p; label = Printf.sprintf "p%d-got-%d" p from }))
     done;
     Engine.run e;
     Tmk_trace.Jsonl.to_string sink

@@ -191,13 +191,13 @@ let jsonl_golden () =
     mk
       [
         (1_000, 0, Lock_acquire { lock = 1; local = false });
-        (3_000, -1, Mark "hi \"there\"\n");
+        (3_000, -1, Frame_dup { src = 0; dst = 1; label = "hi \"there\"\n" });
         (4_000, 2, Interval_close { id = 5; notices = 2; vt = [| 1; 0; 3 |] });
       ]
   in
   check Alcotest.string "jsonl"
     ("{\"t\":1000,\"pid\":0,\"ev\":\"lock-acquire\",\"lock\":1,\"local\":false}\n"
-   ^ "{\"t\":3000,\"pid\":-1,\"ev\":\"mark\",\"msg\":\"hi \\\"there\\\"\\n\"}\n"
+   ^ "{\"t\":3000,\"pid\":-1,\"ev\":\"frame-dup\",\"src\":0,\"dst\":1,\"label\":\"hi \\\"there\\\"\\n\"}\n"
    ^ "{\"t\":4000,\"pid\":2,\"ev\":\"interval-close\",\"id\":5,\"notices\":2,\"vt\":[1,0,3]}\n")
     (Jsonl.to_string sink)
 
@@ -208,7 +208,7 @@ let chrome_golden () =
       [
         (1_000, 0, Lock_acquire { lock = 1; local = false });
         (2_500, 0, Lock_acquired { lock = 1; local = false });
-        (3_000, -1, Mark "hello");
+        (3_000, -1, Frame_dup { src = 0; dst = 1; label = "hello" });
       ]
   in
   check Alcotest.string "chrome"
@@ -216,7 +216,7 @@ let chrome_golden () =
    ^ "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"thread_name\",\"args\":{\"name\":\"cpu 0\"}},\n"
    ^ "{\"ph\":\"M\",\"pid\":1,\"tid\":1,\"name\":\"thread_name\",\"args\":{\"name\":\"engine\"}},\n"
    ^ "{\"ph\":\"X\",\"pid\":1,\"tid\":0,\"name\":\"lock-wait L1\",\"cat\":\"lock\",\"ts\":1.000,\"dur\":1.500,\"args\":{\"lock\":1,\"local\":false}},\n"
-   ^ "{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":1,\"name\":\"mark\",\"cat\":\"engine\",\"ts\":3.000,\"args\":{\"msg\":\"hello\"}}\n"
+   ^ "{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":1,\"name\":\"frame-dup\",\"cat\":\"net\",\"ts\":3.000,\"args\":{\"src\":0,\"dst\":1,\"label\":\"hello\"}}\n"
    ^ "],\"displayTimeUnit\":\"ms\"}\n")
     (Chrome.to_string sink)
 
@@ -261,7 +261,7 @@ let jsonl_roundtrip () =
         (89, 1, Gc_begin { live = 41 });
         (90, 1, Gc_end { discarded = 7 });
         (95, 1, Proc_finish);
-        (99, -1, Mark "done \"quoted\"\t\n");
+        (99, -1, Frame_dup { src = 1; dst = 0; label = "done \"quoted\"\t\n" });
       ]
   in
   let text = Jsonl.to_string sink in
@@ -285,9 +285,10 @@ let reader_rejects line expected () =
 
 (* A raw byte at or above 0x80 is ordinary string content. *)
 let reader_reads_high_bytes () =
-  let line = "{\"t\":0,\"pid\":0,\"ev\":\"mark\",\"msg\":\"\xff\"}" in
+  let line = "{\"t\":0,\"pid\":0,\"ev\":\"frame-dup\",\"src\":0,\"dst\":1,\"label\":\"\xff\"}" in
   let r = Jsonl.parse_line line in
-  check Alcotest.bool "mark" true (r.Sink.r_ev = Event.Mark "\xff");
+  check Alcotest.bool "label" true
+    (r.Sink.r_ev = Event.Frame_dup { src = 0; dst = 1; label = "\xff" });
   check Alcotest.string "re-encodes" (line ^ "\n")
     (Jsonl.to_string (mk [ (r.Sink.r_time, r.Sink.r_pid, r.Sink.r_ev) ]))
 
@@ -298,7 +299,7 @@ let chrome_closes_open_spans () =
     mk
       [
         (100, 0, Barrier_arrive { id = 2; epoch = 0 });
-        (900, 0, Mark "end");
+        (900, 0, Frame_dup { src = 1; dst = 0; label = "end" });
       ]
   in
   let s = Chrome.to_string sink in
