@@ -14,7 +14,10 @@ type t = {
   ck_attach : (Tmk_trace.Sink.t -> unit) list;
 }
 
+(* The race detector rides first in the hook list, so it sees each event
+   before the lint hooks do. *)
 let create ?race ?oracle ?(hooks = []) ?(attach = []) () =
+  let hooks = match race with Some r -> Race.hooks r :: hooks | None -> hooks in
   { ck_race = race; ck_oracle = oracle; ck_hooks = hooks; ck_attach = attach }
 
 let race t = t.ck_race

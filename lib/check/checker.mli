@@ -2,11 +2,12 @@
     invariant oracle, generic event observers ({!Hooks}), trace-attach
     callbacks — any combination.
 
-    [hooks] observe the same access and sync events as the race detector;
-    [attach] callbacks receive the run's trace sink before the run starts
-    (the DSM creates a private sink when the caller did not request
-    tracing).  Both exist for analyzers that sit above [tmk_dsm] in the
-    dependency order, such as the [lib/lint] sanitizer suite. *)
+    [hooks] observe the access and sync events; the race detector, when
+    given, is the first of them ({!Race.hooks}).  [attach] callbacks
+    receive the run's trace sink before the run starts (the DSM creates a
+    private sink when the caller did not request tracing).  Both exist for
+    analyzers that sit above [tmk_dsm] in the dependency order, such as
+    the [lib/lint] sanitizer suite. *)
 
 type t
 
@@ -20,5 +21,9 @@ val create :
 
 val race : t -> Race.t option
 val oracle : t -> Oracle.t option
+
+(** [hooks t] — the race detector's hooks, when it rides along, then the
+    [hooks] given to {!create}. *)
 val hooks : t -> Hooks.t list
+
 val attach : t -> (Tmk_trace.Sink.t -> unit) list

@@ -19,7 +19,7 @@
    keeps the cost per access O(readers) instead of comparing interval
    pairs quadratically at barriers. *)
 
-type kind = Read | Write
+type kind = Hooks.access_kind = Read | Write
 
 type segment = Segments.segment
 
@@ -157,6 +157,16 @@ let note_access t ~pid kind ~addr ~width =
         cell.c_readers <- []
     done
   end
+
+let hooks t =
+  {
+    Hooks.h_access = (fun ~pid kind ~addr ~width -> note_access t ~pid kind ~addr ~width);
+    h_lock_acquired = lock_acquired t;
+    h_lock_release = lock_release t;
+    h_barrier_arrive = barrier_arrive t;
+    h_barrier_depart = barrier_depart t;
+    h_suppress = suppress t;
+  }
 
 let kind_rank = function Read -> 0 | Write -> 1
 

@@ -23,7 +23,7 @@
 
 type t
 
-type kind = Read | Write
+type kind = Hooks.access_kind = Read | Write
 
 (** [create ~nprocs ~pages ()] sizes the detector for one cluster; a
     detector instance must not be shared across runs (its clocks carry
@@ -51,6 +51,10 @@ val barrier_depart : t -> pid:int -> id:int -> unit
 (** [suppress t ~pid on] enters/leaves an [Api.unsynchronized] span:
     accesses made while the depth is positive are not recorded at all. *)
 val suppress : t -> pid:int -> bool -> unit
+
+(** [hooks t] — the detector as a {!Hooks} observer: every field calls
+    the function above of the same event. *)
+val hooks : t -> Hooks.t
 
 type finding = {
   f_page : int;

@@ -128,27 +128,24 @@ let barrier (ctx : ctx) id = Protocol.barrier ctx.cluster ~pid:ctx.cpid ~id
    update the read/write frontiers, so a later properly locked access is
    not compared against them either. *)
 let unsynchronized (ctx : ctx) f =
-  let race, hooks =
+  let hooks =
     match (Protocol.config ctx.cluster).Config.check with
-    | Some c -> (Tmk_check.Checker.race c, Tmk_check.Checker.hooks c)
-    | None -> (None, [])
+    | Some c -> Tmk_check.Checker.hooks c
+    | None -> []
   in
-  match (race, hooks) with
-  | None, [] -> f ()
-  | _ ->
-    let set on =
-      (match race with
-      | Some r -> Tmk_check.Race.suppress r ~pid:ctx.cpid on
-      | None -> ());
-      List.iter (fun h -> h.Tmk_check.Hooks.h_suppress ~pid:ctx.cpid on) hooks
-    in
+  match hooks with
+  | [] -> f ()
+  | hooks ->
+    let set on = List.iter (fun h -> h.Tmk_check.Hooks.h_suppress ~pid:ctx.cpid on) hooks in
     set true;
     Fun.protect ~finally:(fun () -> set false) f
 
 let compute_ns (ctx : ctx) ns = Protocol.charge_compute ctx.cluster ~pid:ctx.cpid ns
 
-let compute_flops (ctx : ctx) n =
-  if n > 0 then compute_ns ctx (n * (Protocol.config ctx.cluster).Config.flop_ns)
+(* nanoseconds per application floating-point operation *)
+let flop_ns = 200
+
+let compute_flops (ctx : ctx) n = if n > 0 then compute_ns ctx (n * flop_ns)
 
 (* ------------------------------------------------------------------ *)
 (* Collectives (barrier composition; see the interface for the contract) *)

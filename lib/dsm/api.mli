@@ -177,6 +177,6 @@ val bcast : ?root:int -> ctx -> (unit -> unit) -> unit
 (** [compute_ns ctx ns] — charge [ns] nanoseconds of application work. *)
 val compute_ns : ctx -> int -> unit
 
-(** [compute_flops ctx n] — charge [n] floating-point operations at the
-    configured [flop_ns] rate. *)
+(** [compute_flops ctx n] — charge [n] floating-point operations at
+    200 ns each. *)
 val compute_flops : ctx -> int -> unit

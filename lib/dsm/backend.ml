@@ -53,12 +53,30 @@ let plain_grant ~nprocs ~granter:_ ~charge =
 let plain_release ~nprocs =
   { p_bytes = Wire.barrier_release_bytes ~nprocs []; p_parts = 1; p_absorb = plain_absorb }
 
-let plain_arrival ~nprocs =
-  {
-    v_bytes = Wire.barrier_arrival_bytes ~nprocs [];
-    v_parts = 1;
-    v_absorb_mgr = plain_absorb;
-    v_release = (fun ~charge:_ -> plain_release ~nprocs);
-  }
-
 let noop_pid ~pid:_ = ()
+
+let plain caps ~nprocs ~fault =
+  let acq = { a_grant = plain_grant ~nprocs } in
+  let arrival =
+    {
+      v_bytes = Wire.barrier_arrival_bytes ~nprocs [];
+      v_parts = 1;
+      v_absorb_mgr = plain_absorb;
+      v_release = (fun ~charge:_ -> plain_release ~nprocs);
+    }
+  in
+  {
+    b_caps = caps;
+    b_handle_fault = fault;
+    b_lock_request_bytes = Wire.lock_request_bytes ~nprocs;
+    b_pre_acquire = noop_pid;
+    b_make_acquire = (fun ~pid:_ -> acq);
+    b_pre_release = noop_pid;
+    b_pre_barrier = noop_pid;
+    b_barrier_begin = noop_pid;
+    b_make_arrival = (fun ~pid:_ ~mgr:_ ~relay:_ -> arrival);
+    b_barrier_depart = noop_pid;
+    b_want_gc = (fun ~pid:_ -> false);
+    b_gc_validate = noop_pid;
+    b_on_death = (fun _ -> ());
+  }

@@ -106,13 +106,15 @@ type t = {
           from backend-private metadata (copysets, directories) *)
 }
 
-(** {2 Plain-synchronization helpers}
+(** {2 Defaults} *)
 
-    Shared by backends whose locks and barriers carry no consistency
-    payload beyond the fixed header (ERC, SC: memory is kept consistent
-    by updates/invalidations, not by sync piggybacking). *)
-
+(** [plain_absorb ~charge] — the receiver's flat incorporation charge
+    for a synchronization message that carries no consistency records. *)
 val plain_absorb : charge:Node.charge -> unit
-val plain_grant : nprocs:int -> granter:int -> charge:Node.charge -> payload
-val plain_arrival : nprocs:int -> arrival
-val noop_pid : pid:'a -> unit
+
+(** [plain caps ~nprocs ~fault] — a backend whose only hook is its fault
+    handler [fault]: locks and barriers carry a fixed header and no
+    consistency payload (memory is kept consistent by the fault path),
+    and every other hook does nothing.  A backend overrides the hooks it
+    uses with [{ (plain ...) with ... }]. *)
+val plain : caps -> nprocs:int -> fault:(pid:int -> Tmk_mem.Vm.access -> int -> unit) -> t

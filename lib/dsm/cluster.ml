@@ -157,15 +157,20 @@ let register_pending t ~pid ~target ~settled ~retry =
       { po_pid = pid; po_seq = seq; po_target = target; po_settled = settled; po_retry = retry }
   end
 
+(* The debug line is built only under debug logging: its closure would
+   otherwise be allocated on every miss. *)
 let note_miss t pid page =
   let node = t.nodes.(pid) in
-  Log.debug (fun m -> m "[t=%d] miss at %d on page %d" (Engine.now t.engine) pid page);
+  (match Logs.Src.level log_src with
+  | Some Logs.Debug ->
+    Log.debug (fun m -> m "[t=%d] miss at %d on page %d" (Engine.now t.engine) pid page)
+  | _ -> ());
   node.Node.stats.Stats.remote_misses <- node.Node.stats.Stats.remote_misses + 1
 
-(* Shared fault prologue of the release-consistent backends (§3.7's
-   SIGSEGV handler): charges, stats, events, twin creation on a write to
-   a valid page, and the miss dispatch for invalid pages. *)
-let rc_fault t pid kind page ~miss =
+(* The SIGSEGV handler (§3.7), the one fault entry of every backend:
+   the signal and dispatch charges, the fault count and the fault events
+   around the backend's service of the fault. *)
+let fault t ~pid kind page serve arg =
   let node = t.nodes.(pid) in
   app_charge Category.Unix_mem Costs.sigsegv;
   app_charge Category.Tmk_other Cpu.fault_dispatch;
@@ -177,20 +182,30 @@ let rc_fault t pid kind page ~miss =
   in
   if Engine.tracing t.engine then
     emit t ~pid (Tmk_trace.Event.Page_fault { page; kind = ekind });
-  (match (Vm.prot node.Node.vm page, kind) with
+  serve arg pid kind page;
+  if Engine.tracing t.engine then
+    emit t ~pid (Tmk_trace.Event.Page_fault_done { page; kind = ekind })
+
+(* The service of the release-consistent backends: twin creation on a
+   write to a valid page, and the miss for invalid pages. *)
+let rc_serve (t, miss) pid kind page =
+  let node = t.nodes.(pid) in
+  match (Vm.prot node.Node.vm page, kind) with
   | Vm.Read_only, Vm.Write ->
     atomically t (fun charge -> Node.write_fault_twin node page ~charge)
-  | Vm.No_access, Vm.Read -> miss ()
+  | Vm.No_access, Vm.Read -> miss pid page
   | Vm.No_access, Vm.Write ->
-    miss ();
+    miss pid page;
     (* The miss can leave the page invalid again if a notice raced in;
        the Vm fault dispatcher retries and we fall into the miss path
        once more. *)
     if Vm.prot node.Node.vm page = Vm.Read_only then
       atomically t (fun charge -> Node.write_fault_twin node page ~charge)
-  | (Vm.Read_only | Vm.Read_write), _ -> assert false);
-  if Engine.tracing t.engine then
-    emit t ~pid (Tmk_trace.Event.Page_fault_done { page; kind = ekind })
+  | (Vm.Read_only | Vm.Read_write), _ -> assert false
+
+let rc_fault t miss =
+  let rc = (t, miss) in
+  fun ~pid kind page -> fault t ~pid kind page rc_serve rc
 
 let create cfg =
   let engine = Engine.create ~nprocs:cfg.Config.nprocs in

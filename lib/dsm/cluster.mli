@@ -3,10 +3,11 @@
     The pieces of a running cluster that every coherence backend and the
     protocol core share: configuration, engine, transport, the per-node
     DSM state, the membership view (detected deaths, epoch), the
-    re-issuable-operation registry for crash recovery, and the small
-    context helpers (atomic sections, charging, tracing, provider
-    choice).  {!Protocol} builds one of these, hands it to the selected
-    backend's [make], and layers locks/barriers/GC/failover on top. *)
+    re-issuable-operation registry for crash recovery, the one fault
+    handler ({!fault}), and the small context helpers (atomic sections,
+    charging, tracing, provider choice).  {!Protocol} builds one of
+    these, hands it to the selected backend's [make], and layers
+    locks/barriers/GC/failover on top. *)
 
 open Tmk_sim
 
@@ -117,12 +118,26 @@ val choose_provider_lowest : t -> Tmk_util.Bitset.t -> self:int -> page:int -> i
 val register_pending :
   t -> pid:int -> target:int -> settled:(unit -> bool) -> retry:(unit -> unit) -> unit
 
-(** [note_miss t pid page] — common access-miss bookkeeping (stats,
-    debug log). *)
+(** [note_miss t pid page] — the access-miss count, with a debug line
+    under [--verbose]. *)
 val note_miss : t -> int -> int -> unit
 
-(** [rc_fault t pid kind page ~miss] — the shared fault prologue of the
-    release-consistent backends (LRC, ERC): SIGSEGV and dispatch
-    charges, fault stats and events, twin creation on write-to-valid,
-    and the protection-state dispatch into [miss] for invalid pages. *)
-val rc_fault : t -> int -> Tmk_mem.Vm.access -> int -> miss:(unit -> unit) -> unit
+(** [fault t ~pid kind page serve arg] — the SIGSEGV handler (§3.7) of
+    every backend: the signal and dispatch charges, the fault count, and
+    [Page_fault]/[Page_fault_done] around [serve arg pid kind page], the
+    backend's service of the fault.  [serve] is a top-level function and
+    [arg] its state, built once, so that a fault allocates no closure. *)
+val fault :
+  t ->
+  pid:int ->
+  Tmk_mem.Vm.access ->
+  int ->
+  ('a -> int -> Tmk_mem.Vm.access -> int -> unit) ->
+  'a ->
+  unit
+
+(** [rc_fault t miss] — the fault handler of the release-consistent
+    backends (LRC, ERC, SC-ABD): {!fault} with the service that twins a
+    page on a write to a valid page and runs [miss pid page] for an
+    invalid one.  A backend builds its handler once. *)
+val rc_fault : t -> (int -> int -> unit) -> pid:int -> Tmk_mem.Vm.access -> int -> unit

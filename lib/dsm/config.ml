@@ -8,7 +8,6 @@ type t = {
   faults : Tmk_net.Fault_plan.t;
   gc_threshold : int;
   seed : int64;
-  flop_ns : int;
   lazy_diffs : bool;
   lrc_updates : bool;
   batching : bool;
@@ -30,7 +29,6 @@ let default =
     faults = Tmk_net.Fault_plan.none;
     gc_threshold = max_int;
     seed = 1L;
-    flop_ns = 200;
     lazy_diffs = true;
     lrc_updates = false;
     batching = true;
@@ -47,7 +45,6 @@ let validate t =
   if t.nprocs < 1 then invalid_arg "Config: nprocs must be >= 1";
   if t.pages < 1 then invalid_arg "Config: pages must be >= 1";
   if t.gc_threshold < 1 then invalid_arg "Config: gc_threshold must be >= 1";
-  if t.flop_ns < 0 then invalid_arg "Config: flop_ns must be >= 0";
   if t.tree_arity < 2 then invalid_arg "Config: tree_arity must be >= 2";
   if t.barrier_tree && Tmk_net.Fault_plan.crashes t.faults <> [] then
     invalid_arg "Config: barrier_tree does not support crash schedules";

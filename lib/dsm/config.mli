@@ -32,7 +32,6 @@ type t = {
           than this many consistency records (intervals + notices + diffs);
           [max_int] disables *)
   seed : int64;  (** root of every random stream in the run *)
-  flop_ns : int;  (** nanoseconds per application floating-point operation *)
   lazy_diffs : bool;
       (** [true] (TreadMarks): diffs are created only when requested or
           when a write notice arrives (§2.4).  [false]: Munin-style eager

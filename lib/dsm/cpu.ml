@@ -55,9 +55,9 @@ let miss_plan = Vtime.us 2
 let erc_flush_per_page = Vtime.us 8
 let gc_per_record = Vtime.ns 300
 
-(* Tardis: one manager bookkeeping step per protocol action (timestamp
-   compare/bump, queue maintenance) — same magnitude as the SC manager. *)
-let tardis_manager = Vtime.us 25
+(* SC and Tardis: one page-manager bookkeeping step per protocol action
+   (ownership or timestamp update, request queue maintenance). *)
+let manager_step = Vtime.us 25
 let lease_sweep_per_page = Vtime.ns 200
 
 (* SC-ABD: replica-side service of one quorum message (timestamp scan or

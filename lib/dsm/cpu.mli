@@ -84,10 +84,10 @@ val erc_flush_per_page : Vtime.t
     collection. *)
 val gc_per_record : Vtime.t
 
-(** [tardis_manager] — one Tardis manager bookkeeping step (timestamp
-    compare/bump, request queue maintenance); same magnitude as the SC
-    manager's per-step cost. *)
-val tardis_manager : Vtime.t
+(** [manager_step] — one bookkeeping step of a page manager that
+    serializes requests (SC: ownership and copyset update; Tardis:
+    timestamp compare and bump), request queue maintenance included. *)
+val manager_step : Vtime.t
 
 (** [lease_sweep_per_page] — examining one cached page during a Tardis
     lease sweep (the invalidation's mprotect is charged separately). *)

@@ -73,9 +73,7 @@ let fetch_base t pid page =
       | Some diffs ->
         List.iter
           (fun diff ->
-            charge Category.Tmk_mem (Costs.diff_apply (Rle.payload_size diff));
-            Vm.patch node.Node.vm page diff;
-            node.Node.stats.Stats.diffs_applied <- node.Node.stats.Stats.diffs_applied + 1;
+            Node.apply_diff node page diff ~charge;
             if Engine.tracing cl.Cluster.engine then
               Cluster.emit cl ~pid
                 (Tmk_trace.Event.Diff_apply
@@ -110,28 +108,9 @@ let flush t pid =
     let updates =
       List.filter_map
         (fun page ->
-          let entry = node.Node.pages.(page) in
-          match entry.Node.pg_twin with
+          match atomically cl (fun charge -> Node.flush_page node page ~charge) with
           | None -> None
-          | Some twin ->
-            let diff =
-              atomically cl (fun charge ->
-                  charge Category.Tmk_other Cpu.erc_flush_per_page;
-                  charge Category.Tmk_mem (Costs.diff_create Vm.page_size);
-                  let diff = Vm.diff_against node.Node.vm page ~twin in
-                  entry.Node.pg_twin <- None;
-                  node.Node.stats.Stats.diffs_created <-
-                    node.Node.stats.Stats.diffs_created + 1;
-                  node.Node.stats.Stats.diff_bytes_created <-
-                    node.Node.stats.Stats.diff_bytes_created + Rle.encoded_size diff;
-                  if Engine.tracing cl.Cluster.engine then
-                    Cluster.emit cl ~pid
-                      (Tmk_trace.Event.Diff_create
-                         { page; bytes = Rle.encoded_size diff; proc = pid; interval = -1 });
-                  charge Category.Unix_mem Costs.mprotect;
-                  Vm.set_prot node.Node.vm page Vm.Read_only;
-                  diff)
-            in
+          | Some diff ->
             let members = List.filter (fun q -> q <> pid) (Bitset.to_list t.dir.(page)) in
             (* Reserve the deliveries while still atomic with the
                membership read, so concurrent cold fetches stall until
@@ -168,6 +147,7 @@ let flush t pid =
         in
         let deliver h =
           let mnode = cl.Cluster.nodes.(m) in
+          let charge = h_charge h in
           List.iter
             (fun (page, diff) ->
               t.inflight.(page) <- t.inflight.(page) - 1;
@@ -177,13 +157,10 @@ let flush t pid =
                     (Tmk_util.Rle.run_count diff)
                     (Node.has_copy mnode.Node.pages.(page)));
               if Node.has_copy mnode.Node.pages.(page) then begin
-                h_charge h Category.Tmk_mem (Costs.diff_apply (Rle.payload_size diff));
-                Vm.patch mnode.Node.vm page diff;
+                Node.apply_diff mnode page diff ~charge;
                 (match mnode.Node.pages.(page).Node.pg_twin with
                 | Some tw -> Rle.apply diff tw
                 | None -> ());
-                mnode.Node.stats.Stats.diffs_applied <-
-                  mnode.Node.stats.Stats.diffs_applied + 1;
                 if Engine.htracing h then
                   Engine.hemit h
                     (Tmk_trace.Event.Diff_apply
@@ -237,19 +214,8 @@ let make cl =
     }
   in
   {
-    Backend.b_caps = caps;
-    b_handle_fault =
-      (fun ~pid kind page -> Cluster.rc_fault cl pid kind page ~miss:(fun () -> miss t pid page));
-    b_lock_request_bytes = Wire.lock_request_bytes ~nprocs;
-    b_pre_acquire = Backend.noop_pid;
-    b_make_acquire =
-      (fun ~pid:_ -> { Backend.a_grant = (fun ~granter ~charge -> Backend.plain_grant ~nprocs ~granter ~charge) });
-    b_pre_release = (fun ~pid -> flush t pid);
+    (Backend.plain caps ~nprocs ~fault:(Cluster.rc_fault cl (miss t))) with
+    Backend.b_pre_release = (fun ~pid -> flush t pid);
     b_pre_barrier = (fun ~pid -> flush t pid);
-    b_barrier_begin = Backend.noop_pid;
-    b_make_arrival = (fun ~pid:_ ~mgr:_ ~relay:_ -> Backend.plain_arrival ~nprocs);
-    b_barrier_depart = Backend.noop_pid;
-    b_want_gc = (fun ~pid:_ -> false);
-    b_gc_validate = Backend.noop_pid;
     b_on_death = (fun dead_pid -> Array.iter (fun d -> Bitset.remove d dead_pid) t.dir);
   }

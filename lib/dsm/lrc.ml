@@ -601,20 +601,15 @@ let install_diff_backup cl =
 let make cl =
   if cl.Cluster.cfg.Config.diff_backup then install_diff_backup cl;
   {
-    Backend.b_caps = caps;
-    b_handle_fault =
-      (fun ~pid kind page -> Cluster.rc_fault cl pid kind page ~miss:(fun () -> miss cl pid page));
-    b_lock_request_bytes = Wire.lock_request_bytes ~nprocs:cl.Cluster.cfg.Config.nprocs;
-    b_pre_acquire = Backend.noop_pid;
-    b_make_acquire = (fun ~pid -> make_acquire cl ~pid);
-    b_pre_release = Backend.noop_pid;
-    b_pre_barrier = Backend.noop_pid;
+    (Backend.plain caps ~nprocs:cl.Cluster.cfg.Config.nprocs
+       ~fault:(Cluster.rc_fault cl (miss cl)))
+    with
+    Backend.b_make_acquire = (fun ~pid -> make_acquire cl ~pid);
     b_barrier_begin =
       (fun ~pid ->
         atomically cl (fun charge ->
             Node.close_interval ~eager_diffs:(eager_diffs cl) cl.Cluster.nodes.(pid) ~charge));
     b_make_arrival = (fun ~pid ~mgr ~relay -> make_arrival cl ~pid ~mgr ~relay);
-    b_barrier_depart = Backend.noop_pid;
     b_want_gc =
       (fun ~pid ->
         cl.Cluster.nodes.(pid).Node.live_records > cl.Cluster.cfg.Config.gc_threshold);

@@ -415,6 +415,21 @@ let update_bytes intervals =
         acc mi.mi_pages)
     0 intervals
 
+(* The one twin-to-diff step: diff [page] against its [twin], drop the
+   twin and count the diff.  [interval] is the notice it belongs to, -1
+   for the eager protocols' diffs, which have none. *)
+let diff_twin t page twin ~interval ~charge =
+  charge Category.Tmk_mem (Costs.diff_create Vm.page_size);
+  let diff = Vm.diff_against t.vm page ~twin in
+  t.pages.(page).pg_twin <- None;
+  t.stats.Stats.diffs_created <- t.stats.Stats.diffs_created + 1;
+  t.stats.Stats.diff_bytes_created <- t.stats.Stats.diff_bytes_created + Rle.encoded_size diff;
+  if tracing t then
+    emit t
+      (Tmk_trace.Event.Diff_create
+         { page; bytes = Rle.encoded_size diff; proc = t.pid; interval });
+  diff
+
 let rec close_interval ?(eager_diffs = false) t ~charge =
   match t.dirty with
   | [] -> ()
@@ -459,31 +474,21 @@ let rec close_interval ?(eager_diffs = false) t ~charge =
    the diff has a notice to attach to — "a subsequent write results in a
    write notice for the next interval" (§3.2). *)
 and make_diff_now t page ~charge =
-  let entry = t.pages.(page) in
-  match entry.pg_twin with
+  match t.pages.(page).pg_twin with
   | None -> ()
-  | Some twin ->
+  | Some twin -> (
     (match own_notices t page with
     | wn :: _ when not (holds t wn) -> ()
     | _ -> close_interval t ~charge);
-    charge Category.Tmk_mem (Costs.diff_create Vm.page_size);
-    let diff = Vm.diff_against t.vm page ~twin in
-    entry.pg_twin <- None;
-    t.stats.Stats.diffs_created <- t.stats.Stats.diffs_created + 1;
-    t.stats.Stats.diff_bytes_created <-
-      t.stats.Stats.diff_bytes_created + Rle.encoded_size diff;
-    t.live_records <- t.live_records + 1;
-    (match own_notices t page with
+    match own_notices t page with
     | wn :: _ when not (holds t wn) ->
+      let interval = wn.wn_interval.iv_id in
+      let diff = diff_twin t page twin ~interval ~charge in
+      t.live_records <- t.live_records + 1;
       wn.wn_diff <- Some diff;
       set_bit wn (2 * t.pid) true;
-      if tracing t then
-        emit t
-          (Tmk_trace.Event.Diff_create
-             { page; bytes = Rle.encoded_size diff; proc = t.pid;
-               interval = wn.wn_interval.iv_id });
       (match t.on_diff_create with
-      | Some f -> f ~page ~proc:t.pid ~interval:wn.wn_interval.iv_id ~diff
+      | Some f -> f ~page ~proc:t.pid ~interval ~diff
       | None -> ())
     | _ ->
       invalid_arg
@@ -497,6 +502,18 @@ and ensure_own_diff t page ~charge =
     charge Category.Unix_mem Costs.mprotect;
     Vm.set_prot t.vm page Vm.Read_only
   end
+
+(* The eager protocols' release step for one dirty page: its diff, made
+   outside any interval, and the page write-protected. *)
+let flush_page t page ~charge =
+  match t.pages.(page).pg_twin with
+  | None -> None
+  | Some twin ->
+    charge Category.Tmk_other Cpu.erc_flush_per_page;
+    let diff = diff_twin t page twin ~interval:(-1) ~charge in
+    charge Category.Unix_mem Costs.mprotect;
+    Vm.set_prot t.vm page Vm.Read_only;
+    Some diff
 
 (* Invalidate a page on receipt of a write notice: local modifications are
    first saved as a diff (§2.4: "it is essential to make a diff"). *)
@@ -617,6 +634,11 @@ let replay_set t page notices =
         newer (Vector_time.get t.floor q) acc (skip_unseen (Vector_time.get t.vt q) !l))
       [] (Int_map.to_rev_seq t.store.writers.(page))
 
+let apply_diff t page diff ~charge =
+  charge Category.Tmk_mem (Costs.diff_apply (Rle.payload_size diff));
+  Vm.patch t.vm page diff;
+  t.stats.Stats.diffs_applied <- t.stats.Stats.diffs_applied + 1
+
 let apply_missing_diffs t page notices ~charge =
   (* The local (out-of-date) copy already reflects every previously held
      diff and this node's own saved modifications.  A freshly fetched diff
@@ -642,10 +664,8 @@ let apply_missing_diffs t page notices ~charge =
         (Printf.sprintf "Node.apply_missing_diffs: diff absent (proc %d, page %d)"
            wn.wn_interval.iv_proc page)
     | Some diff ->
-      charge Category.Tmk_mem (Costs.diff_apply (Rle.payload_size diff));
-      Vm.patch t.vm page diff;
+      apply_diff t page diff ~charge;
       set_bit wn ((2 * t.pid) + 1) true;
-      t.stats.Stats.diffs_applied <- t.stats.Stats.diffs_applied + 1;
       if tracing t then
         emit t
           (Tmk_trace.Event.Diff_apply

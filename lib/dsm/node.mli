@@ -241,6 +241,12 @@ val incorporate : t -> msg_interval list -> charge:charge -> unit
     attached to the newest local notice. *)
 val ensure_own_diff : t -> int -> charge:charge -> unit
 
+(** [flush_page t page ~charge] — the release step of the eager
+    protocols (ERC, SC-ABD) for one dirty page: when [page] is twinned,
+    diff it against the twin outside any interval, discard the twin and
+    write-protect the page.  [None] when [page] has no twin. *)
+val flush_page : t -> int -> charge:charge -> Tmk_util.Rle.t option
+
 (** [find_diff t ~proc ~interval_id ~page ~charge] — look up a diff in
     the pool, creating it lazily when it is this node's own
     ({!ensure_own_diff}).
@@ -294,6 +300,12 @@ val unapplied_diffs : t -> int -> write_notice list
 (** [store_diff t ~proc ~interval_id ~page diff] — attach a received diff
     to its notice record. *)
 val store_diff : t -> proc:int -> interval_id:int -> page:int -> Tmk_util.Rle.t -> unit
+
+(** [apply_diff t page diff ~charge] — patch [t]'s copy of [page] with
+    [diff], charging and counting the application.  The one apply step:
+    {!apply_missing_diffs} and ERC's updates use it; SC-ABD's
+    word-filtered store installs a page instead. *)
+val apply_diff : t -> int -> Tmk_util.Rle.t -> charge:charge -> unit
 
 (** [apply_missing_diffs t page notices ~charge] — apply the given
     notices' diffs (which must all be present) in increasing

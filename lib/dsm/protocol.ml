@@ -130,44 +130,26 @@ let h_charge = Cluster.h_charge
 let atomically t f = Cluster.atomically t.cl f
 let emit t ~pid ev = Cluster.emit t.cl ~pid ev
 
-(* The race detector, when one rides along in [Config.check].  Sync
-   edges are reported from application context at the four points the
-   happens-before relation needs: release before the grant can leave,
+(* The checker's hooks (the race detector first, then the lint suite).
+   Sync edges are reported from application context at the four points
+   the happens-before relation needs: release before the grant can leave,
    acquired after the grant is absorbed, barrier arrival before the
    arrival message goes out, departure after the release is absorbed. *)
-let race_of t =
-  match (config t).Config.check with
-  | Some c -> Tmk_check.Checker.race c
-  | None -> None
-
-(* Generic checker hooks (the lint suite) observe the same events. *)
 let hooks_of t =
   match (config t).Config.check with
   | Some c -> Tmk_check.Checker.hooks c
   | None -> []
 
-let race_lock_acquired t ~pid ~lock =
-  (match race_of t with
-  | Some r -> Tmk_check.Race.lock_acquired r ~pid ~lock
-  | None -> ());
+let hook_lock_acquired t ~pid ~lock =
   List.iter (fun h -> h.Tmk_check.Hooks.h_lock_acquired ~pid ~lock) (hooks_of t)
 
-let race_lock_release t ~pid ~lock =
-  (match race_of t with
-  | Some r -> Tmk_check.Race.lock_release r ~pid ~lock
-  | None -> ());
+let hook_lock_release t ~pid ~lock =
   List.iter (fun h -> h.Tmk_check.Hooks.h_lock_release ~pid ~lock) (hooks_of t)
 
-let race_barrier_arrive t ~pid ~id =
-  (match race_of t with
-  | Some r -> Tmk_check.Race.barrier_arrive r ~pid ~id
-  | None -> ());
+let hook_barrier_arrive t ~pid ~id =
   List.iter (fun h -> h.Tmk_check.Hooks.h_barrier_arrive ~pid ~id) (hooks_of t)
 
-let race_barrier_depart t ~pid ~id =
-  (match race_of t with
-  | Some r -> Tmk_check.Race.barrier_depart r ~pid ~id
-  | None -> ());
+let hook_barrier_depart t ~pid ~id =
   List.iter (fun h -> h.Tmk_check.Hooks.h_barrier_depart ~pid ~id) (hooks_of t)
 
 let lock_state_of t pid lock =
@@ -313,7 +295,7 @@ let acquire t ~pid ~lock =
     app_charge Category.Tmk_other Cpu.lock_local;
     if Engine.tracing (engine t) then
       emit t ~pid (Tmk_trace.Event.Lock_acquired { lock; local = true });
-    race_lock_acquired t ~pid ~lock
+    hook_lock_acquired t ~pid ~lock
   end
   else begin
     node.Node.stats.Stats.lock_remote <- node.Node.stats.Stats.lock_remote + 1;
@@ -351,7 +333,7 @@ let acquire t ~pid ~lock =
     end;
     if Engine.tracing (engine t) then
       emit t ~pid (Tmk_trace.Event.Lock_acquired { lock; local = false });
-    race_lock_acquired t ~pid ~lock
+    hook_lock_acquired t ~pid ~lock
   end
 
 let release t ~pid ~lock =
@@ -361,7 +343,7 @@ let release t ~pid ~lock =
         (Queue.length st.pending));
   if not st.held then
     invalid_arg (Printf.sprintf "Protocol.release: processor %d does not hold lock %d" pid lock);
-  race_lock_release t ~pid ~lock;
+  hook_lock_release t ~pid ~lock;
   t.backend.Backend.b_pre_release ~pid;
   st.held <- false;
   (* Skip waiters invalidated by a crash: stale epochs, dead requesters,
@@ -579,7 +561,7 @@ let barrier_round t ~pid ~id ~epoch ~want_gc =
     barrier_release_clients t ~pid ~run_gc:subtree_gc clients;
     if Engine.tracing (engine t) then
       emit t ~pid (Tmk_trace.Event.Barrier_release { id; epoch });
-    race_barrier_depart t ~pid ~id;
+    hook_barrier_depart t ~pid ~id;
     t.backend.Backend.b_barrier_depart ~pid;
     if subtree_gc then gc_phase t pid
   end
@@ -601,7 +583,7 @@ let barrier_round t ~pid ~id ~epoch ~want_gc =
     atomically t (fun charge -> rel.br_payload.Backend.p_absorb ~charge);
     if Engine.tracing (engine t) then
       emit t ~pid (Tmk_trace.Event.Barrier_release { id; epoch });
-    race_barrier_depart t ~pid ~id;
+    hook_barrier_depart t ~pid ~id;
     (* This node now has its parent's full knowledge; rebuild and send
        the children's releases from it. *)
     barrier_release_clients t ~pid ~run_gc:rel.br_gc clients;
@@ -616,7 +598,7 @@ let barrier t ~pid ~id =
   let epoch = node.Node.stats.Stats.barriers - 1 in
   if Engine.tracing (engine t) then
     emit t ~pid (Tmk_trace.Event.Barrier_arrive { id; epoch });
-  race_barrier_arrive t ~pid ~id;
+  hook_barrier_arrive t ~pid ~id;
   t.backend.Backend.b_pre_barrier ~pid;
   app_charge Category.Unix_comm Cpu.barrier_arrival_build_kernel;
   app_charge Category.Tmk_other Cpu.barrier_arrival_build_dsm;
@@ -625,7 +607,7 @@ let barrier t ~pid ~id =
   if (config t).Config.nprocs = 1 then begin
     if Engine.tracing (engine t) then
       emit t ~pid (Tmk_trace.Event.Barrier_release { id; epoch });
-    race_barrier_depart t ~pid ~id
+    hook_barrier_depart t ~pid ~id
   end
   else barrier_round t ~pid ~id ~epoch ~want_gc
 
@@ -1022,21 +1004,12 @@ let create cfg =
       Vm.set_fault_handler node.Node.vm (fun kind page ->
           backend.Backend.b_handle_fault ~pid kind page))
     cl.Cluster.nodes;
-  (match (race_of t, hooks_of t) with
-  | None, [] -> ()
-  | race, hooks ->
+  (match hooks_of t with
+  | [] -> ()
+  | hooks ->
     Array.iteri
       (fun pid node ->
         Vm.set_access_hook node.Node.vm (fun kind addr width ->
-            (match race with
-            | Some race ->
-              let kind =
-                match kind with
-                | Vm.Read -> Tmk_check.Race.Read
-                | Vm.Write -> Tmk_check.Race.Write
-              in
-              Tmk_check.Race.note_access race ~pid kind ~addr ~width
-            | None -> ());
             let kind =
               match kind with
               | Vm.Read -> Tmk_check.Hooks.Read

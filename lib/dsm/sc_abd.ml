@@ -231,29 +231,9 @@ let flush t pid =
   let entries =
     List.filter_map
       (fun page ->
-        let entry = node.Node.pages.(page) in
-        match entry.Node.pg_twin with
-        | None -> None
-        | Some twin ->
-          let diff =
-            atomically cl (fun charge ->
-                charge Category.Tmk_other Cpu.erc_flush_per_page;
-                charge Category.Tmk_mem (Costs.diff_create Vm.page_size);
-                let diff = Vm.diff_against node.Node.vm page ~twin in
-                entry.Node.pg_twin <- None;
-                node.Node.stats.Stats.diffs_created <-
-                  node.Node.stats.Stats.diffs_created + 1;
-                node.Node.stats.Stats.diff_bytes_created <-
-                  node.Node.stats.Stats.diff_bytes_created + Rle.encoded_size diff;
-                if Engine.tracing cl.Cluster.engine then
-                  Cluster.emit cl ~pid
-                    (Tmk_trace.Event.Diff_create
-                       { page; bytes = Rle.encoded_size diff; proc = pid; interval = -1 });
-                charge Category.Unix_mem Costs.mprotect;
-                Vm.set_prot node.Node.vm page Vm.Read_only;
-                diff)
-          in
-          if Rle.is_empty diff then None else Some (page, diff))
+        match atomically cl (fun charge -> Node.flush_page node page ~charge) with
+        | Some diff when not (Rle.is_empty diff) -> Some (page, diff)
+        | _ -> None)
       dirty
   in
   if entries <> [] then begin
@@ -381,11 +361,8 @@ let make cl =
     cl.Cluster.nodes;
   let t = { cl; wordts = Array.init n (fun _ -> Array.make (npages * words) 0) } in
   {
-    Backend.b_caps = caps;
-    b_handle_fault =
-      (fun ~pid kind page ->
-        Cluster.rc_fault cl pid kind page ~miss:(fun () -> quorum_read t pid page));
-    b_lock_request_bytes = Wire.abd_sync_bytes;
+    (Backend.plain caps ~nprocs:n ~fault:(Cluster.rc_fault cl (quorum_read t))) with
+    Backend.b_lock_request_bytes = Wire.abd_sync_bytes;
     b_pre_acquire =
       (fun ~pid ->
         flush t pid;
@@ -405,7 +382,6 @@ let make cl =
         });
     b_pre_release = (fun ~pid -> flush t pid);
     b_pre_barrier = (fun ~pid -> flush t pid);
-    b_barrier_begin = Backend.noop_pid;
     b_make_arrival =
       (fun ~pid ~mgr:_ ~relay:_ ->
         {
@@ -425,7 +401,4 @@ let make cl =
         });
     b_barrier_depart =
       (fun ~pid -> atomically cl (fun charge -> invalidate_all t pid ~charge));
-    b_want_gc = (fun ~pid:_ -> false);
-    b_gc_validate = Backend.noop_pid;
-    b_on_death = (fun _ -> ());
   }

@@ -44,11 +44,9 @@ let caps =
    when nobody writes. *)
 let lease_span = 8
 
-type kind = Read_miss | Write_miss
-
 type request = {
   rq_pid : int;
-  rq_kind : kind;
+  rq_kind : Vm.access;
   rq_pts : int;  (* requester clock at fault time *)
   rq_version : int;  (* wts of the bytes the requester still caches; -1 = none *)
   rq_done : unit Engine.Ivar.t;
@@ -83,7 +81,7 @@ let h_charge = Cluster.h_charge
 (* Page requests (manager-serialized, handler context throughout)      *)
 
 let rec complete t st _rq h =
-  h_charge h Category.Tmk_other Cpu.tardis_manager;
+  h_charge h Category.Tmk_other Cpu.manager_step;
   st.ps_current <- None;
   match Queue.take_opt st.ps_queue with
   | None -> ()
@@ -96,15 +94,12 @@ and grant t st rq ~wts ~lease ~prot ~from_ ~page_bytes h =
   let node = t.cl.Cluster.nodes.(rq.rq_pid) in
   (match page_bytes with
   | Some bytes ->
-    h_charge h Category.Tmk_mem Costs.page_copy;
-    Vm.install_page node.Node.vm st.ps_page bytes;
-    node.Node.stats.Stats.page_fetches <- node.Node.stats.Stats.page_fetches + 1;
+    Node.validate_page node st.ps_page bytes ~charge:(h_charge h);
     if Engine.htracing h then
       Engine.hemit h (Tmk_trace.Event.Page_fetch { page = st.ps_page; from_ })
-  | None -> ());
+  | None -> Node.set_has_copy node.Node.pages.(st.ps_page) true);
   h_charge h Category.Unix_mem Costs.mprotect;
   Vm.set_prot node.Node.vm st.ps_page prot;
-  Node.set_has_copy node.Node.pages.(st.ps_page) true;
   t.version.(rq.rq_pid).(st.ps_page) <- wts;
   t.lease.(rq.rq_pid).(st.ps_page) <- lease;
   t.pts.(rq.rq_pid) <- max t.pts.(rq.rq_pid) wts;
@@ -165,16 +160,16 @@ and owner_transfer t st rq ~wts ~old_wts ~need_page h =
 (* Begin serving a request (manager context). *)
 and start t st rq h =
   st.ps_current <- Some rq;
-  h_charge h Category.Tmk_other Cpu.tardis_manager;
+  h_charge h Category.Tmk_other Cpu.manager_step;
   match rq.rq_kind with
-  | Read_miss ->
+  | Vm.Read ->
     (* lease the current value forward past the reader's clock *)
     let rts = max st.ps_rts (rq.rq_pts + lease_span) in
     st.ps_rts <- rts;
     Transport.hsend ~label:"tardis-read" t.cl.Cluster.transport h ~dst:st.ps_owner
       ~bytes:Wire.tardis_page_request_bytes
       ~deliver:(fun ho -> owner_serve_read t st rq ~rts ho)
-  | Write_miss ->
+  | Vm.Write ->
     (* the write happens after every outstanding lease and after the
        writer's own clock: no invalidations needed, ever *)
     let wts = 1 + max st.ps_wts (max st.ps_rts rq.rq_pts) in
@@ -197,24 +192,14 @@ and start t st rq h =
 let manager_handle _t st rq h =
   if st.ps_current = None then start _t st rq h else Queue.add rq st.ps_queue
 
-let handle_fault t ~pid kind page =
-  let node = t.cl.Cluster.nodes.(pid) in
-  Engine.advance Category.Unix_mem Costs.sigsegv;
-  Engine.advance Category.Tmk_other Cpu.fault_dispatch;
-  (match kind with
-  | Vm.Read -> node.Node.stats.Stats.read_faults <- node.Node.stats.Stats.read_faults + 1
-  | Vm.Write -> node.Node.stats.Stats.write_faults <- node.Node.stats.Stats.write_faults + 1);
-  node.Node.stats.Stats.remote_misses <- node.Node.stats.Stats.remote_misses + 1;
-  let rq_kind = match kind with Vm.Read -> Read_miss | Vm.Write -> Write_miss in
-  let ekind =
-    match kind with Vm.Read -> Tmk_trace.Event.Read | Vm.Write -> Tmk_trace.Event.Write
-  in
-  if Engine.tracing t.cl.Cluster.engine then
-    Cluster.emit t.cl ~pid (Tmk_trace.Event.Page_fault { page; kind = ekind });
+(* The service of a fault: every fault is a miss, served by the page's
+   manager. *)
+let request t pid kind page =
+  Cluster.note_miss t.cl pid page;
   let rq =
     {
       rq_pid = pid;
-      rq_kind;
+      rq_kind = kind;
       rq_pts = t.pts.(pid);
       rq_version = t.version.(pid).(page);
       rq_done = Engine.Ivar.create ();
@@ -225,9 +210,7 @@ let handle_fault t ~pid kind page =
   Transport.send ~label:"tardis-request" t.cl.Cluster.transport ~src:pid
     ~dst:(manager_of t page) ~bytes:Wire.tardis_page_request_bytes
     ~deliver:(fun h -> manager_handle t st rq h);
-  Engine.await rq.rq_done;
-  if Engine.tracing t.cl.Cluster.engine then
-    Cluster.emit t.cl ~pid (Tmk_trace.Event.Page_fault_done { page; kind = ekind })
+  Engine.await rq.rq_done
 
 (* ------------------------------------------------------------------ *)
 (* Synchronization: merge the granter's clock, sweep expired leases.   *)
@@ -325,15 +308,11 @@ let make cl =
         Array.init n (fun pid -> Array.make npages (if pid = 0 then 0 else -1));
     }
   in
+  let fault ~pid kind page = Cluster.fault cl ~pid kind page request t in
   {
-    Backend.b_caps = caps;
-    b_handle_fault = (fun ~pid kind page -> handle_fault t ~pid kind page);
-    b_lock_request_bytes = Wire.tardis_lock_request_bytes;
-    b_pre_acquire = Backend.noop_pid;
+    (Backend.plain caps ~nprocs:n ~fault) with
+    Backend.b_lock_request_bytes = Wire.tardis_lock_request_bytes;
     b_make_acquire = (fun ~pid -> make_acquire t ~pid);
-    b_pre_release = Backend.noop_pid;
-    b_pre_barrier = Backend.noop_pid;
-    b_barrier_begin = Backend.noop_pid;
     b_make_arrival = (fun ~pid ~mgr ~relay:_ -> make_arrival t ~pid ~mgr);
     b_barrier_depart =
       (* the manager merged every arrival into its own clock; sweep it
@@ -343,7 +322,4 @@ let make cl =
             sweep t pid ~charge;
             if Engine.tracing cl.Cluster.engine then
               Cluster.emit cl ~pid (Tmk_trace.Event.Ts_sync { ts = t.pts.(pid) })));
-    b_want_gc = (fun ~pid:_ -> false);
-    b_gc_validate = Backend.noop_pid;
-    b_on_death = (fun _ -> ());
   }

@@ -8,7 +8,6 @@ type t = {
   dup : float;
   reorder : float;
   reorder_window : Vtime.t;
-  link_loss : ((int * int) * float) list;
   stalls : stall list;
   unreachable : int list;
   crashes : crash list;
@@ -20,7 +19,6 @@ let none =
     dup = 0.0;
     reorder = 0.0;
     reorder_window = Vtime.us 200;
-    link_loss = [];
     stalls = [];
     unreachable = [];
     crashes = [];
@@ -34,7 +32,6 @@ let validate t =
   check_rate "loss" t.loss;
   check_rate "duplication" t.dup;
   check_rate "reordering" t.reorder;
-  List.iter (fun (_, r) -> check_rate "per-link loss" r) t.link_loss;
   if t.reorder_window < Vtime.zero then invalid_arg "Fault_plan: negative reorder window";
   List.iter
     (fun s ->
@@ -63,10 +60,6 @@ let with_reorder ?window t rate =
   let reorder_window = Option.value ~default:t.reorder_window window in
   { t with reorder = rate; reorder_window }
 
-let with_link_loss t ~src ~dst rate =
-  check_rate "per-link loss" rate;
-  { t with link_loss = ((src, dst), rate) :: t.link_loss }
-
 let with_stall t ~pid ~start ~len =
   { t with stalls = { st_pid = pid; st_start = start; st_len = len } :: t.stalls }
 
@@ -86,13 +79,7 @@ let crashes t =
     t.crashes
 
 let is_faulty t =
-  t.loss > 0.0 || t.dup > 0.0 || t.reorder > 0.0 || t.link_loss <> []
-  || t.unreachable <> [] || t.crashes <> []
-
-let loss_for t ~src ~dst =
-  match List.assoc_opt (src, dst) t.link_loss with
-  | Some r -> Float.max r t.loss
-  | None -> t.loss
+  t.loss > 0.0 || t.dup > 0.0 || t.reorder > 0.0 || t.unreachable <> [] || t.crashes <> []
 
 let unreachable_link t ~src ~dst =
   List.mem src t.unreachable || List.mem dst t.unreachable
@@ -162,9 +149,6 @@ let describe t =
     if t.reorder > 0.0 then
       addf "reorder %.1f%% (window %.0fus)" (t.reorder *. 100.0)
         (Vtime.to_us t.reorder_window);
-    List.iter
-      (fun ((s, d), r) -> addf "link %d->%d loss %.1f%%" s d (r *. 100.0))
-      t.link_loss;
     List.iter
       (fun s ->
         addf "stall p%d @%.0fus +%.0fus" s.st_pid (Vtime.to_us s.st_start)

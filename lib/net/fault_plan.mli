@@ -8,7 +8,7 @@
     faulty execution exactly reproducible:
 
     - {e loss}: each frame is independently dropped with a fixed
-      probability, globally or per directed link;
+      probability;
     - {e duplication}: the medium delivers a second copy of a frame
       shortly after the first (e.g. a retransmitted frame whose original
       was merely late);
@@ -41,8 +41,6 @@ type t = {
   dup : float;  (** frame duplication probability *)
   reorder : float;  (** probability a frame is held back *)
   reorder_window : Vtime.t;  (** maximum extra delay of a held-back frame *)
-  link_loss : ((int * int) * float) list;
-      (** [(src, dst), rate] overrides of the global loss rate, directed *)
   stalls : stall list;
   unreachable : int list;  (** partitioned processors *)
   crashes : crash list;  (** crash-stop failures *)
@@ -58,7 +56,6 @@ val with_loss : t -> float -> t
 
 val with_dup : t -> float -> t
 val with_reorder : ?window:Vtime.t -> t -> float -> t
-val with_link_loss : t -> src:int -> dst:int -> float -> t
 val with_stall : t -> pid:int -> start:Vtime.t -> len:Vtime.t -> t
 val with_unreachable : t -> int -> t
 
@@ -78,10 +75,6 @@ val validate : t -> unit
     its acknowledgement/retransmission protocol.  Stalls alone delay
     service but never lose frames, so they do not require reliability. *)
 val is_faulty : t -> bool
-
-(** [loss_for t ~src ~dst] — effective drop probability on one directed
-    link (the per-link override wins when larger). *)
-val loss_for : t -> src:int -> dst:int -> float
 
 (** [unreachable_link t ~src ~dst] — true when either end is partitioned. *)
 val unreachable_link : t -> src:int -> dst:int -> bool

@@ -154,7 +154,7 @@ let transmit ?(label = "other") ?(retrans = false) ?(parts = 1)
       in
       let occupancy = Vtime.ns (total * p.Params.wire_ns_per_byte) in
       t.link_free.(slot) <- Vtime.add start occupancy;
-      let loss = Fault_plan.loss_for t.plan ~src ~dst in
+      let loss = t.plan.Fault_plan.loss in
       (* A crashed endpoint is silent from its crash instant on: frames
          already in flight still arrive (their [arrive] events are
          scheduled), but nothing sent at or after the crash touches the

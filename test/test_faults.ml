@@ -33,12 +33,6 @@ let plan_validation () =
   in
   check Alcotest.bool "stalls alone are not faulty" false (Fault_plan.is_faulty stall_only)
 
-let plan_link_loss () =
-  let p = Fault_plan.with_link_loss (lossy 0.05) ~src:0 ~dst:1 0.5 in
-  check (Alcotest.float 1e-9) "override wins" 0.5 (Fault_plan.loss_for p ~src:0 ~dst:1);
-  check (Alcotest.float 1e-9) "directed" 0.05 (Fault_plan.loss_for p ~src:1 ~dst:0);
-  check (Alcotest.float 1e-9) "others global" 0.05 (Fault_plan.loss_for p ~src:2 ~dst:3)
-
 let plan_stall_until () =
   let p =
     Fault_plan.with_stall
@@ -301,7 +295,6 @@ let dsm_dedup_drains_after_lossy_run () =
 let suite =
   [
     Alcotest.test_case "plan validation" `Quick plan_validation;
-    Alcotest.test_case "per-link loss override" `Quick plan_link_loss;
     Alcotest.test_case "stall_until chains windows" `Quick plan_stall_until;
     Alcotest.test_case "parse_stalls" `Quick plan_parse_stalls;
     Alcotest.test_case "backoff doubles to a cap" `Quick backoff_schedule;

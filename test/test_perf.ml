@@ -17,8 +17,9 @@
      GC-heavy Water run, a Jacobi run collecting over a narrow barrier
      tree, Water under frame loss and under a crash, Water with the
      hybrid update protocol over a binary tree, Jacobi with diff
-     backups, and ILINK at 16 processors with and without the update
-     protocol match pinned fingerprints;
+     backups, ILINK at 16 processors with and without the update
+     protocol, and Water at 8 processors under eager, sc and sc-abd
+     match pinned fingerprints;
    - set-up memory follows the pages a node touches, fast-path typed
      accesses allocate nothing, a diff replay allocates in proportion
      to the diffs it applies, not to held x missing notices, an engine
@@ -460,6 +461,40 @@ let pinned_runs =
         p_bytes = 381000;
         p_hot = 255;
         p_stats = "7e422bd05b2bce62f2d2fd4b7bd6f894";
+      } );
+    (* The three backends the pins above leave out, recorded while each
+       kept its own copy of the fault prologue, the page install and the
+       diff bookkeeping.  ERC's run also applies updates queued while a
+       base copy was in flight. *)
+    ( "water-8 eager",
+      benchmark_run ~app:Harness.Water ~nprocs:8 ~protocol:Config.Erc ~scaled:false,
+      {
+        p_digest = "c7f75ef5b495806f2415bc74c79a0354";
+        p_time = 2706883380;
+        p_messages = 30615;
+        p_bytes = 1985668;
+        p_hot = 4605;
+        p_stats = "11e40bddd5a9ba42e10684e25b404abf";
+      } );
+    ( "water-8 sc",
+      benchmark_run ~app:Harness.Water ~nprocs:8 ~protocol:Config.Sc ~scaled:false,
+      {
+        p_digest = "c7f75ef5b495806f2415bc74c79a0354";
+        p_time = 18842516840;
+        p_messages = 45920;
+        p_bytes = 32596186;
+        p_hot = 10991;
+        p_stats = "055127778e96da912891acc6dcb28249";
+      } );
+    ( "water-8 sc-abd",
+      benchmark_run ~app:Harness.Water ~nprocs:8 ~protocol:Config.Sc_abd ~scaled:false,
+      {
+        p_digest = "c7f75ef5b495806f2415bc74c79a0354";
+        p_time = 16068994496;
+        p_messages = 116103;
+        p_bytes = 161317426;
+        p_hot = 16529;
+        p_stats = "0e797a46bfdfaf8104cd313a1479c7a0";
       } );
   ]
 
