@@ -102,8 +102,10 @@ let log_src = Logs.Src.create "tmk.protocol" ~doc:"TreadMarks protocol events"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
+let debugging () = match Logs.Src.level log_src with Some Logs.Debug -> true | _ -> false
+
 let app_charge cat dt = Engine.advance cat dt
-let h_charge h cat dt = Engine.hcharge h cat dt
+let h_charge = Engine.hcharge
 
 (* Typed-trace emission.  Always guard with [Engine.tracing] (or
    [Engine.htracing] in handler context) at the call site so the event
@@ -161,10 +163,8 @@ let register_pending t ~pid ~target ~settled ~retry =
    otherwise be allocated on every miss. *)
 let note_miss t pid page =
   let node = t.nodes.(pid) in
-  (match Logs.Src.level log_src with
-  | Some Logs.Debug ->
-    Log.debug (fun m -> m "[t=%d] miss at %d on page %d" (Engine.now t.engine) pid page)
-  | _ -> ());
+  if debugging () then
+    Log.debug (fun m -> m "[t=%d] miss at %d on page %d" (Engine.now t.engine) pid page);
   node.Node.stats.Stats.remote_misses <- node.Node.stats.Stats.remote_misses + 1
 
 (* The SIGSEGV handler (§3.7), the one fault entry of every backend:

@@ -104,6 +104,10 @@ val emit : t -> pid:int -> Tmk_trace.Event.t -> unit
 (** Shared Logs source ("tmk.protocol"). *)
 module Log : Logs.LOG
 
+(** [debugging ()] holds when that source logs at Debug level.  Test it
+    before each [Log.debug], so a disabled line builds no closure. *)
+val debugging : unit -> bool
+
 (** [choose_provider t copyset ~self ~page] — a live copyset member
     (never [self]), hashed over (page, self) to spread concurrent
     misses.  @raise Empty_copyset when no live candidate remains. *)

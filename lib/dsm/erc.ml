@@ -102,9 +102,10 @@ let flush t pid =
   if dirty <> [] then begin
     (* First pass: create every diff and collect the update fan-out so the
        acknowledgement count is known before any ack can arrive. *)
-    Cluster.Log.debug (fun m ->
-        m "[t=%d] erc flush by %d, %d dirty pages" (Engine.now cl.Cluster.engine) pid
-          (List.length dirty));
+    if Cluster.debugging () then
+      Cluster.Log.debug (fun m ->
+          m "[t=%d] erc flush by %d, %d dirty pages" (Engine.now cl.Cluster.engine) pid
+            (List.length dirty));
     let updates =
       List.filter_map
         (fun page ->
@@ -151,11 +152,12 @@ let flush t pid =
           List.iter
             (fun (page, diff) ->
               t.inflight.(page) <- t.inflight.(page) - 1;
-              Cluster.Log.debug (fun msg ->
-                  msg "[t=%d] erc update page %d from %d at %d (%d runs, has_copy=%b)"
-                    (Engine.now cl.Cluster.engine) page pid m
-                    (Tmk_util.Rle.run_count diff)
-                    (Node.has_copy mnode.Node.pages.(page)));
+              if Cluster.debugging () then
+                Cluster.Log.debug (fun msg ->
+                    msg "[t=%d] erc update page %d from %d at %d (%d runs, has_copy=%b)"
+                      (Engine.now cl.Cluster.engine) page pid m
+                      (Tmk_util.Rle.run_count diff)
+                      (Node.has_copy mnode.Node.pages.(page)));
               if Node.has_copy mnode.Node.pages.(page) then begin
                 Node.apply_diff mnode page diff ~charge;
                 (match mnode.Node.pages.(page).Node.pg_twin with
@@ -188,12 +190,14 @@ let flush t pid =
       List.iter send_batch (List.sort (fun (a, _) (b, _) -> compare a b) batches);
       (* The release "is not allowed to perform" until every update is
          acknowledged (section 5.1's DASH-style requirement). *)
-      Cluster.Log.debug (fun m ->
-          m "[t=%d] erc flush by %d awaiting %d acks" (Engine.now cl.Cluster.engine) pid
-            !remaining);
+      if Cluster.debugging () then
+        Cluster.Log.debug (fun m ->
+            m "[t=%d] erc flush by %d awaiting %d acks" (Engine.now cl.Cluster.engine) pid
+              !remaining);
       Engine.await all_acked;
-      Cluster.Log.debug (fun m ->
-          m "[t=%d] erc flush by %d complete" (Engine.now cl.Cluster.engine) pid)
+      if Cluster.debugging () then
+        Cluster.Log.debug (fun m ->
+            m "[t=%d] erc flush by %d complete" (Engine.now cl.Cluster.engine) pid)
     end
   end
 

@@ -236,9 +236,10 @@ let transfer_request t target req h =
   if stale_request t req then ()
   else begin
     let st = lock_state_of t target req.lr_lock in
-    Log.debug (fun m ->
-        m "[t=%d] lock %d transfer-request at %d from %d (held=%b cached=%b)"
-          (Engine.now (engine t)) req.lr_lock target req.lr_requester st.held st.cached);
+    if Cluster.debugging () then
+      Log.debug (fun m ->
+          m "[t=%d] lock %d transfer-request at %d from %d (held=%b cached=%b)"
+            (Engine.now (engine t)) req.lr_lock target req.lr_requester st.held st.cached);
     if st.held || not st.cached then begin
       if Engine.htracing h then
         Engine.hemit h
@@ -291,7 +292,9 @@ let acquire t ~pid ~lock =
        as taken or it would grant it away (the real implementation masks
        SIGIO around the lock internals). *)
     st.held <- true;
-    Log.debug (fun m -> m "[t=%d] lock %d local acquire by %d" (Engine.now (engine t)) lock pid);
+    if Cluster.debugging () then
+      Log.debug (fun m ->
+          m "[t=%d] lock %d local acquire by %d" (Engine.now (engine t)) lock pid);
     app_charge Category.Tmk_other Cpu.lock_local;
     if Engine.tracing (engine t) then
       emit t ~pid (Tmk_trace.Event.Lock_acquired { lock; local = true });
@@ -317,9 +320,10 @@ let acquire t ~pid ~lock =
       ~bytes:t.backend.Backend.b_lock_request_bytes
       ~deliver:(fun h -> manager_handle t mgr req h);
     let payload = Transport.await_value (transport t) mb in
-    Log.debug (fun m ->
-        m "[t=%d] lock %d granted to %d (%d parts)" (Engine.now (engine t)) lock pid
-          payload.Backend.p_parts);
+    if Cluster.debugging () then
+      Log.debug (fun m ->
+          m "[t=%d] lock %d granted to %d (%d parts)" (Engine.now (engine t)) lock pid
+            payload.Backend.p_parts);
     atomically t (fun charge -> payload.Backend.p_absorb ~charge);
     st.held <- true;
     st.cached <- true;
@@ -338,9 +342,10 @@ let acquire t ~pid ~lock =
 
 let release t ~pid ~lock =
   let st = lock_state_of t pid lock in
-  Log.debug (fun m ->
-      m "[t=%d] lock %d release by %d (pending=%d)" (Engine.now (engine t)) lock pid
-        (Queue.length st.pending));
+  if Cluster.debugging () then
+    Log.debug (fun m ->
+        m "[t=%d] lock %d release by %d (pending=%d)" (Engine.now (engine t)) lock pid
+          (Queue.length st.pending));
   if not st.held then
     invalid_arg (Printf.sprintf "Protocol.release: processor %d does not hold lock %d" pid lock);
   hook_lock_release t ~pid ~lock;
@@ -359,9 +364,10 @@ let release t ~pid ~lock =
     if Engine.tracing (engine t) then
       emit t ~pid (Tmk_trace.Event.Lock_release { lock; granted_to = None })
   | Some req ->
-    Log.debug (fun m ->
-        m "[t=%d] lock %d release-grant by %d to %d" (Engine.now (engine t)) lock pid
-          req.lr_requester);
+    if Cluster.debugging () then
+      Log.debug (fun m ->
+          m "[t=%d] lock %d release-grant by %d to %d" (Engine.now (engine t)) lock pid
+            req.lr_requester);
     if Engine.tracing (engine t) then
       emit t ~pid
         (Tmk_trace.Event.Lock_release { lock; granted_to = Some req.lr_requester });
@@ -486,8 +492,10 @@ let gc_exchange t pid ~npages ~keep =
 let gc_phase t pid =
   let node = t.cl.Cluster.nodes.(pid) in
   let npages = (config t).Config.pages in
-  Log.debug (fun m ->
-      m "[t=%d] gc at %d (%d live records)" (Engine.now (engine t)) pid node.Node.live_records);
+  if Cluster.debugging () then
+    Log.debug (fun m ->
+        m "[t=%d] gc at %d (%d live records)" (Engine.now (engine t)) pid
+          node.Node.live_records);
   node.Node.stats.Stats.gc_runs <- node.Node.stats.Stats.gc_runs + 1;
   if Engine.tracing (engine t) then
     emit t ~pid (Tmk_trace.Event.Gc_begin { live = node.Node.live_records });
@@ -592,7 +600,8 @@ let barrier_round t ~pid ~id ~epoch ~want_gc =
 
 let barrier t ~pid ~id =
   let node = t.cl.Cluster.nodes.(pid) in
-  Log.debug (fun m -> m "[t=%d] barrier %d arrival by %d" (Engine.now (engine t)) id pid);
+  if Cluster.debugging () then
+    Log.debug (fun m -> m "[t=%d] barrier %d arrival by %d" (Engine.now (engine t)) id pid);
   node.Node.stats.Stats.barriers <- node.Node.stats.Stats.barriers + 1;
   (* epoch = this processor's global barrier sequence number *)
   let epoch = node.Node.stats.Stats.barriers - 1 in
@@ -755,9 +764,10 @@ let note_death t dead_pid =
     if Engine.tracing (engine t) then
       Engine.emit (engine t) ~pid:dead_pid
         (Tmk_trace.Event.Failover { dead = dead_pid; epoch = epoch t });
-    Log.debug (fun m ->
-        m "[t=%d] processor %d declared dead (epoch %d)" (Engine.now (engine t)) dead_pid
-          (epoch t));
+    if Cluster.debugging () then
+      Log.debug (fun m ->
+          m "[t=%d] processor %d declared dead (epoch %d)" (Engine.now (engine t)) dead_pid
+            (epoch t));
     if dead_pid = barrier_manager then
       (* Processor 0 is the barrier/GC manager and the initial copyset of
          every page: its state is not recoverable. *)

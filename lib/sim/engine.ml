@@ -22,17 +22,20 @@ end
 
 type proc = {
   id : pid;
-  running : pid option;  (* [Some id], preallocated for [running_pid] *)
   busy : Vtime.t array;  (* indexed by Category.index *)
   mutable handler_busy_until : Vtime.t;
   mutable handler_running : bool;
   handler_queue : (hctx -> unit) Queue.t;
+  mutable hcur : hctx;  (* the handler running now, or [no_handler] *)
+  mutable hcharge : Category.t -> Vtime.t -> unit;
+      (* charges [hcur]; built once by [create] *)
   mutable in_chunk : bool;
   mutable stolen : Vtime.t;  (* handler CPU stolen from the current chunk *)
-  mutable chunk_end : event;
-      (* the end of the current computation chunk, set once by [create].
-         A processor never has two chunks pending, so this one event is
-         pushed again for every chunk and every stolen-time extension. *)
+  mutable chunk_time : Vtime.t;
+      (* the end of the current computation chunk.  A processor never has
+         two chunks pending, so its chunk end has one fixed heap slot,
+         [chunk_slot id], pushed again for every chunk and every
+         stolen-time extension. *)
   mutable chunk_k : (unit, unit) Effect.Deep.continuation;
       (* the process suspended in that chunk, or [no_k] *)
   mutable in_section : bool;  (* the process is running a [section] body *)
@@ -51,41 +54,71 @@ type proc = {
 }
 
 and hctx = {
-  hproc : proc;
+  hpid : pid;
   hstart : Vtime.t;
   mutable hcharged : Vtime.t;
   hengine : t;
   hfresh : bool;
 }
 
-(* Events fire in [(time, seq)] order, and [seq] is the push order, so
-   events at equal times fire FIFO. *)
-and event = {
-  mutable time : Vtime.t;
-  mutable seq : int;
-  mutable live : bool;
-  kind : kind;
-}
-
-and kind = Thunk of (unit -> unit) | Chunk_end of proc
-
+(* The event queue is a binary min-heap of [size] entries ordered by
+   [(time, seq)], kept in three int arrays: [times], [seqs] and [slots].
+   [seq] is the push order, so entries at equal times fire FIFO.  Moving
+   an entry stores only ints, so no sift step goes through the write
+   barrier.  An entry's slot is a processor's chunk end ([chunk_slot pid],
+   negative) or a thunk slot [s >= 0], which is live while [gen.(s)]
+   holds the entry's seq; then [thunks.(s)] runs when the entry pops.  A
+   thunk slot goes back to [free] when its entry fires or is cancelled,
+   and its next occupant takes a later seq, so a stale entry or cancel
+   handle finds it dead. *)
 and t = {
   procs : proc array;
-  mutable queue : event array;  (* binary min-heap in [0, size) *)
+  mutable times : Vtime.t array;
+  mutable seqs : int array;
+  mutable slots : int array;
   mutable size : int;
   mutable next_seq : int;
+  mutable thunks : (unit -> unit) array;
+  mutable gen : int array;  (* the seq of the slot's entry, or [-1] *)
+  mutable free : int array;  (* a stack of the free thunk slots *)
+  mutable nfree : int;
   mutable clock : Vtime.t;
   mutable last_event_time : Vtime.t;
-  mutable running_pid : pid option;  (* process currently executing, if any *)
+  mutable running_pid : pid;  (* the process executing now, or [-1] *)
   blocked : bool array;  (* per-pid: process suspended on an ivar *)
   mutable blocked_count : int;
   mutable sink : Tmk_trace.Sink.t option;
   mutable stop_reason : string option;
 }
 
-(* Fills the queue's unused slots, so a fired thunk can be collected, and
-   each [chunk_end] until [create] sets it. *)
-let vacant = { time = Vtime.zero; seq = 0; live = false; kind = Thunk ignore }
+(* The heap slot of [pid]'s chunk end; [chunk_slot] is its own inverse. *)
+let chunk_slot pid = -1 - pid
+
+let of_procs procs =
+  {
+    procs;
+    times = [||];
+    seqs = [||];
+    slots = [||];
+    size = 0;
+    next_seq = 0;
+    thunks = [||];
+    gen = [||];
+    free = [||];
+    nfree = 0;
+    clock = Vtime.zero;
+    last_event_time = Vtime.zero;
+    running_pid = -1;
+    blocked = Array.make (Array.length procs) false;
+    blocked_count = 0;
+    sink = None;
+    stop_reason = None;
+  }
+
+(* The [hcur] of a processor with no handler running. *)
+let no_handler =
+  { hpid = -1; hstart = Vtime.zero; hcharged = Vtime.zero; hengine = of_procs [||];
+    hfresh = false }
 
 (* The [chunk_k] of a processor with no process suspended in a chunk: a
    continuation captured once, here, and never resumed.  A sentinel
@@ -105,6 +138,19 @@ let no_k : (unit, unit) Effect.Deep.continuation =
           | _ -> None);
     };
   Option.get !captured
+
+let charge proc cat dt =
+  if dt < 0 then invalid_arg "Engine: negative time charge";
+  proc.busy.(Category.index cat) <- Vtime.add proc.busy.(Category.index cat) dt
+
+(* A processor's [hcharge] callback.  Handlers on one processor run one
+   at a time and never suspend, so one callback per processor serves
+   them all. *)
+let charge_handler proc cat dt =
+  let h = proc.hcur in
+  if h == no_handler then invalid_arg "Engine.hcharge: the handler has returned";
+  charge proc cat dt;
+  h.hcharged <- Vtime.add h.hcharged dt
 
 let add_section_charge proc cat dt =
   if not proc.in_section then invalid_arg "Engine.section: charge outside its section";
@@ -129,14 +175,15 @@ let create ~nprocs =
     let proc =
       {
         id;
-        running = Some id;
         busy = Array.make Category.count Vtime.zero;
         handler_busy_until = Vtime.zero;
         handler_running = false;
         handler_queue = Queue.create ();
+        hcur = no_handler;
+        hcharge = (fun _ _ -> ());
         in_chunk = false;
         stolen = Vtime.zero;
-        chunk_end = vacant;
+        chunk_time = Vtime.zero;
         chunk_k = no_k;
         in_section = false;
         sec_cats = [||];
@@ -150,23 +197,11 @@ let create ~nprocs =
         crashed_at = None;
       }
     in
-    proc.chunk_end <- { time = Vtime.zero; seq = 0; live = true; kind = Chunk_end proc };
+    proc.hcharge <- (fun cat dt -> charge_handler proc cat dt);
     proc.sec_charge <- (fun cat dt -> add_section_charge proc cat dt);
     proc
   in
-  {
-    procs = Array.init nprocs make_proc;
-    queue = [||];
-    size = 0;
-    next_seq = 0;
-    clock = Vtime.zero;
-    last_event_time = Vtime.zero;
-    running_pid = None;
-    blocked = Array.make nprocs false;
-    blocked_count = 0;
-    sink = None;
-    stop_reason = None;
-  }
+  of_procs (Array.init nprocs make_proc)
 
 let nprocs t = Array.length t.procs
 let now t = t.clock
@@ -216,67 +251,112 @@ let emit t ~pid ev = emit_at t ~time:t.clock ~pid ev
 (* ------------------------------------------------------------------ *)
 (* Event queue: a binary min-heap ordered by [(time, seq)]             *)
 
-let[@inline] before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+(* Entry [i] comes before [(time, seq)]. *)
+let[@inline] before t i time seq =
+  let ti = t.times.(i) in
+  ti < time || (ti = time && t.seqs.(i) < seq)
 
-(* Sift [ev] up from the hole at [i]. *)
-let rec sift_up queue ev i =
+let[@inline] move t ~src ~dst =
+  t.times.(dst) <- t.times.(src);
+  t.seqs.(dst) <- t.seqs.(src);
+  t.slots.(dst) <- t.slots.(src)
+
+(* The hole at [i] a pushed entry at [time] sifts up to.  The entry has
+   the largest seq yet, so it passes only strictly later times. *)
+let rec sift_up t time i =
   let parent = (i - 1) / 2 in
-  if i > 0 && before ev queue.(parent) then begin
-    queue.(i) <- queue.(parent);
-    sift_up queue ev parent
+  if i > 0 && time < t.times.(parent) then begin
+    move t ~src:parent ~dst:i;
+    sift_up t time parent
   end
-  else queue.(i) <- ev
+  else i
 
-(* Sift [ev] down from the hole at [i] in a heap of [size] events. *)
-let rec sift_down queue size ev i =
+(* The hole at [i] the entry [(time, seq)] sifts down to in a heap of [n]
+   entries. *)
+let rec sift_down t n time seq i =
   let l = (2 * i) + 1 in
-  if l >= size then queue.(i) <- ev
+  if l >= n then i
   else
-    let c = if l + 1 < size && before queue.(l + 1) queue.(l) then l + 1 else l in
-    if before queue.(c) ev then begin
-      queue.(i) <- queue.(c);
-      sift_down queue size ev c
+    let c = if l + 1 < n && before t (l + 1) t.times.(l) t.seqs.(l) then l + 1 else l in
+    if before t c time seq then begin
+      move t ~src:c ~dst:i;
+      sift_down t n time seq c
     end
-    else queue.(i) <- ev
+    else i
 
-let push t ev =
-  ev.seq <- t.next_seq;
-  t.next_seq <- t.next_seq + 1;
-  if t.size = Array.length t.queue then begin
-    let queue = Array.make (if t.size = 0 then 16 else 2 * t.size) vacant in
-    Array.blit t.queue 0 queue 0 t.size;
-    t.queue <- queue
+let grow a fill =
+  let n = Array.length a in
+  let b = Array.make (if n = 0 then 16 else 2 * n) fill in
+  Array.blit a 0 b 0 n;
+  b
+
+let push t time slot =
+  let n = t.size in
+  if n = Array.length t.times then begin
+    t.times <- grow t.times 0;
+    t.seqs <- grow t.seqs 0;
+    t.slots <- grow t.slots 0
   end;
-  t.size <- t.size + 1;
-  sift_up t.queue ev (t.size - 1)
+  let i = sift_up t time n in
+  t.times.(i) <- time;
+  t.seqs.(i) <- t.next_seq;
+  t.slots.(i) <- slot;
+  t.next_seq <- t.next_seq + 1;
+  t.size <- n + 1
 
-(* Only called on a non-empty queue. *)
+(* Drops the earliest entry.  Only called on a non-empty queue. *)
 let pop t =
-  let queue = t.queue in
-  let top = queue.(0) in
-  let size = t.size - 1 in
-  t.size <- size;
-  let last = queue.(size) in
-  queue.(size) <- vacant;
-  if size > 0 then sift_down queue size last 0;
-  top
+  let n = t.size - 1 in
+  t.size <- n;
+  if n > 0 then begin
+    let time = t.times.(n) and seq = t.seqs.(n) and slot = t.slots.(n) in
+    let i = sift_down t n time seq 0 in
+    t.times.(i) <- time;
+    t.seqs.(i) <- seq;
+    t.slots.(i) <- slot
+  end
 
+let push_chunk_end t proc = push t proc.chunk_time (chunk_slot proc.id)
+
+let release t slot =
+  t.thunks.(slot) <- ignore;
+  t.gen.(slot) <- -1;
+  t.free.(t.nfree) <- slot;
+  t.nfree <- t.nfree + 1
+
+(* Schedules [f] at [at] and returns its slot. *)
 let enqueue t ~at f =
   if at < t.clock then
     invalid_arg
       (Printf.sprintf "Engine.schedule: time %d is before now %d" at t.clock);
-  let ev = { time = at; seq = 0; live = true; kind = Thunk f } in
-  push t ev;
-  ev
+  if t.nfree = 0 then begin
+    let n = Array.length t.thunks in
+    t.thunks <- grow t.thunks ignore;
+    t.gen <- grow t.gen (-1);
+    t.free <- grow t.free 0;
+    for slot = Array.length t.thunks - 1 downto n do
+      t.free.(t.nfree) <- slot;
+      t.nfree <- t.nfree + 1
+    done
+  end;
+  t.nfree <- t.nfree - 1;
+  let slot = t.free.(t.nfree) in
+  t.thunks.(slot) <- f;
+  t.gen.(slot) <- t.next_seq;
+  push t at slot;
+  slot
 
-let schedule t ~at f = ignore (enqueue t ~at f)
+let schedule t ~at f = ignore (enqueue t ~at f : int)
 
 (* A cancelled event is skipped by the main loop without advancing the
    clock or the makespan: a retransmission timer whose ack already landed
-   must not stretch the run's end time past the last real event. *)
+   must not stretch the run's end time past the last real event.  The
+   handle cancels only while the slot holds its entry: once the entry
+   fired or was cancelled, the slot may hold a later event. *)
 let schedule_cancellable t ~at f =
-  let ev = enqueue t ~at f in
-  fun () -> ev.live <- false
+  let seq = t.next_seq in
+  let slot = enqueue t ~at f in
+  fun () -> if t.gen.(slot) = seq then release t slot
 
 let pending_events t = t.size
 
@@ -292,26 +372,20 @@ let advance cat dt = Effect.perform (Advance (cat, dt))
 let await iv = Effect.perform (Await iv)
 
 let section t f =
-  match t.running_pid with
-  | None -> invalid_arg "Engine.section: not in process context"
-  | Some pid -> (
-    let proc = t.procs.(pid) in
-    if proc.in_section then invalid_arg "Engine.section: nested section";
-    proc.in_section <- true;
-    proc.sec_len <- 0;
-    proc.sec_next <- 0;
-    match f proc.sec_charge with
-    | exception e ->
-      proc.in_section <- false;
-      raise e
-    | result ->
-      proc.in_section <- false;
-      if proc.sec_len > 0 then Effect.perform Section;
-      result)
-
-let charge proc cat dt =
-  if dt < 0 then invalid_arg "Engine: negative time charge";
-  proc.busy.(Category.index cat) <- Vtime.add proc.busy.(Category.index cat) dt
+  if t.running_pid < 0 then invalid_arg "Engine.section: not in process context";
+  let proc = t.procs.(t.running_pid) in
+  if proc.in_section then invalid_arg "Engine.section: nested section";
+  proc.in_section <- true;
+  proc.sec_len <- 0;
+  proc.sec_next <- 0;
+  match f proc.sec_charge with
+  | exception e ->
+    proc.in_section <- false;
+    raise e
+  | result ->
+    proc.in_section <- false;
+    if proc.sec_len > 0 then Effect.perform Section;
+    result
 
 (* Start the chunk of the section's next charge at [t.clock], as the
    process would if resumed to [advance] it; the caller pushes the chunk
@@ -319,50 +393,74 @@ let charge proc cat dt =
    loop's next pop, unless a stop was requested, and no handler can run
    inside its chunk, so its push and pop are skipped: its time becomes the
    clock, and it takes the seq its push would have taken.  The last
-   charge's chunk end is always pushed, so the process resumes from the
-   main loop. *)
+   charge's chunk end is always pushed, so the process resumes when it
+   pops, as after an advance. *)
 let rec section_charge t proc =
   let i = proc.sec_next in
   let dt = proc.sec_dts.(i) in
   charge proc proc.sec_cats.(i) dt;
   proc.sec_next <- i + 1;
-  let ev = proc.chunk_end in
-  ev.time <- Vtime.add t.clock dt;
+  proc.chunk_time <- Vtime.add t.clock dt;
   if
     proc.sec_next < proc.sec_len
     && t.stop_reason = None
-    && (t.size = 0 || ev.time < t.queue.(0).time)
+    && (t.size = 0 || proc.chunk_time < t.times.(0))
   then begin
     t.next_seq <- t.next_seq + 1;
-    t.clock <- ev.time;
-    t.last_event_time <- ev.time;
+    t.clock <- proc.chunk_time;
+    t.last_event_time <- proc.chunk_time;
     section_charge t proc
   end
+
+(* Resume the process suspended in [proc]'s chunk.  The continue is a tail
+   call, so a process resumed by [hand_off] leaves no frame behind. *)
+let resume t proc =
+  let k = proc.chunk_k in
+  assert (k != no_k);
+  proc.chunk_k <- no_k;
+  proc.in_chunk <- false;
+  t.running_pid <- proc.id;
+  Effect.Deep.continue k ()
+
+(* [proc]'s chunk end, when it pops, resumes the process: no crash, no
+   stolen time and no section charges left. *)
+let[@inline] resumes proc =
+  proc.crashed_at = None && proc.stolen = Vtime.zero && proc.sec_next >= proc.sec_len
 
 (* A computation chunk ends at its nominal time plus whatever handler CPU
    was stolen meanwhile; stolen time can itself be extended, so the chunk
    end is pushed again until no new theft occurred.  Then a section with
    charges left starts the next one instead of resuming the process. *)
 let end_chunk t proc =
-  if proc.crashed_at <> None then proc.chunk_k <- no_k
-  else if proc.stolen > Vtime.zero then begin
-    let ev = proc.chunk_end in
-    ev.time <- Vtime.add ev.time proc.stolen;
-    proc.stolen <- Vtime.zero;
-    push t ev
+  if resumes proc then begin
+    resume t proc;
+    t.running_pid <- -1
   end
-  else if proc.sec_next < proc.sec_len then begin
-    section_charge t proc;
-    push t proc.chunk_end
+  else if proc.crashed_at <> None then proc.chunk_k <- no_k
+  else if proc.stolen > Vtime.zero then begin
+    proc.chunk_time <- Vtime.add proc.chunk_time proc.stolen;
+    proc.stolen <- Vtime.zero;
+    push_chunk_end t proc
   end
   else begin
-    let k = proc.chunk_k in
-    assert (k != no_k);
-    proc.chunk_k <- no_k;
-    proc.in_chunk <- false;
-    t.running_pid <- proc.running;
-    Effect.Deep.continue k ();
-    t.running_pid <- None
+    section_charge t proc;
+    push_chunk_end t proc
+  end
+
+(* Called by a process's handler once the process has suspended in a
+   chunk: if the earliest entry is a chunk end that [resumes], and no
+   stop was requested, pop it and resume that process here, as the main
+   loop would next.  Anything else goes back to the main loop. *)
+let hand_off t =
+  let slot = t.slots.(0) in
+  if slot < 0 && t.stop_reason = None then begin
+    let proc = t.procs.(chunk_slot slot) and time = t.times.(0) in
+    if resumes proc then begin
+      pop t;
+      t.clock <- time;
+      t.last_event_time <- time;
+      resume t proc
+    end
   end
 
 let fill (_ : t) iv ~at v =
@@ -379,14 +477,15 @@ let spawn t pid main =
   let open Effect.Deep in
   (* Every Advance and Section of this process is handled by this one
      closure; [effc] has already made the (first) charge and set the chunk
-     end's time. *)
+     end's time.  It queues the chunk end, then hands off. *)
   let on_advance =
     Some
       (fun k ->
         proc.chunk_k <- k;
         proc.in_chunk <- true;
         proc.stolen <- Vtime.zero;
-        push t proc.chunk_end)
+        push_chunk_end t proc;
+        hand_off t)
   in
   let in_section_error () =
     Some
@@ -407,7 +506,7 @@ let spawn t pid main =
             | Advance _ when proc.in_section -> in_section_error ()
             | Advance (cat, dt) ->
               charge proc cat dt;
-              proc.chunk_end.time <- Vtime.add t.clock dt;
+              proc.chunk_time <- Vtime.add t.clock dt;
               on_advance
             | Section ->
               section_charge t proc;
@@ -434,9 +533,9 @@ let spawn t pid main =
                             if proc.crashed_at = None then begin
                               t.blocked.(pid) <- false;
                               t.blocked_count <- t.blocked_count - 1;
-                              t.running_pid <- proc.running;
+                              t.running_pid <- pid;
                               continue k v;
-                              t.running_pid <- None
+                              t.running_pid <- -1
                             end)
                     in
                     iv.Ivar.state <- Ivar.Empty (waiter :: waiters))
@@ -445,20 +544,21 @@ let spawn t pid main =
   in
   schedule t ~at:Vtime.zero (fun () ->
       if proc.crashed_at = None then begin
-        t.running_pid <- proc.running;
+        t.running_pid <- pid;
         body ();
-        t.running_pid <- None
+        t.running_pid <- -1
       end)
 
 (* ------------------------------------------------------------------ *)
 (* Handlers                                                           *)
 
-let hcharge h cat dt =
-  charge h.hproc cat dt;
-  h.hcharged <- Vtime.add h.hcharged dt
+let hcharge h =
+  let proc = h.hengine.procs.(h.hpid) in
+  if proc.hcur != h then invalid_arg "Engine.hcharge: the handler has returned";
+  proc.hcharge
 
 let hnow h = Vtime.add h.hstart h.hcharged
-let hpid h = h.hproc.id
+let hpid h = h.hpid
 let hfresh h = h.hfresh
 
 (* Run queued handlers one at a time per processor.  Service time is known
@@ -485,10 +585,12 @@ let rec handler_pump t proc =
           if proc.crashed_at <> None then ()
           else begin
             let h =
-              { hproc = proc; hstart = start; hcharged = Vtime.zero; hengine = t;
+              { hpid = proc.id; hstart = start; hcharged = Vtime.zero; hengine = t;
                 hfresh = fresh }
             in
+            proc.hcur <- h;
             f h;
+            proc.hcur <- no_handler;
             let fin = Vtime.add start h.hcharged in
             proc.handler_busy_until <- fin;
             if proc.in_chunk then proc.stolen <- Vtime.add proc.stolen h.hcharged;
@@ -508,13 +610,17 @@ let post_handler t ~pid ~at f =
 
 let run t =
   while t.stop_reason = None && t.size > 0 do
-    let ev = pop t in
-    if ev.live then begin
-      t.clock <- ev.time;
-      t.last_event_time <- ev.time;
-      match ev.kind with
-      | Thunk f -> f ()
-      | Chunk_end proc -> end_chunk t proc
+    let time = t.times.(0) and seq = t.seqs.(0) and slot = t.slots.(0) in
+    pop t;
+    if slot < 0 || t.gen.(slot) = seq then begin
+      t.clock <- time;
+      t.last_event_time <- time;
+      if slot < 0 then end_chunk t t.procs.(chunk_slot slot)
+      else begin
+        let f = t.thunks.(slot) in
+        release t slot;
+        f ()
+      end
     end
   done;
   if t.stop_reason = None && t.blocked_count > 0 then begin

@@ -56,7 +56,8 @@ val schedule : t -> at:Vtime.t -> (unit -> unit) -> unit
     prevents [f] from running if called before [at] (retransmission
     timers).  A cancelled event is skipped entirely: it neither advances
     the clock nor counts toward {!end_time}, so dead timers cannot
-    stretch a run's makespan. *)
+    stretch a run's makespan.  Called after [f] ran, or a second time,
+    the thunk does nothing. *)
 val schedule_cancellable : t -> at:Vtime.t -> (unit -> unit) -> (unit -> unit)
 
 (** [pending_events t] is the number of events still queued (including
@@ -105,7 +106,12 @@ type hctx
     process-context effects. *)
 val post_handler : t -> pid:pid -> at:Vtime.t -> (hctx -> unit) -> unit
 
-(** [hcharge h cat dt] consumes [dt] of handler CPU, charged to [cat]. *)
+(** [hcharge h cat dt] consumes [dt] of handler CPU, charged to [cat].
+    [hcharge h] alone is a callback the engine builds once per processor,
+    so passing it on allocates nothing.  It charges whichever handler
+    runs on [h]'s processor, so it must not be kept past [h]'s handler.
+    @raise Invalid_argument if [h]'s handler has returned, or if the
+    callback is called while no handler runs on the processor. *)
 val hcharge : hctx -> Category.t -> Vtime.t -> unit
 
 (** [hnow h] is the handler's current virtual time (service start plus CPU

@@ -637,6 +637,38 @@ let advance_allocates_little () =
   check Alcotest.int "last process finishes" (Vtime.us (8 * advances))
     (Engine.finish_time engine (nprocs - 1))
 
+(* A scheduled event costs the queue no allocation of its own: the thunk
+   goes into a reusable slot and the heap holds only ints, so 8 chains
+   that each reschedule a preallocated thunk 12 500 times allocate under
+   a word per event (0.001, the queue's arrays growing on first use; an
+   event record and its [Thunk] box were 7). *)
+let scheduled_event_allocates_only_its_thunk () =
+  let open Tmk_sim in
+  let chains = 8 and per_chain = 12_500 in
+  let engine = Engine.create ~nprocs:1 in
+  let fired = ref 0 in
+  let chain () =
+    let left = ref per_chain in
+    let rec tick () =
+      incr fired;
+      decr left;
+      if !left > 0 then
+        Engine.schedule engine ~at:(Vtime.add (Engine.now engine) (Vtime.us 1)) tick
+    in
+    tick
+  in
+  let ticks = Array.init chains (fun _ -> chain ()) in
+  let per_event =
+    allocated (fun () ->
+        Array.iteri (fun c tick -> Engine.schedule engine ~at:(Vtime.ns c) tick) ticks;
+        Engine.run engine)
+    /. float (chains * per_chain)
+  in
+  check Alcotest.bool
+    (Printf.sprintf "%.3f words per event, under 1" per_event)
+    true (per_event < 1.);
+  check Alcotest.int "every event fires" (chains * per_chain) !fired
+
 (* A protocol section suspends its process once, and each charge it makes
    is pushed or skipped without allocating: 8 processes run 100 sections
    of 100 charges each (a barrier manager absorbing a few hundred
@@ -880,4 +912,6 @@ let suite =
       Alcotest.test_case "copysets are shared values" `Quick copysets_are_shared_values;
       Alcotest.test_case "settled pages are walked without allocating" `Quick
         settled_walks_allocate_nothing;
+      Alcotest.test_case "a scheduled event allocates only its thunk" `Quick
+        scheduled_event_allocates_only_its_thunk;
     ]
