@@ -11,9 +11,6 @@ let pages_needed p =
   let grid_bytes = p.rows * p.cols * 8 in
   (2 * ((grid_bytes + Vm.page_size - 1) / Vm.page_size)) + 2
 
-let checksum grid =
-  Array.fold_left (fun acc row -> Array.fold_left ( +. ) acc row) 0.0 grid
-
 (* One relaxation of the interior of [src] into [dst]. *)
 let relax_row ~cols ~get ~set r =
   for c = 1 to cols - 2 do

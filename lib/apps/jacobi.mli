@@ -31,6 +31,3 @@ val sequential : params -> float array array
     skips the result read-back (which faults in the whole grid on
     processor 0) so timing runs measure only the computation proper. *)
 val parallel : ?collect:bool -> Api.ctx -> params -> float array array option
-
-(** [checksum grid] — order-fixed sum for quick comparisons. *)
-val checksum : float array array -> float

@@ -4,8 +4,9 @@
 
    Besides the two built-in checkers (race detector, invariant oracle),
    a checker can carry generic [Hooks.t] observers and trace-attach
-   callbacks; both exist so the lint suite in [lib/lint] — which sits
-   above [tmk_dsm] — can ride along on a run without a dependency cycle. *)
+   callbacks; both exist so the DSM depends on no particular analyzer,
+   and an analyzer the caller picks (the lint suite in [lib/lint]) can
+   ride along on a run. *)
 
 type t = {
   ck_race : Race.t option;

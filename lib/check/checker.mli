@@ -5,9 +5,10 @@
     [hooks] observe the access and sync events; the race detector, when
     given, is the first of them ({!Race.hooks}).  [attach] callbacks
     receive the run's trace sink before the run starts (the DSM creates a
-    private sink when the caller did not request tracing).  Both exist for
-    analyzers that sit above [tmk_dsm] in the dependency order, such as
-    the [lib/lint] sanitizer suite. *)
+    private sink when the caller did not request tracing).  Both exist so
+    that the DSM depends on no particular analyzer: it dispatches to
+    whatever the run carries, and the caller chooses the analyzers (the
+    [lib/lint] sanitizer suite, say, which [tmk_run --lint] attaches). *)
 
 type t
 

@@ -1,9 +1,9 @@
 (* A generic observer of the protocol's checker-visible events: the typed
    accesses the software MMU sees, the four sync points, and the
    [Api.unsynchronized] suppression spans.  The DSM layer dispatches to
-   every hook a [Checker] carries, so analyzers that live above [tmk_dsm]
-   in the dependency order — the lint suite in [lib/lint] — can observe a
-   run without this library (or the protocol) depending on them. *)
+   every hook a [Checker] carries, so an analyzer — the race detector,
+   the lint suite in [lib/lint] — can observe a run without the protocol
+   depending on a particular one. *)
 
 type access_kind = Read | Write
 

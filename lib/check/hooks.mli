@@ -2,12 +2,13 @@
 
     The protocol dispatches every typed access, every sync edge and every
     [Api.unsynchronized] span to each hook carried by the run's
-    {!Checker}.  Hooks let analyzers that sit above [tmk_dsm] in the
-    dependency order (the sanitizer suite in [lib/lint]) observe a run
-    without the DSM depending on them.
+    {!Checker}.  Hooks let any analyzer (the race detector, the sanitizer
+    suite in [lib/lint]) observe a run without the DSM depending on a
+    particular one.
 
-    Event contracts match {!Race}: [h_lock_release] fires before the grant
-    leaves the releaser, [h_lock_acquired] after the grant is absorbed,
+    Event contracts: [h_lock_release] fires before the grant leaves the
+    releaser, [h_lock_acquired] after the grant (and its piggybacked
+    intervals) is absorbed,
     [h_barrier_arrive] before the arrival message goes out,
     [h_barrier_depart] after the release is absorbed, and [h_access] on
     every typed access (installing any hook disables the MMU fast path for

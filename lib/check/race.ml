@@ -68,13 +68,6 @@ let create ~nprocs ~pages () =
 
 let nprocs t = t.nprocs
 let pages t = t.pages
-let lock_release t ~pid ~lock = Segments.lock_release t.segs ~pid ~lock
-let lock_acquired t ~pid ~lock = Segments.lock_acquired t.segs ~pid ~lock
-let barrier_arrive t ~pid ~id = Segments.barrier_arrive t.segs ~pid ~id
-let barrier_depart t ~pid ~id = Segments.barrier_depart t.segs ~pid ~id
-
-let suppress t ~pid on =
-  t.suppress.(pid) <- (t.suppress.(pid) + if on then 1 else -1)
 
 let min_lock = function [] -> None | l :: ls -> Some (List.fold_left min l ls)
 
@@ -160,12 +153,13 @@ let note_access t ~pid kind ~addr ~width =
 
 let hooks t =
   {
-    Hooks.h_access = (fun ~pid kind ~addr ~width -> note_access t ~pid kind ~addr ~width);
-    h_lock_acquired = lock_acquired t;
-    h_lock_release = lock_release t;
-    h_barrier_arrive = barrier_arrive t;
-    h_barrier_depart = barrier_depart t;
-    h_suppress = suppress t;
+    Hooks.h_access = note_access t;
+    h_lock_acquired = Segments.lock_acquired t.segs;
+    h_lock_release = Segments.lock_release t.segs;
+    h_barrier_arrive = Segments.barrier_arrive t.segs;
+    h_barrier_depart = Segments.barrier_depart t.segs;
+    h_suppress =
+      (fun ~pid on -> t.suppress.(pid) <- (t.suppress.(pid) + if on then 1 else -1));
   }
 
 let kind_rank = function Read -> 0 | Write -> 1

@@ -33,27 +33,10 @@ val create : nprocs:int -> pages:int -> unit -> t
 val nprocs : t -> int
 val pages : t -> int
 
-(** [note_access t ~pid kind ~addr ~width] records one load or store.
-    Called from the [Vm] access hook for every typed access. *)
-val note_access : t -> pid:int -> kind -> addr:int -> width:int -> unit
-
-(** Sync edges, reported by the protocol layer. [lock_release] must be
-    reported before the matching grant leaves the releaser; [lock_acquired]
-    after the grant (and its piggybacked intervals) is absorbed;
-    [barrier_arrive] before the arrival message is sent; [barrier_depart]
-    after the release is absorbed. *)
-val lock_release : t -> pid:int -> lock:int -> unit
-
-val lock_acquired : t -> pid:int -> lock:int -> unit
-val barrier_arrive : t -> pid:int -> id:int -> unit
-val barrier_depart : t -> pid:int -> id:int -> unit
-
-(** [suppress t ~pid on] enters/leaves an [Api.unsynchronized] span:
-    accesses made while the depth is positive are not recorded at all. *)
-val suppress : t -> pid:int -> bool -> unit
-
-(** [hooks t] — the detector as a {!Hooks} observer: every field calls
-    the function above of the same event. *)
+(** [hooks t] — the detector's only input, under the event contracts
+    {!Hooks} states: [h_access] records one load or store, the sync
+    edges close and open segments, and an access made while
+    [h_suppress] spans nest on its processor is not recorded at all. *)
 val hooks : t -> Hooks.t
 
 type finding = {

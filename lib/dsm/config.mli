@@ -123,9 +123,6 @@ val protocol_name : protocol -> string
     e.g. ["lazy release consistency"], ["sc-abd quorum replication"]. *)
 val protocol_description : protocol -> string
 
-(** Every protocol, in declaration order. *)
-val all_protocols : protocol list
-
 (** [protocol_of_string s] — inverse of {!protocol_name}
     (case-insensitive; also accepts the aliases "lrc", "erc",
     "single-writer" and "abd").

@@ -101,7 +101,6 @@ let backend_caps = function
 
 (* --- liveness helpers --- *)
 
-let live t pid = Cluster.live t.cl pid
 let epoch t = t.cl.Cluster.epoch
 let fatality t = t.cl.Cluster.fatal
 let recoveries t = List.rev t.recoveries

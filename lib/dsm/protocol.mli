@@ -110,13 +110,6 @@ val barrier : t -> pid:int -> id:int -> unit
     computation on [pid] (application context). *)
 val charge_compute : t -> pid:int -> int -> unit
 
-(** [live t pid] — whether [pid] has {e not} been declared dead.  (A
-    crashed-but-undetected processor is still "live" here.) *)
-val live : t -> int -> bool
-
-(** [epoch t] — the current membership epoch (0 with no deaths). *)
-val epoch : t -> int
-
 (** [recoveries t] — completed failovers, oldest first.  Empty when no
     processor died, and also when a [c_zero_recovery] backend absorbed
     every death without rebuilding anything. *)

@@ -6,7 +6,6 @@
 type t = {
   points : int array;  (* ring positions, sorted ascending, all >= 0 *)
   pids : int array;  (* pids.(i) owns points.(i) *)
-  nprocs : int;
 }
 
 (* splitmix64 finalizer: the avalanche permutation behind the placement
@@ -38,11 +37,7 @@ let create ?(vnodes = 16) ~nprocs ~seed () =
   (* Ties are astronomically unlikely but must still be deterministic:
      order by (point, pid). *)
   Array.sort compare pairs;
-  {
-    points = Array.map fst pairs;
-    pids = Array.map snd pairs;
-    nprocs;
-  }
+  { points = Array.map fst pairs; pids = Array.map snd pairs }
 
 (* Namespacing: pages and locks are small dense integers; put them in
    disjoint key spaces before hashing so their placements are
@@ -76,11 +71,3 @@ let owner t ~live key =
       if live pid then pid else walk ((i + 1) mod n) (steps + 1)
   in
   walk start 0
-
-let shards t ~live ~keys nkeys =
-  let counts = Array.make t.nprocs 0 in
-  for k = 0 to nkeys - 1 do
-    let o = owner t ~live (keys k) in
-    counts.(o) <- counts.(o) + 1
-  done;
-  counts

@@ -38,8 +38,3 @@ val owner : t -> live:(int -> bool) -> int -> int
 val page_key : int -> int
 
 val lock_key : int -> int
-
-(** [shards t ~live ~keys] — ownership histogram: how many of the keys
-    [0 .. keys-1] (already namespaced by the caller via {!page_key} /
-    {!lock_key}) each processor owns.  For balance reporting/tests. *)
-val shards : t -> live:(int -> bool) -> keys:(int -> int) -> int -> int array

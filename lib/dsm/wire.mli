@@ -4,18 +4,12 @@
     compute the byte counts the real encodings would occupy, which drive
     the transport's timing and the paper's message/data-rate statistics.
     Write notices are "a fixed 16-bit entry containing the page number"
-    (§3.3); vector timestamps use 32-bit entries; ids are 16-bit. *)
+    (§3.3); vector timestamps use 32-bit entries; ids are 16-bit.
 
-(** [write_notice_bytes] is 2 (§3.3). *)
-val write_notice_bytes : int
-
-(** [interval_header_bytes ~nprocs] — processor id plus the interval's
-    vector timestamp. *)
-val interval_header_bytes : nprocs:int -> int
-
-(** [intervals_bytes ~nprocs counts] — a batch of intervals, where
-    [counts] lists the number of write notices of each interval. *)
-val intervals_bytes : nprocs:int -> int list -> int
+    Lock grants, barrier arrivals and barrier releases carry a batch of
+    intervals, given as [counts], the number of write notices of each
+    interval: each interval is a processor id and its vector timestamp,
+    followed by its 2-byte write notices. *)
 
 (** [lock_request_bytes ~nprocs] — lock id, requester id, requester VT. *)
 val lock_request_bytes : nprocs:int -> int

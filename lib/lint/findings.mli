@@ -35,10 +35,8 @@ val has_errors : t list -> bool
     one-line all-clear. *)
 val table : t list -> string
 
-(** JSONL: one finding object per line, byte-stable; each line reads
-    back with {!Tmk_util.Json.of_string}. *)
-val to_jsonl_line : t -> string
-
+(** JSONL: one finding object per line, each line newline-terminated,
+    byte-stable; each line reads back with {!Tmk_util.Json.of_string}. *)
 val to_jsonl : t list -> string
 
 (** [to_sarif ?uri fs] — a SARIF 2.1.0 document (driver "tmk-lint") for

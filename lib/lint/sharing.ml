@@ -211,14 +211,6 @@ let listen t sink =
 
 let flush t = Hashtbl.iter (fun page ep -> finalize t page ep) t.active
 
-type classification = {
-  cl_page : int;
-  cl_pattern : string;
-  cl_epochs : int;
-  cl_writers : int list;
-  cl_readers : int list;
-}
-
 let pattern acc =
   if acc.pa_fs_epochs > 0 then "falsely-shared"
   else if acc.pa_true_epochs > 0 then "true-shared"
@@ -230,37 +222,29 @@ let pattern acc =
       else "single-writer"
     | _ :: _ :: _ -> "migratory"
 
-let classify t =
+let classification_table t =
   flush t;
   Hashtbl.reset t.active;
-  Hashtbl.fold
-    (fun page acc rows ->
-      if acc.pa_epochs = 0 then rows
-      else
-        {
-          cl_page = page;
-          cl_pattern = pattern acc;
-          cl_epochs = acc.pa_epochs;
-          cl_writers = List.sort_uniq compare acc.pa_writers;
-          cl_readers = List.sort_uniq compare acc.pa_readers;
-        }
-        :: rows)
-    t.pages []
-  |> List.sort (fun a b -> compare a.cl_page b.cl_page)
-
-let classification_table t =
-  match classify t with
+  let pids ps = String.concat "," (List.map string_of_int (List.sort_uniq compare ps)) in
+  let rows =
+    Hashtbl.fold
+      (fun page acc rows ->
+        if acc.pa_epochs = 0 then rows
+        else
+          ( page,
+            [ string_of_int page; pattern acc; string_of_int acc.pa_epochs;
+              pids acc.pa_writers; pids acc.pa_readers ] )
+          :: rows)
+      t.pages []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  in
+  match rows with
   | [] -> "sharing: no shared-page accesses observed"
   | rows ->
-    let pids ps = String.concat "," (List.map string_of_int ps) in
     Tmk_util.Tablefmt.render
       ~title:"Page sharing patterns (per barrier interval)"
       ~header:[ "page"; "pattern"; "intervals"; "writers"; "readers" ]
-      (List.map
-         (fun c ->
-           [ string_of_int c.cl_page; c.cl_pattern; string_of_int c.cl_epochs;
-             pids c.cl_writers; pids c.cl_readers ])
-         rows)
+      (List.map snd rows)
 
 let findings t =
   flush t;

@@ -22,21 +22,11 @@ val access : t -> pid:int -> Tmk_check.Hooks.access_kind -> addr:int -> width:in
     notices, page faults, lock queueing) on the run's sink. *)
 val listen : t -> Tmk_trace.Sink.t -> unit
 
-type classification = {
-  cl_page : int;
-  cl_pattern : string;
-      (** "single-writer" | "producer-consumer" | "migratory" |
-          "falsely-shared" | "true-shared" | "read-only" *)
-  cl_epochs : int;  (** barrier intervals in which the page was accessed *)
-  cl_writers : int list;
-  cl_readers : int list;
-}
-
-(** [classify t] — per-page classification rows, sorted by page.
-    Finalizes any open intervals. *)
-val classify : t -> classification list
-
-(** [classification_table t] — the rows as a Tablefmt table. *)
+(** [classification_table t] — one Tablefmt row per accessed page, sorted
+    by page: its pattern ("single-writer", "producer-consumer",
+    "migratory", "falsely-shared", "true-shared" or "read-only"), the
+    barrier intervals in which it was accessed, its writers and its
+    readers.  Finalizes any open intervals. *)
 val classification_table : t -> string
 
 (** [findings t] — false-sharing warnings, fragmentation / dead-notice

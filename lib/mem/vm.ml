@@ -88,7 +88,6 @@ let set_prot t page p =
   t.prot.(page) <- p;
   refresh_fast t page
 
-let page_of_addr addr = addr / page_size
 let addr_of_page page = page * page_size
 
 let check_range t addr width =
@@ -171,14 +170,6 @@ let[@inline] read_u8 t addr =
 let[@inline] write_u8 t addr v =
   if not (fast_ok t addr 1 writable) then ensure_write t addr 1;
   Bytes.unsafe_set (frame t addr) (addr land offset_mask) (Char.unsafe_chr (v land 0xFF))
-
-let[@inline] read_i64 t addr =
-  if not (fast_ok t addr 8 readable) then ensure t addr 8 Read;
-  load64 t addr
-
-let[@inline] write_i64 t addr v =
-  if not (fast_ok t addr 8 writable) then ensure_write t addr 8;
-  store64 t addr v
 
 let[@inline] read_int t addr =
   if not (fast_ok t addr 8 readable) then ensure t addr 8 Read;

@@ -75,9 +75,6 @@ val set_prot : t -> int -> prot -> unit
     [set_access_hook] and frame allocation; results are bit-identical with
     the fast path on or off. *)
 
-(** [page_of_addr addr] is [addr / page_size]. *)
-val page_of_addr : int -> int
-
 (** [addr_of_page page] is [page * page_size]. *)
 val addr_of_page : int -> int
 
@@ -88,8 +85,6 @@ val addr_of_page : int -> int
 
 val read_u8 : t -> int -> int
 val write_u8 : t -> int -> int -> unit
-val read_i64 : t -> int -> int64
-val write_i64 : t -> int -> int64 -> unit
 
 (** [read_int]/[write_int] store an OCaml [int] in 8 bytes.  Once the
     page's fast-path bit is set they allocate nothing. *)

@@ -85,9 +85,6 @@ let retransmit_delay t ~attempt =
 
 let frame_bytes t payload = max t.min_frame_bytes (payload + t.header_bytes)
 
-let wire_time t payload =
-  Vtime.add t.wire_latency (Vtime.ns (frame_bytes t payload * t.wire_ns_per_byte))
-
 let send_cost t payload =
   Vtime.add t.send_cpu (Vtime.scale t.per_byte_send_cpu payload)
 

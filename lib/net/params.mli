@@ -94,9 +94,6 @@ val retransmit_delay : t -> attempt:int -> Vtime.t
     message: header plus padding to the minimum frame. *)
 val frame_bytes : t -> int -> int
 
-(** [wire_time t payload] is the medium occupancy of one frame. *)
-val wire_time : t -> int -> Vtime.t
-
 (** [send_cost t payload] is the sender-side CPU per message. *)
 val send_cost : t -> int -> Vtime.t
 

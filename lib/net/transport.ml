@@ -26,9 +26,7 @@ type t = {
   link_free : Vtime.t array;  (* per-source ATM link, or slot 0 = shared bus *)
   recv : int array;  (* frames delivered at each destination *)
   by_label : (string, counters) Hashtbl.t;  (* message mix by protocol operation *)
-  mutable dups_suppressed : int;
   mutable coalesced : int;  (* frames saved by batching: Σ (parts − 1) *)
-  mutable suspicions : int;  (* retry budgets exhausted *)
   mutable on_suspect :
     (src:int -> dst:int -> label:string -> attempts:int -> unit) option;
   mutable next_msg_id : int;
@@ -51,9 +49,7 @@ let create ?(plan = Fault_plan.none) ?(batching = true) ~engine ~params ~prng ()
     link_free = Array.make (max n 1) Vtime.zero;
     recv = Array.make (max n 1) 0;
     by_label = Hashtbl.create 16;
-    dups_suppressed = 0;
     coalesced = 0;
-    suspicions = 0;
     on_suspect = None;
     next_msg_id = 0;
     delivered = Hashtbl.create 64;
@@ -64,7 +60,6 @@ let create ?(plan = Fault_plan.none) ?(batching = true) ~engine ~params ~prng ()
 let reliable t = Fault_plan.is_faulty t.plan
 
 let on_suspect t f = t.on_suspect <- Some f
-let suspicions t = t.suspicions
 
 (* A retry budget ran out: the peer is *suspected*.  This fires from a
    scheduled timer callback, so it must never raise — the simulation
@@ -73,7 +68,6 @@ let suspicions t = t.suspicions
    one, the run is terminated cleanly at the next event boundary, with
    stats and traces intact. *)
 let suspected t ~src ~dst ~label ~attempts =
-  t.suspicions <- t.suspicions + 1;
   if Engine.tracing t.engine then
     Engine.emit t.engine ~pid:src (Tmk_trace.Event.Peer_suspect { dst; label; attempts });
   match t.on_suspect with
@@ -335,8 +329,7 @@ let oneway ?(label = "other") ?(parts = 1) ?retry_budget t ~src ~dst ~bytes ~at 
             if not (Hashtbl.mem t.delivered id) then begin
               Hashtbl.add t.delivered id ();
               deliver h
-            end
-            else t.dups_suppressed <- t.dups_suppressed + 1;
+            end;
             ack h))
 
 (* Sender CPU for a possibly-split burst: the payload cost once, plus the
@@ -384,7 +377,6 @@ let value_message ?(label = "other") ?(parts = 1) t ~src ~dst ~bytes ~at mb v =
   let fill_at arrival =
     let at = Fault_plan.stall_until t.plan ~pid:dst ~at:arrival in
     if not (Engine.Ivar.is_filled mb) then Engine.fill t.engine mb ~at (bytes, v)
-    else t.dups_suppressed <- t.dups_suppressed + 1
   in
   if not (reliable t) then
     transmit ~label ~parts t ~src ~dst ~bytes ~at ~on_arrival:fill_at
@@ -416,8 +408,6 @@ let bytes_sent t = total t (fun c -> c.bytes)
 let messages_handled_of t pid = t.recv.(pid)
 let retransmissions t = total t (fun c -> c.retrans)
 let frames_coalesced t = t.coalesced
-let duplicates_injected t = total t (fun c -> c.dups)
-let duplicates_suppressed t = t.dups_suppressed
 let dedup_entries t = Hashtbl.length t.delivered
 
 let message_mix t =

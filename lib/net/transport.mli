@@ -38,7 +38,7 @@
     filtered, so it holds only in-flight messages.  A message still
     unacknowledged after its retry budget ([Params.max_retransmits]
     transmissions, or the smaller [?retry_budget] given to {!notify}) makes
-    the sender {e suspect} the peer: the event is counted, traced
+    the sender {e suspect} the peer: the event is traced
     ({!Tmk_trace.Event.Peer_suspect}) and reported through the
     {!on_suspect} callback so the DSM layer's failure detector can react.
     Without a registered callback the run is terminated cleanly
@@ -89,9 +89,6 @@ val create :
     a later registration replaces the earlier. *)
 val on_suspect :
   t -> (src:int -> dst:int -> label:string -> attempts:int -> unit) -> unit
-
-(** [suspicions t] — how many retry budgets have been exhausted. *)
-val suspicions : t -> int
 
 (** [send t ~src ~dst ~bytes ~deliver] — one-way message from the
     application process currently running on [src].  Charges send CPU via
@@ -209,13 +206,6 @@ val retransmissions : t -> int
     [unbatched.messages = batched.messages + batched.frames_coalesced].
     Always zero on an unbatched transport. *)
 val frames_coalesced : t -> int
-
-(** [duplicates_injected t] — extra copies the medium fabricated. *)
-val duplicates_injected : t -> int
-
-(** [duplicates_suppressed t] — deliveries filtered by the duplicate
-    table (or an already-filled mailbox). *)
-val duplicates_suppressed : t -> int
 
 (** [dedup_entries t] — live entries in the duplicate-suppression table;
     zero once a run has quiesced (every message acked and its copies

@@ -84,6 +84,13 @@ let get tbl key fresh =
     Hashtbl.add tbl key v;
     v
 
+(* The ranking key of [a_pages] and the report's hot-page filter: faults
+   weighted against diff traffic, so a page is "hot" whether it thrashes
+   through full fetches or through diff exchange. *)
+let hot_score p =
+  p.p_read_faults + p.p_write_faults + p.p_fetches
+  + ((p.p_diff_bytes_created + p.p_diff_bytes_applied) / 256)
+
 let analyze sink =
   let locks = Hashtbl.create 16 in
   let pages = Hashtbl.create 64 in
@@ -251,10 +258,6 @@ let analyze sink =
     |> List.filter (fun p -> p.pr_pid >= 0)
     |> List.sort (fun a b -> compare a.pr_pid b.pr_pid)
   in
-  let hot_score p =
-    p.p_read_faults + p.p_write_faults + p.p_fetches
-    + ((p.p_diff_bytes_created + p.p_diff_bytes_applied) / 256)
-  in
   let a_pages =
     List.sort
       (fun a b ->
@@ -264,10 +267,6 @@ let analyze sink =
       a_pages
   in
   { a_end = !last_time; a_events = !n_events; a_locks; a_pages; a_barriers; a_procs }
-
-let hot_score p =
-  p.p_read_faults + p.p_write_faults + p.p_fetches
-  + ((p.p_diff_bytes_created + p.p_diff_bytes_applied) / 256)
 
 (* ---- rendering ---- *)
 

@@ -49,18 +49,16 @@ type t = {
   a_end : int;  (** time of the last record *)
   a_events : int;
   a_locks : lock_stats list;  (** most-waited-on first *)
-  a_pages : page_stats list;  (** hottest first *)
+  a_pages : page_stats list;
+      (** hottest first: faults plus fetches plus diff bytes in and out
+          per 256, so a page is hot whether it thrashes through full
+          fetches or through diff exchange; ties by page id *)
   a_barriers : barrier_epoch list;  (** chronological *)
   a_procs : proc_stats list;  (** by pid *)
 }
 
 (** [analyze sink] — single pass over the stream. *)
 val analyze : Sink.t -> t
-
-(** [hot_score p] — the ranking key for [a_pages]: faults weighted
-    against diff traffic, so a page is "hot" whether it thrashes through
-    full fetches or through diff exchange. *)
-val hot_score : page_stats -> int
 
 (** [report ?findings a] — lock-contention, hot-page, barrier-skew and
     per-processor tables plus a critical-path estimate, as printable

@@ -83,7 +83,7 @@ let span_end (ev : Event.t) =
   | Gc_end _ -> Some "gc"
   | _ -> None
 
-let to_string sink =
+let write oc sink =
   let e = { b = Buffer.create 8192; first = true } in
   Buffer.add_string e.b "{\"traceEvents\":[\n";
   (* Track names.  Records with pid = -1 (the engine's) go on a
@@ -148,6 +148,4 @@ let to_string sink =
       complete e ~tid ~name:key ~cat:(cat_of bev) ~start ~stop:!last_time bev)
     (List.sort compare !leftovers);
   Buffer.add_string e.b "\n],\"displayTimeUnit\":\"ms\"}\n";
-  Buffer.contents e.b
-
-let write oc sink = output_string oc (to_string sink)
+  Buffer.output_buffer oc e.b

@@ -15,11 +15,8 @@
     Load the resulting file at https://ui.perfetto.dev or
     chrome://tracing. *)
 
-(** [to_string sink] — a complete JSON document
-    [{"traceEvents": [...], "displayTimeUnit": "ms"}].  Unmatched begin
-    events are closed at the time of the last record.  Deterministic:
-    same stream, same bytes. *)
-val to_string : Sink.t -> string
-
-(** [write oc sink] — write the document to a channel. *)
+(** [write oc sink] — write a complete JSON document
+    [{"traceEvents": [...], "displayTimeUnit": "ms"}] to a channel.
+    Unmatched begin events are closed at the time of the last record.
+    Deterministic: same stream, same bytes. *)
 val write : out_channel -> Sink.t -> unit

@@ -7,15 +7,6 @@ let to_json (r : Sink.record) =
     :: ("ev", Json.String (Event.name r.r_ev))
     :: Event.args r.r_ev)
 
-let to_string sink =
-  let b = Buffer.create 4096 in
-  Sink.iter
-    (fun r ->
-      Json.to_buffer b (to_json r);
-      Buffer.add_char b '\n')
-    sink;
-  Buffer.contents b
-
 let write oc sink =
   let b = Buffer.create 256 in
   Sink.iter

@@ -11,11 +11,8 @@
     equality test on event streams (the determinism tests rely on
     this). *)
 
-(** [to_string sink] — the whole stream, one record per line, each line
-    newline-terminated. *)
-val to_string : Sink.t -> string
-
-(** [write oc sink] — stream the sink to a channel. *)
+(** [write oc sink] — stream the sink to a channel, one record per line,
+    each line newline-terminated. *)
 val write : out_channel -> Sink.t -> unit
 
 (** {2 Reading recorded streams back}
@@ -27,12 +24,9 @@ val write : out_channel -> Sink.t -> unit
 
 exception Parse_error of string
 
-(** [parse_line line] — decode one line (no trailing newline).
-    @raise Parse_error on malformed JSON (naming the byte offset), a
-    missing or mistyped field, an unknown event or an out-of-range pid. *)
-val parse_line : string -> Sink.record
-
 (** [read_file path] — decode a whole stream into a fresh sink, skipping
     blank lines.
-    @raise Parse_error with a line number on malformed input. *)
+    @raise Parse_error ["line N: ..."] on malformed JSON (naming the byte
+    offset), a missing or mistyped field, an unknown event or an
+    out-of-range pid. *)
 val read_file : string -> Sink.t

@@ -33,5 +33,4 @@ let iter f t =
     f t.buf.(i)
   done
 
-let to_list t = List.init t.len (fun i -> t.buf.(i))
 let clear t = t.len <- 0

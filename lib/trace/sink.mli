@@ -26,8 +26,9 @@ val create : unit -> t
 val emit : t -> time:int -> pid:int -> Event.t -> unit
 
 (** [on_record t f] registers [f] to be called on every subsequent
-    record, after it is buffered (used by the string-trace compatibility
-    shim and by streaming writers). *)
+    record, after it is buffered.  Its users watch a run as it happens:
+    the invariant oracle, the sharing linter and the repository
+    benchmark's traced run. *)
 val on_record : t -> (record -> unit) -> unit
 
 (** [length t] — number of buffered records. *)
@@ -35,9 +36,6 @@ val length : t -> int
 
 (** [iter f t] — visit records in append order. *)
 val iter : (record -> unit) -> t -> unit
-
-(** [to_list t] — records in append order. *)
-val to_list : t -> record list
 
 (** [clear t] — drop all buffered records (listeners stay). *)
 val clear : t -> unit

@@ -44,9 +44,19 @@ let jacobi_matches ~lrc_updates ~nprocs ~protocol () =
         row)
     got
 
-let jacobi_checksum_sane () =
-  let g = Jacobi.sequential jacobi_params in
-  check Alcotest.bool "finite" true (Float.is_finite (Jacobi.checksum g))
+(* The checksum runs are compared by: a checked run digests processor 0's
+   grid, and at the harness's scale that digest is the sequential
+   reference grid's. *)
+let jacobi_checksum () =
+  let module H = Tmk_harness.Harness in
+  let cfg =
+    H.config ~app:H.Jacobi ~nprocs:4 ~protocol:Config.Lrc ~net:Tmk_net.Params.atm_aal34
+  in
+  let reference = Jacobi.sequential H.jacobi_params in
+  check Alcotest.bool "finite" true (Array.for_all (Array.for_all Float.is_finite) reference);
+  check Alcotest.string "digest"
+    (Digest.to_hex (Digest.string (Marshal.to_string reference [])))
+    (snd (H.run_checked ~app:H.Jacobi cfg))
 
 (* ------------------------------------------------------------------ *)
 (* TSP *)
@@ -277,7 +287,7 @@ let suite =
   @ matrix "water" water_matches
   @ matrix "ilink" ilink_matches
   @ [
-      Alcotest.test_case "jacobi checksum" `Quick jacobi_checksum_sane;
+      Alcotest.test_case "jacobi checksum" `Quick jacobi_checksum;
       Alcotest.test_case "tsp brute force" `Quick tsp_optimum_brute_force;
       Alcotest.test_case "quicksort reference" `Quick quicksort_reference_is_sorted;
       Alcotest.test_case "water dynamics evolve" `Quick water_energy_moves;

@@ -6,6 +6,7 @@
 
 open Tmk_dsm
 module Race = Tmk_check.Race
+module Hooks = Tmk_check.Hooks
 module Oracle = Tmk_check.Oracle
 module Checker = Tmk_check.Checker
 module Event = Tmk_trace.Event
@@ -147,32 +148,36 @@ let deterministic_under_loss () =
   check Alcotest.bool "still finds the races" true (contains ~affix:"Data races" r1)
 
 (* ------------------------------------------------------------------ *)
-(* Detector units: hand-driven segment histories with known answers.    *)
+(* Detector units: hand-driven segment histories with known answers,
+   through the hooks the protocol calls.                                *)
 
 let lock_ordered_is_clean () =
   let r = Race.create ~nprocs:2 ~pages:4 () in
-  Race.lock_acquired r ~pid:0 ~lock:3;
-  Race.note_access r ~pid:0 Race.Write ~addr:128 ~width:8;
-  Race.lock_release r ~pid:0 ~lock:3;
-  Race.lock_acquired r ~pid:1 ~lock:3;
-  Race.note_access r ~pid:1 Race.Write ~addr:128 ~width:8;
-  Race.lock_release r ~pid:1 ~lock:3;
+  let h = Race.hooks r in
+  h.Hooks.h_lock_acquired ~pid:0 ~lock:3;
+  h.Hooks.h_access ~pid:0 Race.Write ~addr:128 ~width:8;
+  h.Hooks.h_lock_release ~pid:0 ~lock:3;
+  h.Hooks.h_lock_acquired ~pid:1 ~lock:3;
+  h.Hooks.h_access ~pid:1 Race.Write ~addr:128 ~width:8;
+  h.Hooks.h_lock_release ~pid:1 ~lock:3;
   check Alcotest.bool "no findings" false (Race.has_findings r)
 
 let barrier_orders () =
   let r = Race.create ~nprocs:2 ~pages:4 () in
-  Race.note_access r ~pid:0 Race.Write ~addr:0 ~width:8;
-  Race.barrier_arrive r ~pid:0 ~id:7;
-  Race.barrier_arrive r ~pid:1 ~id:7;
-  Race.barrier_depart r ~pid:0 ~id:7;
-  Race.barrier_depart r ~pid:1 ~id:7;
-  Race.note_access r ~pid:1 Race.Read ~addr:0 ~width:8;
+  let h = Race.hooks r in
+  h.Hooks.h_access ~pid:0 Race.Write ~addr:0 ~width:8;
+  h.Hooks.h_barrier_arrive ~pid:0 ~id:7;
+  h.Hooks.h_barrier_arrive ~pid:1 ~id:7;
+  h.Hooks.h_barrier_depart ~pid:0 ~id:7;
+  h.Hooks.h_barrier_depart ~pid:1 ~id:7;
+  h.Hooks.h_access ~pid:1 Race.Read ~addr:0 ~width:8;
   check Alcotest.bool "no findings" false (Race.has_findings r)
 
 let unordered_writes_race () =
   let r = Race.create ~nprocs:2 ~pages:4 () in
-  Race.note_access r ~pid:0 Race.Write ~addr:64 ~width:8;
-  Race.note_access r ~pid:1 Race.Write ~addr:64 ~width:8;
+  let h = Race.hooks r in
+  h.Hooks.h_access ~pid:0 Race.Write ~addr:64 ~width:8;
+  h.Hooks.h_access ~pid:1 Race.Write ~addr:64 ~width:8;
   match Race.findings r with
   | [ f ] ->
     check Alcotest.int "page" 0 f.Race.f_page;
@@ -186,27 +191,30 @@ let unordered_writes_race () =
    detector's granularity is the 8-byte word, documented in PROTOCOL.md). *)
 let word_granularity () =
   let r = Race.create ~nprocs:2 ~pages:1 () in
-  Race.note_access r ~pid:0 Race.Write ~addr:0 ~width:8;
-  Race.note_access r ~pid:1 Race.Write ~addr:8 ~width:8;
+  let h = Race.hooks r in
+  h.Hooks.h_access ~pid:0 Race.Write ~addr:0 ~width:8;
+  h.Hooks.h_access ~pid:1 Race.Write ~addr:8 ~width:8;
   check Alcotest.bool "different words: clean" false (Race.has_findings r);
-  Race.note_access r ~pid:0 Race.Write ~addr:16 ~width:1;
-  Race.note_access r ~pid:1 Race.Write ~addr:20 ~width:1;
+  h.Hooks.h_access ~pid:0 Race.Write ~addr:16 ~width:1;
+  h.Hooks.h_access ~pid:1 Race.Write ~addr:20 ~width:1;
   check Alcotest.bool "same word: flagged" true (Race.has_findings r)
 
 let suppressed_is_invisible () =
   let r = Race.create ~nprocs:2 ~pages:1 () in
-  Race.note_access r ~pid:0 Race.Write ~addr:0 ~width:8;
-  Race.suppress r ~pid:1 true;
-  Race.note_access r ~pid:1 Race.Read ~addr:0 ~width:8;
-  Race.suppress r ~pid:1 false;
+  let h = Race.hooks r in
+  h.Hooks.h_access ~pid:0 Race.Write ~addr:0 ~width:8;
+  h.Hooks.h_suppress ~pid:1 true;
+  h.Hooks.h_access ~pid:1 Race.Read ~addr:0 ~width:8;
+  h.Hooks.h_suppress ~pid:1 false;
   check Alcotest.bool "annotated access not reported" false (Race.has_findings r)
 
 let hint_names_the_lock () =
   let r = Race.create ~nprocs:2 ~pages:1 () in
-  Race.lock_acquired r ~pid:0 ~lock:5;
-  Race.note_access r ~pid:0 Race.Write ~addr:0 ~width:8;
-  Race.lock_release r ~pid:0 ~lock:5;
-  Race.note_access r ~pid:1 Race.Write ~addr:0 ~width:8;
+  let h = Race.hooks r in
+  h.Hooks.h_lock_acquired ~pid:0 ~lock:5;
+  h.Hooks.h_access ~pid:0 Race.Write ~addr:0 ~width:8;
+  h.Hooks.h_lock_release ~pid:0 ~lock:5;
+  h.Hooks.h_access ~pid:1 Race.Write ~addr:0 ~width:8;
   match Race.findings r with
   | f :: _ ->
     check Alcotest.bool "hint names lock 5" true (contains ~affix:"lock 5" f.Race.f_hint)

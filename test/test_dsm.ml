@@ -146,11 +146,12 @@ let vt_leq_at_is_leq =
         (List.init (Array.length a) Fun.id))
 
 let wire_sizes () =
-  check Alcotest.int "notice" 2 Wire.write_notice_bytes;
+  let grant counts = Wire.lock_grant_bytes ~nprocs:8 counts in
+  check Alcotest.int "notice" 2 (grant [ 1 ] - grant [ 0 ]);
   check Alcotest.int "vt" 32 (Vector_time.bytes 8);
-  check Alcotest.int "interval hdr" 34 (Wire.interval_header_bytes ~nprocs:8);
-  (* two intervals with 3 and 0 notices *)
-  check Alcotest.int "intervals" (34 + 6 + 34) (Wire.intervals_bytes ~nprocs:8 [ 3; 0 ]);
+  check Alcotest.int "interval hdr" 34 (grant [ 0 ] - grant []);
+  (* two intervals with 3 and 0 notices, after the lock and requester ids *)
+  check Alcotest.int "intervals" (4 + 34 + 6 + 34) (grant [ 3; 0 ]);
   check Alcotest.int "page reply" (2 + 4096) Wire.page_reply_bytes;
   check Alcotest.bool "grant grows" true
     (Wire.lock_grant_bytes ~nprocs:8 [ 5 ] > Wire.lock_grant_bytes ~nprocs:8 [])

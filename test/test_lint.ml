@@ -37,29 +37,23 @@ type op =
 let drive ~nprocs ops =
   let race = Race.create ~nprocs ~pages:16 () in
   let lint = Lint.create ~nprocs () in
-  let h = Lint.hooks lint in
+  let hooks = [ Race.hooks race; Lint.hooks lint ] in
   List.iter
     (fun op ->
-      match op with
-      | A (pid, kind, addr) ->
-        let rk = match kind with Hooks.Read -> Race.Read | Hooks.Write -> Race.Write in
-        Race.note_access race ~pid rk ~addr ~width:8;
-        h.Hooks.h_access ~pid kind ~addr ~width:8
-      | L (pid, lock) ->
-        Race.lock_acquired race ~pid ~lock;
-        h.Hooks.h_lock_acquired ~pid ~lock
-      | U (pid, lock) ->
-        Race.lock_release race ~pid ~lock;
-        h.Hooks.h_lock_release ~pid ~lock
-      | B id ->
-        for pid = 0 to nprocs - 1 do
-          Race.barrier_arrive race ~pid ~id;
-          h.Hooks.h_barrier_arrive ~pid ~id
-        done;
-        for pid = 0 to nprocs - 1 do
-          Race.barrier_depart race ~pid ~id;
-          h.Hooks.h_barrier_depart ~pid ~id
-        done)
+      List.iter
+        (fun h ->
+          match op with
+          | A (pid, kind, addr) -> h.Hooks.h_access ~pid kind ~addr ~width:8
+          | L (pid, lock) -> h.Hooks.h_lock_acquired ~pid ~lock
+          | U (pid, lock) -> h.Hooks.h_lock_release ~pid ~lock
+          | B id ->
+            for pid = 0 to nprocs - 1 do
+              h.Hooks.h_barrier_arrive ~pid ~id
+            done;
+            for pid = 0 to nprocs - 1 do
+              h.Hooks.h_barrier_depart ~pid ~id
+            done)
+        hooks)
     ops;
   (race, lint)
 
@@ -193,18 +187,21 @@ let sharing_pair ~nprocs =
   let segs = Segments.create ~nprocs () in
   (segs, Sharing.create ~segs ~nprocs ())
 
+(* The pattern of the one page the classification table lists. *)
 let classify_one sh =
-  match Sharing.classify sh with
-  | [ c ] -> c
-  | rows -> Alcotest.failf "expected one classified page, got %d" (List.length rows)
+  match String.split_on_char '\n' (Sharing.classification_table sh) with
+  | [ _title; _header; _rule; row; "" ] -> (
+    match List.filter (( <> ) "") (String.split_on_char ' ' row) with
+    | _page :: pattern :: _ -> pattern
+    | _ -> Alcotest.failf "malformed row %S" row)
+  | lines -> Alcotest.failf "expected one classified page, got %d lines" (List.length lines)
 
 let sharing_false_sharing () =
   let _, sh = sharing_pair ~nprocs:2 in
   (* p0 owns words 0..2, p1 words 10..12 of page 0: disjoint, >=2 each *)
   List.iter (fun a -> Sharing.access sh ~pid:0 Hooks.Write ~addr:a ~width:8) [ 0; 8; 16 ];
   List.iter (fun a -> Sharing.access sh ~pid:1 Hooks.Write ~addr:a ~width:8) [ 80; 88; 96 ];
-  let c = classify_one sh in
-  check Alcotest.string "pattern" "falsely-shared" c.Sharing.cl_pattern;
+  check Alcotest.string "pattern" "falsely-shared" (classify_one sh);
   match List.filter (fun f -> f.Findings.rule = "false-sharing") (Sharing.findings sh) with
   | [ f ] ->
     check Alcotest.int "page" 0 f.Findings.page;
@@ -225,13 +222,13 @@ let sharing_true_shared () =
   let _, sh = sharing_pair ~nprocs:2 in
   List.iter (fun a -> Sharing.access sh ~pid:0 Hooks.Write ~addr:a ~width:8) [ 0; 8 ];
   List.iter (fun a -> Sharing.access sh ~pid:1 Hooks.Write ~addr:a ~width:8) [ 8; 16 ];
-  check Alcotest.string "pattern" "true-shared" (classify_one sh).Sharing.cl_pattern
+  check Alcotest.string "pattern" "true-shared" (classify_one sh)
 
 let sharing_producer_consumer () =
   let _, sh = sharing_pair ~nprocs:2 in
   Sharing.access sh ~pid:0 Hooks.Write ~addr:0 ~width:8;
   Sharing.access sh ~pid:1 Hooks.Read ~addr:0 ~width:8;
-  check Alcotest.string "pattern" "producer-consumer" (classify_one sh).Sharing.cl_pattern
+  check Alcotest.string "pattern" "producer-consumer" (classify_one sh)
 
 let sharing_migratory () =
   let segs, sh = sharing_pair ~nprocs:2 in
@@ -239,7 +236,7 @@ let sharing_migratory () =
   for pid = 0 to 1 do Segments.barrier_arrive segs ~pid ~id:1 done;
   for pid = 0 to 1 do Segments.barrier_depart segs ~pid ~id:1 done;
   Sharing.access sh ~pid:1 Hooks.Write ~addr:0 ~width:8;
-  check Alcotest.string "pattern" "migratory" (classify_one sh).Sharing.cl_pattern
+  check Alcotest.string "pattern" "migratory" (classify_one sh)
 
 (* ------------------------------------------------------------------ *)
 (* Sync-discipline units.                                               *)
@@ -329,23 +326,28 @@ let findings_jsonl_roundtrip () =
   let sorted = Findings.sort_dedup sample_findings in
   check Alcotest.bool "errors sort first" true
     ((List.hd sorted).Findings.severity = Findings.Error);
-  let lines = List.map Findings.to_jsonl_line sorted in
+  let text = Findings.to_jsonl sorted in
   check Alcotest.string "one line per finding"
-    (String.concat "" (List.map (fun l -> l ^ "\n") lines))
-    (Findings.to_jsonl sorted);
-  List.iter
-    (fun line ->
-      check Alcotest.string "parse . print = id" line
-        Tmk_util.Json.(to_string (of_string line)))
-    lines
+    (String.concat "" (List.map (fun f -> Findings.to_jsonl [ f ]) sorted))
+    text;
+  match List.rev (String.split_on_char '\n' text) with
+  | "" :: rev_lines ->
+    check Alcotest.int "line count" (List.length sorted) (List.length rev_lines);
+    List.iter
+      (fun line ->
+        check Alcotest.string "parse . print = id" line
+          Tmk_util.Json.(to_string (of_string line)))
+      rev_lines
+  | _ -> Alcotest.fail "the stream does not end in a newline"
 
 let findings_jsonl_golden () =
   let f = List.nth sample_findings 1 in
   check Alcotest.string "golden line"
-    "{\"analyzer\":\"lockset\",\"rule\":\"lockset-race\",\"severity\":\"error\",\
+    ("{\"analyzer\":\"lockset\",\"rule\":\"lockset-race\",\"severity\":\"error\",\
      \"page\":0,\"lo\":0,\"hi\":15,\"pids\":[1,2],\"message\":\"potential race\",\
      \"hint\":\"lock it\"}"
-    (Findings.to_jsonl_line f)
+    ^ "\n")
+    (Findings.to_jsonl [ f ])
 
 let findings_sarif_shape () =
   let s = Findings.to_sarif ~uri:"lib/apps/racey2.ml" sample_findings in

@@ -31,9 +31,13 @@ let rpc ?label tr ~src ~dst ~bytes ~serve =
 
 (* Analytic expectation for a zero-payload RPC where the server charges no
    time of its own: request takes the SIGIO-handler path, the reply wakes
-   the blocked caller. *)
+   the blocked caller.  On an idle medium a frame occupies the wire for
+   its padded size at the medium's rate, then propagates. *)
 let expected_rpc_roundtrip p =
-  let wire payload = Params.wire_time p payload in
+  let wire payload =
+    Vtime.add p.Params.wire_latency
+      (Vtime.ns (Params.frame_bytes p payload * p.Params.wire_ns_per_byte))
+  in
   Params.send_cost p 0 + wire 0
   + Params.deliver_handler_cpu p ~fresh:true
   + Params.recv_cost p 0

@@ -155,7 +155,7 @@ let fast_path_still_raises () =
   let raises f = match f () with exception Invalid_argument _ -> true | _ -> false in
   check Alcotest.bool "negative addr" true (raises (fun () -> Vm.read_u8 vm (-1)));
   check Alcotest.bool "past the end" true (raises (fun () -> Vm.read_u8 vm 4096));
-  check Alcotest.bool "straddle" true (raises (fun () -> Vm.read_i64 vm 4092));
+  check Alcotest.bool "straddle" true (raises (fun () -> Vm.read_f64 vm 4092));
   Vm.write_u8 vm 4095 9;
   check Alcotest.int "last byte still accessible" 9 (Vm.read_u8 vm 4095)
 

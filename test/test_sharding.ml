@@ -70,16 +70,18 @@ let ring_balanced () =
   List.iter
     (fun nprocs ->
       let ring = Ring.create ~nprocs ~seed:1994L () in
-      let shards = Ring.shards ring ~live:all_live ~keys:Ring.page_key nkeys in
+      let shards = Array.make nprocs 0 in
+      for k = 0 to nkeys - 1 do
+        let o = Ring.owner ring ~live:all_live (Ring.page_key k) in
+        shards.(o) <- shards.(o) + 1
+      done;
       let mean = float_of_int nkeys /. float_of_int nprocs in
       Array.iteri
         (fun pid n ->
           if float_of_int n > 6.0 *. mean then
             Alcotest.failf "nprocs=%d: processor %d owns %d of %d keys (mean %.1f)"
               nprocs pid n nkeys mean)
-        shards;
-      check Alcotest.int "histogram accounts for every key" nkeys
-        (Array.fold_left ( + ) 0 shards))
+        shards)
     [ 16; 64; 256 ]
 
 let ring_minimal_migration () =

@@ -203,7 +203,7 @@ let deterministic_trace () =
                { src = from; dst = p; label = Printf.sprintf "p%d-got-%d" p from }))
     done;
     Engine.run e;
-    Tmk_trace.Jsonl.to_string sink
+    Test_trace.written Tmk_trace.Jsonl.write sink
   in
   let first = run_once () in
   check Alcotest.bool "stream non-empty" true (String.length first > 0);
