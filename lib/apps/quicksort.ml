@@ -11,71 +11,55 @@ let pages_needed p =
   let bytes = (p.n * 8) + 4096 (* stack *) + 4096 in
   (bytes / Tmk_mem.Vm.page_size) + 3
 
-(* Bubble sort, as the paper uses for small subarrays.  [get]/[set]
-   abstract the array so the same code runs sequentially and on shared
-   memory; [charge] accounts [n] comparisons' work in one batch (one
+(* The sorts below work in place on the shared array [data], reading
+   and writing it through [Api.iget]/[Api.iset] with no closure between:
+   the values are [int]s, so each compare is one machine instruction.
+   [charge ctx p n] accounts [n] comparisons' work in one batch (one
    simulated-time advance per pass, not per compare). *)
-let bubble_sort ~get ~set ~charge lo hi =
+let charge ctx p n = Api.compute_flops ctx (n * p.flops_per_compare)
+
+(* Bubble sort, as the paper uses for small subarrays. *)
+let bubble_sort ctx p data lo hi =
   for i = hi downto lo + 1 do
-    charge (i - lo);
+    charge ctx p (i - lo);
     for j = lo to i - 1 do
-      let a = get j and b = get (j + 1) in
+      let a = Api.iget ctx data j and b = Api.iget ctx data (j + 1) in
       if a > b then begin
-        set j b;
-        set (j + 1) a
+        Api.iset ctx data j b;
+        Api.iset ctx data (j + 1) a
       end
     done
   done
 
 (* Hoare-style partition around the middle-element pivot. *)
-let partition ~get ~set ~charge lo hi =
-  charge (hi - lo + 1);
-  let pivot = get ((lo + hi) / 2) in
+let partition ctx p data lo hi =
+  charge ctx p (hi - lo + 1);
+  let pivot = Api.iget ctx data ((lo + hi) / 2) in
   let i = ref lo and j = ref hi in
   let continue_ = ref true in
   while !continue_ do
-    while get !i < pivot do
+    while Api.iget ctx data !i < pivot do
       incr i
     done;
-    while get !j > pivot do
+    while Api.iget ctx data !j > pivot do
       decr j
     done;
     if !i >= !j then continue_ := false
     else begin
-      let a = get !i and b = get !j in
-      set !i b;
-      set !j a;
+      let a = Api.iget ctx data !i and b = Api.iget ctx data !j in
+      Api.iset ctx data !i b;
+      Api.iset ctx data !j a;
       incr i;
       decr j
     end
   done;
   !j
 
-let rec sort_range ~params ~get ~set ~charge ~push lo hi =
-  if hi - lo + 1 < params.threshold then begin
-    if lo < hi then bubble_sort ~get ~set ~charge lo hi
-  end
-  else begin
-    let mid = partition ~get ~set ~charge lo hi in
-    (* Push the left half for someone else, keep the right. *)
-    push lo mid;
-    sort_range ~params ~get ~set ~charge ~push (mid + 1) hi
-  end
-
+(* The reference: a sorted array is unique, so any sort of the same
+   input is the answer the parallel sort must reach. *)
 let sequential p =
   let data = Workload.int_array ~n:p.n ~seed:p.seed in
-  let pending = Stack.create () in
-  let get i = data.(i) and set i v = data.(i) <- v in
-  let push lo hi = Stack.push (lo, hi) pending in
-  Stack.push (0, p.n - 1) pending;
-  let rec drain () =
-    match Stack.pop_opt pending with
-    | None -> ()
-    | Some (lo, hi) ->
-      sort_range ~params:p ~get ~set ~charge:(fun _ -> ()) ~push lo hi;
-      drain ()
-  in
-  drain ();
+  Array.sort Int.compare data;
   data
 
 (* Shared task stack layout: slot 0 = top index, slot 1 = number of busy
@@ -96,8 +80,6 @@ let parallel ?(collect = true) ctx p =
     Api.iset ctx stack 3 (p.n - 1)
   end;
   Api.barrier ctx 0;
-  let get i = Api.iget ctx data i and set i v = Api.iset ctx data i v in
-  let charge n = Api.compute_flops ctx (n * p.flops_per_compare) in
   let push lo hi =
     Api.with_lock ctx lock_stack (fun () ->
         let top = Api.iget ctx stack 0 in
@@ -124,6 +106,17 @@ let parallel ?(collect = true) ctx p =
   let finish_task () =
     Api.with_lock ctx lock_stack (fun () -> Api.iset ctx stack 1 (Api.iget ctx stack 1 - 1))
   in
+  let rec sort_range lo hi =
+    if hi - lo + 1 < p.threshold then begin
+      if lo < hi then bubble_sort ctx p data lo hi
+    end
+    else begin
+      let mid = partition ctx p data lo hi in
+      (* Push the left half for someone else, keep the right. *)
+      push lo mid;
+      sort_range (mid + 1) hi
+    end
+  in
   let rec work () =
     match pop () with
     | `Done -> ()
@@ -132,7 +125,7 @@ let parallel ?(collect = true) ctx p =
       Api.compute_ns ctx 5_000_000;
       work ()
     | `Task (lo, hi) ->
-      sort_range ~params:p ~get ~set ~charge ~push lo hi;
+      sort_range lo hi;
       finish_task ();
       work ()
   in

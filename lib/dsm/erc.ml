@@ -58,7 +58,7 @@ let fetch_base t pid page =
       Bitset.add t.dir.(page) pid;
       Transport.hsend_value ~label:"page-fetch-reply" cl.Cluster.transport h ~dst:pid
         ~bytes:Wire.page_reply_bytes mb
-        (Vm.page_snapshot cl.Cluster.nodes.(provider).Node.vm page)
+        (Node.page_snapshot cl.Cluster.nodes.(provider) page)
     end
   in
   Transport.send ~label:"page-fetch" cl.Cluster.transport ~src:pid ~dst:provider

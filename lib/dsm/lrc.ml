@@ -37,18 +37,8 @@ let fetch_base cl pid page =
     h_charge h Category.Tmk_mem Costs.page_copy;
     let pentry = pnode.Node.pages.(page) in
     pentry.Node.pg_copyset <- Bitset.with_member pentry.Node.pg_copyset pid;
-    (* Serve the twin when the page is dirty: diffs record only the
-       bytes that changed relative to their interval's base state, so
-       a base copy containing the provider's uncommitted (not yet
-       diffed) writes would be byte-inconsistent with the very diffs
-       the requester is about to apply over it. *)
-    let snapshot =
-      match pentry.Node.pg_twin with
-      | Some twin -> Bytes.copy twin
-      | None -> Vm.page_snapshot pnode.Node.vm page
-    in
     Transport.hsend_value ~label:"page-fetch-reply" cl.Cluster.transport h ~dst:pid
-      ~bytes:Wire.page_reply_bytes mb (snapshot, pentry.Node.pg_copyset)
+      ~bytes:Wire.page_reply_bytes mb (Node.base_copy pnode page, pentry.Node.pg_copyset)
   in
   (* Re-issue against another live copyset member if the provider dies
      before replying.  The retry runs in timer context, so the request

@@ -71,6 +71,7 @@ type store = {
   writers : writers array;  (* per page *)
   zero : Vector_time.t;  (* the vector of a processor with no interval *)
   initial_copyset : Bitset.t;  (* {0}, every node's first copyset of every page *)
+  page_pool : Vm.pool;  (* every node's page copies: twins and pages in flight *)
   mutable live : int;  (* nodes not retired *)
   mutable notices_made : int;  (* the next notice's [wn_seq] *)
 }
@@ -94,6 +95,7 @@ let create_store ~nprocs ~pages =
     writers = Array.make pages Int_map.empty;
     zero = Vector_time.create nprocs;
     initial_copyset;
+    page_pool = Vm.create_pool ();
     live = nprocs;
     notices_made = 0;
   }
@@ -345,11 +347,23 @@ let own_notices t page =
     -> l
   | _ -> []
 
+let page_snapshot t page = Vm.snapshot t.store.page_pool t.vm page
+let release_copy t bytes = Vm.release t.store.page_pool bytes
+
+(* Serve the twin when the page is dirty: diffs record only the bytes
+   that changed relative to their interval's base state, so a base copy
+   containing uncommitted (not yet diffed) writes would be
+   byte-inconsistent with the very diffs the requester applies over it. *)
+let base_copy t page =
+  match t.pages.(page).pg_twin with
+  | Some twin -> Vm.copy t.store.page_pool twin
+  | None -> page_snapshot t page
+
 let write_fault_twin t page ~charge =
   let entry = t.pages.(page) in
   assert (entry.pg_twin = None);
   charge Category.Tmk_mem Costs.twin_copy;
-  entry.pg_twin <- Some (Vm.page_snapshot t.vm page);
+  entry.pg_twin <- Some (page_snapshot t page);
   charge Category.Unix_mem Costs.mprotect;
   Vm.set_prot t.vm page Vm.Read_write;
   t.dirty <- page :: t.dirty;
@@ -415,13 +429,14 @@ let update_bytes intervals =
         acc mi.mi_pages)
     0 intervals
 
-(* The one twin-to-diff step: diff [page] against its [twin], drop the
+(* The one twin-to-diff step: diff [page] against its [twin], release the
    twin and count the diff.  [interval] is the notice it belongs to, -1
    for the eager protocols' diffs, which have none. *)
 let diff_twin t page twin ~interval ~charge =
   charge Category.Tmk_mem (Costs.diff_create Vm.page_size);
   let diff = Vm.diff_against t.vm page ~twin in
   t.pages.(page).pg_twin <- None;
+  release_copy t twin;
   t.stats.Stats.diffs_created <- t.stats.Stats.diffs_created + 1;
   t.stats.Stats.diff_bytes_created <- t.stats.Stats.diff_bytes_created + Rle.encoded_size diff;
   if tracing t then
@@ -823,6 +838,7 @@ let incorporate t intervals ~charge =
 let validate_page t page bytes ~charge =
   charge Category.Tmk_mem Costs.page_copy;
   Vm.install_page t.vm page bytes;
+  release_copy t bytes;
   set_has_copy t.pages.(page) true;
   t.stats.Stats.page_fetches <- t.stats.Stats.page_fetches + 1
 

@@ -82,12 +82,13 @@ and msg_interval = {
       (** in the creator's order, at every sender *)
 }
 
-(** The cluster's record store. *)
+(** The cluster's record store, and the pool of page buffers its nodes
+    copy pages into ({!page_snapshot}). *)
 type store
 
 (** [create_store ~nprocs ~pages] — an empty store for a cluster of that
-    shape.  Each cluster needs its own: clusters can run on parallel
-    domains. *)
+    shape, with an empty page pool.  Each cluster needs its own: clusters
+    can run on parallel domains. *)
 val create_store : nprocs:int -> pages:int -> store
 
 (** PageArray entry. *)
@@ -99,6 +100,8 @@ type page_entry = {
           and nothing mutates it in place.  Every entry of every node over
           one store starts from the store's one [{0}]. *)
   mutable pg_twin : Bytes.t option;
+      (** a buffer from the store's pool, released when the twin becomes
+          a diff; a GC round drops it *)
   mutable pg_flags : int;
       (** three flags, read and written through {!has_copy},
           {!fetched}, {!no_gather} and their setters *)
@@ -176,6 +179,29 @@ val create :
   pages:int ->
   unit ->
   t
+
+(** {2 Page copies}
+
+    Every copy of a page is a buffer from the store's one pool
+    ({!Tmk_mem.Vm.pool}).  A copy made for another node belongs to the
+    message that carries it, and its one consumer releases it:
+    {!validate_page} after the install, SC-ABD's stores after theirs.  A
+    twin is released when it becomes a diff.  A copy nobody consumes — a
+    message a crash dropped, the losing reply of a re-issued fetch, a twin
+    a GC round drops — is left to the GC. *)
+
+(** [page_snapshot t page] — [t]'s copy of [page] in a buffer from the
+    pool, owned by the caller. *)
+val page_snapshot : t -> int -> Bytes.t
+
+(** [base_copy t page] — the base copy [t] serves for [page] (§3.5): its
+    twin while the page is twinned, since the diffs the requester applies
+    over the copy record changes from the state the twin holds, else its
+    copy of the page; a buffer from the pool, owned by the caller. *)
+val base_copy : t -> int -> Bytes.t
+
+(** [release_copy t bytes] — give a consumed page copy back to the pool. *)
+val release_copy : t -> Bytes.t -> unit
 
 (** [write_fault_twin t page ~charge] — handle a write fault on a valid
     page: make the twin, upgrade to read-write (§3.7 SIGSEGV handler, twin
@@ -328,8 +354,9 @@ val apply_fetched :
     view. *)
 val settle_page : t -> int -> charge:charge -> unit
 
-(** [validate_page t page ~charge] — mark a freshly fetched base copy
-    present and readable. *)
+(** [validate_page t page bytes ~charge] — install a fetched copy of
+    [page] and mark it present; [bytes] is released to the pool, so the
+    caller must not touch it afterwards. *)
 val validate_page : t -> int -> Bytes.t -> charge:charge -> unit
 
 (** [discard_all_records t ~charge] — GC sweep (§3.6): drop every

@@ -83,7 +83,7 @@ and owner_transfer_write t st rq ~need_page h =
   let page_bytes =
     if need_page then begin
       h_charge h Category.Tmk_mem Costs.page_copy;
-      Some (Vm.page_snapshot onode.Node.vm st.ps_page)
+      Some (Node.page_snapshot onode st.ps_page)
     end
     else None
   in
@@ -117,7 +117,7 @@ and owner_serve_read t st rq h =
     Vm.set_prot onode.Node.vm st.ps_page Vm.Read_only
   end;
   h_charge h Category.Tmk_mem Costs.page_copy;
-  let bytes = Vm.page_snapshot onode.Node.vm st.ps_page in
+  let bytes = Node.page_snapshot onode st.ps_page in
   Transport.hsend ~label:"sc-page" t.cl.Cluster.transport h ~dst:rq.rq_pid
     ~bytes:Wire.page_reply_bytes
     ~deliver:(grant_at_requester t st rq ~page_bytes:(Some bytes) ~prot:Vm.Read_only)

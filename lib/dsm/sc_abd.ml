@@ -81,7 +81,7 @@ let apply_store t ~from_ dst page diff ~ts ~charge =
   let node = t.cl.Cluster.nodes.(dst) in
   let row = t.wordts.(dst) in
   let base = page * words in
-  let snap = Vm.page_snapshot node.Node.vm page in
+  let snap = Node.page_snapshot node page in
   let twin = node.Node.pages.(page).Node.pg_twin in
   List.iter
     (fun { Rle.offset; bytes } ->
@@ -98,6 +98,7 @@ let apply_store t ~from_ dst page diff ~ts ~charge =
       done)
     (Rle.runs diff);
   Vm.install_page node.Node.vm page snap;
+  Node.release_copy node snap;
   charge Category.Tmk_mem (Costs.diff_apply (Rle.payload_size diff));
   node.Node.stats.Stats.diffs_applied <- node.Node.stats.Stats.diffs_applied + 1;
   if Engine.tracing t.cl.Cluster.engine then
@@ -110,7 +111,7 @@ let apply_writeback t dst page merged mrow ~charge =
   let node = t.cl.Cluster.nodes.(dst) in
   let row = t.wordts.(dst) in
   let base = page * words in
-  let snap = Vm.page_snapshot node.Node.vm page in
+  let snap = Node.page_snapshot node page in
   let twin = node.Node.pages.(page).Node.pg_twin in
   for w = 0 to words - 1 do
     if mrow.(w) > row.(base + w) then begin
@@ -122,6 +123,7 @@ let apply_writeback t dst page merged mrow ~charge =
     end
   done;
   Vm.install_page node.Node.vm page snap;
+  Node.release_copy node snap;
   charge Category.Tmk_mem Costs.page_copy
 
 (* ------------------------------------------------------------------ *)
@@ -146,7 +148,7 @@ let quorum_read t pid page =
           h_charge h Category.Tmk_other Cpu.abd_serve;
           h_charge h Category.Tmk_mem Costs.page_copy;
           let qnode = cl.Cluster.nodes.(q) in
-          let snap = Vm.page_snapshot qnode.Node.vm page in
+          let snap = Node.page_snapshot qnode page in
           let row = Array.sub t.wordts.(q) (page * words) words in
           Transport.hsend ~label:"abd-read-reply" cl.Cluster.transport h ~dst:pid
             ~bytes:Wire.abd_read_reply_bytes
@@ -164,7 +166,7 @@ let quorum_read t pid page =
     (Vtime.scale Cpu.abd_merge_per_reply (List.length got_replies));
   let base = page * words in
   let my = t.wordts.(pid) in
-  let merged = Vm.page_snapshot node.Node.vm page in
+  let merged = Node.page_snapshot node page in
   let disagree =
     atomically cl (fun charge ->
         List.iter

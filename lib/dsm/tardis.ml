@@ -123,7 +123,7 @@ and owner_serve_read t st rq ~rts h =
   let page_bytes =
     if with_page then begin
       h_charge h Category.Tmk_mem Costs.page_copy;
-      Some (Vm.page_snapshot onode.Node.vm st.ps_page)
+      Some (Node.page_snapshot onode st.ps_page)
     end
     else None
   in
@@ -142,7 +142,7 @@ and owner_transfer t st rq ~wts ~old_wts ~need_page h =
   let page_bytes =
     if need_page then begin
       h_charge h Category.Tmk_mem Costs.page_copy;
-      Some (Vm.page_snapshot onode.Node.vm st.ps_page)
+      Some (Node.page_snapshot onode st.ps_page)
     end
     else None
   in

@@ -189,6 +189,36 @@ let[@inline] write_f64 t addr v =
 
 let page_snapshot t page = Bytes.copy t.frames.(page)
 
+(* Free page buffers, a stack in [free.(0 .. count - 1)].  A buffer is
+   taken by [copy] and comes back through [release]; the array only grows,
+   and a slot above [count] may still name a buffer someone took. *)
+type pool = { mutable free : Bytes.t array; mutable count : int }
+
+let create_pool () = { free = [||]; count = 0 }
+
+let copy pool src =
+  let buf =
+    if pool.count = 0 then Bytes.create page_size
+    else begin
+      pool.count <- pool.count - 1;
+      pool.free.(pool.count)
+    end
+  in
+  Bytes.blit src 0 buf 0 page_size;
+  buf
+
+let snapshot pool t page = copy pool t.frames.(page)
+
+let release pool buf =
+  if Bytes.length buf <> page_size then invalid_arg "Vm.release: wrong page size";
+  if pool.count = Array.length pool.free then begin
+    let free = Array.make (max 8 (2 * pool.count)) buf in
+    Array.blit pool.free 0 free 0 pool.count;
+    pool.free <- free
+  end;
+  pool.free.(pool.count) <- buf;
+  pool.count <- pool.count + 1
+
 let install_page t page bytes =
   if Bytes.length bytes <> page_size then
     invalid_arg "Vm.install_page: wrong page size";

@@ -49,7 +49,7 @@ exception Fault_loop of { page : int; kind : access }
     after every typed access resolves (including any faults it triggered).
     The hook sees the accesses a hardware watchpoint would — one call per
     load or store — and is meant for checkers; it must not change
-    protections.  Page-granularity operations ([page_snapshot], [patch],
+    protections.  Page-granularity operations ([snapshot], [patch],
     ...) are DSM-internal and do not report. *)
 val set_access_hook : t -> (access -> int -> int -> unit) -> unit
 
@@ -101,8 +101,37 @@ val write_f64 : t -> int -> float -> unit
     protection (the DSM manipulates pages it has deliberately protected),
     like kernel-assisted copies in the real system. *)
 
-(** [page_snapshot t page] is a fresh copy of the page's 4096 bytes. *)
+(** [page_snapshot t page] is a fresh copy of the page's 4096 bytes, for
+    a caller that keeps it.  The DSM copies pages through a {!pool}. *)
 val page_snapshot : t -> int -> Bytes.t
+
+(** {3 Page copies}
+
+    A page copy — a twin, or a page on its way to another processor — is
+    a 4096-byte buffer from a [pool] of free ones, so a copy costs a blit,
+    not an allocation.  A buffer has one owner at a time.  [snapshot] and
+    [copy] hand it to the caller, who owns it until it passes it on; the
+    copy's one consumer gives it back with [release] once it has read it,
+    and must not touch it afterwards.  A copy that is never consumed (its
+    message was dropped) is simply left to the GC.  A pool is not shared
+    between domains. *)
+
+type pool
+
+(** [create_pool ()] — an empty pool; it grows to the largest number of
+    buffers released and not yet taken again. *)
+val create_pool : unit -> pool
+
+(** [snapshot pool t page] — the page's 4096 bytes in a buffer from
+    [pool], owned by the caller. *)
+val snapshot : pool -> t -> int -> Bytes.t
+
+(** [copy pool bytes] — the same for a 4096-byte buffer (a twin). *)
+val copy : pool -> Bytes.t -> Bytes.t
+
+(** [release pool bytes] — give a consumed copy back to [pool].
+    @raise Invalid_argument when [bytes] is not 4096 bytes long. *)
+val release : pool -> Bytes.t -> unit
 
 (** [install_page t page bytes] overwrites the page's contents. *)
 val install_page : t -> int -> Bytes.t -> unit

@@ -106,12 +106,34 @@ let quicksort_matches ~lrc_updates ~nprocs ~protocol () =
   in
   check Alcotest.bool "sorted equal" true (got = expected)
 
-let quicksort_reference_is_sorted () =
-  let sorted = Quicksort.sequential qsort_params in
-  let input = Tmk_workload.Workload.int_array ~n:qsort_params.Quicksort.n ~seed:qsort_params.Quicksort.seed in
-  let resorted = Array.copy input in
-  Array.sort compare resorted;
-  check Alcotest.bool "matches Array.sort" true (sorted = resorted)
+(* The parallel sort returns its input sorted, whatever the size, the
+   bubble-sort threshold, the input and the processor count.  Sizes and
+   thresholds stay where the pending tasks fit the 128-entry stack. *)
+let quicksort_sorts_random_inputs =
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun ((n, threshold, seed), (nprocs, protocol)) ->
+          ({ Quicksort.default with Quicksort.n; threshold; seed = Int64.of_int seed }, nprocs,
+           protocol))
+        (pair
+           (triple (int_range 1 2048) (int_range 16 512) (int_bound 1_000_000))
+           (pair (int_range 2 4) (oneofl [ Config.Lrc; Config.Tardis ]))))
+  in
+  let print (p, nprocs, protocol) =
+    Printf.sprintf "n %d, threshold %d, seed %Ld, %d processors, %s" p.Quicksort.n
+      p.Quicksort.threshold p.Quicksort.seed nprocs (Config.protocol_name protocol)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:100 ~name:"quicksort sorts random inputs" (QCheck.make ~print gen)
+       (fun (p, nprocs, protocol) ->
+         let expected = Tmk_workload.Workload.int_array ~n:p.Quicksort.n ~seed:p.Quicksort.seed in
+         Array.sort compare expected;
+         let got, _ =
+           run_app ~nprocs ~pages:(Quicksort.pages_needed p) ~protocol (fun ctx ->
+               Quicksort.parallel ctx p)
+         in
+         got = expected))
 
 (* ------------------------------------------------------------------ *)
 (* Water *)
@@ -289,7 +311,7 @@ let suite =
   @ [
       Alcotest.test_case "jacobi checksum" `Quick jacobi_checksum;
       Alcotest.test_case "tsp brute force" `Quick tsp_optimum_brute_force;
-      Alcotest.test_case "quicksort reference" `Quick quicksort_reference_is_sorted;
+      quicksort_sorts_random_inputs;
       Alcotest.test_case "water dynamics evolve" `Quick water_energy_moves;
       Alcotest.test_case "ilink sizes skewed" `Quick ilink_sizes_are_skewed;
       Alcotest.test_case "tsp stale bound shape" `Quick tsp_stale_bound_shape;

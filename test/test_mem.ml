@@ -85,6 +85,24 @@ let install_wrong_size () =
   Alcotest.check_raises "wrong size" (Invalid_argument "Vm.install_page: wrong page size")
     (fun () -> Vm.install_page vm 0 (Bytes.create 100))
 
+(* A released copy is the next one handed out, and holds exactly the
+   page copied into it. *)
+let pool_reuses_released_copies () =
+  let vm = Vm.create ~pages:2 () in
+  Vm.write_int vm 0 1;
+  Vm.write_int vm 4096 2;
+  let pool = Vm.create_pool () in
+  let a = Vm.snapshot pool vm 0 in
+  check Alcotest.int "page 0 copied" 1 (Int64.to_int (Bytes.get_int64_le a 0));
+  Vm.release pool a;
+  let b = Vm.snapshot pool vm 1 in
+  check Alcotest.bool "the released buffer comes back" true (a == b);
+  check Alcotest.bool "holding page 1" true (Bytes.equal b (Vm.page_snapshot vm 1));
+  let c = Vm.copy pool b in
+  check Alcotest.bool "an empty pool gives a fresh buffer" true (c != b && Bytes.equal c b);
+  Alcotest.check_raises "wrong size" (Invalid_argument "Vm.release: wrong page size")
+    (fun () -> Vm.release pool (Bytes.create 100))
+
 let diff_patch_roundtrip () =
   let vm = Vm.create ~pages:1 () in
   Vm.write_int vm 0 1;
@@ -133,11 +151,14 @@ let identical_page_empty_diff () =
    every load, snapshot and diff against a flat [Bytes] model.  The fault
    handler grants what the access needs, as the DSM would, so every access
    lands.  Loads of never-written pages read the shared zero frame, and
-   scribbling on a snapshot must not reach the page it was taken from. *)
+   scribbling on a snapshot must not reach the page it was taken from.
+   Snapshots come from a pool, and the twin a snapshot replaces goes back
+   to it, so later snapshots reuse buffers that held other pages. *)
 let flat_model_walk ~fast_path seed =
   let pages = 4 in
   let rng = Random.State.make [| seed |] in
   let vm = Vm.create ~fast_path ~pages () in
+  let pool = Vm.create_pool () in
   let model = Bytes.make (pages * Vm.page_size) '\000' in
   Vm.set_fault_handler vm (fun kind page ->
       Vm.set_prot vm page (if kind = Vm.Write then Vm.Read_write else Vm.Read_only));
@@ -191,10 +212,10 @@ let flat_model_walk ~fast_path seed =
           Bytes.blit bytes 0 model (Vm.addr_of_page page + offset) (Bytes.length bytes))
         (Tmk_util.Rle.runs diff)
     | 7 ->
-      let snap = Vm.page_snapshot vm page in
-      check Alcotest.bool (what step "page_snapshot") true
-        (Bytes.equal snap (model_page page));
+      let snap = Vm.snapshot pool vm page in
+      check Alcotest.bool (what step "snapshot") true (Bytes.equal snap (model_page page));
       Bytes.set snap (Random.State.int rng Vm.page_size) 'x';
+      Vm.release pool twins.(page);
       twins.(page) <- snap
     | _ ->
       let twin = twins.(page) in
@@ -234,6 +255,7 @@ let suite =
     Alcotest.test_case "fault loop detected" `Quick fault_loop_detected;
     Alcotest.test_case "snapshot/install roundtrip" `Quick snapshot_install_roundtrip;
     Alcotest.test_case "install wrong size" `Quick install_wrong_size;
+    Alcotest.test_case "pool reuses released copies" `Quick pool_reuses_released_copies;
     Alcotest.test_case "diff/patch roundtrip" `Quick diff_patch_roundtrip;
     diff_patch_random;
     Alcotest.test_case "identical page empty diff" `Quick identical_page_empty_diff;

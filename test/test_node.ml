@@ -554,6 +554,29 @@ let an_interval_is_one_record () =
     (Node.intervals_since nodes.(2) zero = [])
 
 (* The diff in the shared notice is not a diff every node holds. *)
+(* Every page copy is a buffer from the store's pool, and its consumer
+   gives it back: a twin once diffed, a fetched copy once installed, and
+   the next copy on any node of the store reuses it.  A twinned page's
+   base copy is its twin's bytes, not the live page's. *)
+let page_copies_return_to_the_pool () =
+  let store = Node.create_store ~nprocs:2 ~pages:2 in
+  let a = Node.create ~store ~pid:0 ~nprocs:2 ~pages:2 () in
+  let b = Node.create ~store ~pid:1 ~nprocs:2 ~pages:2 () in
+  write a 0 ~offset:0 7;
+  let twin = Option.get a.Node.pages.(0).Node.pg_twin in
+  ignore (Node.flush_page a 0 ~charge:no_charge);
+  let copy = Node.page_snapshot a 0 in
+  check Alcotest.bool "the diffed twin is the next copy" true (copy == twin);
+  Node.validate_page b 0 copy ~charge:no_charge;
+  Vm.set_prot b.Node.vm 0 Vm.Read_only;
+  check Alcotest.int "installed" 7 (Vm.read_int b.Node.vm 0);
+  write a 0 ~offset:0 8;
+  check Alcotest.bool "the installed copy is the next twin" true
+    (Option.get a.Node.pages.(0).Node.pg_twin == copy);
+  let base = Node.base_copy a 0 in
+  check Alcotest.int "a twinned page serves its twin" 7 (Int64.to_int (Bytes.get_int64_le base 0));
+  check Alcotest.int "while the live page moved on" 8 (Vm.read_int a.Node.vm 0)
+
 let diff_ownership_stays_per_node () =
   let nodes = shared_nodes () in
   write_and_close nodes.(1) 2;
@@ -918,6 +941,7 @@ let suite =
     Alcotest.test_case "an interval is one record for every node" `Quick
       an_interval_is_one_record;
     Alcotest.test_case "diff ownership stays per node" `Quick diff_ownership_stays_per_node;
+    Alcotest.test_case "page copies return to the pool" `Quick page_copies_return_to_the_pool;
     Alcotest.test_case "GC frees what every live node discarded" `Quick
       gc_frees_what_every_live_node_discarded;
     Alcotest.test_case "a retired node keeps nothing" `Quick retired_node_keeps_nothing;

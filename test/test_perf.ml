@@ -18,8 +18,8 @@
      tree, Water under frame loss and under a crash, Water with the
      hybrid update protocol over a binary tree, Jacobi with diff
      backups, ILINK at 16 processors with and without the update
-     protocol, and Water at 8 processors under eager, sc and sc-abd
-     match pinned fingerprints;
+     protocol, Quicksort at 8 processors under lazy and sc, and Water at
+     8 processors under eager, sc and sc-abd match pinned fingerprints;
    - set-up memory follows the pages a node touches, fast-path typed
      accesses allocate nothing, a diff replay allocates in proportion
      to the diffs it applies, not to held x missing notices, an engine
@@ -28,8 +28,8 @@
      allocates its runs, a barrier release's records are
      incorporated and walked without temporaries, a cluster holds
      one record per interval, not one per node, page entries share
-     their copysets, and a page with nothing unsettled is walked
-     without allocating;
+     their copysets, a page with nothing unsettled is walked without
+     allocating, and a page copy reuses a pooled buffer;
    - a sweep mapped with [Harness.parallel_map ~jobs:4] equals the
      sequential map, element for element.
 
@@ -366,6 +366,31 @@ let pinned_runs =
         p_hot = 19540;
         p_stats = "932f68b0d7f62041738890b8048ba5f4";
       } );
+    (* Quicksort's false sharing under the twin-and-diff protocol, where a
+       dirty provider serves its twin as the base copy, and under
+       write-invalidate SC, where every miss moves a whole page.  Recorded
+       while the app kernels compared through polymorphic [get]/[set]
+       closures and every page copy was a fresh buffer. *)
+    ( "quicksort-8 lazy",
+      benchmark_run ~app:Harness.Quicksort ~nprocs:8 ~protocol:Config.Lrc ~scaled:false,
+      {
+        p_digest = "a2d0b03ff32450c2bf75a292c27441eb";
+        p_time = 14374783696;
+        p_messages = 14204;
+        p_bytes = 18685061;
+        p_hot = 4733;
+        p_stats = "98ed83f7f1e38a079bf839cb15b5e849";
+      } );
+    ( "quicksort-8 sc",
+      benchmark_run ~app:Harness.Quicksort ~nprocs:8 ~protocol:Config.Sc ~scaled:false,
+      {
+        p_digest = "a2d0b03ff32450c2bf75a292c27441eb";
+        p_time = 39252288840;
+        p_messages = 208101;
+        p_bytes = 133673133;
+        p_hot = 31822;
+        p_stats = "3b2748b368721960a93e752c6696bcb2";
+      } );
     ( "water-4 with gc",
       water_gc_run,
       {
@@ -669,6 +694,34 @@ let scheduled_event_allocates_only_its_thunk () =
     true (per_event < 1.);
   check Alcotest.int "every event fires" (chains * per_chain) !fired
 
+(* A page copy reuses a buffer: a twin, or a page on its way to another
+   processor, is a blit into a buffer from the cluster's pool.  A fresh
+   4 KB [Bytes] is 513 words, over the minor heap's 256-word limit, so
+   it would be allocated in the major heap directly.  Those words, major
+   less promoted ([Gc.counters]), are counted per page copy (page fetches
+   plus twins) over a small Quicksort under the four backends that copy
+   pages.  A fresh buffer per copy read 548-553 words per copy under
+   each; what remains is mostly the nodes' private frames, one per page
+   a node touches. *)
+let page_copies_reuse_buffers () =
+  let module Quicksort = Tmk_apps.Quicksort in
+  let p = { Quicksort.default with Quicksort.n = 2048; threshold = 64 } in
+  let per_copy protocol =
+    let cfg =
+      { Config.default with Config.nprocs = 4; pages = Quicksort.pages_needed p; protocol }
+    in
+    let _, promoted0, major0 = Gc.counters () in
+    let r = Api.run cfg (fun ctx -> ignore (Quicksort.parallel ~collect:false ctx p)) in
+    let _, promoted1, major1 = Gc.counters () in
+    let copies = r.Api.total_stats.Stats.page_fetches + r.Api.total_stats.Stats.twins_created in
+    under
+      (Printf.sprintf "%s: major-heap words per page copy (%d copies)"
+         (Config.protocol_name protocol) copies)
+      ((major1 -. major0 -. (promoted1 -. promoted0)) /. float copies)
+      128.
+  in
+  List.iter per_copy [ Config.Lrc; Config.Erc; Config.Sc; Config.Tardis ]
+
 (* A protocol section suspends its process once, and each charge it makes
    is pushed or skipped without allocating: 8 processes run 100 sections
    of 100 charges each (a barrier manager absorbing a few hundred
@@ -914,4 +967,5 @@ let suite =
         settled_walks_allocate_nothing;
       Alcotest.test_case "a scheduled event allocates only its thunk" `Quick
         scheduled_event_allocates_only_its_thunk;
+      Alcotest.test_case "a page copy reuses a buffer" `Quick page_copies_reuse_buffers;
     ]
