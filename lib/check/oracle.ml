@@ -56,9 +56,6 @@ type t = {
   diff_bytes : (int * int * int, int) Hashtbl.t;
   gc_floor : int array option array;  (* per pid: know at its last Gc_end *)
   dead : bool array;  (* per pid: a Proc_crash was seen *)
-  mutable vt_checked : bool;
-      (* vector-time invariants (I1/I2, knowledge coverage in I3) apply;
-         off for backends without vector timestamps on the wire *)
   mutable violations : string list;  (* newest first *)
   mutable nviol : int;
   mutable fed : int;
@@ -82,14 +79,12 @@ let create ~nprocs () =
     diff_bytes = Hashtbl.create 64;
     gc_floor = Array.make nprocs None;
     dead = Array.make nprocs false;
-    vt_checked = true;
     violations = [];
     nviol = 0;
     fed = 0;
   }
 
 let nprocs t = t.o_nprocs
-let set_vt_checked t b = t.vt_checked <- b
 
 let viol t fmt =
   Printf.ksprintf
@@ -120,7 +115,7 @@ let feed t (r : Tmk_trace.Sink.record) =
   let p = r.r_pid in
   let in_range = p >= 0 && p < t.o_nprocs in
   match r.r_ev with
-  | Tmk_trace.Event.Interval_close { id; notices = _; vt } when in_range && t.vt_checked ->
+  | Tmk_trace.Event.Interval_close { id; notices = _; vt } when in_range ->
     if Array.length vt <> t.o_nprocs then
       viol t "I1 p%d closed interval %d with a %d-entry vector timestamp (cluster has %d)"
         p id (Array.length vt) t.o_nprocs
@@ -142,7 +137,7 @@ let feed t (r : Tmk_trace.Sink.record) =
       t.know.(p).(p) <- id;
       t.last_close.(p) <- Some (Array.copy vt)
     end
-  | Interval_recv { proc = q; id; notices = _; vt } when in_range && t.vt_checked ->
+  | Interval_recv { proc = q; id; notices = _; vt } when in_range ->
     if q = p then viol t "I2 p%d incorporated its own interval %d" p id
     else if q < 0 || q >= t.o_nprocs then
       viol t "I2 p%d incorporated an interval from unknown p%d" p q
@@ -158,7 +153,7 @@ let feed t (r : Tmk_trace.Sink.record) =
       else viol t "I2 p%d received a malformed vector timestamp from p%d" p q;
       t.know.(p).(q) <- max t.know.(p).(q) id
     end
-  | Lock_grant { lock; requester; _ } when in_range && t.vt_checked ->
+  | Lock_grant { lock; requester; _ } when in_range ->
     (* Snapshot the granter's knowledge: the grant carries every record
        the requester lacks of it, so the requester must dominate this at
        its Lock_acquired. *)
@@ -171,7 +166,7 @@ let feed t (r : Tmk_trace.Sink.record) =
         q
     in
     Queue.push (Array.copy t.know.(p)) q
-  | Lock_acquired { lock; local } when in_range && t.vt_checked ->
+  | Lock_acquired { lock; local } when in_range ->
     if not local then (
       match Hashtbl.find_opt t.grant_snap (lock, p) with
       | Some q when not (Queue.is_empty q) ->
@@ -200,10 +195,9 @@ let feed t (r : Tmk_trace.Sink.record) =
       (* The manager releases the clients, so its own Barrier_release is
          the first of the crossing in stream order; every client must
          then dominate the knowledge the manager released with. *)
-      if t.vt_checked then (
-        match Hashtbl.find_opt t.bar_snap (id, occ) with
-        | None -> Hashtbl.add t.bar_snap (id, occ) (Array.copy t.know.(p))
-        | Some snap -> coverage t p ~against:snap "crossed a barrier");
+      (match Hashtbl.find_opt t.bar_snap (id, occ) with
+      | None -> Hashtbl.add t.bar_snap (id, occ) (Array.copy t.know.(p))
+      | Some snap -> coverage t p ~against:snap "crossed a barrier");
       let released = (try Hashtbl.find t.bar_out (id, occ) with Not_found -> 0) + 1 in
       Hashtbl.replace t.bar_out (id, occ) released;
       if released > t.o_nprocs then

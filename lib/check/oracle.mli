@@ -23,7 +23,12 @@
       created diff and agree on its payload size across appliers;
     - {b I6} GC safety: no write notice received or diff applied for an
       interval at or below the receiver's knowledge at its last
-      collection. *)
+      collection.
+
+    Every check runs under every backend.  Only LRC closes and receives
+    intervals, so under eager, sc, tardis and sc-abd the knowledge I1-I3
+    compare stays all zero and they hold trivially; a backend that starts
+    closing intervals meets them at once. *)
 
 type t
 
@@ -31,15 +36,6 @@ type t
 val create : nprocs:int -> unit -> t
 
 val nprocs : t -> int
-
-(** [set_vt_checked t b] — enable or disable the vector-time invariants
-    (I1, I2, and the knowledge-coverage half of I3; on by default).
-    Coherence backends without vector timestamps on the wire
-    ([Backend.caps.c_vt_on_wire = false]: Tardis, SC-ABD) emit no
-    interval events and make knowledge comparisons vacuous, so [Api.run]
-    switches these checks off for them; the structural barrier checks
-    (I4) and diff conservation (I5) stay on for every backend. *)
-val set_vt_checked : t -> bool -> unit
 
 (** [attach t sink] — register [feed] as a listener for a live run. *)
 val attach : t -> Tmk_trace.Sink.t -> unit

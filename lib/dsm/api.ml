@@ -228,12 +228,7 @@ let run ?trace cfg app =
   | Some sink -> List.iter (fun f -> f sink) attach
   | None -> ());
   (match (oracle, cfg.Config.trace) with
-  | Some o, Some sink ->
-    Tmk_check.Oracle.attach o sink;
-    (* Vector-time invariants only apply to backends that put vector
-       timestamps on the wire (Tardis and SC-ABD do not). *)
-    Tmk_check.Oracle.set_vt_checked o
-      (Protocol.backend_caps cfg.Config.protocol).Backend.c_vt_on_wire
+  | Some o, Some sink -> Tmk_check.Oracle.attach o sink
   | _ -> ());
   let cluster = Protocol.create cfg in
   let engine = Protocol.engine cluster in

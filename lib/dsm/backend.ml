@@ -1,11 +1,9 @@
 open Tmk_sim
 
 type caps = {
-  c_name : string;
   c_crash_runs : bool;
   c_zero_recovery : bool;
   c_diff_backup : bool;
-  c_vt_on_wire : bool;
   c_max_procs : int;
 }
 

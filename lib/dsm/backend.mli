@@ -16,19 +16,15 @@
 
 (** Capability flags, used by {!Protocol.create} to validate a
     configuration against the selected backend (replacing the historic
-    Lrc-only [invalid_arg] checks in [Config.validate]) and by the
-    checkers to gate backend-specific invariants. *)
+    Lrc-only [invalid_arg] checks in [Config.validate]) and by its
+    crash recovery ([c_zero_recovery]). *)
 type caps = {
-  c_name : string;  (** matches {!Config.protocol_name} *)
   c_crash_runs : bool;  (** crash schedules are admissible *)
   c_zero_recovery : bool;
       (** crashes are tolerated by construction: detection still runs,
           but no recovery protocol (lock rebuild aside) is required and
           a crash that re-homes nothing is not counted as a recovery *)
   c_diff_backup : bool;  (** [Config.diff_backup] applies *)
-  c_vt_on_wire : bool;
-      (** synchronization messages carry vector timestamps; when [false]
-          the invariant oracle's vector-time checks are gated off *)
   c_max_procs : int;
       (** largest cluster the backend supports; [Protocol.create]
           rejects bigger ones (SC-ABD's full-membership quorums stop at

@@ -68,18 +68,22 @@ let backup_peer t proc =
    [Config.sharding] the consistent-hash ring decides (and, because ring
    lookups walk past dead processors, re-decides at each membership
    epoch); otherwise the flat TreadMarks layout — static [mod nprocs] —
-   applies and crash migration is the caller's business. *)
-let sharded t = t.ring <> None
-
+   applies.  Only locks fail over in the flat layout: the backends that
+   consult [page_owner] refuse crash plans. *)
 let page_owner t page =
   match t.ring with
   | Some ring -> Ring.owner ring ~live:(fun p -> not t.dead.(p)) (Ring.page_key page)
   | None -> page mod t.cfg.Config.nprocs
 
+(* A flat lock's managership migrates to the next live processor in
+   cyclic pid order from its static home; with no deaths it stays home. *)
 let lock_home t lock =
   match t.ring with
   | Some ring -> Ring.owner ring ~live:(fun p -> not t.dead.(p)) (Ring.lock_key lock)
-  | None -> lock mod t.cfg.Config.nprocs
+  | None ->
+    let n = t.cfg.Config.nprocs in
+    let rec seek m = if t.dead.(m) then seek ((m + 1) mod n) else m in
+    seek (lock mod n)
 
 (* A run degrades when surviving processors would need consistency state
    that only the dead processor held.  Safe from any context: records the
@@ -227,8 +231,7 @@ let create cfg =
           | None -> None
           | Some _ -> Some (fun ev -> Engine.emit engine ~pid ev)
         in
-        Node.create ?emit ~vm_fast_path:cfg.Config.vm_fast_path ~store ~pid
-          ~nprocs:cfg.Config.nprocs ~pages:cfg.Config.pages ())
+        Node.create ?emit ~store ~pid ~nprocs:cfg.Config.nprocs ~pages:cfg.Config.pages ())
   in
   let live_pids = Bitset.create cfg.Config.nprocs in
   for p = 0 to cfg.Config.nprocs - 1 do

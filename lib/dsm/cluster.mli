@@ -56,19 +56,17 @@ val live : t -> int -> bool
     The single mutation point for the membership view. *)
 val mark_dead : t -> int -> unit
 
-(** [sharded t] — the cluster was configured with [Config.sharding]. *)
-val sharded : t -> bool
-
 (** [page_owner t page] — the processor playing manager for [page]:
     the ring owner under [Config.sharding] (live-aware: lookups skip
     dead processors from the current epoch on), [page mod nprocs]
     otherwise. *)
 val page_owner : t -> int -> int
 
-(** [lock_home t lock] — the processor playing manager for [lock]: the
-    ring owner under [Config.sharding] (live-aware), the static
-    [lock mod nprocs] home otherwise (flat-mode crash migration is
-    {!Protocol}'s cyclic-successor rule). *)
+(** [lock_home t lock] — the live processor playing manager for [lock]:
+    the ring owner under [Config.sharding], otherwise the first live
+    processor in cyclic pid order from the static [lock mod nprocs]
+    home.  Both follow the detected deaths, so after a death the lock's
+    metadata is rebuilt here. *)
 val lock_home : t -> int -> int
 
 (** [lowest_live_other t pid] — the lowest-numbered live processor other

@@ -12,7 +12,6 @@ type t = {
   lrc_updates : bool;
   batching : bool;
   diff_backup : bool;
-  vm_fast_path : bool;
   sharding : bool;
   barrier_tree : bool;
   tree_arity : int;
@@ -33,7 +32,6 @@ let default =
     lrc_updates = false;
     batching = true;
     diff_backup = false;
-    vm_fast_path = true;
     sharding = false;
     barrier_tree = false;
     tree_arity = 4;

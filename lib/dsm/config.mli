@@ -66,12 +66,6 @@ type t = {
           the dead processor held, degrading the run (see
           {!Api.Degraded}).  Only meaningful for backends whose
           [Backend.caps.c_diff_backup] is set (Lrc). *)
-  vm_fast_path : bool;
-      (** [true] (the default): loads from readable and stores to
-          writable, unobserved pages skip the software-MMU protection
-          check (see {!Tmk_mem.Vm.create}).  Purely a simulator-speed knob —
-          results, traffic and simulated time are bit-identical either
-          way; [false] forces every access through the checked path *)
   sharding : bool;
       (** [true]: page and lock managership is assigned by the
           consistent-hash {!Ring} instead of the static [mod nprocs] /

@@ -16,11 +16,9 @@ let atomically = Cluster.atomically
 
 let caps =
   {
-    Backend.c_name = Config.protocol_name Config.Erc;
-    c_crash_runs = false;
+    Backend.c_crash_runs = false;
     c_zero_recovery = false;
     c_diff_backup = false;
-    c_vt_on_wire = true;
     c_max_procs = 1024;
   }
 

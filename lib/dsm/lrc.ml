@@ -17,11 +17,9 @@ let atomically = Cluster.atomically
 
 let caps =
   {
-    Backend.c_name = Config.protocol_name Config.Lrc;
-    c_crash_runs = true;
+    Backend.c_crash_runs = true;
     c_zero_recovery = false;
     c_diff_backup = true;
-    c_vt_on_wire = true;
     c_max_procs = 1024;
   }
 

@@ -238,12 +238,12 @@ let tracing t = t.emit <> None
 let emit t ev = match t.emit with None -> () | Some f -> f ev
 let vt_array t vt = Array.init t.nprocs (Vector_time.get vt)
 
-let create ?emit ?(vm_fast_path = true) ?store ~pid ~nprocs ~pages () =
+let create ?emit ?store ~pid ~nprocs ~pages () =
   let store = match store with Some s -> s | None -> create_store ~nprocs ~pages in
   if
     store.s_nprocs <> nprocs || Array.length store.writers <> pages || pid < 0 || pid >= nprocs
   then invalid_arg "Node.create: the store is for another cluster shape";
-  let vm = Vm.create ~fast_path:vm_fast_path ~pages () in
+  let vm = Vm.create ~pages () in
   let make_entry _ =
     {
       pg_copyset = store.initial_copyset;

@@ -167,12 +167,10 @@ type t = {
     its records in [store] (default: a store of its own); nodes sharing a
     store need distinct pids.  [emit], when given, receives the node's
     bookkeeping events (twin creation, interval close, diff create/apply,
-    invalidations, record receipt).  [vm_fast_path] (default [true]) is
-    forwarded to {!Tmk_mem.Vm.create}.
+    invalidations, record receipt).
     @raise Invalid_argument when [store] has another shape. *)
 val create :
   ?emit:(Tmk_trace.Event.t -> unit) ->
-  ?vm_fast_path:bool ->
   ?store:store ->
   pid:int ->
   nprocs:int ->

@@ -90,7 +90,6 @@ let engine t = t.cl.Cluster.engine
 let transport t = t.cl.Cluster.transport
 let node t pid = t.cl.Cluster.nodes.(pid)
 let barrier_manager = Cluster.barrier_manager
-let lock_manager t lock = Cluster.lock_home t.cl lock
 
 let backend_caps = function
   | Config.Lrc -> Lrc.caps
@@ -105,20 +104,6 @@ let epoch t = t.cl.Cluster.epoch
 let fatality t = t.cl.Cluster.fatal
 let recoveries t = List.rev t.recoveries
 let dead t pid = t.cl.Cluster.dead.(pid)
-
-(* Lock managership migrates deterministically to the next live
-   processor in cyclic pid order from the static home.  With no deaths
-   this is exactly [lock_manager].  Under [Config.sharding] the ring
-   walk is already live-aware, so [lock_manager] is its own effective
-   manager and the cyclic seek never runs. *)
-let effective_lock_manager t lock =
-  if Cluster.sharded t.cl then lock_manager t lock
-  else begin
-    let n = (config t).Config.nprocs in
-    let m = lock_manager t lock in
-    let rec seek i = if not (dead t ((m + i) mod n)) then (m + i) mod n else seek (i + 1) in
-    seek 0
-  end
 
 let note_fatal t ~pid reason = Cluster.note_fatal t.cl ~pid reason
 
@@ -156,12 +141,12 @@ let lock_state_of t pid lock =
   | Some st -> st
   | None ->
     (* The manager starts out holding the token of each lock it manages.
-       Using the effective (post-crash) manager keeps first-touch
+       Using the live (post-crash) manager keeps first-touch
        initialisation globally consistent after a failover: recovery
        explicitly rebuilds every lock that was ever touched, so this lazy
        rule only ever runs for locks with no token anywhere. *)
     let st =
-      { held = false; cached = effective_lock_manager t lock = pid; pending = Queue.create () }
+      { held = false; cached = Cluster.lock_home t.cl lock = pid; pending = Queue.create () }
     in
     Hashtbl.add t.lock_states.(pid) lock st;
     st
@@ -314,7 +299,7 @@ let acquire t ~pid ~lock =
       }
     in
     if t.cl.Cluster.crashes_planned then Hashtbl.replace t.waiting_acquires.(pid) lock req;
-    let mgr = effective_lock_manager t lock in
+    let mgr = Cluster.lock_home t.cl lock in
     Transport.send ~label:"lock-request" (transport t) ~src:pid ~dst:mgr
       ~bytes:t.backend.Backend.b_lock_request_bytes
       ~deliver:(fun h -> manager_handle t mgr req h);
@@ -666,7 +651,7 @@ let recover_lock t lock =
     match (!cached_at, in_flight_to) with
     | Some p, _ -> (p, false)
     | None, Some r -> (r, false)
-    | None, None -> (effective_lock_manager t lock, true)
+    | None, None -> (Cluster.lock_home t.cl lock, true)
   in
   let owner_st =
     match Hashtbl.find_opt t.lock_states.(owner) lock with
@@ -690,7 +675,7 @@ let recover_lock t lock =
     waiters;
   (* Re-home the forwarding chain at the effective manager: the next new
      request chases the tail of the rebuilt queue. *)
-  let ms = mgr_state_of t (effective_lock_manager t lock) lock in
+  let ms = mgr_state_of t (Cluster.lock_home t.cl lock) lock in
   (match List.rev waiters with
   | last :: _ -> ms.last_requester <- last.lr_requester
   | [] -> ms.last_requester <- owner);
@@ -969,22 +954,29 @@ let arm_heartbeat t =
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 
+(* Every typed access of a checked run passes through here: a loop, not
+   [List.iter] with a closure, so that dispatching it allocates nothing. *)
+let rec dispatch_access hooks ~pid kind ~addr ~width =
+  match hooks with
+  | [] -> ()
+  | h :: rest ->
+    h.Tmk_check.Hooks.h_access ~pid kind ~addr ~width;
+    dispatch_access rest ~pid kind ~addr ~width
+
 let create cfg =
   Config.validate cfg;
   let caps = backend_caps cfg.Config.protocol in
+  let name = Config.protocol_name cfg.Config.protocol in
   let planned_crashes = Tmk_net.Fault_plan.crashes cfg.Config.faults in
   if planned_crashes <> [] && not caps.Backend.c_crash_runs then
     invalid_arg
-      (Printf.sprintf "Config: crash recovery is not supported by the %s backend"
-         caps.Backend.c_name);
+      (Printf.sprintf "Config: crash recovery is not supported by the %s backend" name);
   if cfg.Config.diff_backup && not caps.Backend.c_diff_backup then
-    invalid_arg
-      (Printf.sprintf "Config: diff_backup is not supported by the %s backend"
-         caps.Backend.c_name);
+    invalid_arg (Printf.sprintf "Config: diff_backup is not supported by the %s backend" name);
   if cfg.Config.nprocs > caps.Backend.c_max_procs then
     invalid_arg
       (Printf.sprintf "Config: the %s backend supports at most %d processors (nprocs = %d)"
-         caps.Backend.c_name caps.Backend.c_max_procs cfg.Config.nprocs);
+         name caps.Backend.c_max_procs cfg.Config.nprocs);
   let cl = Cluster.create cfg in
   let backend =
     match cfg.Config.protocol with
@@ -1024,7 +1016,7 @@ let create cfg =
               | Vm.Read -> Tmk_check.Hooks.Read
               | Vm.Write -> Tmk_check.Hooks.Write
             in
-            List.iter (fun h -> h.Tmk_check.Hooks.h_access ~pid kind ~addr ~width) hooks))
+            dispatch_access hooks ~pid kind ~addr ~width))
       cl.Cluster.nodes);
   (* Suspicions from retry-budget exhaustion drive failure handling. *)
   Transport.on_suspect cl.Cluster.transport (fun ~src ~dst ~label ~attempts ->

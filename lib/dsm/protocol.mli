@@ -37,8 +37,8 @@
     carries nothing; SC serializes each page at a per-page manager;
     Tardis ships one scalar timestamp per synchronization and expires
     leases locally; SC-ABD quorum-replicates every word and needs no
-    recovery at all.  [Config.protocol] selects the backend;
-    {!backend_caps} exposes what the selection supports.
+    recovery at all.  [Config.protocol] selects the backend, whose
+    {!Backend.caps} say what it supports.
 
     {b Failure model (crash-stop).}  A processor named in the fault
     plan's crash schedule goes silent at its planned instant; only
@@ -71,13 +71,6 @@ type recovery = {
   rc_locks_rehomed : int;  (** locks whose metadata was rebuilt *)
   rc_retries : int;  (** in-flight operations re-issued *)
 }
-
-(** [backend_caps protocol] — the capability sheet of the coherence
-    backend [protocol] selects, without building a cluster.  Used to
-    validate configurations (crash plans, [diff_backup]) and to decide
-    which run-time checks apply (e.g. vector-timestamp invariants only
-    where [c_vt_on_wire]). *)
-val backend_caps : Config.protocol -> Backend.caps
 
 (** [create config] builds the cluster (engine, transport, nodes, the
     selected coherence backend, fault wiring).  Application processes are

@@ -25,9 +25,12 @@ let point ~seed ~pid ~replica =
        (Int64.mul (Int64.of_int ((pid * 0x10001) + replica)) 0x9e3779b97f4a7c15L)
        seed)
 
-let create ?(vnodes = 16) ~nprocs ~seed () =
+(* Virtual points per processor: more give better shard balance at the
+   cost of a larger (still tiny) table. *)
+let vnodes = 16
+
+let create ~nprocs ~seed () =
   if nprocs < 1 then invalid_arg "Ring.create: nprocs must be >= 1";
-  if vnodes < 1 then invalid_arg "Ring.create: vnodes must be >= 1";
   let n = nprocs * vnodes in
   let pairs =
     Array.init n (fun i ->

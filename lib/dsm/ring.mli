@@ -1,7 +1,7 @@
 (** Consistent-hash ownership ring for the sharded metadata plane.
 
     Maps pages and locks to owner processors the way a DHT maps keys to
-    nodes: every processor contributes [vnodes] virtual points on a
+    nodes: every processor contributes [vnodes] = 16 virtual points on a
     64-bit ring, and a key's owner is the first live point clockwise from
     the key's hash.  Two properties make this the right structure for
     256-1024-processor clusters:
@@ -14,7 +14,7 @@
       shards move (to their ring successors), every other key keeps its
       owner.  Nothing is rehashed, no state is stored per key.
 
-    Placement is a pure function of [(nprocs, seed, vnodes)]: every
+    Placement is a pure function of [(nprocs, seed)]: every
     processor computes the same ring without communication, and a
     recovering cluster agrees on the new owners the moment it agrees on
     the membership epoch (PR 5's epochs).  Lookup is a binary search,
@@ -23,10 +23,8 @@
 
 type t
 
-(** [create ~nprocs ~seed ()] — build the ring.  [vnodes] (default 16)
-    is the number of virtual points per processor; more points give
-    better shard balance at the cost of a larger (still tiny) table. *)
-val create : ?vnodes:int -> nprocs:int -> seed:int64 -> unit -> t
+(** [create ~nprocs ~seed ()] — build the ring. *)
+val create : nprocs:int -> seed:int64 -> unit -> t
 
 (** [owner t ~live key] — the live processor owning [key]: the first
     point at or clockwise from [hash key] whose processor satisfies

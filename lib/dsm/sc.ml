@@ -179,11 +179,9 @@ let request t pid kind page =
 
 let caps =
   {
-    Backend.c_name = Config.protocol_name Config.Sc;
-    c_crash_runs = false;
+    Backend.c_crash_runs = false;
     c_zero_recovery = false;
     c_diff_backup = false;
-    c_vt_on_wire = true;
     c_max_procs = 1024;
   }
 

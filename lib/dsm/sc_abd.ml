@@ -38,11 +38,9 @@ let atomically = Cluster.atomically
 
 let caps =
   {
-    Backend.c_name = Config.protocol_name Config.Sc_abd;
-    c_crash_runs = true;
+    Backend.c_crash_runs = true;
     c_zero_recovery = true;
     c_diff_backup = false;
-    c_vt_on_wire = false;
     (* two-phase quorum traffic over full replicas: past 64 processors
        every word access costs hundreds of frames — reject rather than
        simulate something the design cannot mean *)
@@ -72,6 +70,34 @@ let require_quorum t pid peers =
     Cluster.degrade_app t.cl ~pid
       (Printf.sprintf "sc-abd: quorum lost (%d live peers, need %d)" (List.length peers)
          (needed t))
+
+(* One quorum round from [pid] (application context): a [label] request
+   to every peer, whose receive handler charges [Cpu.abd_serve], runs
+   [serve q h] and answers with a [reply_label] message.  Returns once
+   [needed t] replies are in, with their values newest first; later
+   replies are ignored. *)
+let quorum t pid peers ~label ?parts ~bytes ~reply_label ~reply_bytes serve =
+  let cl = t.cl in
+  let need = needed t in
+  let replies = ref [] and got = ref 0 in
+  let enough = Engine.Ivar.create () in
+  List.iter
+    (fun q ->
+      Transport.send ~label ?parts cl.Cluster.transport ~src:pid ~dst:q ~bytes
+        ~deliver:(fun h ->
+          h_charge h Category.Tmk_other Cpu.abd_serve;
+          let v = serve q h in
+          Transport.hsend ~label:reply_label cl.Cluster.transport h ~dst:pid
+            ~bytes:reply_bytes
+            ~deliver:(fun hr ->
+              if !got < need then begin
+                replies := v :: !replies;
+                incr got;
+                if !got = need then Engine.fill cl.Cluster.engine enough ~at:(Engine.hnow hr) ()
+              end)))
+    peers;
+  if need > 0 then Engine.await enough;
+  !replies
 
 (* Apply [diff] to [dst]'s replica of [page], keeping only the words
    where [ts] beats the replica's word timestamp.  The twin is patched
@@ -134,34 +160,16 @@ let quorum_read t pid page =
   Cluster.note_miss cl pid page;
   let node = cl.Cluster.nodes.(pid) in
   let peers = live_peers t pid in
-  let need = needed t in
   require_quorum t pid peers;
   node.Node.stats.Stats.quorum_reads <- node.Node.stats.Stats.quorum_reads + 1;
   app_charge Category.Tmk_other Cpu.page_request_build;
-  let replies = ref [] and got = ref 0 in
-  let enough = Engine.Ivar.create () in
-  List.iter
-    (fun q ->
-      Transport.send ~label:"abd-read" cl.Cluster.transport ~src:pid ~dst:q
-        ~bytes:Wire.abd_read_request_bytes
-        ~deliver:(fun h ->
-          h_charge h Category.Tmk_other Cpu.abd_serve;
-          h_charge h Category.Tmk_mem Costs.page_copy;
-          let qnode = cl.Cluster.nodes.(q) in
-          let snap = Node.page_snapshot qnode page in
-          let row = Array.sub t.wordts.(q) (page * words) words in
-          Transport.hsend ~label:"abd-read-reply" cl.Cluster.transport h ~dst:pid
-            ~bytes:Wire.abd_read_reply_bytes
-            ~deliver:(fun hr ->
-              if !got < need then begin
-                replies := (snap, row) :: !replies;
-                incr got;
-                if !got = need then Engine.fill cl.Cluster.engine enough ~at:(Engine.hnow hr) ()
-              end)))
-    peers;
-  if need > 0 then Engine.await enough;
-  (* freeze before charging: late replies past the quorum are ignored *)
-  let got_replies = !replies in
+  let got_replies =
+    quorum t pid peers ~label:"abd-read" ~bytes:Wire.abd_read_request_bytes
+      ~reply_label:"abd-read-reply" ~reply_bytes:Wire.abd_read_reply_bytes (fun q h ->
+        h_charge h Category.Tmk_mem Costs.page_copy;
+        let snap = Node.page_snapshot cl.Cluster.nodes.(q) page in
+        (snap, Array.sub t.wordts.(q) (page * words) words))
+  in
   app_charge Category.Tmk_other
     (Vtime.scale Cpu.abd_merge_per_reply (List.length got_replies));
   let base = page * words in
@@ -201,25 +209,10 @@ let quorum_read t pid page =
     (* ABD read-repair: the value about to be returned must survive at a
        majority before any later read may be allowed to miss it. *)
     let mrow = Array.sub my base words in
-    let acks = ref 0 in
-    let repaired = Engine.Ivar.create () in
-    List.iter
-      (fun q ->
-        Transport.send ~label:"abd-writeback" cl.Cluster.transport ~src:pid ~dst:q
-          ~bytes:Wire.abd_writeback_bytes
-          ~deliver:(fun h ->
-            h_charge h Category.Tmk_other Cpu.abd_serve;
-            apply_writeback t q page merged mrow ~charge:(h_charge h);
-            Transport.hsend ~label:"abd-ack" cl.Cluster.transport h ~dst:pid
-              ~bytes:Wire.ack_bytes
-              ~deliver:(fun ha ->
-                if !acks < need then begin
-                  incr acks;
-                  if !acks = need then
-                    Engine.fill cl.Cluster.engine repaired ~at:(Engine.hnow ha) ()
-                end)))
-      peers;
-    if need > 0 then Engine.await repaired
+    ignore
+      (quorum t pid peers ~label:"abd-writeback" ~bytes:Wire.abd_writeback_bytes
+         ~reply_label:"abd-ack" ~reply_bytes:Wire.ack_bytes (fun q h ->
+           apply_writeback t q page merged mrow ~charge:(h_charge h)))
   end
 
 (* ------------------------------------------------------------------ *)
@@ -245,36 +238,21 @@ let flush t pid =
     let n_dirty = List.length entries in
     (* Phase 1: learn the maximum timestamp any live replica holds for
        the dirty words, so the store's timestamp beats them all. *)
-    let maxes = ref [] and got = ref 0 in
-    let ph1 = Engine.Ivar.create () in
-    List.iter
-      (fun q ->
-        Transport.send ~label:"abd-ts" cl.Cluster.transport ~src:pid ~dst:q
-          ~bytes:(Wire.abd_ts_query_bytes n_dirty)
-          ~deliver:(fun h ->
-            h_charge h Category.Tmk_other Cpu.abd_serve;
-            let row = t.wordts.(q) in
-            let m = ref 0 in
-            List.iter
-              (fun (page, _) ->
-                let base = page * words in
-                for w = 0 to words - 1 do
-                  if row.(base + w) > !m then m := row.(base + w)
-                done)
-              entries;
-            let m = !m in
-            Transport.hsend ~label:"abd-ts-reply" cl.Cluster.transport h ~dst:pid
-              ~bytes:(Wire.abd_ts_reply_bytes n_dirty)
-              ~deliver:(fun hr ->
-                if !got < need then begin
-                  maxes := m :: !maxes;
-                  incr got;
-                  if !got = need then
-                    Engine.fill cl.Cluster.engine ph1 ~at:(Engine.hnow hr) ()
-                end)))
-      peers;
-    if need > 0 then Engine.await ph1;
-    let seen = !maxes in
+    let seen =
+      quorum t pid peers ~label:"abd-ts" ~bytes:(Wire.abd_ts_query_bytes n_dirty)
+        ~reply_label:"abd-ts-reply" ~reply_bytes:(Wire.abd_ts_reply_bytes n_dirty)
+        (fun q _ ->
+          let row = t.wordts.(q) in
+          let m = ref 0 in
+          List.iter
+            (fun (page, _) ->
+              let base = page * words in
+              for w = 0 to words - 1 do
+                if row.(base + w) > !m then m := row.(base + w)
+              done)
+            entries;
+          !m)
+    in
     let own_max =
       List.fold_left
         (fun acc (page, _) ->
@@ -305,29 +283,13 @@ let flush t pid =
           entries);
     (* Phase 2: store everywhere, proceed once a majority holds it. *)
     let sizes = List.map (fun (_, d) -> Rle.encoded_size d) entries in
-    let bytes = Wire.abd_store_bytes sizes in
-    let acks = ref 0 in
-    let ph2 = Engine.Ivar.create () in
-    List.iter
-      (fun q ->
-        Transport.send ~label:"abd-store" ~parts:n_dirty cl.Cluster.transport ~src:pid
-          ~dst:q ~bytes
-          ~deliver:(fun h ->
-            h_charge h Category.Tmk_other Cpu.abd_serve;
-            List.iter
-              (fun (page, diff) ->
-                apply_store t ~from_:pid q page diff ~ts ~charge:(h_charge h))
-              entries;
-            Transport.hsend ~label:"abd-store-ack" cl.Cluster.transport h ~dst:pid
-              ~bytes:Wire.ack_bytes
-              ~deliver:(fun ha ->
-                if !acks < need then begin
-                  incr acks;
-                  if !acks = need then
-                    Engine.fill cl.Cluster.engine ph2 ~at:(Engine.hnow ha) ()
-                end)))
-      peers;
-    if need > 0 then Engine.await ph2;
+    ignore
+      (quorum t pid peers ~label:"abd-store" ~parts:n_dirty
+         ~bytes:(Wire.abd_store_bytes sizes) ~reply_label:"abd-store-ack"
+         ~reply_bytes:Wire.ack_bytes (fun q h ->
+           List.iter
+             (fun (page, diff) -> apply_store t ~from_:pid q page diff ~ts ~charge:(h_charge h))
+             entries));
     node.Node.stats.Stats.quorum_writes <- node.Node.stats.Stats.quorum_writes + 1;
     if Engine.tracing cl.Cluster.engine then
       Cluster.emit cl ~pid (Tmk_trace.Event.Quorum_write { pages = n_dirty; acks = need })

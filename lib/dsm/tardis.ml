@@ -30,11 +30,9 @@ module Costs = Tmk_mem.Costs
 
 let caps =
   {
-    Backend.c_name = Config.protocol_name Config.Tardis;
-    c_crash_runs = false;
+    Backend.c_crash_runs = false;
     c_zero_recovery = false;
     c_diff_backup = false;
-    c_vt_on_wire = false;
     c_max_procs = 1024;
   }
 

@@ -37,6 +37,7 @@ let run e =
       (String.concat "\n" (r.tables :: footer)),
     List.for_all (fun (_, holds) -> holds <> Some false) r.gates )
 
+(* The one shape of every measurement file (see [result.ledger]). *)
 let ledger experiment config rows =
   Json.(
     Obj [ ("experiment", String experiment); ("config", Obj config); ("metrics", List rows) ])

@@ -13,8 +13,16 @@ type result = {
           holds, [Some false] fails, [None] the run cannot decide (an
           E14 sweep narrower than 4x) *)
   ledger : (string * Tmk_util.Json.t) option;
-      (** the file the raw measurements go to, and its contents (see
-          {!ledger}) *)
+      (** the file the raw measurements go to, and its contents, in the
+          one shape of every measurement file:
+          [{"experiment", "config", "metrics"}], where [config] holds
+          what every arm shares (network, processor count, per-app
+          workloads) and each row of [metrics] is
+          [{"arm": {<its keys>}, <its raw measurements>}], with [digest]
+          when the arm ran checked, and [degraded_pid] and [reason]
+          instead of measurements when a crash degraded it.  Derived
+          ratios are left to readers ([bench/delta.py] compares two
+          ledgers arm by arm). *)
 }
 
 type t = {
@@ -43,17 +51,6 @@ val find : t list -> string -> t option
     [claim: yes | NO - REGRESSION | not swept] line per gate and the
     ledger's file name) and whether no gate failed. *)
 val run : t -> string * bool
-
-(** [ledger experiment config rows] — the one shape of every measurement
-    file: [{"experiment", "config", "metrics"}], where [config] holds
-    what every arm shares (network, processor count, per-app workloads)
-    and each row of [metrics] is [{"arm": {<its keys>}, <its raw
-    measurements>}], with [digest] when the arm ran checked, and
-    [degraded_pid] and [reason] instead of measurements when a crash
-    degraded it.  Derived ratios are left to readers ([bench/delta.py]
-    compares two ledgers arm by arm). *)
-val ledger :
-  string -> (string * Tmk_util.Json.t) list -> Tmk_util.Json.t list -> Tmk_util.Json.t
 
 (** [set_jobs n] — run the independent arms of the sweeps (E10–E14) on up
     to [n] OCaml domains via {!Harness.parallel_map}.  The default is 1

@@ -9,8 +9,8 @@ type t = {
          written, installed or patched, then a private 4 KB frame *)
   prot : prot array;
   fast : Bytes.t;
-      (* per-page "unchecked OK" level, when the fast path is enabled and
-         no access hook is installed: [readable] when the page is
+      (* per-page "unchecked OK" level, while no access hook is
+         installed: [readable] when the page is
          [Read_only], or [Read_write] on the zero frame; [writable] when
          it is [Read_write] with a private frame; [checked] otherwise.
          Loads at [readable] or above and stores at [writable] touch the
@@ -19,7 +19,6 @@ type t = {
          [set_prot] / [set_access_hook] and when a page gets its private
          frame. *)
   npages : int;
-  fast_enabled : bool;
   mutable on_fault : access -> int -> unit;
   mutable on_access : (access -> int -> int -> unit) option;
 }
@@ -37,14 +36,13 @@ let checked = '\000'
 let readable = '\001'
 let writable = '\002'
 
-let create ?(fast_path = true) ~pages () =
+let create ~pages () =
   if pages <= 0 then invalid_arg "Vm.create: pages must be positive";
   {
     frames = Array.make pages zero_frame;
     prot = Array.make pages Read_write;
-    fast = Bytes.make pages (if fast_path then readable else checked);
+    fast = Bytes.make pages readable;
     npages = pages;
-    fast_enabled = fast_path;
     on_fault = (fun _ page -> failwith (Printf.sprintf "Vm: unhandled fault on page %d" page));
     on_access = None;
   }
@@ -53,7 +51,7 @@ let size_bytes t = t.npages * page_size
 
 let refresh_fast t page =
   Bytes.unsafe_set t.fast page
-    (if not t.fast_enabled || t.on_access <> None then checked
+    (if t.on_access <> None then checked
      else
        match t.prot.(page) with
        | No_access -> checked
@@ -93,27 +91,30 @@ let addr_of_page page = page * page_size
 let check_range t addr width =
   if addr < 0 || addr + width > size_bytes t then
     invalid_arg (Printf.sprintf "Vm: address %d out of range" addr);
-  if width > 1 && addr / page_size <> (addr + width - 1) / page_size then
+  if addr / page_size <> (addr + width - 1) / page_size then
     invalid_arg (Printf.sprintf "Vm: access at %d straddles a page boundary" addr)
+
+(* Whether [page]'s protection admits an access of [kind]; a function of
+   its own, not a closure in [ensure], so a checked access allocates
+   nothing. *)
+let allowed t page kind =
+  match (t.prot.(page), kind) with
+  | Read_write, _ -> true
+  | Read_only, Read -> true
+  | Read_only, Write | No_access, _ -> false
 
 (* Fault-check an access; after the handler runs the protection must allow
    the retried access, otherwise the handler is broken. *)
 let ensure t addr width kind =
   check_range t addr width;
   let page = addr / page_size in
-  let allowed () =
-    match (t.prot.(page), kind) with
-    | Read_write, _ -> true
-    | Read_only, Read -> true
-    | Read_only, Write | No_access, _ -> false
-  in
-  if not (allowed ()) then begin
+  if not (allowed t page kind) then begin
     (* The handler may have to run more than once: on the real system a
        concurrently arriving write notice can re-invalidate the page
        between the handler's fix and the retried access. *)
     let rec retry attempts =
       t.on_fault kind page;
-      if not (allowed ()) then
+      if not (allowed t page kind) then
         if attempts >= 64 then raise (Fault_loop { page; kind }) else retry (attempts + 1)
     in
     retry 0
@@ -162,14 +163,6 @@ let[@inline] load64 t addr =
 
 let[@inline] store64 t addr v =
   unsafe_set64 (frame t addr) (addr land offset_mask) (if Sys.big_endian then swap64 v else v)
-
-let[@inline] read_u8 t addr =
-  if not (fast_ok t addr 1 readable) then ensure t addr 1 Read;
-  Char.code (Bytes.unsafe_get (frame t addr) (addr land offset_mask))
-
-let[@inline] write_u8 t addr v =
-  if not (fast_ok t addr 1 writable) then ensure_write t addr 1;
-  Bytes.unsafe_set (frame t addr) (addr land offset_mask) (Char.unsafe_chr (v land 0xFF))
 
 let[@inline] read_int t addr =
   if not (fast_ok t addr 8 readable) then ensure t addr 8 Read;

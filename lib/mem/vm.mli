@@ -29,11 +29,9 @@ val page_size : int
 
 (** [create ~pages] makes an address space of [pages] pages, zero-filled,
     all [Read_write] (the DSM sets initial protections itself), with a
-    fault handler that raises.  [fast_path] (default [true]) lets the
-    typed accessors skip the protection check on pages where it cannot
-    fault (see {!section-fast_path}); pass [false] to force every access
-    through the checked path. *)
-val create : ?fast_path:bool -> pages:int -> unit -> t
+    fault handler that raises.  The typed accessors skip the protection
+    check on pages where it cannot fault (see {!section-fast_path}). *)
+val create : pages:int -> unit -> t
 
 (** [size_bytes t] — capacity. *)
 val size_bytes : t -> int
@@ -49,8 +47,9 @@ exception Fault_loop of { page : int; kind : access }
     after every typed access resolves (including any faults it triggered).
     The hook sees the accesses a hardware watchpoint would — one call per
     load or store — and is meant for checkers; it must not change
-    protections.  Page-granularity operations ([snapshot], [patch],
-    ...) are DSM-internal and do not report. *)
+    protections.  Installing one, even one that does nothing, sends every
+    later access through the checked path.  Page-granularity operations
+    ([snapshot], [patch], ...) are DSM-internal and do not report. *)
 val set_access_hook : t -> (access -> int -> int -> unit) -> unit
 
 (** [prot t page] / [set_prot t page p] — read and change protection.
@@ -61,8 +60,8 @@ val set_prot : t -> int -> prot -> unit
 
 (** {2:fast_path Fast path}
 
-    The typed accessors keep a per-page "unchecked OK" level.  With the
-    fast path enabled and no access hook installed, a page is
+    The typed accessors keep a per-page "unchecked OK" level.  While no
+    access hook is installed, a page is
     {e readable} when it is [Read_only], or [Read_write] and never
     written, installed or patched (still on the zero frame), and
     {e writable} when it is [Read_write] with its private frame.  A load
@@ -72,19 +71,17 @@ val set_prot : t -> int -> prot -> unit
     All other accesses — including out-of-range and straddling ones, and
     the first store to a page, which gives it its private frame — take the
     checked path.  The levels are maintained by [set_prot],
-    [set_access_hook] and frame allocation; results are bit-identical with
-    the fast path on or off. *)
+    [set_access_hook] and frame allocation.  An access hook sets every
+    page to the checked level, so a no-op hook is how a caller runs the
+    checked path alone; results are bit-identical either way. *)
 
 (** [addr_of_page page] is [page * page_size]. *)
 val addr_of_page : int -> int
 
-(** {2 Typed accessors} — byte-addressed; 8-byte accesses must not cross a
-    page boundary (the apps keep naturally-aligned data).
+(** {2 Typed accessors} — byte-addressed 8-byte accesses, which must not
+    cross a page boundary (the apps keep naturally-aligned data).
 
     @raise Invalid_argument on out-of-range or straddling accesses. *)
-
-val read_u8 : t -> int -> int
-val write_u8 : t -> int -> int -> unit
 
 (** [read_int]/[write_int] store an OCaml [int] in 8 bytes.  Once the
     page's fast-path bit is set they allocate nothing. *)

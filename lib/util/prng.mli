@@ -18,9 +18,6 @@ val create : int64 -> t
     enters the new stream's seed, so call sites are robust to reordering. *)
 val split_named : t -> string -> t
 
-(** [bits64 t] draws 64 uniformly distributed bits. *)
-val bits64 : t -> int64
-
 (** [int t bound] draws uniformly from [0, bound).  [bound] must be
     positive. *)
 val int : t -> int -> int

@@ -38,7 +38,14 @@ let render ~title ~header rows =
 
 let label_width items = List.fold_left (fun w (l, _) -> max w (String.length l)) 0 items
 
-let bar_chart ?(max_width = 50) ~title ~unit_ items =
+(* The longest bar of a bar chart and of a stacked bar chart, and a line
+   chart's grid, in characters. *)
+let max_width = 50
+let stacked_max_width = 60
+let width = 60
+let height = 20
+
+let bar_chart ~title ~unit_ items =
   let buf = Buffer.create 256 in
   Buffer.add_string buf title;
   Buffer.add_char buf '\n';
@@ -52,7 +59,7 @@ let bar_chart ?(max_width = 50) ~title ~unit_ items =
   List.iter emit items;
   Buffer.contents buf
 
-let grouped_bar_chart ?(max_width = 50) ~title ~unit_ ~series items =
+let grouped_bar_chart ~title ~unit_ ~series items =
   let buf = Buffer.create 256 in
   Buffer.add_string buf title;
   Buffer.add_char buf '\n';
@@ -81,7 +88,7 @@ let grouped_bar_chart ?(max_width = 50) ~title ~unit_ ~series items =
   List.iter emit items;
   Buffer.contents buf
 
-let stacked_bar_chart ?(max_width = 60) ~title ~unit_ ~components items =
+let stacked_bar_chart ~title ~unit_ ~components items =
   let buf = Buffer.create 256 in
   Buffer.add_string buf title;
   Buffer.add_char buf '\n';
@@ -95,7 +102,7 @@ let stacked_bar_chart ?(max_width = 60) ~title ~unit_ ~components items =
       (fun i v ->
         let n =
           if top <= 0.0 then 0
-          else int_of_float (Float.round (v /. top *. float_of_int max_width))
+          else int_of_float (Float.round (v /. top *. float_of_int stacked_max_width))
         in
         Buffer.add_string bar (String.make n glyphs.(i mod Array.length glyphs)))
       vs;
@@ -115,7 +122,7 @@ let stacked_bar_chart ?(max_width = 60) ~title ~unit_ ~components items =
   Buffer.add_string buf ("key: " ^ key ^ "\n");
   Buffer.contents buf
 
-let line_chart ?(width = 60) ?(height = 20) ~title ~x_label ~y_label ~x series =
+let line_chart ~title ~x_label ~y_label ~x series =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf title;
   Buffer.add_char buf '\n';

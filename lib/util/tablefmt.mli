@@ -9,16 +9,15 @@
     the header.  Every row must have [List.length header] cells. *)
 val render : title:string -> header:string list -> string list list -> string
 
-(** [bar_chart ~title ~unit_ ~max_width items] draws one horizontal bar per
-    [(label, value)] pair, scaled so the largest value spans [max_width]
-    characters (default 50). *)
-val bar_chart :
-  ?max_width:int -> title:string -> unit_:string -> (string * float) list -> string
+(** [bar_chart ~title ~unit_ items] draws one horizontal bar per
+    [(label, value)] pair, scaled so the largest value spans 50
+    characters. *)
+val bar_chart : title:string -> unit_:string -> (string * float) list -> string
 
 (** [grouped_bar_chart ~title ~unit_ ~series items] draws, per item, one bar
-    per series (e.g. Lazy vs Eager), labelled with the series names. *)
+    per series (e.g. Lazy vs Eager), labelled with the series names, on
+    the same 50-character scale. *)
 val grouped_bar_chart :
-  ?max_width:int ->
   title:string ->
   unit_:string ->
   series:string list ->
@@ -27,9 +26,8 @@ val grouped_bar_chart :
 
 (** [stacked_bar_chart ~title ~unit_ ~components items] draws one bar per
     item partitioned into components (e.g. Computation / Unix / TreadMarks /
-    Idle), plus a numeric legend per item. *)
+    Idle), the longest 60 characters, plus a numeric legend per item. *)
 val stacked_bar_chart :
-  ?max_width:int ->
   title:string ->
   unit_:string ->
   components:string list ->
@@ -37,11 +35,9 @@ val stacked_bar_chart :
   string
 
 (** [line_chart ~title ~x_label ~y_label ~x series] plots several series
-    against shared x values on a character grid (used for the Figure 3
-    speedup curves).  Each series is [(name, glyph, ys)]. *)
+    against shared x values on a 60 x 20 character grid (used for the
+    Figure 3 speedup curves).  Each series is [(name, glyph, ys)]. *)
 val line_chart :
-  ?width:int ->
-  ?height:int ->
   title:string ->
   x_label:string ->
   y_label:string ->

@@ -1,10 +1,8 @@
 type 'a t = { mutable buf : 'a array; mutable len : int }
 
-let create ?(capacity = 0) () =
-  ignore capacity;
-  (* The backing array is allocated lazily at the first push (there is no
-     dummy element to fill with); [capacity] is advisory only. *)
-  { buf = [||]; len = 0 }
+(* The backing array is allocated lazily at the first push: there is no
+   dummy element to fill it with. *)
+let create () = { buf = [||]; len = 0 }
 
 let length t = t.len
 

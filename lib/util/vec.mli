@@ -10,9 +10,9 @@
 
 type 'a t
 
-(** [create ()] — an empty vector.  [capacity] is advisory (the backing
-    array is allocated at the first push). *)
-val create : ?capacity:int -> unit -> 'a t
+(** [create ()] — an empty vector; the backing array is allocated at the
+    first push. *)
+val create : unit -> 'a t
 
 val length : 'a t -> int
 

@@ -128,6 +128,41 @@ let ilink_clean =
     (Tmk_apps.Ilink.pages_needed ilink_params)
     (fun ctx -> ignore (Tmk_apps.Ilink.parallel ctx ilink_params))
 
+(* Only LRC closes and receives intervals.  Under every other backend the
+   oracle's vector-time checks (I1-I3) therefore compare all-zero
+   knowledge, and they run there unconditionally: a traced Water run
+   records no interval event, still makes remote acquires, and the oracle
+   reports nothing. *)
+let vector_time_checks_hold_without_intervals () =
+  List.iter
+    (fun protocol ->
+      let name = Config.protocol_name protocol in
+      let sink = Sink.create () in
+      let oracle = Oracle.create ~nprocs:4 () in
+      let cfg =
+        {
+          Config.default with
+          Config.nprocs = 4;
+          pages = Tmk_apps.Water.pages_needed water_params;
+          protocol;
+          trace = Some sink;
+          check = Some (Checker.create ~oracle ());
+        }
+      in
+      let _ = Api.run cfg (fun ctx -> ignore (Tmk_apps.Water.parallel ctx water_params)) in
+      let intervals = ref 0 and remote_acquires = ref 0 in
+      Sink.iter
+        (fun r ->
+          match r.Sink.r_ev with
+          | Event.Interval_close _ | Event.Interval_recv _ -> incr intervals
+          | Event.Lock_acquired { local = false; _ } -> incr remote_acquires
+          | _ -> ())
+        sink;
+      check Alcotest.int (name ^ ": interval events") 0 !intervals;
+      check Alcotest.bool (name ^ ": remote acquires") true (!remote_acquires > 0);
+      check (Alcotest.list Alcotest.string) (name ^ ": violations") [] (Oracle.finish oracle))
+    [ Config.Erc; Config.Sc; Config.Tardis; Config.Sc_abd ]
+
 (* ------------------------------------------------------------------ *)
 (* Determinism: same seed, same fault plan -> byte-identical reports.   *)
 
@@ -382,4 +417,6 @@ let suite =
     Alcotest.test_case "oracle: I5 size disagreement" `Quick oracle_i5_size_disagreement;
     Alcotest.test_case "oracle: I5 ERC exemption" `Quick oracle_i5_erc_exempt;
     Alcotest.test_case "oracle: I6 collected interval" `Quick oracle_i6_collected_interval;
+    Alcotest.test_case "oracle: vector-time checks hold without intervals" `Quick
+      vector_time_checks_hold_without_intervals;
   ]

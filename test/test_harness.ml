@@ -130,8 +130,7 @@ let committed_ledgers_share_one_shape () =
         check Alcotest.int (name ^ ": distinct arms") expected
           (List.length (List.sort_uniq compare arms))
       | _ -> Alcotest.failf "%s: not {experiment, config, metrics}" name)
-    [ ("BENCH_3.json", 65); ("BENCH_5.json", 20); ("BENCH_6.json", 7); ("BENCH_7.json", 40);
-      ("BENCH_10.json", 24) ]
+    [ ("BENCH_3.json", 65); ("BENCH_5.json", 20); ("BENCH_7.json", 40); ("BENCH_10.json", 24) ]
 
 let suite =
   [

@@ -9,8 +9,6 @@ let qtest ?(count = 200) name gen prop =
 
 let accessors_roundtrip () =
   let vm = Vm.create ~pages:4 () in
-  Vm.write_u8 vm 0 0xAB;
-  check Alcotest.int "u8" 0xAB (Vm.read_u8 vm 0);
   Vm.write_int vm 8 0x1122334455667788;
   check Alcotest.int "int, all eight bytes" 0x1122334455667788 (Vm.read_int vm 8);
   Vm.write_int vm 16 (-123456789);
@@ -25,7 +23,7 @@ let accessors_roundtrip () =
 let bounds_checks () =
   let vm = Vm.create ~pages:1 () in
   Alcotest.check_raises "negative" (Invalid_argument "Vm: address -1 out of range")
-    (fun () -> ignore (Vm.read_u8 vm (-1)));
+    (fun () -> ignore (Vm.read_int vm (-1)));
   Alcotest.check_raises "past end" (Invalid_argument "Vm: address 4089 out of range")
     (fun () -> ignore (Vm.read_int vm 4089));
   let vm2 = Vm.create ~pages:2 () in
@@ -63,7 +61,7 @@ let fault_loop_detected () =
   let vm = Vm.create ~pages:1 () in
   Vm.set_prot vm 0 Vm.No_access;
   Vm.set_fault_handler vm (fun _ _ -> (* forgets to fix the protection *) ());
-  (match Vm.read_u8 vm 0 with
+  (match Vm.read_int vm 0 with
   | _ -> Alcotest.fail "expected Fault_loop"
   | exception Vm.Fault_loop { page = 0; kind = Vm.Read } -> ()
   | exception _ -> Alcotest.fail "wrong exception")
@@ -153,11 +151,14 @@ let identical_page_empty_diff () =
    lands.  Loads of never-written pages read the shared zero frame, and
    scribbling on a snapshot must not reach the page it was taken from.
    Snapshots come from a pool, and the twin a snapshot replaces goes back
-   to it, so later snapshots reuse buffers that held other pages. *)
-let flat_model_walk ~fast_path seed =
+   to it, so later snapshots reuse buffers that held other pages.  Each
+   seed walks twice: on the fast path, and with a no-op access hook, which
+   sends every access through the checked path. *)
+let flat_model_walk ~checked seed =
   let pages = 4 in
   let rng = Random.State.make [| seed |] in
-  let vm = Vm.create ~fast_path ~pages () in
+  let vm = Vm.create ~pages () in
+  if checked then Vm.set_access_hook vm (fun _ _ _ -> ());
   let pool = Vm.create_pool () in
   let model = Bytes.make (pages * Vm.page_size) '\000' in
   Vm.set_fault_handler vm (fun kind page ->
@@ -168,7 +169,7 @@ let flat_model_walk ~fast_path seed =
   in
   (* earlier snapshots serve as twins; all start as the zero page *)
   let twins = Array.init pages model_page in
-  let what step op = Printf.sprintf "seed %d, fast %b, step %d: %s" seed fast_path step op in
+  let what step op = Printf.sprintf "seed %d, checked %b, step %d: %s" seed checked step op in
   for step = 1 to 3000 do
     let page = Random.State.int rng pages in
     let slot = Random.State.int rng (Vm.page_size / 8) in
@@ -189,12 +190,14 @@ let flat_model_walk ~fast_path seed =
         (Int64.to_int (Bytes.get_int64_le model addr))
         (Vm.read_int vm addr)
     | 3 ->
-      let addr = addr + Random.State.int rng 8 in
-      let v = Random.State.int rng 256 in
-      Vm.write_u8 vm addr v;
-      Bytes.set_uint8 model addr v;
-      check Alcotest.int (what step "read_u8") (Bytes.get_uint8 model addr)
-        (Vm.read_u8 vm addr)
+      (* an unaligned word anywhere inside the page *)
+      let addr = Vm.addr_of_page page + Random.State.int rng (Vm.page_size - 7) in
+      let v = Random.State.full_int rng max_int - (max_int / 2) in
+      Vm.write_int vm addr v;
+      Bytes.set_int64_le model addr (Int64.of_int v);
+      check Alcotest.int (what step "unaligned read_int")
+        (Int64.to_int (Bytes.get_int64_le model addr))
+        (Vm.read_int vm addr)
     | 4 ->
       let v = Random.State.float rng 1e6 -. 5e5 in
       Vm.write_f64 vm addr v;
@@ -231,8 +234,8 @@ let flat_model_walk ~fast_path seed =
 let frames_match_flat_model () =
   List.iter
     (fun seed ->
-      flat_model_walk ~fast_path:true seed;
-      flat_model_walk ~fast_path:false seed)
+      flat_model_walk ~checked:false seed;
+      flat_model_walk ~checked:true seed)
     [ 1; 2; 3; 4 ]
 
 let costs_sane () =

@@ -8,11 +8,13 @@
    bit-identical with them on or off.  These tests enforce that
    end-to-end:
 
-   - all five applications at 8 and 32 processors: same digest and same
-     run accounting with [Config.vm_fast_path] true vs false;
-   - the same with the race detector attached (its [on_access] hook must
-     still observe every shared access — the checker's findings and the
-     digest both have to match, and a Vm-level test counts hook calls);
+   - all five applications at 8 and 32 processors, Quicksort under
+     Tardis and Water under SC-ABD at 8: same digest and same run
+     accounting on the MMU fast path as on the checked path, which a
+     checker carrying one no-op access hook forces;
+   - the race detector is an observer only: a run carrying it matches a
+     run with no checker, and it flags the racy fixture (a Vm-level test
+     counts hook calls);
    - the benchmark's four workloads, Water at 32 and 64 processors, a
      GC-heavy Water run, a Jacobi run collecting over a narrow barrier
      tree, Water under frame loss and under a crash, Water with the
@@ -43,11 +45,24 @@ module Vm = Tmk_mem.Vm
 
 let check = Alcotest.check
 
-let cfg_of ~app ~nprocs ~fast =
-  let cfg =
-    Harness.config ~app ~nprocs ~protocol:Config.Lrc ~net:Tmk_net.Params.atm_aal34
+let cfg_of ~app ~nprocs ~protocol =
+  Harness.config ~app ~nprocs ~protocol ~net:Tmk_net.Params.atm_aal34
+
+(* A checker whose one hook observes nothing.  Any access hook sends every
+   typed access through the checked MMU path, so a run carrying this
+   checker is the reference the fast path must match. *)
+let with_no_op_hook cfg =
+  let hook =
+    {
+      Tmk_check.Hooks.h_access = (fun ~pid:_ _ ~addr:_ ~width:_ -> ());
+      h_lock_acquired = (fun ~pid:_ ~lock:_ -> ());
+      h_lock_release = (fun ~pid:_ ~lock:_ -> ());
+      h_barrier_arrive = (fun ~pid:_ ~id:_ -> ());
+      h_barrier_depart = (fun ~pid:_ ~id:_ -> ());
+      h_suppress = (fun ~pid:_ _ -> ());
+    }
   in
-  { cfg with Config.vm_fast_path = fast }
+  { cfg with Config.check = Some (Tmk_check.Checker.create ~hooks:[ hook ] ()) }
 
 (* One comparable record per run: the digest plus every piece of
    simulated accounting a fast path could plausibly disturb. *)
@@ -70,99 +85,108 @@ let fingerprint ~app cfg =
     fp_bytes = raw.Api.bytes;
   }
 
-let proc_counts = [ 8; 32 ]
+(* Each app's (nprocs, protocol) arms: LRC at 8 and 32 processors, plus
+   Quicksort under Tardis (a benchmark workload) and Water under SC-ABD,
+   two backends that flip page protections at every synchronization. *)
+let arms_of app =
+  [ (8, Config.Lrc); (32, Config.Lrc) ]
+  @
+  match app with
+  | Harness.Quicksort -> [ (8, Config.Tardis) ]
+  | Harness.Water -> [ (8, Config.Sc_abd) ]
+  | _ -> []
 
-(* All (app, nprocs, fast?) arms, run once across domains, keyed for the
-   per-app test cases below. *)
+(* Every (app, nprocs, protocol, checked?) run, once across domains,
+   keyed for the per-app test cases below. *)
 let equivalence_runs =
   lazy
     (let arms =
        List.concat_map
          (fun app ->
            List.concat_map
-             (fun nprocs -> [ (app, nprocs, true); (app, nprocs, false) ])
-             proc_counts)
+             (fun (nprocs, protocol) ->
+               [ (app, nprocs, protocol, false); (app, nprocs, protocol, true) ])
+             (arms_of app))
          Harness.all_apps
      in
      let results =
        Harness.parallel_map ~jobs:4
-         (fun (app, nprocs, fast) -> fingerprint ~app (cfg_of ~app ~nprocs ~fast))
+         (fun (app, nprocs, protocol, checked) ->
+           let cfg = cfg_of ~app ~nprocs ~protocol in
+           fingerprint ~app (if checked then with_no_op_hook cfg else cfg))
          arms
      in
      let tbl = Hashtbl.create 32 in
      List.iter2 (fun arm fp -> Hashtbl.replace tbl arm fp) arms results;
      tbl)
 
-let check_equal ~what fast slow =
-  check Alcotest.string (what ^ ": digest") slow.fp_digest fast.fp_digest;
+let check_equal ~what fast checked =
+  check Alcotest.string (what ^ ": digest") checked.fp_digest fast.fp_digest;
   check Alcotest.bool (what ^ ": digest nonempty") true (fast.fp_digest <> "");
-  check Alcotest.bool (what ^ ": stats") true (fast.fp_stats = slow.fp_stats);
-  check Alcotest.int (what ^ ": simulated time") slow.fp_time fast.fp_time;
-  check Alcotest.int (what ^ ": messages") slow.fp_messages fast.fp_messages;
-  check Alcotest.int (what ^ ": bytes") slow.fp_bytes fast.fp_bytes
+  check Alcotest.bool (what ^ ": stats") true (fast.fp_stats = checked.fp_stats);
+  check Alcotest.int (what ^ ": simulated time") checked.fp_time fast.fp_time;
+  check Alcotest.int (what ^ ": messages") checked.fp_messages fast.fp_messages;
+  check Alcotest.int (what ^ ": bytes") checked.fp_bytes fast.fp_bytes
 
 let fast_path_equivalence app () =
   let runs = Lazy.force equivalence_runs in
   List.iter
-    (fun nprocs ->
-      let what = Printf.sprintf "%s %dp" (Harness.app_name app) nprocs in
+    (fun (nprocs, protocol) ->
+      let what =
+        Printf.sprintf "%s %dp %s" (Harness.app_name app) nprocs
+          (Config.protocol_name protocol)
+      in
       check_equal ~what
-        (Hashtbl.find runs (app, nprocs, true))
-        (Hashtbl.find runs (app, nprocs, false)))
-    proc_counts
+        (Hashtbl.find runs (app, nprocs, protocol, false))
+        (Hashtbl.find runs (app, nprocs, protocol, true)))
+    (arms_of app)
 
 (* ------------------------------------------------------------------ *)
-(* With the race detector attached the Vm access hook is installed, so
-   the fast bitmap must stay all-clear and the checker must see exactly
-   the accesses it always saw — same findings, same digest.  Racey is
-   the positive fixture (its findings are non-empty), so a hook that
-   silently missed accesses would show up as a findings mismatch.        *)
-
-let checked_fingerprint ~fast =
-  let app = Harness.Racey in
-  let cfg = cfg_of ~app ~nprocs:8 ~fast in
-  let race = Tmk_check.Race.create ~nprocs:8 ~pages:cfg.Config.pages () in
-  let cfg = { cfg with Config.check = Some (Tmk_check.Checker.create ~race ()) } in
-  let fp = fingerprint ~app cfg in
-  (fp, Tmk_check.Race.report race)
+(* The race detector only observes: its access hook sends the run down
+   the checked path, and the run must still match one with no checker —
+   same digest, same accounting.  Racey is the positive fixture, so the
+   detector must also flag it.                                           *)
 
 let race_detector_equivalence () =
-  let fast_fp, fast_report = checked_fingerprint ~fast:true in
-  let slow_fp, slow_report = checked_fingerprint ~fast:false in
-  check Alcotest.bool "racy fixture still flagged" true
-    (fast_report <> "" && fast_report = slow_report);
-  check_equal ~what:"racey 8p, race detector on" fast_fp slow_fp
+  let app = Harness.Racey in
+  let cfg = cfg_of ~app ~nprocs:8 ~protocol:Config.Lrc in
+  let race = Tmk_check.Race.create ~nprocs:8 ~pages:cfg.Config.pages () in
+  let detected =
+    fingerprint ~app { cfg with Config.check = Some (Tmk_check.Checker.create ~race ()) }
+  in
+  check Alcotest.bool "racy fixture still flagged" true (Tmk_check.Race.report race <> "");
+  check_equal ~what:"racey 8p, race detector on" (fingerprint ~app cfg) detected
 
-(* Vm-level hook coverage: with the fast path enabled, installing an
-   access hook must force every typed access back onto the observed path
-   — one hook call per load or store, with the right kind and width. *)
+(* Vm-level hook coverage: installing an access hook must force every
+   typed access back onto the observed path — one hook call per load or
+   store, with the right kind and width. *)
 let hook_sees_every_access () =
-  let vm = Vm.create ~fast_path:true ~pages:2 () in
+  let vm = Vm.create ~pages:2 () in
   let seen = ref [] in
   Vm.set_access_hook vm (fun kind addr width -> seen := (kind, addr, width) :: !seen);
   Vm.write_int vm 0 42;
   ignore (Vm.read_int vm 0);
-  Vm.write_u8 vm 4096 7;
-  ignore (Vm.read_u8 vm 4096);
+  Vm.write_f64 vm 4096 7.0;
+  ignore (Vm.read_f64 vm 4096);
   check Alcotest.bool "every access observed" true
     (List.rev !seen
-    = [ (Vm.Write, 0, 8); (Vm.Read, 0, 8); (Vm.Write, 4096, 1); (Vm.Read, 4096, 1) ])
+    = [ (Vm.Write, 0, 8); (Vm.Read, 0, 8); (Vm.Write, 4096, 8); (Vm.Read, 4096, 8) ])
 
 (* Fast-path semantics: out-of-range and straddling accesses must keep
    raising exactly as the checked path does. *)
 let fast_path_still_raises () =
-  let vm = Vm.create ~fast_path:true ~pages:1 () in
+  let vm = Vm.create ~pages:1 () in
   let raises f = match f () with exception Invalid_argument _ -> true | _ -> false in
-  check Alcotest.bool "negative addr" true (raises (fun () -> Vm.read_u8 vm (-1)));
-  check Alcotest.bool "past the end" true (raises (fun () -> Vm.read_u8 vm 4096));
+  check Alcotest.bool "negative addr" true (raises (fun () -> Vm.read_int vm (-1)));
+  check Alcotest.bool "past the end" true (raises (fun () -> Vm.read_int vm 4096));
   check Alcotest.bool "straddle" true (raises (fun () -> Vm.read_f64 vm 4092));
-  Vm.write_u8 vm 4095 9;
-  check Alcotest.int "last byte still accessible" 9 (Vm.read_u8 vm 4095)
+  Vm.write_int vm 4088 9;
+  check Alcotest.int "last word still accessible" 9 (Vm.read_int vm 4088)
 
 (* ------------------------------------------------------------------ *)
-(* Pinned simulation.  The cases above compare a fast path on and off
-   within one build, so they cannot see a change of memory layout that
-   has no off switch.  These literals were recorded with the dense
+(* Pinned simulation.  The cases above compare the fast path with the
+   checked path within one build, so they cannot see a change of memory
+   layout that has no off switch.  These literals were recorded with the dense
    per-node layout (a flat address space per node and one write-notice
    slot per processor per page), before sparse page frames and writer
    maps replaced it: the repository benchmark's four workloads at seed 0,
@@ -596,7 +620,13 @@ let typed_accesses_allocate_nothing () =
   check (Alcotest.float 0.0) "words allocated by 10 000 read_int of a Read_only page" 0.0
     (allocated (loads 3));
   check (Alcotest.float 0.0) "words allocated by 10 000 read_int of a never-written page"
-    0.0 (allocated (loads 4))
+    0.0 (allocated (loads 4));
+  (* The checked path, which any access hook forces, allocates nothing
+     either. *)
+  Vm.set_prot vm 3 Vm.Read_write;
+  Vm.set_access_hook vm (fun _ _ _ -> ());
+  check (Alcotest.float 0.0) "words allocated by 10 000 checked read_int/write_int pairs"
+    0.0 (allocated pairs)
 
 (* A diff fetch's replay costs comparisons in the writers and the notices
    replayed, not in held x missing notices.  One page of a 64-processor
@@ -885,7 +915,7 @@ let parallel_map_equivalence () =
       (fun app -> List.map (fun n -> (app, n)) [ 2; 4 ])
       [ Harness.Tsp; Harness.Jacobi ]
   in
-  let run (app, nprocs) = fingerprint ~app (cfg_of ~app ~nprocs ~fast:true) in
+  let run (app, nprocs) = fingerprint ~app (cfg_of ~app ~nprocs ~protocol:Config.Lrc) in
   let sequential = Harness.parallel_map ~jobs:1 run arms in
   let parallel = Harness.parallel_map ~jobs:4 run arms in
   check Alcotest.int "same length" (List.length sequential) (List.length parallel)
@@ -901,7 +931,7 @@ let parallel_map_equivalence () =
    output byte for byte.                                                *)
 
 let lint_report_of (app, nprocs) =
-  let cfg = cfg_of ~app ~nprocs ~fast:true in
+  let cfg = cfg_of ~app ~nprocs ~protocol:Config.Lrc in
   let race = Tmk_check.Race.create ~nprocs ~pages:cfg.Config.pages () in
   let lint = Tmk_lint.Lint.create ~nprocs () in
   let cfg =
