@@ -365,8 +365,9 @@ let cmd =
          & info [ "crash" ] ~docv:"SPEC"
              ~doc:"Crash schedule: comma-separated pid@t_us, e.g. 4@5000.  The processor \
                    goes silent at that instant (crash-stop); the survivors detect it, fail \
-                   its lock managership over, and finish the run (LRC only).  Exits 3 if \
-                   the run cannot complete without the dead processor's state.")
+                   its lock managership over, and finish the run (the lazy and sc-abd \
+                   backends; the others refuse crash schedules).  Exits 3 if the run \
+                   cannot complete without the dead processor's state.")
   in
   let diff_backup =
     Arg.(value & flag

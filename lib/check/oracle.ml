@@ -55,7 +55,7 @@ type t = {
   diff_created : (int * int * int, unit) Hashtbl.t;  (* (proc, interval, page) *)
   diff_bytes : (int * int * int, int) Hashtbl.t;
   gc_floor : int array option array;  (* per pid: know at its last Gc_end *)
-  dead : bool array;  (* per pid: a Proc_crash was seen *)
+  crashed : Tmk_util.Bitset.t;  (* the pids whose Proc_crash was seen *)
   mutable violations : string list;  (* newest first *)
   mutable nviol : int;
   mutable fed : int;
@@ -78,7 +78,7 @@ let create ~nprocs () =
     diff_created = Hashtbl.create 64;
     diff_bytes = Hashtbl.create 64;
     gc_floor = Array.make nprocs None;
-    dead = Array.make nprocs false;
+    crashed = Tmk_util.Bitset.create nprocs;
     violations = [];
     nviol = 0;
     fed = 0;
@@ -233,7 +233,7 @@ let feed t (r : Tmk_trace.Sink.record) =
         p page proc interval floor.(proc)
     | _ -> ())
   | Gc_end _ when in_range -> t.gc_floor.(p) <- Some (Array.copy t.know.(p))
-  | Proc_crash when in_range -> t.dead.(p) <- true
+  | Proc_crash when in_range -> Tmk_util.Bitset.add t.crashed p
   | _ -> ()
 
 let attach t sink = Tmk_trace.Sink.on_record sink (feed t)
@@ -244,7 +244,7 @@ let attach t sink = Tmk_trace.Sink.on_record sink (feed t)
    a crash completes with the survivors, and a dead arriver is never
    released. *)
 let finish t =
-  let ndead = Array.fold_left (fun a d -> if d then a + 1 else a) 0 t.dead in
+  let ndead = Tmk_util.Bitset.cardinal t.crashed in
   let pending = ref [] in
   Hashtbl.iter (fun k v -> pending := (k, v) :: !pending) t.bar_in;
   let pending = List.sort compare !pending in

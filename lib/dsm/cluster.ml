@@ -18,10 +18,9 @@ type t = {
   transport : Transport.t;
   nodes : Node.t array;
   crashes_planned : bool;
-  dead : bool array;
-  live_pids : Bitset.t;
-  ring : Ring.t option;
+  members : Bitset.t;
   mutable epoch : int;
+  ring : Ring.t option;
   mutable pending_ops : pending_op Tmk_util.Vec.t;
   mutable next_op : int;
   mutable fatal : (int * string) option;
@@ -39,51 +38,45 @@ let () =
            page)
     | _ -> None)
 
-let live t pid = not t.dead.(pid)
+(* Membership: one live set, written only by [mark_dead]; the epoch
+   counts the deaths detected so far. *)
+let live t pid = Bitset.mem t.members pid
 
-(* Deaths funnel through here so the live bitset and the membership
-   epoch can never drift from the [dead] flags. *)
 let mark_dead t pid =
-  if not t.dead.(pid) then begin
-    t.dead.(pid) <- true;
-    Bitset.remove t.live_pids pid;
+  if live t pid then begin
+    Bitset.remove t.members pid;
     t.epoch <- t.epoch + 1
   end
 
-let lowest_live_other t pid =
-  match Bitset.next_member t.live_pids 0 with
-  | Some p when p <> pid -> Some p
-  | Some p -> Bitset.next_member t.live_pids (p + 1)
-  | None -> None
+(* The first live processor at or after [p] in cyclic pid order: [p]
+   itself while it lives, so the common case allocates nothing.  Some
+   processor always lives: [Config.validate] refuses to crash them all. *)
+let next_live t p =
+  if live t p then p
+  else
+    match Bitset.next_member t.members p with
+    | Some q -> q
+    | None -> Option.get (Bitset.next_member t.members 0)
 
-let backup_peer t proc =
-  match Bitset.next_member t.live_pids (proc + 1) with
-  | Some p -> Some p
-  | None -> (
-    match Bitset.next_member t.live_pids 0 with
-    | Some p when p <> proc -> Some p
-    | _ -> None)
+let backup_peer t p =
+  let q = next_live t ((p + 1) mod t.cfg.Config.nprocs) in
+  if q = p then None else Some q
 
-(* Ownership: which processor plays manager for a page or a lock.  Under
-   [Config.sharding] the consistent-hash ring decides (and, because ring
-   lookups walk past dead processors, re-decides at each membership
-   epoch); otherwise the flat TreadMarks layout — static [mod nprocs] —
-   applies.  Only locks fail over in the flat layout: the backends that
-   consult [page_owner] refuse crash plans. *)
-let page_owner t page =
+let lowest_live_other t p =
+  let q = next_live t 0 in
+  if q <> p then Some q else backup_peer t p
+
+(* The one owner rule, for pages and locks alike: the ring owner of the
+   key under [Config.sharding], else the first live processor from the
+   static [index mod nprocs] home.  Both follow the detected deaths, and
+   both move only a dead owner's keys. *)
+let owner t ~key index =
   match t.ring with
-  | Some ring -> Ring.owner ring ~live:(fun p -> not t.dead.(p)) (Ring.page_key page)
-  | None -> page mod t.cfg.Config.nprocs
+  | Some ring -> Ring.owner ring t.members key
+  | None -> next_live t (index mod t.cfg.Config.nprocs)
 
-(* A flat lock's managership migrates to the next live processor in
-   cyclic pid order from its static home; with no deaths it stays home. *)
-let lock_home t lock =
-  match t.ring with
-  | Some ring -> Ring.owner ring ~live:(fun p -> not t.dead.(p)) (Ring.lock_key lock)
-  | None ->
-    let n = t.cfg.Config.nprocs in
-    let rec seek m = if t.dead.(m) then seek ((m + 1) mod n) else m in
-    seek (lock mod n)
+let page_owner t page = owner t ~key:(Ring.page_key page) page
+let lock_home t lock = owner t ~key:(Ring.lock_key lock) lock
 
 (* A run degrades when surviving processors would need consistency state
    that only the dead processor held.  Safe from any context: records the
@@ -132,7 +125,7 @@ let atomically t f = Engine.section t.engine f
    hot spot).  @raise Empty_copyset when no live candidate remains. *)
 let choose_provider t copyset ~self ~page =
   let members =
-    Bitset.fold (fun q acc -> if q <> self && not t.dead.(q) then q :: acc else acc) copyset []
+    Bitset.fold (fun q acc -> if q <> self && live t q then q :: acc else acc) copyset []
   in
   match List.rev members with
   | [] -> raise (Empty_copyset { pid = self; page })
@@ -148,7 +141,7 @@ let choose_provider t copyset ~self ~page =
 let choose_provider_lowest t copyset ~self ~page =
   let provider =
     Bitset.fold
-      (fun q acc -> if q <> self && (not t.dead.(q)) && acc < 0 then q else acc)
+      (fun q acc -> if q <> self && live t q && acc < 0 then q else acc)
       copyset (-1)
   in
   if provider < 0 then raise (Empty_copyset { pid = self; page }) else provider
@@ -233,9 +226,9 @@ let create cfg =
         in
         Node.create ?emit ~store ~pid ~nprocs:cfg.Config.nprocs ~pages:cfg.Config.pages ())
   in
-  let live_pids = Bitset.create cfg.Config.nprocs in
+  let members = Bitset.create cfg.Config.nprocs in
   for p = 0 to cfg.Config.nprocs - 1 do
-    Bitset.add live_pids p
+    Bitset.add members p
   done;
   {
     cfg;
@@ -243,13 +236,12 @@ let create cfg =
     transport;
     nodes;
     crashes_planned = Tmk_net.Fault_plan.crashes cfg.Config.faults <> [];
-    dead = Array.make cfg.Config.nprocs false;
-    live_pids;
+    members;
+    epoch = 0;
     ring =
       (if cfg.Config.sharding then
          Some (Ring.create ~nprocs:cfg.Config.nprocs ~seed:cfg.Config.seed ())
        else None);
-    epoch = 0;
     pending_ops = Tmk_util.Vec.create ();
     next_op = 0;
     fatal = None;

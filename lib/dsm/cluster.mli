@@ -2,12 +2,13 @@
 
     The pieces of a running cluster that every coherence backend and the
     protocol core share: configuration, engine, transport, the per-node
-    DSM state, the membership view (detected deaths, epoch), the
-    re-issuable-operation registry for crash recovery, the one fault
-    handler ({!fault}), and the small context helpers (atomic sections,
-    charging, tracing, provider choice).  {!Protocol} builds one of
-    these, hands it to the selected backend's [make], and layers
-    locks/barriers/GC/failover on top. *)
+    DSM state, the membership view, the re-issuable-operation registry
+    for crash recovery, the one fault handler ({!fault}), and the small
+    context helpers (atomic sections, charging, tracing, provider
+    choice).  {!Protocol} builds one of these, hands it to the selected
+    backend's [make], and layers locks/barriers/GC/failover on top.
+    Every module reads membership here: one live set, one cyclic
+    successor walk and one owner rule ({!lock_home}). *)
 
 open Tmk_sim
 
@@ -29,10 +30,11 @@ type t = {
   transport : Tmk_net.Transport.t;
   nodes : Node.t array;
   crashes_planned : bool;  (** gates the pending-op registry *)
-  dead : bool array;  (** deaths detected so far (protocol view) *)
-  live_pids : Tmk_util.Bitset.t;  (** the complement of [dead], kept incrementally *)
+  members : Tmk_util.Bitset.t;
+      (** the live set: every processor but the deaths detected so far;
+          written only by {!mark_dead} *)
+  mutable epoch : int;  (** membership epoch: the number of detected deaths *)
   ring : Ring.t option;  (** ownership ring, present iff [Config.sharding] *)
-  mutable epoch : int;  (** membership epoch, bumped per detected death *)
   mutable pending_ops : pending_op Tmk_util.Vec.t;  (** registration order *)
   mutable next_op : int;
   mutable fatal : (int * string) option;
@@ -51,30 +53,30 @@ exception Empty_copyset of { pid : int; page : int }
 
 val live : t -> int -> bool
 
-(** [mark_dead t pid] — record a detected death: flips [dead], updates
-    the live bitset, bumps the membership epoch.  Idempotent.
-    The single mutation point for the membership view. *)
+(** [mark_dead t pid] — record a detected death: remove [pid] from the
+    live set and bump the membership epoch.  Idempotent.  The single
+    mutation point for the membership view. *)
 val mark_dead : t -> int -> unit
-
-(** [page_owner t page] — the processor playing manager for [page]:
-    the ring owner under [Config.sharding] (live-aware: lookups skip
-    dead processors from the current epoch on), [page mod nprocs]
-    otherwise. *)
-val page_owner : t -> int -> int
 
 (** [lock_home t lock] — the live processor playing manager for [lock]:
     the ring owner under [Config.sharding], otherwise the first live
     processor in cyclic pid order from the static [lock mod nprocs]
-    home.  Both follow the detected deaths, so after a death the lock's
-    metadata is rebuilt here. *)
+    home.  Both follow the detected deaths and move only a dead owner's
+    keys, so after a death the lock's metadata is rebuilt here. *)
 val lock_home : t -> int -> int
+
+(** [page_owner t page] — the manager of [page], by {!lock_home}'s rule
+    over the page key space.  (SC and Tardis, its only users, refuse
+    crash plans.) *)
+val page_owner : t -> int -> int
 
 (** [lowest_live_other t pid] — the lowest-numbered live processor other
     than [pid]; [None] when nobody else is alive. *)
 val lowest_live_other : t -> int -> int option
 
-(** The deterministic backup peer for [proc]'s diff mirrors: the next
-    live processor in cyclic pid order. *)
+(** [backup_peer t proc] — the deterministic backup peer for [proc]'s
+    diff mirrors: the next live processor after [proc] in cyclic pid
+    order; [None] when only [proc] is alive. *)
 val backup_peer : t -> int -> int option
 
 (** [note_fatal t ~pid reason] — record that the run cannot make

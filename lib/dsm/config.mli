@@ -68,11 +68,11 @@ type t = {
           [Backend.caps.c_diff_backup] is set (Lrc). *)
   sharding : bool;
       (** [true]: page and lock managership is assigned by the
-          consistent-hash {!Ring} instead of the static [mod nprocs] /
-          processor-0 layout, and GC bookkeeping is routed through the
-          per-shard owners.  Results are digest-identical to flat runs;
-          only which processor plays manager for each object changes.
-          [false] (the default): the flat TreadMarks layout *)
+          consistent-hash {!Ring} instead of the static [mod nprocs]
+          homes ({!Cluster.lock_home}).  Barriers and GC run over the
+          barrier tree in both layouts.  Results are digest-identical to
+          flat runs; only which processor plays manager for each object
+          changes.  [false] (the default): the flat TreadMarks layout *)
   barrier_tree : bool;
       (** Barriers and the GC exchange always run over one combining
           tree rooted at processor 0: arrivals combine upward, releases

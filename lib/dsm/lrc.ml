@@ -117,18 +117,17 @@ let serve_diff_entry cl r h (page, proc, interval_id) =
    mirror stores ([Config.diff_backup]).  [None] means the diff died with
    the crash. *)
 let lookup_diff_anywhere cl ~proc ~interval_id ~page =
-  let n = cl.Cluster.cfg.Config.nprocs in
   let rec scan p =
-    if p >= n then None
-    else if cl.Cluster.dead.(p) then scan (p + 1)
-    else
+    match Bitset.next_member cl.Cluster.members p with
+    | None -> None
+    | Some p -> (
       let pn = cl.Cluster.nodes.(p) in
       match Node.held_diff pn ~proc ~interval_id ~page with
       | Some _ as found -> found
       | None -> (
         match Node.backup_diff pn ~proc ~interval_id ~page with
         | Some _ as found -> found
-        | None -> scan (p + 1))
+        | None -> scan (p + 1)))
   in
   scan 0
 
@@ -152,7 +151,7 @@ let retry_diff_fetch cl ~pid ~entries ~mb =
             (fun (page, proc, interval_id) ->
               h_charge h Category.Tmk_other Cpu.diff_lookup_per_entry;
               let diff =
-                if not cl.Cluster.dead.(proc) then
+                if Cluster.live cl proc then
                   match
                     Node.find_diff cl.Cluster.nodes.(proc) ~proc ~interval_id ~page
                       ~charge:(h_charge h)
@@ -307,7 +306,7 @@ let fetch_and_apply_diffs cl pid page missing =
         let entries = Tmk_util.Vec.to_list entry_buf in
         let n = Tmk_util.Vec.length entry_buf in
         app_charge Category.Tmk_other Cpu.page_request_build;
-        if cl.Cluster.dead.(r) then begin
+        if not (Cluster.live cl r) then begin
           (* The planned responder died before this fetch was issued —
              its write notices still dominate, so the assignment keeps
              naming it.  Route the entries through a live coordinator
@@ -559,9 +558,9 @@ let on_death cl dead_pid =
       entry.Node.pg_copyset <- Shared.find replaced cs
     end
   in
-  Array.iteri
-    (fun pid node -> if not cl.Cluster.dead.(pid) then Array.iter prune node.Node.pages)
-    cl.Cluster.nodes
+  Bitset.iter
+    (fun pid -> Array.iter prune cl.Cluster.nodes.(pid).Node.pages)
+    cl.Cluster.members
 
 (* Diff replication: mirror each locally created diff to its creator's
    deterministic backup peer the moment it exists. *)

@@ -842,9 +842,8 @@ let validate_page t page bytes ~charge =
   set_has_copy t.pages.(page) true;
   t.stats.Stats.page_fetches <- t.stats.Stats.page_fetches + 1
 
-let discard_all_records t ~charge =
+let discard_all_records t =
   let discarded = t.live_records in
-  charge Category.Tmk_other (Vtime.scale Cpu.gc_per_record discarded);
   (* The view empties: the floor rises to the timestamp, and the store
      forgets what no live node keeps any more. *)
   stop_keeping t.store ~floor:t.floor ~upto:(Vector_time.get t.vt);

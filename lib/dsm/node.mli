@@ -357,12 +357,12 @@ val settle_page : t -> int -> charge:charge -> unit
     caller must not touch it afterwards. *)
 val validate_page : t -> int -> Bytes.t -> charge:charge -> unit
 
-(** [discard_all_records t ~charge] — GC sweep (§3.6): drop every
-    interval, write-notice and diff record from the view (the floor rises
-    to [vt], and nothing in the empty view is unsettled), and all twins.
-    The store forgets the intervals no live node keeps.  Returns the
-    number of records discarded. *)
-val discard_all_records : t -> charge:charge -> int
+(** [discard_all_records t] — GC sweep (§3.6): drop every interval,
+    write-notice and diff record from the view (the floor rises to [vt],
+    and nothing in the empty view is unsettled), and all twins.  The
+    store forgets the intervals no live node keeps.  Returns the number
+    of records discarded; the caller charges the sweep. *)
+val discard_all_records : t -> int
 
 (** [retire t] — [t]'s processor died: the store stops keeping records
     for it.  Call once; [t]'s view must not be read afterwards. *)

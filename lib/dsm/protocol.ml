@@ -89,7 +89,6 @@ let config t = t.cl.Cluster.cfg
 let engine t = t.cl.Cluster.engine
 let transport t = t.cl.Cluster.transport
 let node t pid = t.cl.Cluster.nodes.(pid)
-let barrier_manager = Cluster.barrier_manager
 
 let backend_caps = function
   | Config.Lrc -> Lrc.caps
@@ -103,7 +102,6 @@ let backend_caps = function
 let epoch t = t.cl.Cluster.epoch
 let fatality t = t.cl.Cluster.fatal
 let recoveries t = List.rev t.recoveries
-let dead t pid = t.cl.Cluster.dead.(pid)
 
 let note_fatal t ~pid reason = Cluster.note_fatal t.cl ~pid reason
 
@@ -205,7 +203,7 @@ let grant_from_app t granter req =
    its requester has died, or when its grant already went out. *)
 let stale_request t req =
   req.lr_epoch < epoch t
-  || dead t req.lr_requester
+  || (not (Cluster.live t.cl req.lr_requester))
   || Transport.mailbox_filled req.lr_mb
 
 (* Track the request a grant is in flight to: if the requester dies the
@@ -399,18 +397,18 @@ let round_of tbl key =
 
 (* [pid]'s round completes once every live child has been heard from.
    A child heard from that has since died stays in [heard] but is not
-   counted.  Nobody dies without a crash schedule, so the scans run only
-   when one is armed (barriers are hot). *)
+   counted.  Until the first detected death every child lives, so the
+   scans run only after one (barriers are hot). *)
 let all_children_in t pid r pid_of =
   let n = tree_nchildren t pid in
-  if not t.cl.Cluster.crashes_planned then Vec.length r.heard >= n
+  if epoch t = 0 then Vec.length r.heard >= n
   else begin
     let first = first_child t pid in
     let live_children = ref 0 in
     for c = first to first + n - 1 do
-      if not (dead t c) then incr live_children
+      if Cluster.live t.cl c then incr live_children
     done;
-    Vec.fold_left (fun acc x -> if dead t (pid_of x) then acc else acc + 1) 0 r.heard
+    Vec.fold_left (fun n x -> if Cluster.live t.cl (pid_of x) then n + 1 else n) 0 r.heard
     >= !live_children
   end
 
@@ -428,7 +426,11 @@ let gc_child_pid c = c.gc_pid
    their whole subtrees — prepends its own, and forwards upward.  The
    root aggregates the live contributions and the keepers array flows
    back down edge by edge, so no processor ever receives more than
-   [tree_arity] GC messages.  Dead children get no reply. *)
+   [tree_arity] GC messages.  Dead children get no reply.  Each node
+   adopts the keepers and discards every consistency record before its
+   first reply: a reply is a scheduling point, and an early child's next
+   arrival, absorbed before the discard, would lose intervals this
+   node's vector time counts.  Returns the number of records discarded. *)
 let gc_exchange t pid ~npages ~keep =
   let r = round_of t.gc_rounds pid in
   if not (all_children_in t pid r gc_child_pid) then Engine.await r.all_in;
@@ -437,41 +439,50 @@ let gc_exchange t pid ~npages ~keep =
      next GC until it gets this round's keepers through us. *)
   Hashtbl.remove t.gc_rounds pid;
   let contribs = (pid, keep) :: List.concat_map (fun c -> c.gc_contribs) children in
-  let reply_bytes = (config t).Config.nprocs * Wire.gc_keep_bitmap_bytes ~npages in
-  let reply_down keepers =
-    List.iter
-      (fun c ->
-        if not (dead t c.gc_pid) then
-          Transport.send_value ~label:"gc-copysets" (transport t) ~src:pid ~dst:c.gc_pid
-            ~bytes:reply_bytes c.gc_mb keepers)
-      children
+  let keepers =
+    if pid = Cluster.barrier_manager then begin
+      let keepers = Array.init npages (fun _ -> Bitset.create (config t).Config.nprocs) in
+      List.iter
+        (fun (who, bitmap) ->
+          if Cluster.live t.cl who then
+            Bitset.iter (fun page -> Bitset.add keepers.(page) who) bitmap)
+        contribs;
+      keepers
+    end
+    else begin
+      let parent = tree_parent t pid in
+      let mb = Transport.mailbox () in
+      let count = List.length contribs in
+      Transport.send ~label:"gc-bitmap" ~parts:count (transport t) ~src:pid ~dst:parent
+        ~bytes:(count * Wire.gc_keep_bitmap_bytes ~npages)
+        ~deliver:(fun _h ->
+          let pr = round_of t.gc_rounds parent in
+          Vec.push pr.heard { gc_pid = pid; gc_contribs = contribs; gc_mb = mb };
+          (* Wake the parent at the handler's start, not after its
+             charges: this keeps the timings of the centralized exchange. *)
+          wake_when_in t parent pr gc_child_pid ~at:(Engine.now (engine t)));
+      Transport.await_value (transport t) mb
+    end
   in
-  if pid = barrier_manager then begin
-    let keepers = Array.init npages (fun _ -> Bitset.create (config t).Config.nprocs) in
-    List.iter
-      (fun (who, bitmap) ->
-        if not (dead t who) then
-          Bitset.iter (fun page -> Bitset.add keepers.(page) who) bitmap)
-      contribs;
-    reply_down keepers;
-    keepers
-  end
-  else begin
-    let parent = tree_parent t pid in
-    let mb = Transport.mailbox () in
-    let count = List.length contribs in
-    Transport.send ~label:"gc-bitmap" ~parts:count (transport t) ~src:pid ~dst:parent
-      ~bytes:(count * Wire.gc_keep_bitmap_bytes ~npages)
-      ~deliver:(fun _h ->
-        let pr = round_of t.gc_rounds parent in
-        Vec.push pr.heard { gc_pid = pid; gc_contribs = contribs; gc_mb = mb };
-        (* Wake the parent at the handler's start, not after its
-           charges: this keeps the timings of the centralized exchange. *)
-        wake_when_in t parent pr gc_child_pid ~at:(Engine.now (engine t)));
-    let keepers = Transport.await_value (transport t) mb in
-    reply_down keepers;
-    keepers
-  end
+  (* Every node adopts the root's sets themselves, which nothing mutates
+     after the root built them.  [Gc_end] marks the discard, where the
+     floor rises. *)
+  let node = t.cl.Cluster.nodes.(pid) in
+  Array.iteri
+    (fun page entry ->
+      entry.Node.pg_copyset <- keepers.(page);
+      if not (Bitset.mem keepers.(page) pid) then Node.set_has_copy entry false)
+    node.Node.pages;
+  let discarded = Node.discard_all_records node in
+  if Engine.tracing (engine t) then emit t ~pid (Tmk_trace.Event.Gc_end { discarded });
+  let reply_bytes = (config t).Config.nprocs * Wire.gc_keep_bitmap_bytes ~npages in
+  List.iter
+    (fun c ->
+      if Cluster.live t.cl c.gc_pid then
+        Transport.send_value ~label:"gc-copysets" (transport t) ~src:pid ~dst:c.gc_pid
+          ~bytes:reply_bytes c.gc_mb keepers)
+    children;
+  discarded
 
 let gc_phase t pid =
   let node = t.cl.Cluster.nodes.(pid) in
@@ -491,18 +502,11 @@ let gc_phase t pid =
   for page = 0 to npages - 1 do
     if Vm.prot node.Node.vm page <> Vm.No_access then Bitset.add keep page
   done;
-  let keepers = gc_exchange t pid ~npages ~keep in
-  (* 3. Adopt the new copysets and discard every consistency record.
-     Every node adopts the root's sets themselves, which nothing mutates
-     after the root built them. *)
-  Array.iteri
-    (fun page entry ->
-      entry.Node.pg_copyset <- keepers.(page);
-      if not (Bitset.mem keepers.(page) pid) then Node.set_has_copy entry false)
-    node.Node.pages;
-  let discarded = Node.discard_all_records node ~charge:app_charge in
-  if Engine.tracing (engine t) then
-    emit t ~pid (Tmk_trace.Event.Gc_end { discarded })
+  (* 3. Adopt the new copysets and discard every consistency record,
+     within the exchange. *)
+  let discarded = gc_exchange t pid ~npages ~keep in
+  (* charged after the replies, so that no reply waits for it *)
+  app_charge Category.Tmk_other (Vtime.scale Cpu.gc_per_record discarded)
 
 (* ------------------------------------------------------------------ *)
 (* Barriers (§3.4)                                                     *)
@@ -528,7 +532,7 @@ let barrier_release_clients t ~pid ~run_gc clients =
   List.iter release_one
     (List.sort
        (fun a b -> compare a.bc_pid b.bc_pid)
-       (List.filter (fun bc -> not (dead t bc.bc_pid)) clients))
+       (List.filter (fun bc -> Cluster.live t.cl bc.bc_pid) clients))
 
 (* One crossing at [pid], over the barrier tree.  Arrivals are absorbed
    edge by edge on the way up — an interior node forwards with [relay],
@@ -549,7 +553,7 @@ let barrier_round t ~pid ~id ~epoch ~want_gc =
   (* Drop the occurrence's state before any release goes out: a child
      cannot re-arrive at this id until released through this node. *)
   Hashtbl.remove t.barrier_rounds (pid, id);
-  if pid = barrier_manager then begin
+  if pid = Cluster.barrier_manager then begin
     barrier_release_clients t ~pid ~run_gc:subtree_gc clients;
     if Engine.tracing (engine t) then
       emit t ~pid (Tmk_trace.Event.Barrier_release { id; epoch });
@@ -624,31 +628,33 @@ let charge_compute _t ~pid:_ ns = app_charge Category.Computation (Vtime.ns ns)
    queue in pid order; stale in-flight routing is dropped by
    [stale_request]. *)
 let recover_lock t lock =
-  let n = (config t).Config.nprocs in
+  (* every pid, not just the live ones: dead pids' queues are cleared too *)
   let waiters = ref [] in
-  for p = n - 1 downto 0 do
+  for p = (config t).Config.nprocs - 1 downto 0 do
     (match Hashtbl.find_opt t.lock_states.(p) lock with
     | Some st -> Queue.clear st.pending
     | None -> ());
-    if not (dead t p) then
+    if Cluster.live t.cl p then
       match Hashtbl.find_opt t.waiting_acquires.(p) lock with
       | Some req when not (Transport.mailbox_filled req.lr_mb) -> waiters := req :: !waiters
       | _ -> ()
   done;
-  let cached_at = ref None in
-  for p = n - 1 downto 0 do
-    if not (dead t p) then
+  (* the lowest live processor that caches the token *)
+  let rec cached_from p =
+    match Bitset.next_member t.cl.Cluster.members p with
+    | None -> None
+    | Some p -> (
       match Hashtbl.find_opt t.lock_states.(p) lock with
-      | Some st when st.cached -> cached_at := Some p
-      | _ -> ()
-  done;
+      | Some st when st.cached -> Some p
+      | _ -> cached_from (p + 1))
+  in
   let in_flight_to =
     match Hashtbl.find_opt t.grant_target lock with
-    | Some req when not (dead t req.lr_requester) -> Some req.lr_requester
+    | Some req when Cluster.live t.cl req.lr_requester -> Some req.lr_requester
     | _ -> None
   in
   let owner, regenerated =
-    match (!cached_at, in_flight_to) with
+    match (cached_from 0, in_flight_to) with
     | Some p, _ -> (p, false)
     | None, Some r -> (r, false)
     | None, None -> (Cluster.lock_home t.cl lock, true)
@@ -739,7 +745,7 @@ let retry_pending_ops t dead_pid =
 
 (* Metadata failover, run once per detected death. *)
 let note_death t dead_pid =
-  if not (dead t dead_pid) then begin
+  if Cluster.live t.cl dead_pid then begin
     Cluster.mark_dead t.cl dead_pid;
     let detected_at = Engine.now (engine t) in
     let crash_at =
@@ -752,7 +758,7 @@ let note_death t dead_pid =
       Log.debug (fun m ->
           m "[t=%d] processor %d declared dead (epoch %d)" (Engine.now (engine t)) dead_pid
             (epoch t));
-    if dead_pid = barrier_manager then
+    if dead_pid = Cluster.barrier_manager then
       (* Processor 0 is the barrier/GC manager and the initial copyset of
          every page: its state is not recoverable. *)
       note_fatal t ~pid:dead_pid "barrier manager (processor 0) crashed"
@@ -760,13 +766,14 @@ let note_death t dead_pid =
       (* Death notices: every live peer learns the new epoch (the
          simulator applies the membership change with global visibility;
          the notices model the traffic). *)
-      let monitor = barrier_manager in
-      for q = 0 to (config t).Config.nprocs - 1 do
-        if q <> monitor && not (dead t q) then
-          Transport.notify ~label:"death-notice" (transport t) ~src:monitor ~dst:q
-            ~bytes:Wire.death_notice_bytes
-            ~deliver:(fun h -> h_charge h Category.Tmk_other Cpu.lock_forward)
-      done;
+      let monitor = Cluster.barrier_manager in
+      Bitset.iter
+        (fun q ->
+          if q <> monitor then
+            Transport.notify ~label:"death-notice" (transport t) ~src:monitor ~dst:q
+              ~bytes:Wire.death_notice_bytes
+              ~deliver:(fun h -> h_charge h Category.Tmk_other Cpu.lock_forward))
+        t.cl.Cluster.members;
       t.backend.Backend.b_on_death dead_pid;
       let locks = recover_locks t in
       let retries = retry_pending_ops t dead_pid in
@@ -784,7 +791,7 @@ let note_death t dead_pid =
       in
       if counted then begin
         if Engine.tracing (engine t) then
-          Engine.emit (engine t) ~pid:barrier_manager
+          Engine.emit (engine t) ~pid:Cluster.barrier_manager
             (Tmk_trace.Event.Recovery_done { dead = dead_pid; locks; retries });
         t.recoveries <-
           {
@@ -811,7 +818,7 @@ let note_death t dead_pid =
    with the full retransmit budget behind it — declares a live peer
    unreachable. *)
 let on_suspicion t ~src ~dst ~label ~attempts =
-  if not (dead t dst) then begin
+  if Cluster.live t.cl dst then begin
     if Engine.crashed (engine t) dst then note_death t dst
     else if label <> "hb" then
       Engine.request_stop (engine t)
@@ -849,26 +856,22 @@ let crash_grace = Vtime.s 30
 let crash_grace_factor = 10
 
 let arm_heartbeat t =
-  let monitor () =
-    let m = ref None in
-    for p = (config t).Config.nprocs - 1 downto 0 do
-      if (not (dead t p)) && not (Engine.crashed (engine t) p) then m := Some p
-    done;
-    !m
+  let members = t.cl.Cluster.members in
+  (* the lowest live processor at or above [p] that has not crashed *)
+  let rec monitor_from p =
+    match Bitset.next_member members p with
+    | Some p when Engine.crashed (engine t) p -> monitor_from (p + 1)
+    | found -> found
   in
   let unfinished_live () =
-    let alive = ref false in
-    for p = 0 to (config t).Config.nprocs - 1 do
-      if (not (dead t p)) && not (Engine.finished (engine t) p) then alive := true
-    done;
-    !alive
+    Bitset.fold (fun p alive -> alive || not (Engine.finished (engine t) p)) members false
   in
   (* A planned crash is resolved once its victim is dead (detected and
      handled) or finished before the crash instant ever arrived. *)
   let all_crashes_resolved () =
     List.for_all
       (fun { Tmk_net.Fault_plan.cr_pid; _ } ->
-        dead t cr_pid || Engine.finished (engine t) cr_pid)
+        (not (Cluster.live t.cl cr_pid)) || Engine.finished (engine t) cr_pid)
       (Tmk_net.Fault_plan.crashes (config t).Config.faults)
   in
   let allowance () =
@@ -887,14 +890,11 @@ let arm_heartbeat t =
      [crash_grace]).  Deliberately excludes locks and page faults — a
      work-queue livelock generates both at full speed. *)
   let progress_marker () =
-    let m = ref 0 in
-    for p = 0 to (config t).Config.nprocs - 1 do
-      if not (dead t p) then begin
-        m := !m + t.cl.Cluster.nodes.(p).Node.stats.Stats.barriers;
-        if Engine.finished (engine t) p then incr m
-      end
-    done;
-    !m
+    Bitset.fold
+      (fun p m ->
+        let m = m + t.cl.Cluster.nodes.(p).Node.stats.Stats.barriers in
+        if Engine.finished (engine t) p then m + 1 else m)
+      members 0
   in
   let last_marker = ref (-1) in
   let progress_at = ref Vtime.zero in
@@ -906,15 +906,16 @@ let arm_heartbeat t =
     end
   in
   let probe () =
-    match monitor () with
+    match monitor_from 0 with
     | None -> ()
     | Some monitor ->
-      for q = 0 to (config t).Config.nprocs - 1 do
-        if q <> monitor && (not (dead t q)) && not (Engine.finished (engine t) q) then
-          Transport.notify ~label:"hb" ~retry_budget:heartbeat_budget (transport t)
-            ~src:monitor ~dst:q ~bytes:Wire.heartbeat_bytes
-            ~deliver:(fun _h -> ())
-      done
+      Bitset.iter
+        (fun q ->
+          if q <> monitor && not (Engine.finished (engine t) q) then
+            Transport.notify ~label:"hb" ~retry_budget:heartbeat_budget (transport t)
+              ~src:monitor ~dst:q ~bytes:Wire.heartbeat_bytes
+              ~deliver:(fun _h -> ()))
+        members
   in
   let rec tick at =
     Engine.schedule (engine t) ~at (fun () ->

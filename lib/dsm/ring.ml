@@ -64,13 +64,12 @@ let successor t h =
     !lo
   end
 
-let owner t ~live key =
+(* From table index [i] clockwise to a live processor's point; no closure. *)
+let rec walk t live i steps =
   let n = Array.length t.points in
-  let start = successor t (hash_key key) in
-  let rec walk i steps =
-    if steps >= n then invalid_arg "Ring.owner: no live processor"
-    else
-      let pid = t.pids.(i) in
-      if live pid then pid else walk ((i + 1) mod n) (steps + 1)
-  in
-  walk start 0
+  if steps >= n then invalid_arg "Ring.owner: no live processor"
+  else
+    let pid = t.pids.(i) in
+    if Tmk_util.Bitset.mem live pid then pid else walk t live ((i + 1) mod n) (steps + 1)
+
+let owner t live key = walk t live (successor t (hash_key key)) 0

@@ -9,7 +9,7 @@
     entirety — the behaviour the multiple-writer protocol eliminates.
 
     Implementation: each page has a statically assigned {e manager}
-    (page mod nprocs) holding the page's ownership record (current owner,
+    ({!Cluster.page_owner}) holding the page's ownership record (current owner,
     copyset) and a FIFO of outstanding requests; requests are processed
     one at a time per page, entirely by request handlers:
 

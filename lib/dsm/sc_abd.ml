@@ -31,6 +31,7 @@ module Transport = Tmk_net.Transport
 module Vm = Tmk_mem.Vm
 module Costs = Tmk_mem.Costs
 module Rle = Tmk_util.Rle
+module Bitset = Tmk_util.Bitset
 
 let app_charge = Cluster.app_charge
 let h_charge = Cluster.h_charge
@@ -62,8 +63,7 @@ let nprocs t = t.cl.Cluster.cfg.Config.nprocs
    toward the denominator (their replicas are frozen, not forgotten). *)
 let needed t = nprocs t / 2
 
-let live_peers t pid =
-  List.filter (fun q -> q <> pid && Cluster.live t.cl q) (List.init (nprocs t) Fun.id)
+let live_peers t pid = List.filter (fun q -> q <> pid) (Bitset.to_list t.cl.Cluster.members)
 
 let require_quorum t pid peers =
   if List.length peers < needed t then

@@ -18,7 +18,7 @@
    that expires the lease at the next acquire.
 
    Page requests are serialized per page through a static manager
-   (page mod nprocs), Li–Hudak style, but the manager keeps only the
+   ([Cluster.page_owner]), Li–Hudak style, but the manager keeps only the
    (owner, wts, rts) triple — no copyset, because there is nothing to
    invalidate.  An ownership transfer leaves the old owner a leased
    read-only copy valid through [wts - 1]. *)
@@ -70,8 +70,8 @@ type t = {
 }
 
 
-(* Static [page mod nprocs] placement, or the consistent-hash ring under
-   [Config.sharding] — either way one manager serializes each page. *)
+(* One manager serializes each page: its static home, or its ring owner
+   under [Config.sharding]. *)
 let manager_of t page = Cluster.page_owner t.cl page
 let h_charge = Cluster.h_charge
 

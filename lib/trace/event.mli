@@ -85,6 +85,8 @@ type t =
   (* Garbage collection (§3.6) *)
   | Gc_begin of { live : int }  (** live consistency records at entry *)
   | Gc_end of { discarded : int }
+      (** the records are discarded, so the GC floor rises here: before the
+          node's keepers replies and the discard's charge *)
   (* Crash-stop failures and recovery *)
   | Proc_crash  (** the processor failed (crash-stop): silent from here on *)
   | Peer_suspect of { dst : int; label : string; attempts : int }

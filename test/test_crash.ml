@@ -140,15 +140,14 @@ let barrier_manager_crash_degrades () =
 let gc_victim = 3
 let gc_rounds = 6
 
-(* Every round each processor computes for 5 ms, writes a word of its own
-   page and meets a barrier; a record threshold of 4 makes several
-   barriers collect.  The survivors never read the victim's page, so
-   processor 0 must end up seeing every survivor's last value whether or
-   not the victim dies.  The compute lets the manager finish discarding
-   before anyone arrives at the next barrier: GC still drops intervals
-   that the manager absorbs between replying to a child and discarding,
-   and a run without it trips the barrier-release timestamp assertion. *)
-let run_gc_scenario ?trace ~crash_at () =
+(* Every round each processor computes for [compute_ns] (5 ms by
+   default), writes a word of its own page and meets a barrier; a record
+   threshold of 4 makes several barriers collect.  The survivors never
+   read the victim's page, so processor 0 must end up seeing every
+   survivor's last value whether or not the victim dies.  Without the
+   compute, a child that has its keepers arrives at the next barrier
+   while the manager is still replying to the others. *)
+let run_gc_scenario ?trace ?(compute_ns = 5_000_000) ~crash_at () =
   let seen = Array.make 4 (-1) in
   let r =
     Api.run ?trace
@@ -164,7 +163,7 @@ let run_gc_scenario ?trace ~crash_at () =
         let words = Tmk_mem.Vm.page_size / 8 in
         let slots = Api.ialloc ~align:Tmk_mem.Vm.page_size ctx (4 * words) in
         for round = 1 to gc_rounds do
-          Api.compute_ns ctx 5_000_000;
+          Api.compute_ns ctx compute_ns;
           Api.iset ctx slots (pid * words) ((100 * pid) + round);
           Api.barrier ctx round
         done;
@@ -175,12 +174,12 @@ let run_gc_scenario ?trace ~crash_at () =
   in
   (r, seen)
 
-let crash_inside_gc_exchange () =
+let crash_inside_gc_exchange ?compute_ns () =
   (* A crash planned far past the end arms the heartbeat, so this run
      keeps the crash run's timing up to the crash instant; it tells when
      the victim enters its first collection. *)
   let sink = Tmk_trace.Sink.create () in
-  ignore (run_gc_scenario ~trace:sink ~crash_at:(Vtime.s 1000) ());
+  ignore (run_gc_scenario ~trace:sink ?compute_ns ~crash_at:(Vtime.s 1000) ());
   let gc_begin = ref None in
   Tmk_trace.Sink.iter
     (fun rec_ ->
@@ -198,7 +197,7 @@ let crash_inside_gc_exchange () =
   let crash_at = Vtime.add gc_begin (Vtime.us 1) in
   let fingerprint () =
     let sink = Tmk_trace.Sink.create () in
-    let r, seen = run_gc_scenario ~trace:sink ~crash_at () in
+    let r, seen = run_gc_scenario ~trace:sink ?compute_ns ~crash_at () in
     let root_gc_end = ref None in
     Tmk_trace.Sink.iter
       (fun rec_ ->
@@ -376,4 +375,6 @@ let suite =
       page_fetches_spread_over_copyset;
     Alcotest.test_case "crash inside the GC exchange" `Quick crash_inside_gc_exchange;
     Alcotest.test_case "a crash of every processor is rejected" `Quick every_processor_crashing;
+    Alcotest.test_case "crash inside a GC exchange with no compute between rounds" `Quick
+      (crash_inside_gc_exchange ~compute_ns:0);
   ]

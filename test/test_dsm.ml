@@ -644,6 +644,146 @@ let death_replaces_each_shared_set_once () =
   check members "no set was mutated" [ 0; 2; 1; 2; 3; 0; 1 ]
     (List.concat_map Bitset.to_list [ with_2; also_2; without_2 ])
 
+(* ------------------------------------------------------------------ *)
+(* Membership: Cluster's owner rules against reference models.
+
+   The flat models are the rules each lookup kept for itself before
+   Cluster held one live set: the first live processor in cyclic pid
+   order from the static [key mod nprocs] home (a flat page's owner
+   followed no death, which only SC and Tardis asked, and both refuse
+   crash plans), a two-step probe for the backup peer, and another for
+   the lowest live other processor.  Under sharding the model is
+   minimal migration: at every death, each key whose owner lives keeps
+   it, and every key has a live owner. *)
+
+(* nprocs 1-64, sharded or flat, and a death order with repeats that
+   spares one processor. *)
+let membership_gen =
+  QCheck.make
+    ~print:(fun (n, sharded, deaths) ->
+      Printf.sprintf "nprocs %d, %s, deaths [%s]" n
+        (if sharded then "sharded" else "flat")
+        (String.concat "; " (List.map string_of_int deaths)))
+    QCheck.Gen.(
+      int_range 1 64 >>= fun n ->
+      int_range 0 (n - 1) >>= fun survivor ->
+      bool >>= fun sharded ->
+      list_size (int_range 0 (2 * n)) (int_range 0 (n - 1)) >|= fun deaths ->
+      (n, sharded, List.filter (( <> ) survivor) deaths))
+
+(* The smallest live pid at or above [p], if any. *)
+let rec first_live dead p =
+  if p >= Array.length dead then None else if dead.(p) then first_live dead (p + 1) else Some p
+
+let model_home dead key =
+  let n = Array.length dead in
+  let rec seek m = if dead.(m) then seek ((m + 1) mod n) else m in
+  seek (key mod n)
+
+let model_backup_peer dead p =
+  match first_live dead (p + 1) with
+  | Some q -> Some q
+  | None -> ( match first_live dead 0 with Some q when q <> p -> Some q | _ -> None)
+
+let model_lowest_live_other dead p =
+  match first_live dead 0 with
+  | Some q when q <> p -> Some q
+  | Some q -> first_live dead (q + 1)
+  | None -> None
+
+let membership_keys = 128
+
+let membership_rules =
+  qtest ~count:100 "membership rules match their models" membership_gen
+    (fun (n, sharded, deaths) ->
+      let cl = Cluster.create { (cfg ~nprocs:n ~pages:1 ()) with Config.sharding = sharded } in
+      let dead = Array.make n false in
+      let owners () =
+        Array.init membership_keys (fun k -> (Cluster.lock_home cl k, Cluster.page_owner cl k))
+      in
+      let fail fmt = Printf.ksprintf (fun m -> QCheck.Test.fail_report m) fmt in
+      let agree () =
+        for p = 0 to n - 1 do
+          if Cluster.live cl p = dead.(p) then fail "live %d" p;
+          if Cluster.backup_peer cl p <> model_backup_peer dead p then fail "backup_peer %d" p;
+          if Cluster.lowest_live_other cl p <> model_lowest_live_other dead p then
+            fail "lowest_live_other %d" p
+        done;
+        let now = owners () in
+        Array.iteri
+          (fun k (lock, page) ->
+            if dead.(lock) || dead.(page) then fail "key %d has a dead owner" k;
+            if (not sharded) && (lock <> model_home dead k || page <> model_home dead k) then
+              fail "flat key %d" k)
+          now;
+        now
+      in
+      let before = ref (agree ()) in
+      List.iter
+        (fun victim ->
+          Cluster.mark_dead cl victim;
+          dead.(victim) <- true;
+          let after = agree () in
+          Array.iteri
+            (fun k (lock, page) ->
+              let lock', page' = after.(k) in
+              if ((not dead.(lock)) && lock' <> lock) || ((not dead.(page)) && page' <> page)
+              then fail "key %d moved from a live owner" k)
+            !before;
+          before := after)
+        deaths;
+      let distinct = Array.fold_left (fun a d -> if d then a + 1 else a) 0 dead in
+      if cl.Cluster.epoch <> distinct then
+        fail "epoch %d after %d distinct deaths" cl.Cluster.epoch distinct;
+      true)
+
+(* ------------------------------------------------------------------ *)
+(* Garbage collection at experiment scale: [tmk_run --app APP --nprocs N
+   --gc-threshold G ...] under the invariant oracle.  Each node adopts
+   its keepers and discards before it replies to its children; a root
+   that discarded after its last reply dropped the intervals of an early
+   child's next arrival, and the next barrier release failed its
+   coverage assertion. *)
+
+module Harness = Tmk_harness.Harness
+
+let gc_run ?(faults = Tmk_net.Fault_plan.none) ?(seed = 1994L) ?(gc_threshold = max_int) ~app
+    ~nprocs () =
+  let oracle = Tmk_check.Oracle.create ~nprocs () in
+  let cfg =
+    {
+      (Harness.config ~app ~nprocs ~protocol:Config.Lrc ~net:Tmk_net.Params.atm_aal34) with
+      Config.seed;
+      faults;
+      gc_threshold;
+      check = Some (Tmk_check.Checker.create ~oracle ());
+    }
+  in
+  let m, digest = Harness.run_checked ~app cfg in
+  if gc_threshold < max_int then
+    check Alcotest.bool "garbage was collected" true
+      (m.Harness.m_raw.Api.total_stats.Stats.gc_runs > 0);
+  check Alcotest.(list string) "no invariant violations" [] (Tmk_check.Oracle.finish oracle);
+  digest
+
+let gc_water nprocs () =
+  let digest = gc_run ~app:Harness.Water ~nprocs ~gc_threshold:50 () in
+  check Alcotest.string "the digest without GC" (gc_run ~app:Harness.Water ~nprocs ()) digest
+
+let gc_jacobi_32 () = ignore (gc_run ~app:Harness.Jacobi ~nprocs:32 ~gc_threshold:20 ())
+
+(* The digest differs from the crash-free run's: nobody recomputes the
+   dead processor's molecules. *)
+let gc_water_6_crash () =
+  let faults = Tmk_net.Fault_plan.(with_crash none ~pid:1 ~at:(Tmk_sim.Vtime.us 150_705)) in
+  ignore (gc_run ~faults ~app:Harness.Water ~nprocs:6 ~gc_threshold:80 ())
+
+let gc_water_4_reorder () =
+  let faults =
+    Tmk_net.Fault_plan.(with_reorder ~window:(Tmk_sim.Vtime.us 200) none 0.5)
+  in
+  ignore (gc_run ~faults ~seed:2L ~app:Harness.Water ~nprocs:4 ~gc_threshold:50 ())
+
 let suite =
   [
     vt_leq_reflexive;
@@ -679,4 +819,11 @@ let suite =
     Alcotest.test_case "a death replaces each shared copyset once" `Quick
       death_replaces_each_shared_set_once;
     vt_leq_at_is_leq;
+    membership_rules;
+    Alcotest.test_case "GC is sound: water-8, threshold 50" `Quick (gc_water 8);
+    Alcotest.test_case "GC is sound: jacobi-32, threshold 20" `Quick gc_jacobi_32;
+    Alcotest.test_case "GC is sound: water-6, threshold 80, a crash" `Quick gc_water_6_crash;
+    Alcotest.test_case "GC is sound: water-4, threshold 50, reordering" `Quick
+      gc_water_4_reorder;
+    Alcotest.test_case "GC is sound: water-16, threshold 50" `Quick (gc_water 16);
   ]

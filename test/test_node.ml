@@ -231,7 +231,7 @@ let discard_sweeps_everything () =
   Node.incorporate n [ msg_interval ~proc:1 ~id:1 ~vt:[ 0; 1; 0; 0 ] ~pages:[ 2 ] () ]
     ~charge:no_charge;
   check Alcotest.bool "records live" true (n.Node.live_records > 0);
-  let freed = Node.discard_all_records n ~charge:no_charge in
+  let freed = Node.discard_all_records n in
   check Alcotest.bool "freed" true (freed > 0);
   check Alcotest.int "live zero" 0 n.Node.live_records;
   check Alcotest.bool "twins gone" true
@@ -276,7 +276,7 @@ let writers_walk_in_pid_order () =
     (Node.held_diff n ~proc:3 ~interval_id:1 ~page:1 <> None);
   check Alcotest.bool "notice without its diff" true
     (Node.held_diff n ~proc:4 ~interval_id:1 ~page:1 = None);
-  ignore (Node.discard_all_records n ~charge:no_charge);
+  ignore (Node.discard_all_records n);
   check Alcotest.int "no missing diffs after GC" 0 (List.length (Node.missing_diffs n 1));
   check Alcotest.int "no unapplied diffs after GC" 0 (List.length (Node.unapplied_diffs n 1));
   check Alcotest.bool "no intervals after GC" true
@@ -519,7 +519,7 @@ let write_and_close node page =
 
 let all_but nodes pid f = Array.iter (fun n -> if n.Node.pid <> pid then f n) nodes
 let incorporate intervals n = Node.incorporate n intervals ~charge:no_charge
-let discard n = ignore (Node.discard_all_records n ~charge:no_charge)
+let discard n = ignore (Node.discard_all_records n)
 
 (* Every entry of every node over one store starts from one [{0}]. *)
 let fresh_nodes_share_one_copyset () =
@@ -862,7 +862,7 @@ let bounded_walks_match (nprocs, pages, ops) =
         nodes;
       refresh_observer ();
       for n = 0 to active - 1 do
-        ignore (Node.discard_all_records nodes.(n) ~charge:no_charge)
+        ignore (Node.discard_all_records nodes.(n))
       done
   in
   let compare_walks step =

@@ -28,11 +28,14 @@ let check = Alcotest.check
 (* ------------------------------------------------------------------ *)
 (* Ring placement                                                      *)
 
-let all_live _ = true
+let all_live nprocs =
+  List.fold_left Tmk_util.Bitset.with_member (Tmk_util.Bitset.create nprocs)
+    (List.init nprocs Fun.id)
+
 let nkeys = 4096
 
 let owners ring ~live =
-  Array.init nkeys (fun k -> Ring.owner ring ~live (Ring.page_key k))
+  Array.init nkeys (fun k -> Ring.owner ring live (Ring.page_key k))
 
 let ring_deterministic () =
   List.iter
@@ -42,24 +45,24 @@ let ring_deterministic () =
       check
         Alcotest.(array int)
         (Printf.sprintf "same placement at nprocs=%d seed=%Ld" nprocs seed)
-        (owners a ~live:all_live) (owners b ~live:all_live);
+        (owners a ~live:(all_live nprocs)) (owners b ~live:(all_live nprocs));
       Array.iter
         (fun o -> check Alcotest.bool "owner in range" true (o >= 0 && o < nprocs))
-        (owners a ~live:all_live))
+        (owners a ~live:(all_live nprocs)))
     [ (8, 1994L); (64, 1994L); (256, 7L); (1024, 42L) ]
 
 let ring_seed_sensitive () =
   let a = Ring.create ~nprocs:64 ~seed:1L () in
   let b = Ring.create ~nprocs:64 ~seed:2L () in
   check Alcotest.bool "different seeds move keys" true
-    (owners a ~live:all_live <> owners b ~live:all_live)
+    (owners a ~live:(all_live 64) <> owners b ~live:(all_live 64))
 
 let ring_namespaces_disjoint () =
   (* Page i and lock i need not agree; over many indices they must not
      all collide (the namespaces really are distinct key spaces). *)
   let ring = Ring.create ~nprocs:64 ~seed:1994L () in
-  let page_owner i = Ring.owner ring ~live:all_live (Ring.page_key i) in
-  let lock_owner i = Ring.owner ring ~live:all_live (Ring.lock_key i) in
+  let page_owner i = Ring.owner ring (all_live 64) (Ring.page_key i) in
+  let lock_owner i = Ring.owner ring (all_live 64) (Ring.lock_key i) in
   let same = ref 0 in
   for i = 0 to 255 do
     if page_owner i = lock_owner i then incr same
@@ -72,7 +75,7 @@ let ring_balanced () =
       let ring = Ring.create ~nprocs ~seed:1994L () in
       let shards = Array.make nprocs 0 in
       for k = 0 to nkeys - 1 do
-        let o = Ring.owner ring ~live:all_live (Ring.page_key k) in
+        let o = Ring.owner ring (all_live nprocs) (Ring.page_key k) in
         shards.(o) <- shards.(o) + 1
       done;
       let mean = float_of_int nkeys /. float_of_int nprocs in
@@ -87,10 +90,10 @@ let ring_balanced () =
 let ring_minimal_migration () =
   let nprocs = 32 in
   let ring = Ring.create ~nprocs ~seed:1994L () in
-  let before = owners ring ~live:all_live in
+  let before = owners ring ~live:(all_live nprocs) in
   (* Kill the owner of key 0, so at least one shard must move. *)
   let dead = before.(0) in
-  let live p = p <> dead in
+  let live = Tmk_util.Bitset.without_member (all_live nprocs) dead in
   let after = owners ring ~live in
   let moved = ref 0 in
   Array.iteri
